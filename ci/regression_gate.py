@@ -23,12 +23,11 @@ Checks, per study matched by name:
   absolute floor -- hosts differ), and keeps the disabled-tracer overhead
   ratio at or under ``NOOP_OVERHEAD_LIMIT`` (with a noise escape against
   the baseline's own measured ratio);
-* the plan study (E17) keeps every f64 compiled-plan row bit-identical to
-  interpreted recall, keeps the driven-fidelity plan speedup at or above
+* the plan study (E17) keeps module recall through the compiled kernel
+  bit-identical to the interpreted oracle in every fidelity row, and
+  keeps the driven-fidelity kernel-over-oracle speedup at or above
   ``PLAN_MIN_SPEEDUP`` (an interleaved min-of-N ratio on the same host,
-  so it is host-independent enough to gate), and reports zero f32-tier
-  results outside the tolerance-ledger budgets
-  (``f32_unwaived_divergences == 0``);
+  so it is host-independent enough to gate);
 * the capacity study (E18) keeps every (templates, k) cell's ranked
   matches equal to the full argsort oracle, keeps the first match equal
   to the legacy single-winner WTA rule, reports positive throughput at
@@ -79,10 +78,10 @@ NOOP_NOISE_ESCAPE = 0.05
 P99_FACTOR = 5.0
 P99_FLOOR_US = 1000.0
 
-# E17 compiled-plan gate. The speedup is a ratio of two interleaved
-# min-of-N passes on the same host, so it cancels machine speed; the
-# driven (analytic) fidelity is the gated row because there the flat
-# kernel is the entire query. The parasitic row is informational -- both
+# E17 compiled-kernel gate. The speedup is the interpreted oracle over
+# module recall, a ratio of two interleaved min-of-N passes on the same
+# host, so it cancels machine speed; the driven (analytic) fidelity is the
+# gated row because there the flat kernel is the entire query. The parasitic row is informational -- both
 # sides share the cached nodal solve, which dominates that fidelity.
 PLAN_MIN_SPEEDUP = 5.0
 
@@ -278,10 +277,10 @@ PLAN_STUDY = "plan"
 
 
 def check_plan(fresh_by_name, failures):
-    """The plan study (E17) gates on the compiled-path contract: f64 plans
-    are bit-identical to interpreted recall (a False cell is a correctness
-    bug, not noise), the driven-fidelity plan keeps its headline speedup,
-    and the opt-in f32 tier stays inside its tolerance-ledger budgets."""
+    """The plan study (E17) gates on the compiled-kernel contract: module
+    recall is bit-identical to the interpreted oracle (a False cell is a
+    correctness bug, not noise), and the driven-fidelity kernel keeps its
+    headline speedup over the oracle."""
     study = fresh_by_name.get(PLAN_STUDY)
     if study is None:
         return
@@ -315,11 +314,6 @@ def check_plan(fresh_by_name, failures):
                 f"{driven_speedup:.2f}",
                 "",
             )
-        )
-    unwaived = report.get("f32_unwaived_divergences")
-    if unwaived != 0:
-        failures.append(
-            (PLAN_STUDY, "f32_unwaived_divergences", "0", str(unwaived), "")
         )
 
 

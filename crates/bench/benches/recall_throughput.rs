@@ -12,9 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spinamm_circuit::units::{Siemens, Volts};
-use spinamm_core::{
-    AmmConfig, AssociativeMemoryModule, Fidelity, PlanOptions, PlanPrecision, RecallRequest,
-};
+use spinamm_core::{AmmConfig, AssociativeMemoryModule, Fidelity, RecallRequest};
 use spinamm_crossbar::{
     CachedParasiticCrossbar, CrossbarArray, CrossbarGeometry, ParasiticCrossbar, RowDrive,
 };
@@ -126,20 +124,8 @@ fn bench_recall_throughput(c: &mut Criterion) {
         b.iter(|| black_box(amm.recall_batch(&inputs).unwrap()));
     });
 
-    // Compiled recall plans: the same parasitic module lowered once into a
-    // flat allocation-free kernel, executed per query.
-    let amm = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
-    let mut plan = amm.compile_plan(PlanOptions::default()).unwrap();
-    group.bench_function("amm_plan_128x40_8q", |b| {
-        b.iter(|| {
-            for input in &inputs {
-                black_box(plan.execute(input).unwrap());
-            }
-        });
-    });
-
-    // Analytic (driven) fidelity: interpreted vs f64 plan vs the opt-in
-    // f32 fast tier, the geometry where the flat correlate dominates.
+    // Driven fidelity, the geometry where the flat correlate dominates:
+    // module recall (the compiled kernel) vs the interpreted oracle.
     let driven_cfg = AmmConfig {
         fidelity: Fidelity::Driven,
         ..AmmConfig::default()
@@ -152,86 +138,67 @@ fn bench_recall_throughput(c: &mut Criterion) {
             }
         });
     });
-    let driven = AssociativeMemoryModule::build(&patterns, &driven_cfg).unwrap();
-    let mut driven_plan = driven.compile_plan(PlanOptions::default()).unwrap();
-    group.bench_function("amm_driven_plan_128x40_8q", |b| {
+    let mut driven_oracle = AssociativeMemoryModule::build(&patterns, &driven_cfg).unwrap();
+    group.bench_function("amm_driven_oracle_128x40_8q", |b| {
         b.iter(|| {
             for input in &inputs {
-                black_box(driven_plan.execute(input).unwrap());
-            }
-        });
-    });
-    let mut driven_plan_f32 = driven
-        .compile_plan(PlanOptions {
-            precision: PlanPrecision::F32,
-        })
-        .unwrap();
-    group.bench_function("amm_driven_plan_f32_128x40_8q", |b| {
-        b.iter(|| {
-            for input in &inputs {
-                black_box(driven_plan_f32.execute(input).unwrap());
+                black_box(
+                    driven_oracle
+                        .oracle_recall_request(input, &RecallRequest::DEFAULT)
+                        .unwrap(),
+                );
             }
         });
     });
 
-    // Headline plan ratios, measured interleaved min-of-N so the compared
+    // Headline kernel ratios, measured interleaved min-of-N so the compared
     // passes see the same thermal/scheduling environment: each round times
     // every variant back to back, and each side keeps its best round.
-    // `plan_speedup` — interpreted vs compiled plan at driven fidelity,
-    // where the flat kernel is the whole query — is the number the
-    // regression gate pins ≥ 5×. The parasitic ratio is printed too and
-    // honestly hovers near 1×: both sides share the cached Cholesky/CG
-    // solve, which dominates that fidelity.
+    // `plan_speedup` — oracle vs kernel at driven fidelity, where the flat
+    // kernel is the whole query — is the number the regression gate pins
+    // ≥ 5×. The parasitic ratio is printed too and honestly hovers near
+    // 1×: both sides share the cached Cholesky/CG solve, which dominates
+    // that fidelity.
     const ROUNDS: usize = 7;
-    let mut interp = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
-    interp.recall(&inputs[0]).unwrap(); // warm the parasitic session
-    plan.execute(&inputs[0]).unwrap();
-    let mut driven_interp = AssociativeMemoryModule::build(&patterns, &driven_cfg).unwrap();
-    let mut best = [f64::MAX; 5];
+    let req = RecallRequest::DEFAULT;
+    let mut kernel = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
+    let mut oracle = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
+    kernel.recall(&inputs[0]).unwrap(); // warm the parasitic sessions
+    oracle.oracle_recall_request(&inputs[0], &req).unwrap();
+    let mut best = [f64::MAX; 4];
     for _ in 0..ROUNDS {
         let t0 = Instant::now();
         for input in &inputs {
-            black_box(interp.recall(input).unwrap());
+            black_box(oracle.oracle_recall_request(input, &req).unwrap());
         }
         best[0] = best[0].min(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         for input in &inputs {
-            black_box(plan.execute(input).unwrap());
+            black_box(kernel.recall(input).unwrap());
         }
         best[1] = best[1].min(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         for input in &inputs {
-            black_box(driven_interp.recall(input).unwrap());
+            black_box(driven_oracle.oracle_recall_request(input, &req).unwrap());
         }
         best[2] = best[2].min(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         for input in &inputs {
-            black_box(driven_plan.execute(input).unwrap());
+            black_box(driven.recall(input).unwrap());
         }
         best[3] = best[3].min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        for input in &inputs {
-            black_box(driven_plan_f32.execute(input).unwrap());
-        }
-        best[4] = best[4].min(t0.elapsed().as_secs_f64());
     }
     println!(
-        "recall_throughput/plan_speedup          plan {:.3e}s vs interpreted {:.3e}s (driven) -> {:.1}x",
+        "recall_throughput/plan_speedup          kernel {:.3e}s vs oracle {:.3e}s (driven) -> {:.1}x",
         best[3],
         best[2],
         best[2] / best[3].max(1e-12),
     );
     println!(
-        "recall_throughput/plan_parasitic_speedup plan {:.3e}s vs interpreted {:.3e}s (solve-bound) -> {:.2}x",
+        "recall_throughput/plan_parasitic_speedup kernel {:.3e}s vs oracle {:.3e}s (solve-bound) -> {:.2}x",
         best[1],
         best[0],
         best[0] / best[1].max(1e-12),
-    );
-    println!(
-        "recall_throughput/plan_f32_speedup      f32 {:.3e}s vs f64 plan {:.3e}s -> {:.2}x",
-        best[4],
-        best[3],
-        best[3] / best[4].max(1e-12),
     );
 
     // Tracing overhead: the same sequential recalls with a disabled tracer

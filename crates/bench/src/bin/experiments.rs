@@ -177,10 +177,9 @@ struct TimedStudy {
 /// a span-aggregate `phases[]` table (self/total wall time per pipeline
 /// phase) and the `noop_overhead_ratio` / `traced_overhead_ratio` pair
 /// that CI gates tracing cost on; v7 adds the `plan` study (E17) with
-/// per-fidelity interpreted-vs-compiled-plan speedup `rows[]` (each
-/// carrying the f64 `bit_identical` verdict) plus the flat f32-tier audit
-/// fields (`f32_unwaived_divergences`, observed maxima, `f32_speedup`)
-/// that CI pins alongside the ≥5× driven-plan speedup floor; v8 adds the
+/// per-fidelity interpreted-vs-compiled speedup `rows[]` (each carrying
+/// the `bit_identical` verdict) that CI pins alongside the ≥5× driven
+/// speedup floor, plus f32-tier audit fields; v8 adds the
 /// `capacity` study (E18) with numeric `rows[]` over the
 /// templates × k sweep (throughput, energy per query, the
 /// `topk_matches_oracle` / `top1_matches_wta` verdicts and the
@@ -196,7 +195,10 @@ struct TimedStudy {
 /// accuracy, refresh counts split by trigger, wear-leveled migrations,
 /// refresh-energy overhead relative to recall energy — the quantities
 /// `check_lifetime` gates on) and log-spaced `points[]` over the virtual
-/// traffic horizon (10⁶ queries quick, 10⁹-equivalent full).
+/// traffic horizon (10⁶ queries quick, 10⁹-equivalent full); v11 drops
+/// the plan study's f32-tier fields with the tier itself, its rows now
+/// timing module recall (the compiled kernel) against the interpreted
+/// oracle.
 fn write_json_report(
     path: &str,
     scale: &Scale,
@@ -206,7 +208,7 @@ fn write_json_report(
     let snapshot = experiments::telemetry_capture(scale)?;
     let total_wall: f64 = studies.iter().map(|s| s.wall_clock_seconds).sum();
     let document = JsonValue::object([
-        ("schema_version", JsonValue::Uint(10)),
+        ("schema_version", JsonValue::Uint(11)),
         (
             "scale",
             JsonValue::Str(if quick { "quick" } else { "full" }.to_string()),
@@ -966,14 +968,16 @@ fn render_profile(scale: &Scale, trace_out: Option<&str>) -> Rendered {
 }
 
 fn render_plan(scale: &Scale) -> Rendered {
+    const TITLE: &str =
+        "E17: compiled recall kernel (128x40, interpreted oracle vs module recall, interleaved min-of-N)";
     let study = experiments::plan_study(scale)?;
     let mut t = Table::new(
-        "E17: compiled recall plans (128x40, interpreted vs plan, interleaved min-of-N)",
+        TITLE,
         &[
             "fidelity",
             "queries",
-            "interpreted",
-            "plan",
+            "oracle",
+            "kernel",
             "speedup",
             "bit-identical",
         ],
@@ -989,43 +993,16 @@ fn render_plan(scale: &Scale) -> Rendered {
         ]);
     }
     let mut section = Section::table(&t);
-    section.text.push_str(&format!(
-        "f32 tier (driven): {} queries, {} unwaived divergences, max |dDOM| {} LSB, \
-         max current drift {:.2e}, {:.2}x over f64 plan | host cpus {}\n",
-        study.f32_queries,
-        study.f32_unwaived_divergences,
-        study.f32_max_dom_lsb,
-        study.f32_max_current_rel,
-        study.f32_speedup,
-        study.host_cpus,
-    ));
+    section
+        .text
+        .push_str(&format!("host cpus {}\n", study.host_cpus));
 
     // The JSON twin keeps numbers numeric so the CI gate can pin the
-    // driven-plan speedup floor, the f64 bit-identity verdicts, and the
-    // f32 divergence count without parsing table cells.
+    // driven speedup floor and the bit-identity verdicts without parsing
+    // table cells.
     section.json = JsonValue::object([
-        (
-            "title",
-            JsonValue::Str(
-                "E17: compiled recall plans (128x40, interpreted vs plan, interleaved min-of-N)"
-                    .to_string(),
-            ),
-        ),
+        ("title", JsonValue::Str(TITLE.to_string())),
         ("host_cpus", JsonValue::Uint(study.host_cpus as u64)),
-        ("f32_queries", JsonValue::Uint(study.f32_queries)),
-        (
-            "f32_unwaived_divergences",
-            JsonValue::Uint(study.f32_unwaived_divergences),
-        ),
-        (
-            "f32_max_dom_lsb",
-            JsonValue::Uint(u64::from(study.f32_max_dom_lsb)),
-        ),
-        (
-            "f32_max_current_rel",
-            JsonValue::Num(study.f32_max_current_rel),
-        ),
-        ("f32_speedup", JsonValue::Num(study.f32_speedup)),
         (
             "rows",
             JsonValue::Array(

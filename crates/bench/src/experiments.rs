@@ -1166,7 +1166,6 @@ pub fn engine_scale_study(scale: &Scale) -> Result<EngineScaleStudy, CoreError> 
                     &EngineConfig::builder()
                         .workers(workers)
                         .queue_capacity(batch)
-                        .use_plans(false)
                         .build(),
                 );
                 let started = std::time::Instant::now();
@@ -1550,7 +1549,6 @@ pub fn profile_study(scale: &Scale) -> Result<ProfileStudy, CoreError> {
             &EngineConfig::builder()
                 .workers(workers)
                 .queue_capacity(8)
-                .use_plans(false)
                 .build(),
             recorder.clone(),
             Some(std::sync::Arc::clone(&tracer)),
@@ -1656,73 +1654,48 @@ pub fn profile_study(scale: &Scale) -> Result<ProfileStudy, CoreError> {
 }
 
 // ---------------------------------------------------------------------------
-// E17 — compiled recall plans (speedup vs interpreted + f32 tier audit)
+// E17 — the compiled recall kernel against the interpreted oracle
 // ---------------------------------------------------------------------------
 
-/// One fidelity's interpreted-vs-plan timing comparison.
+/// One fidelity's oracle-vs-kernel timing comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanRow {
-    /// Fidelity the deployment was lowered from.
+    /// Fidelity of the deployment.
     pub fidelity: &'static str,
     /// Queries per timed pass.
     pub queries: usize,
-    /// Best interpreted pass (interleaved min-of-N seconds).
+    /// Best pass of the interpreted oracle (interleaved min-of-N seconds).
     pub interpreted_seconds: f64,
-    /// Best compiled-plan pass (interleaved min-of-N seconds).
+    /// Best pass of module recall through the kernel (interleaved
+    /// min-of-N seconds).
     pub plan_seconds: f64,
     /// `interpreted_seconds / plan_seconds`.
     pub speedup: f64,
-    /// Whether every plan execution reproduced interpreted recall bit for
-    /// bit (the f64 contract; CI gates on this, not the timings).
+    /// Whether every kernel recall reproduced the oracle bit for bit (CI
+    /// gates on this, not the timings).
     pub bit_identical: bool,
 }
 
-/// The compiled-plan study: per-fidelity speedups at the paper-headline
-/// 128×40 geometry plus the f32 fast-tier divergence audit against the
-/// tolerance ledger.
+/// The kernel study: per-fidelity speedups of module recall over the
+/// interpreted oracle at the paper-headline 128×40 geometry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanStudy {
     /// Host parallelism the timings were measured on.
     pub host_cpus: usize,
-    /// One row per fidelity, f64 plans.
+    /// One row per fidelity.
     pub rows: Vec<PlanRow>,
-    /// Queries audited through the f32 tier.
-    pub f32_queries: u64,
-    /// f32-tier results outside the `plan_f32_*` ledger budgets (dom,
-    /// non-near-tie winner flips, or column-current drift). CI pins 0.
-    pub f32_unwaived_divergences: u64,
-    /// Max |ΔDOM| observed between the f64 and f32 tiers.
-    pub f32_max_dom_lsb: u32,
-    /// Max relative column-current error observed between the tiers.
-    pub f32_max_current_rel: f64,
-    /// f64-plan-vs-f32-plan wall ratio on the driven deployment.
-    pub f32_speedup: f64,
 }
 
-/// The winner's code margin over the best other column.
-fn code_margin(codes: &[u32], winner: usize) -> u32 {
-    codes
-        .iter()
-        .enumerate()
-        .filter(|&(j, _)| j != winner)
-        .map(|(_, &c)| c)
-        .max()
-        .map_or_else(|| codes[winner], |r| codes[winner].saturating_sub(r))
-}
-
-/// E17: compiles each fidelity's 128×40 deployment into a [`spinamm_core::plan::RecallPlan`]
-/// and measures interpreted vs plan execution interleaved (each round times
-/// both sides back to back; each keeps its best round), verifying f64
-/// bit-identity on the way. The f32 fast tier is then audited query by
-/// query against the [`spinamm_conformance::ToleranceLedger`] budgets.
+/// E17: builds each fidelity's 128×40 deployment twice and times module
+/// recall (the compiled kernel) against the interpreted oracle on the twin,
+/// interleaved (each round times both sides back to back; each keeps its
+/// best round), verifying bit-identity on the way.
 ///
 /// # Errors
 ///
-/// Propagates AMM build / compile / recall errors.
+/// Propagates AMM build / recall errors.
 pub fn plan_study(scale: &Scale) -> Result<PlanStudy, CoreError> {
-    use spinamm_conformance::ToleranceLedger;
     use spinamm_core::amm::Fidelity;
-    use spinamm_core::plan::{PlanOptions, PlanPrecision};
     use std::hint::black_box;
     use std::time::Instant;
 
@@ -1736,6 +1709,7 @@ pub fn plan_study(scale: &Scale) -> Result<PlanStudy, CoreError> {
         .map(|q| (0..ROWS).map(|i| ((i * 7 + q * 11) % 32) as u32).collect())
         .collect();
     let rounds = if scale.queries >= 100 { 5 } else { 3 };
+    let req = spinamm_core::RecallRequest::DEFAULT;
 
     let mut rows = Vec::new();
     for (fidelity, name) in [
@@ -1747,100 +1721,42 @@ pub fn plan_study(scale: &Scale) -> Result<PlanStudy, CoreError> {
             fidelity,
             ..AmmConfig::default()
         };
-        let mut interp = AssociativeMemoryModule::build(&patterns, &cfg)?;
-        let source = AssociativeMemoryModule::build(&patterns, &cfg)?;
-        let mut plan = source.compile_plan(PlanOptions::default())?;
-        // Bit-identity pass (doubles as session/plan warm-up).
+        let mut oracle = AssociativeMemoryModule::build(&patterns, &cfg)?;
+        let mut module = AssociativeMemoryModule::build(&patterns, &cfg)?;
+        // Bit-identity pass (doubles as session and kernel warm-up).
         let mut bit_identical = true;
         for q in &inputs {
-            if interp.recall(q)? != plan.execute(q)? {
+            if oracle.oracle_recall_request(q, &req)? != module.recall(q)? {
                 bit_identical = false;
             }
         }
-        let mut best_interp = f64::MAX;
-        let mut best_plan = f64::MAX;
+        let mut best_oracle = f64::MAX;
+        let mut best_kernel = f64::MAX;
         for _ in 0..rounds {
             let t0 = Instant::now();
             for q in &inputs {
-                black_box(interp.recall(q)?);
+                black_box(oracle.oracle_recall_request(q, &req)?);
             }
-            best_interp = best_interp.min(t0.elapsed().as_secs_f64());
+            best_oracle = best_oracle.min(t0.elapsed().as_secs_f64());
             let t0 = Instant::now();
             for q in &inputs {
-                black_box(plan.execute(q)?);
+                black_box(module.recall(q)?);
             }
-            best_plan = best_plan.min(t0.elapsed().as_secs_f64());
+            best_kernel = best_kernel.min(t0.elapsed().as_secs_f64());
         }
-        let plan_floor = best_plan.max(f64::EPSILON);
         rows.push(PlanRow {
             fidelity: name,
             queries: inputs.len(),
-            interpreted_seconds: best_interp,
-            plan_seconds: best_plan,
-            speedup: best_interp / plan_floor,
+            interpreted_seconds: best_oracle,
+            plan_seconds: best_kernel,
+            speedup: best_oracle / best_kernel.max(f64::EPSILON),
             bit_identical,
         });
-    }
-
-    // f32 fast-tier audit on the driven deployment, against the ledger.
-    let ledger = ToleranceLedger::DEFAULT;
-    let cfg = AmmConfig {
-        fidelity: Fidelity::Driven,
-        ..AmmConfig::default()
-    };
-    let source = AssociativeMemoryModule::build(&patterns, &cfg)?;
-    let mut f64_plan = source.compile_plan(PlanOptions::default())?;
-    let mut f32_plan = source.compile_plan(PlanOptions {
-        precision: PlanPrecision::F32,
-    })?;
-    let mut unwaived = 0u64;
-    let mut max_dom = 0u32;
-    let mut max_rel = 0.0f64;
-    for q in &inputs {
-        let want = f64_plan.execute(q)?;
-        let got = f32_plan.execute(q)?;
-        let delta = got.dom.abs_diff(want.dom);
-        max_dom = max_dom.max(delta);
-        if delta > ledger.plan_f32_dom_lsb {
-            unwaived += 1;
-        }
-        if got.raw_winner != want.raw_winner
-            && (code_margin(&got.codes, got.raw_winner) > ledger.tie_margin_lsb
-                || code_margin(&want.codes, want.raw_winner) > ledger.tie_margin_lsb)
-        {
-            unwaived += 1;
-        }
-        for (fast_i, ref_i) in got.column_currents.iter().zip(&want.column_currents) {
-            let rel = (fast_i.0 - ref_i.0).abs() / ref_i.0.abs().max(1e-12);
-            max_rel = max_rel.max(rel);
-            if rel > ledger.plan_f32_current_rel {
-                unwaived += 1;
-            }
-        }
-    }
-    let mut best_f64 = f64::MAX;
-    let mut best_f32 = f64::MAX;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        for q in &inputs {
-            black_box(f64_plan.execute(q)?);
-        }
-        best_f64 = best_f64.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        for q in &inputs {
-            black_box(f32_plan.execute(q)?);
-        }
-        best_f32 = best_f32.min(t0.elapsed().as_secs_f64());
     }
 
     Ok(PlanStudy {
         host_cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         rows,
-        f32_queries: inputs.len() as u64,
-        f32_unwaived_divergences: unwaived,
-        f32_max_dom_lsb: max_dom,
-        f32_max_current_rel: max_rel,
-        f32_speedup: best_f64 / best_f32.max(f64::EPSILON),
     })
 }
 
@@ -1858,7 +1774,7 @@ pub struct CapacityRow {
     pub k: usize,
     /// Crossbar tiles the templates shard into.
     pub tiles: usize,
-    /// Tiles whose evaluation phase runs a compiled plan.
+    /// Tiles whose evaluation phase runs a compiled kernel (every tile).
     pub compiled_tiles: usize,
     /// Queries served in the timed pass.
     pub queries: usize,
@@ -1974,11 +1890,7 @@ pub fn capacity_study(scale: &Scale) -> Result<CapacityStudy, CoreError> {
                     .collect::<Result<_, _>>()?;
                 let engine = RecallEngine::new(
                     Deployment::Tiled(pool.clone()),
-                    &EngineConfig::builder()
-                        .workers(2)
-                        .queue_capacity(4)
-                        .use_plans(false)
-                        .build(),
+                    &EngineConfig::builder().workers(2).queue_capacity(4).build(),
                 );
                 let mut responses = Vec::with_capacity(inputs.len());
                 for window in inputs.chunks(4) {
@@ -3007,12 +2919,9 @@ mod tests {
             );
             assert!(r.plan_seconds > 0.0 && r.interpreted_seconds > 0.0);
         }
-        assert_eq!(study.f32_unwaived_divergences, 0);
-        assert!(study.f32_queries > 0);
-        assert!(study.f32_max_current_rel >= 0.0);
         // Timing thresholds live in ci/regression_gate.py, not here — a
         // loaded test host must not flake the suite. Only sanity-order:
-        // the driven plan must not be slower than interpreted.
+        // the driven kernel must not be slower than the oracle.
         let driven = study.rows.iter().find(|r| r.fidelity == "driven").unwrap();
         assert!(driven.speedup > 1.0, "driven speedup {}", driven.speedup);
     }

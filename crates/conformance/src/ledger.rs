@@ -57,17 +57,6 @@ pub struct ToleranceLedger {
     /// tile 0 shares the flat module's device samples), so per-query
     /// agreement is bounded, not exact.
     pub min_flat_tiled_agreement: f64,
-    /// Max |DOM difference| in LSB codes between an f64 compiled recall
-    /// plan and its opt-in f32 fast tier for the same query (analytic
-    /// fidelities only; parasitic plans refuse the f32 tier). The f32
-    /// correlate loses ~2⁻²⁴ relative precision per accumulation step,
-    /// which quantizes away almost everywhere but can move a code that
-    /// lands within a float ulp of an ADC decision threshold.
-    pub plan_f32_dom_lsb: u32,
-    /// Max relative column-current error between the f64 and f32 plan
-    /// tiers, `|i32 − i64| / max(|i64|, ε)` with ε = 1 pA guarding dead
-    /// columns. Bounds the analog-side drift before quantization.
-    pub plan_f32_current_rel: f64,
 }
 
 impl ToleranceLedger {
@@ -78,10 +67,6 @@ impl ToleranceLedger {
     /// budgets). Measured: ideal↔driven |ΔDOM| ≤ 6 LSB, driven↔parasitic
     /// ≤ 1 LSB, permutation ≤ 1 LSB, flat↔partitioned agreement 1.000,
     /// flat↔hierarchical agreement 0.990, flat↔tiled agreement 1.000.
-    /// The f32-plan tier measured
-    /// |ΔDOM| ≤ 1 LSB and relative current error < 1e-5 across the same
-    /// sweep (`spinamm_core::plan` keeps all conditioning in f64, so only
-    /// the correlate accumulates in single precision).
     pub const DEFAULT: Self = Self {
         ideal_driven_dom_lsb: 12,
         driven_parasitic_dom_lsb: 3,
@@ -90,8 +75,6 @@ impl ToleranceLedger {
         min_flat_partitioned_agreement: 0.90,
         min_flat_hierarchical_agreement: 0.85,
         min_flat_tiled_agreement: 0.90,
-        plan_f32_dom_lsb: 2,
-        plan_f32_current_rel: 1e-4,
     };
 
     /// Checks the budgets are usable: agreement floors in `[0, 1]`, finite.
@@ -110,11 +93,6 @@ impl ToleranceLedger {
                     what: "ledger agreement floors must be within [0, 1]",
                 });
             }
-        }
-        if !self.plan_f32_current_rel.is_finite() || self.plan_f32_current_rel < 0.0 {
-            return Err(ConformanceError::InvalidParameter {
-                what: "f32-plan current budget must be finite and non-negative",
-            });
         }
         Ok(())
     }
@@ -141,15 +119,6 @@ mod tests {
         ledger.min_flat_partitioned_agreement = 1.5;
         assert!(ledger.validate().is_err());
         ledger.min_flat_partitioned_agreement = f64::NAN;
-        assert!(ledger.validate().is_err());
-    }
-
-    #[test]
-    fn bad_f32_current_budget_is_rejected() {
-        let mut ledger = ToleranceLedger::DEFAULT;
-        ledger.plan_f32_current_rel = -1e-6;
-        assert!(ledger.validate().is_err());
-        ledger.plan_f32_current_rel = f64::INFINITY;
         assert!(ledger.validate().is_err());
     }
 }

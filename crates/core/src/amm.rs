@@ -15,6 +15,7 @@
 use crate::degrade::{DegradationPolicy, FaultReport, PlacementForecast};
 use crate::energy::{EnergyBreakdown, PowerReport};
 use crate::params::DesignParams;
+use crate::plan::Kernel;
 use crate::request::RecallRequest;
 use crate::wta::{SpinWta, WtaOutcome};
 use crate::{adc::SpinSarAdc, CoreError};
@@ -25,8 +26,9 @@ use spinamm_cmos::{DtcsDac, Tech45};
 use spinamm_crossbar::{CachedParasiticCrossbar, CrossbarArray, PatternRetryReport, RowDrive};
 use spinamm_faults::{FaultMap, LineDefect, StuckKind};
 use spinamm_memristor::{LevelMap, RetryPolicy, WriteScheme};
-use spinamm_telemetry::Recorder;
+use spinamm_telemetry::{NoopRecorder, Recorder};
 use spinamm_trace::TraceCtx;
+use std::sync::{Arc, OnceLock};
 
 /// How faithfully the crossbar is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,9 +99,6 @@ impl Default for AmmConfig {
     }
 }
 
-/// One query's crossbar readout: column currents plus RCM static power.
-type Correlation = (Vec<Amps>, Watts);
-
 /// The RNG-free first phase of one recognition: the analog column currents
 /// out of the crossbar plus the RCM static power, before fault
 /// conditioning, digitization and winner selection.
@@ -147,10 +146,11 @@ pub struct RecallResult {
 
 /// The full module.
 ///
-/// Fields are `pub(crate)` so [`crate::plan`] can lower a snapshot of the
-/// deployment into a compiled [`crate::plan::RecallPlan`] without widening
-/// the public API.
-#[derive(Debug, Clone)]
+/// Recalls run through the module's compiled kernel ([`crate::plan`]),
+/// built on first use and dropped by every `&mut self` mutator. Clones
+/// share the kernel (see the `Clone` impl). Fields are `pub(crate)` so the
+/// kernel can lower them without widening the public API.
+#[derive(Debug)]
 pub struct AssociativeMemoryModule {
     pub(crate) config: AmmConfig,
     pub(crate) array: CrossbarArray,
@@ -168,6 +168,32 @@ pub struct AssociativeMemoryModule {
     pub(crate) column_owner: Vec<Option<usize>>,
     /// Physical columns gated out of the WTA by the degradation pass.
     pub(crate) masked: Vec<bool>,
+    /// The recall kernel for the current state; empty until first use and
+    /// after every mutation.
+    kernel: OnceLock<Arc<Kernel>>,
+}
+
+impl Clone for AssociativeMemoryModule {
+    /// Builds the kernel first (when missing), so the clone and the
+    /// original share one copy of its tables — an engine's master and
+    /// worker clones hold the tables once. A build error resurfaces on the
+    /// first recall of either module.
+    fn clone(&self) -> Self {
+        let _ = self.kernel(&NoopRecorder);
+        Self {
+            config: self.config,
+            array: self.array.clone(),
+            input_dacs: self.input_dacs.clone(),
+            wta: self.wta.clone(),
+            parasitic: self.parasitic.clone(),
+            rng: self.rng.clone(),
+            templates: self.templates.clone(),
+            template_column: self.template_column.clone(),
+            column_owner: self.column_owner.clone(),
+            masked: self.masked.clone(),
+            kernel: self.kernel.clone(),
+        }
+    }
 }
 
 impl AssociativeMemoryModule {
@@ -338,6 +364,7 @@ impl AssociativeMemoryModule {
             template_column: (0..cols).collect(),
             column_owner: (0..total_cols).map(|j| (j < cols).then_some(j)).collect(),
             masked: vec![false; total_cols],
+            kernel: OnceLock::new(),
         };
         module.warm_session(recorder)?;
         Ok(module)
@@ -405,6 +432,7 @@ impl AssociativeMemoryModule {
         model: &spinamm_memristor::DriftModel,
         rng: &mut R,
     ) -> Result<(), CoreError> {
+        self.kernel.take();
         self.array.age(elapsed, model, rng)?;
         Ok(())
     }
@@ -417,27 +445,25 @@ impl AssociativeMemoryModule {
         Amps(adc.nominal_full_scale().0 / f64::from(1u32 << adc.bits()))
     }
 
-    /// Compiles this deployment into a [`crate::plan::RecallPlan`]: a flat,
-    /// allocation-free execution kernel whose f64 tier is bit-identical to
-    /// [`AssociativeMemoryModule::recall`]. See [`crate::plan`] for the
-    /// snapshot semantics (recompile after faults/aging/reprogramming).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device-model errors raised while building the plan's
-    /// lookup tables, and rejects f32 plans for parasitic fidelity.
-    pub fn compile_plan(
-        &self,
-        options: crate::plan::PlanOptions,
-    ) -> Result<crate::plan::RecallPlan, CoreError> {
-        crate::plan::RecallPlan::compile(self, options)
+    /// The recall kernel for the current state, built on first use (timed
+    /// under a `plan.compile` span and counted as `plan.compiles`).
+    fn kernel<T: Recorder>(&self, recorder: &T) -> Result<Arc<Kernel>, CoreError> {
+        if let Some(kernel) = self.kernel.get() {
+            return Ok(Arc::clone(kernel));
+        }
+        let kernel = {
+            let _span = recorder.span("plan.compile");
+            recorder.counter("plan.compiles", 1);
+            Arc::new(Kernel::build(self)?)
+        };
+        Ok(Arc::clone(self.kernel.get_or_init(|| kernel)))
     }
 
     /// Lowers one `(row, level)` pair into its [`RowDrive`].
     ///
-    /// This is the single code path both interpreted recall and
-    /// [`crate::plan`] compilation go through, so a compiled drive table is
-    /// bit-identical to interpreted drive construction by construction.
+    /// This is the single code path both the reference implementation and
+    /// the kernel's drive tables go through, so a table entry is
+    /// bit-identical to reference drive construction by construction.
     pub(crate) fn drive_for_row(&self, i: usize, level: u32) -> Result<RowDrive, CoreError> {
         // Row-line defects override the DAC entirely: an open bar
         // delivers no current, a shorted bar clamps the input at
@@ -464,7 +490,8 @@ impl AssociativeMemoryModule {
         }
     }
 
-    /// Builds the row drives for an input vector.
+    /// Builds the row drives for an input vector (reference
+    /// implementation; the kernel reads its drive tables instead).
     fn drives(&self, levels: &[u32]) -> Result<Vec<RowDrive>, CoreError> {
         if levels.len() != self.vector_len() {
             return Err(CoreError::InputLengthMismatch {
@@ -487,7 +514,7 @@ impl AssociativeMemoryModule {
 
     /// Evaluates the crossbar analytically (ideal or driven fidelity),
     /// returning the column currents and the static power burned in the
-    /// RCM (rails → clamp).
+    /// RCM (rails → clamp). Reference implementation.
     fn correlate_analytic(&self, drives: &[RowDrive]) -> Result<(Vec<Amps>, Watts), CoreError> {
         let currents = self.array.driven_column_currents(drives)?;
         // All input current falls through ΔV (rail to clamp).
@@ -500,106 +527,69 @@ impl AssociativeMemoryModule {
         Ok((currents, power))
     }
 
-    /// Evaluates the crossbar for an input, returning the column currents
-    /// and the static power burned in the RCM (rails → clamp).
+    /// The evaluate phase for a whole checked batch.
     ///
-    /// Parasitic fidelity goes through the module's cached netlist session:
-    /// the first recall builds and factorizes the parasitic network, later
-    /// recalls only restamp drive values and reuse the factorization.
-    fn correlate_with<T: Recorder>(
+    /// Analytic kernels map the queries sequentially (a query is cheaper
+    /// than a thread spawn). Parasitic fidelity runs two steps: the master session — canonically warmed
+    /// at build time, so its warm-start reference is already pinned —
+    /// solves query 0 (refreshing the factorization all clones inherit),
+    /// then [`std::thread::scope`] workers, each holding a clone of the
+    /// warmed session, solve disjoint chunks of the rest. Because the
+    /// cached evaluator is order-independent (deterministic full restamp,
+    /// fixed warm-start reference, stable preconditioner), every readout is
+    /// bit-identical to what a sequential loop would produce.
+    fn evaluate_batch<T: Recorder + Sync>(
         &mut self,
-        drives: &[RowDrive],
+        kernel: &Kernel,
+        inputs: &[&[u32]],
+        workers_hint: usize,
         recorder: &T,
         trace: TraceCtx<'_>,
-    ) -> Result<(Vec<Amps>, Watts), CoreError> {
-        match self.config.fidelity {
-            Fidelity::Ideal | Fidelity::Driven => self.correlate_analytic(drives),
-            Fidelity::Parasitic => {
-                let readout =
-                    self.parasitic
-                        .evaluate_traced(&self.array, drives, recorder, trace)?;
-                Ok((readout.column_currents, readout.dissipated_power))
-            }
-        }
-    }
-
-    /// Evaluates the crossbar for a whole batch of drive vectors.
-    ///
-    /// Analytic fidelities map the queries sequentially (they are already
-    /// allocation-light). Parasitic fidelity runs two steps: the master
-    /// session — canonically warmed at build time, so its warm-start
-    /// reference is already pinned — solves query 0 (refreshing the
-    /// factorization all clones inherit), then [`std::thread::scope`]
-    /// workers — each holding a clone of the warmed session — solve
-    /// disjoint chunks of the remaining queries. Because the cached
-    /// evaluator is order-independent (deterministic full restamp, fixed
-    /// warm-start reference, stable preconditioner), every query's readout
-    /// is bit-identical to what a sequential loop would produce.
-    fn correlate_batch<T: Recorder + Sync>(
-        &mut self,
-        drives: &[Vec<RowDrive>],
-        worker_override: Option<usize>,
-        recorder: &T,
-        trace: TraceCtx<'_>,
-    ) -> Result<Vec<Correlation>, CoreError> {
-        if drives.is_empty() {
+    ) -> Result<Vec<QueryEvaluation>, CoreError> {
+        let Some((first, rest)) = inputs.split_first() else {
             return Ok(Vec::new());
+        };
+        let array = &self.array;
+        // Only the first query carries restamp/solve sub-spans.
+        let mut out = Vec::with_capacity(inputs.len());
+        out.push(kernel.evaluate(&mut self.parasitic, array, first, recorder, trace)?);
+        let mut workers = 1;
+        if kernel.solves() {
+            workers = workers_hint.min(rest.len());
+            trace.attr("workers", workers as f64);
         }
-        match self.config.fidelity {
-            Fidelity::Ideal | Fidelity::Driven => {
-                drives.iter().map(|d| self.correlate_analytic(d)).collect()
+        if workers <= 1 {
+            for q in rest {
+                let eval = kernel.evaluate(&mut self.parasitic, array, q, recorder, TraceCtx::NONE);
+                out.push(eval?);
             }
-            Fidelity::Parasitic => {
-                let n = drives.len();
-                let mut out: Vec<Option<Result<Correlation, CoreError>>> = Vec::new();
-                out.resize_with(n, || None);
-                // Master solve: query 0 on the session evaluator itself.
-                // Only the master query carries restamp/solve sub-spans —
-                // worker-thread queries stay untraced so a batch trace has
-                // a bounded span count regardless of batch size.
-                let first =
-                    self.parasitic
-                        .evaluate_traced(&self.array, &drives[0], recorder, trace)?;
-                out[0] = Some(Ok((first.column_currents, first.dissipated_power)));
-                let rest = &mut out[1..];
-                let workers = worker_override
-                    .map_or_else(Self::batch_workers, |w| w.max(1))
-                    .min(rest.len());
-                trace.attr("workers", workers as f64);
-                if workers <= 1 {
-                    for (k, slot) in rest.iter_mut().enumerate() {
-                        let r = self
-                            .parasitic
-                            .evaluate_with(&self.array, &drives[k + 1], recorder)
-                            .map(|ro| (ro.column_currents, ro.dissipated_power))
-                            .map_err(CoreError::from);
-                        *slot = Some(r);
-                    }
-                } else {
-                    let chunk = rest.len().div_ceil(workers);
-                    let array = &self.array;
-                    let session = &self.parasitic;
-                    std::thread::scope(|s| {
-                        for (c, slots) in rest.chunks_mut(chunk).enumerate() {
-                            let base = 1 + c * chunk;
-                            let mut worker = session.clone();
-                            s.spawn(move || {
-                                for (k, slot) in slots.iter_mut().enumerate() {
-                                    let r = worker
-                                        .evaluate_with(array, &drives[base + k], recorder)
-                                        .map(|ro| (ro.column_currents, ro.dissipated_power))
-                                        .map_err(CoreError::from);
-                                    *slot = Some(r);
-                                }
-                            });
-                        }
-                    });
-                }
-                out.into_iter()
-                    .map(|slot| slot.expect("every batch slot is filled"))
-                    .collect()
-            }
+            return Ok(out);
         }
+        let session = &self.parasitic;
+        let chunks: Vec<Vec<Result<QueryEvaluation, CoreError>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = rest
+                .chunks(rest.len().div_ceil(workers))
+                .map(|queries| {
+                    let mut worker = session.clone();
+                    s.spawn(move || {
+                        queries
+                            .iter()
+                            .map(|q| {
+                                kernel.evaluate(&mut worker, array, q, recorder, TraceCtx::NONE)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("batch worker panicked"))
+                .collect()
+        });
+        for eval in chunks.into_iter().flatten() {
+            out.push(eval?);
+        }
+        Ok(out)
     }
 
     /// Runs one recognition.
@@ -615,11 +605,12 @@ impl AssociativeMemoryModule {
 
     /// [`AssociativeMemoryModule::recall`] with options: the recognition
     /// is timed end to end (`"recall.total"`) and per stage
-    /// (`"recall.drive"` for DAC drive construction, `"recall.settle"` for
-    /// crossbar evaluation, and — inside the WTA — `"recall.convert"` /
-    /// `"recall.select"`), and device-event counters from every layer
-    /// (`"adc.sar_cycles"`, `"spin.dwn_switch_events"`,
-    /// `"crossbar.settle_iterations"`, …) flow into the request's recorder.
+    /// (`"recall.drive"` for input validation and the drive tables,
+    /// `"recall.settle"` for crossbar evaluation, `"recall.convert"` and
+    /// `"recall.select"` for the converters and the winner tracker), and
+    /// device-event counters from every layer (`"adc.sar_cycles"`,
+    /// `"spin.dwn_switch_events"`, `"crossbar.settle_iterations"`, …) flow
+    /// into the request's recorder.
     ///
     /// Request options are observational only: for any recorder the
     /// returned [`RecallResult`] is bit-identical to
@@ -640,12 +631,11 @@ impl AssociativeMemoryModule {
         self.select_winner_inner(eval, recorder, scope.ctx())
     }
 
-    /// Runs the RNG-free first phase of one recognition: drive
-    /// construction and crossbar evaluation, producing the analog column
-    /// currents. Consumes no randomness and touches only cached solver
-    /// state, so it may run on a clone of the module (e.g. an engine
-    /// worker) and still yield exactly what the original would have
-    /// produced. Pair with
+    /// Runs the RNG-free first phase of one recognition: input validation
+    /// and crossbar evaluation, producing the analog column currents.
+    /// Consumes no randomness and touches only cached solver state, so it
+    /// may run on a clone of the module (e.g. an engine worker) and still
+    /// yield exactly what the original would have produced. Pair with
     /// [`AssociativeMemoryModule::select_winner_request`] in submission
     /// order to reproduce [`AssociativeMemoryModule::recall`] bit for bit.
     ///
@@ -667,20 +657,16 @@ impl AssociativeMemoryModule {
         recorder: &T,
         trace: TraceCtx<'_>,
     ) -> Result<QueryEvaluation, CoreError> {
-        let drives = {
+        let kernel = {
             let _drive_span = recorder.span("recall.drive");
             let _drive_phase = trace.phase("drive");
-            self.drives(levels)?
+            let kernel = self.kernel(recorder)?;
+            kernel.check(levels)?;
+            kernel
         };
-        let (currents, rcm_power) = {
-            let _settle_span = recorder.span("recall.settle");
-            let _settle_phase = trace.phase("settle");
-            self.correlate_with(&drives, recorder, trace)?
-        };
-        Ok(QueryEvaluation {
-            currents,
-            rcm_power,
-        })
+        let _settle_span = recorder.span("recall.settle");
+        let _settle_phase = trace.phase("settle");
+        kernel.evaluate(&mut self.parasitic, &self.array, levels, recorder, trace)
     }
 
     /// Runs the RNG-consuming second phase of one recognition: fault
@@ -691,7 +677,8 @@ impl AssociativeMemoryModule {
     ///
     /// # Errors
     ///
-    /// Propagates spin/WTA errors.
+    /// Returns [`CoreError::InputLengthMismatch`] for an evaluation of
+    /// another width; propagates spin/WTA errors.
     pub fn select_winner_request<R: Recorder>(
         &mut self,
         eval: QueryEvaluation,
@@ -706,40 +693,48 @@ impl AssociativeMemoryModule {
         recorder: &T,
         trace: TraceCtx<'_>,
     ) -> Result<RecallResult, CoreError> {
+        self.kernel(recorder)?
+            .select(&self.wta, &mut self.rng, eval, recorder, trace)
+    }
+
+    /// The interpreted reference implementation of
+    /// [`AssociativeMemoryModule::recall_request`]: per-query drive
+    /// construction, cell-by-cell correlation, fault conditioning and the
+    /// [`SpinWta`]-driven select, with no compiled tables. It consumes the
+    /// module RNG and reports `recall.count` and the device counters as
+    /// `recall` does, so core tests, the conformance harness and the E17
+    /// study compare the kernel against it bit for bit. Not a serving path.
+    ///
+    /// # Errors
+    ///
+    /// See [`AssociativeMemoryModule::recall`].
+    #[doc(hidden)]
+    pub fn oracle_recall_request<R: Recorder>(
+        &mut self,
+        levels: &[u32],
+        req: &RecallRequest<'_, R>,
+    ) -> Result<RecallResult, CoreError> {
+        let recorder = req.recorder();
+        let drives = self.drives(levels)?;
+        let (mut currents, rcm_power) = match self.config.fidelity {
+            Fidelity::Ideal | Fidelity::Driven => self.correlate_analytic(&drives)?,
+            Fidelity::Parasitic => {
+                let readout = self
+                    .parasitic
+                    .evaluate_with(&self.array, &drives, recorder)?;
+                (readout.column_currents, readout.dissipated_power)
+            }
+        };
         recorder.counter("recall.count", 1);
-        let QueryEvaluation {
-            mut currents,
-            rcm_power,
-        } = eval;
         self.condition_currents(&mut currents);
-        if trace.active() {
-            // Fault-management annotations: how many physical columns were
-            // gated out of the WTA and how many templates live on a
-            // non-identity (spare-remapped) column for this request.
-            let masked = self.masked.iter().filter(|&&m| m).count();
-            let remapped = self
-                .column_owner
-                .iter()
-                .enumerate()
-                .filter(|&(j, owner)| owner.is_some_and(|t| t != j))
-                .count();
-            if masked > 0 {
-                trace.attr("masked_columns", masked as f64);
-            }
-            if remapped > 0 {
-                trace.attr("remapped_columns", remapped as f64);
-            }
-        }
-        let outcome: WtaOutcome =
-            self.wta
-                .evaluate_traced(&currents, &mut self.rng, recorder, trace)?;
+        let outcome = self.wta.evaluate_with(&currents, &mut self.rng, recorder)?;
         Ok(self.assemble_result(outcome, currents, rcm_power))
     }
 
     /// Post-correlation fault conditioning: spare and masked columns are
     /// gated out of the WTA (their latch never fires), healthy columns
     /// pick up their input-referred latch offset. A no-op for a fault-free
-    /// module without spares.
+    /// module without spares. Reference implementation.
     fn condition_currents(&self, currents: &mut [Amps]) {
         let map = self.array.fault_map();
         for (j, current) in currents.iter_mut().enumerate() {
@@ -785,28 +780,14 @@ impl AssociativeMemoryModule {
         }
     }
 
-    /// Worker threads for the parallel phase of a batch: the machine's
-    /// available parallelism, overridable through `SPINAMM_BATCH_WORKERS`.
-    /// Results are worker-count independent, so the override is purely a
-    /// performance (and test-coverage) knob.
-    fn batch_workers() -> usize {
-        std::env::var("SPINAMM_BATCH_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })
-    }
-
     /// Runs a batch of recognitions, one per input vector.
     ///
     /// Results are **bit-identical** to calling
-    /// [`AssociativeMemoryModule::recall`] once per input in order: drive
-    /// construction and crossbar evaluation are RNG-free and
-    /// order-independent, so they can run on scoped worker threads, while
-    /// the stochastic WTA/ADC stage consumes the session RNG sequentially
-    /// in query order afterwards.
+    /// [`AssociativeMemoryModule::recall`] once per input in order: the
+    /// evaluate phase is RNG-free and order-independent, so at parasitic
+    /// fidelity it runs on scoped worker threads, while the stochastic
+    /// select phase consumes the session RNG sequentially in query order
+    /// afterwards.
     ///
     /// # Errors
     ///
@@ -841,35 +822,30 @@ impl AssociativeMemoryModule {
         // bounded no matter how many queries ride along.
         let scope = req.trace_binding().begin("recall.batch");
         scope.attr("queries", inputs.len() as f64);
-        // Phase 0 (RNG-free): validate every input and build its drives.
-        let drives: Vec<Vec<RowDrive>> = {
+        let inputs: Vec<&[u32]> = inputs.iter().map(AsRef::as_ref).collect();
+        // Validate every input before any query runs.
+        let kernel = {
             let _drive_span = recorder.span("recall.drive");
             let _drive_phase = scope.phase("drive");
-            inputs
-                .iter()
-                .map(|levels| self.drives(levels.as_ref()))
-                .collect::<Result<_, _>>()?
+            let kernel = self.kernel(recorder)?;
+            for levels in &inputs {
+                kernel.check(levels)?;
+            }
+            kernel
         };
-        // Phase 1 (RNG-free, parallel in parasitic mode): column currents.
         let evaluated = {
             let _settle_span = recorder.span("recall.settle");
             let _settle_phase = scope.phase("settle");
-            self.correlate_batch(&drives, req.workers(), recorder, scope.ctx())?
+            self.evaluate_batch(&kernel, &inputs, req.batch_workers(), recorder, scope.ctx())?
         };
-        // Phase 2: sequential WTA/ADC, consuming the RNG in query order.
-        // Per-query convert/select spans are suppressed for the same
-        // bounded-size reason; the "select" phase covers the whole loop.
-        let select_phase = scope.phase("select");
-        let mut results = Vec::with_capacity(evaluated.len());
-        for (currents, rcm_power) in evaluated {
-            let eval = QueryEvaluation {
-                currents,
-                rcm_power,
-            };
-            results.push(self.select_winner_inner(eval, recorder, TraceCtx::NONE)?);
-        }
-        drop(select_phase);
-        Ok(results)
+        // Sequential select, consuming the RNG in query order. Per-query
+        // convert/select spans are suppressed for the same bounded-size
+        // reason; the "select" phase covers the whole loop.
+        let _select_phase = scope.phase("select");
+        evaluated
+            .into_iter()
+            .map(|eval| kernel.select(&self.wta, &mut self.rng, eval, recorder, TraceCtx::NONE))
+            .collect()
     }
 
     /// Cumulative `(factorization reuses, warm-start CG iterations saved)`
@@ -952,6 +928,7 @@ impl AssociativeMemoryModule {
         let recorder = req.recorder();
         policy.validate()?;
         let injected = map.injected_count();
+        self.kernel.take();
         self.array.set_fault_map(map)?;
         recorder.counter("faults.injected", injected);
         let map = self.array.fault_map().expect("map installed above").clone();
@@ -1291,6 +1268,7 @@ impl AssociativeMemoryModule {
         let level_map = LevelMap::new(p.memristor_limits, p.template_bits)?;
         let write = WriteScheme::new(p.write_tolerance)?;
         let retry = RetryPolicy::default();
+        self.kernel.take();
         self.array.program_pattern_retry_with(
             col,
             pattern,
@@ -1372,6 +1350,7 @@ impl AssociativeMemoryModule {
                 what: "cannot retire the last stored template",
             });
         }
+        self.kernel.take();
         self.column_owner[col] = None;
         req.recorder().counter("bank.retires", 1);
         Ok(col)
@@ -1397,6 +1376,7 @@ impl AssociativeMemoryModule {
     /// [`AssociativeMemoryModule::commit_maintenance`] once before the next
     /// recall.
     pub fn array_maintenance(&mut self) -> &mut CrossbarArray {
+        self.kernel.take();
         &mut self.array
     }
 
@@ -1457,6 +1437,7 @@ impl AssociativeMemoryModule {
         let p = &self.config.params;
         let level_map = LevelMap::new(p.memristor_limits, p.template_bits)?;
         let write = WriteScheme::new(p.write_tolerance)?;
+        self.kernel.take();
         let report = self.array.program_pattern_retry_with(
             col,
             &self.templates[slot],
@@ -1513,6 +1494,7 @@ impl AssociativeMemoryModule {
         let p = &self.config.params;
         let level_map = LevelMap::new(p.memristor_limits, p.template_bits)?;
         let write = WriteScheme::new(p.write_tolerance)?;
+        self.kernel.take();
         let report = self.array.program_pattern_retry_with(
             col,
             &self.templates[slot],
@@ -1553,6 +1535,7 @@ impl AssociativeMemoryModule {
         &mut self,
         req: &RecallRequest<'_, R>,
     ) -> Result<(), CoreError> {
+        self.kernel.take();
         if self.config.equalize_rows {
             let target = self.array.equalization_target()?;
             self.array.equalize_rows(Some(target))?;
@@ -1871,18 +1854,14 @@ mod tests {
     fn batch_recall_is_worker_count_independent() {
         // Force real scoped-thread workers (this machine may report a
         // single CPU) and check the batch still matches sequential bit for
-        // bit. The override is process-wide; every reader of the knob
-        // produces identical results at any worker count, so concurrent
-        // tests are unaffected.
+        // bit.
         let patterns = orthogonal_patterns();
         let cfg = config(Fidelity::Parasitic);
         let mut seq = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
         let mut bat = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
         let inputs: Vec<Vec<u32>> = patterns.iter().cycle().take(7).cloned().collect();
         let sequential: Vec<RecallResult> = inputs.iter().map(|i| seq.recall(i).unwrap()).collect();
-        std::env::set_var("SPINAMM_BATCH_WORKERS", "3");
-        let batched = bat.recall_batch(&inputs);
-        std::env::remove_var("SPINAMM_BATCH_WORKERS");
+        let batched = bat.recall_batch_request(&inputs, &RecallRequest::DEFAULT.with_workers(3));
         assert_eq!(sequential, batched.unwrap());
     }
 

@@ -21,6 +21,8 @@
 //!   Table 1 / Fig. 13 comparisons.
 //! * [`amm`] — the full associative memory module: program → drive →
 //!   convert → select.
+//! * [`plan`] — the compiled recall kernel every module's evaluate and
+//!   select phases run through.
 //! * [`recall`] — dataset-level accuracy evaluation (Fig. 3) and DOM-based
 //!   rejection of unknown inputs.
 //! * [`request`] — the unified [`RecallRequest`] options struct taken by
@@ -82,7 +84,6 @@ pub use energy::{EnergyBreakdown, PowerReport};
 pub use hierarchy::{HierarchicalAmm, HierarchicalRecall};
 pub use params::DesignParams;
 pub use partition::{PartitionedAmm, PartitionedRecall};
-pub use plan::{HierarchicalPlan, PartitionedPlan, PlanOptions, PlanPrecision, RecallPlan};
 pub use request::RecallRequest;
 pub use sar::SarRegister;
 pub use wta::{SpinWta, WtaOutcome};

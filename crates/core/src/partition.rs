@@ -345,37 +345,27 @@ impl PartitionedAmm {
 
     /// Digital adder tree: sums per-segment DOM codes into global scores
     /// and picks the argmax (lowest index on ties).
-    fn combine<'a>(
+    pub(crate) fn combine<'a>(
         &self,
         segment_results: impl Iterator<Item = &'a RecallResult>,
     ) -> PartitionedRecall {
-        combine_results(self.pattern_count, segment_results)
-    }
-}
-
-/// Digital adder tree shared between the interpreted partitioned recall
-/// and [`crate::plan::PartitionedPlan`]: sums per-segment DOM codes into
-/// global scores and picks the argmax (lowest index on ties).
-pub(crate) fn combine_results<'a>(
-    pattern_count: usize,
-    segment_results: impl Iterator<Item = &'a RecallResult>,
-) -> PartitionedRecall {
-    let mut scores = vec![0u32; pattern_count];
-    let mut energy = EnergyBreakdown::default();
-    for r in segment_results {
-        for (score, code) in scores.iter_mut().zip(&r.codes) {
-            *score += code;
+        let mut scores = vec![0u32; self.pattern_count];
+        let mut energy = EnergyBreakdown::default();
+        for r in segment_results {
+            for (score, code) in scores.iter_mut().zip(&r.codes) {
+                *score += code;
+            }
+            energy = energy + r.energy;
         }
-        energy = energy + r.energy;
-    }
-    // The combine step re-ranks summed codes, so it must apply the same
-    // lowest-index tie-break as the scalar WTA scan.
-    let winner = crate::wta::argmax_lowest_index(&scores).expect("non-empty by construction");
-    PartitionedRecall {
-        winner,
-        dom: scores[winner],
-        scores,
-        energy,
+        // The combine step re-ranks summed codes, so it must apply the same
+        // lowest-index tie-break as the scalar WTA scan.
+        let winner = crate::wta::argmax_lowest_index(&scores).expect("non-empty by construction");
+        PartitionedRecall {
+            winner,
+            dom: scores[winner],
+            scores,
+            energy,
+        }
     }
 }
 

@@ -66,8 +66,8 @@ impl<'r, R: Recorder> RecallRequest<'r, R> {
 
     /// Overrides the worker-thread count used by the parallel (RNG-free)
     /// phase of batched operations. Zero is treated as one. When unset, the
-    /// `SPINAMM_BATCH_WORKERS` environment variable and then the machine's
-    /// available parallelism decide. Results are worker-count independent.
+    /// machine's available parallelism decides. Results are worker-count
+    /// independent.
     #[must_use]
     pub const fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
@@ -84,6 +84,15 @@ impl<'r, R: Recorder> RecallRequest<'r, R> {
     #[must_use]
     pub const fn workers(&self) -> Option<usize> {
         self.workers
+    }
+
+    /// Worker threads for the parallel phase of a batch: the override
+    /// (at least one), else the machine's available parallelism.
+    pub(crate) fn batch_workers(&self) -> usize {
+        self.workers.map_or_else(
+            || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            |w| w.max(1),
+        )
     }
 
     /// Attaches a [`Tracer`] that samples each top-level recall (or batch)

@@ -260,32 +260,72 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled recall plans
+// The compiled kernel under mutation
 // ---------------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// One step of a mutation/recall sequence, applied identically to a module
+/// (recalling through its kernel) and its reference twin (recalling
+/// through the interpreted oracle).
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Recall(usize),
+    Batch(usize),
+    /// Evaluate on a clone, select on the module (the engine's shape).
+    Split(usize),
+    Faults(u64),
+    Age(u64, f64),
+    Install(usize),
+    Retire(usize),
+    /// Refresh a slot, then commit the maintenance batch.
+    Refresh(usize),
+    /// Migrate a slot to the n-th free column, then commit.
+    Migrate(usize, usize),
+    /// Stamp retention on one column through `array_maintenance`, the
+    /// lifetime controller's path (dummies stay stale until a commit).
+    Stamp(usize),
+    /// Commit a maintenance batch on its own.
+    Commit,
+}
 
-    /// A compiled f64 plan is bit-identical to interpreted recall for any
-    /// fidelity × fault map × seed × stochastic-device configuration:
-    /// per-query results, telemetry counter totals, and the RNG stream
-    /// (pinned by running noise-consuming queries back to back — any
-    /// divergence in stream position would corrupt every later query).
+/// Steps weighted towards recalls: half of them recall, batch or split.
+fn step() -> impl Strategy<Value = Step> {
+    (0usize..15, any::<u64>(), 0usize..6, 0usize..3, 1.0..1e7f64).prop_map(
+        |(kind, seed, i, c, elapsed)| match kind {
+            0..=2 => Step::Recall(i),
+            3 | 4 => Step::Batch(1 + i % 4),
+            5 | 6 => Step::Split(i),
+            7 => Step::Faults(seed),
+            8 => Step::Age(seed, elapsed),
+            9 => Step::Install(i),
+            10 => Step::Retire(i),
+            11 => Step::Refresh(i),
+            12 => Step::Migrate(i, c),
+            13 => Step::Stamp(c),
+            _ => Step::Commit,
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any sequence of mutations interleaved with recalls keeps the
+    /// kernel bit-identical to the interpreted oracle on an identically
+    /// mutated twin, at every fidelity: results, energy bits, the RNG
+    /// stream (noisy devices consume it every conversion, and a final
+    /// recall pins its position) and the simulated counters.
     #[test]
-    fn f64_plan_is_bit_identical_under_faults(
-        map_seed in any::<u64>(),
+    fn mutations_interleaved_with_recalls_match_the_oracle(
         amm_seed in any::<u64>(),
-        stuck_rate in 0.0..0.2f64,
-        spread_sigma in 0.0..0.1f64,
         fidelity_kind in 0usize..3,
-        fault in any::<bool>(),
         noisy in any::<bool>(),
+        steps in proptest::collection::vec(step(), 1..10),
     ) {
-        use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule, Fidelity};
+        use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule, Fidelity, RecallResult};
         use spinamm_core::degrade::DegradationPolicy;
-        use spinamm_core::plan::{PlanOptions, RecallPlan};
         use spinamm_core::request::RecallRequest;
         use spinamm_faults::{FaultMap, FaultModel};
+        use spinamm_memristor::{DriftModel, RetryPolicy};
         use spinamm_telemetry::MemoryRecorder;
 
         let patterns = vec![
@@ -293,50 +333,139 @@ proptest! {
             vec![0, 0, 0, 0, 31, 31, 31, 31],
             vec![31, 0, 31, 0, 31, 0, 31, 0],
         ];
+        let queries: Vec<Vec<u32>> = (0..6u32)
+            .map(|k| {
+                patterns[k as usize % 3]
+                    .iter()
+                    .map(|&l| (l + 3 * k) % 32)
+                    .collect()
+            })
+            .collect();
         let cfg = AmmConfig {
             seed: amm_seed,
-            spare_columns: 1,
+            spare_columns: 2,
             thermal: noisy,
             latch_noise: noisy,
             fidelity: [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic][fidelity_kind],
             ..AmmConfig::default()
         };
-        let policy = DegradationPolicy::default();
-        let mut interp = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
-        let mut source = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
-        if fault {
-            let model = FaultModel {
-                spread_sigma,
-                ..FaultModel::stuck(stuck_rate).unwrap()
+        let same = |a: &RecallResult, b: &RecallResult| {
+            let bits = |r: &RecallResult| {
+                let e = r.energy;
+                [e.rcm_static, e.dac_static, e.dwn_write, e.latch_sense, e.digital]
+                    .map(|j| j.0.to_bits())
             };
-            let map = FaultMap::sample(&model, 8, 4, map_seed).unwrap();
-            interp.inject_faults(map.clone(), &policy).unwrap();
-            source.inject_faults(map, &policy).unwrap();
-        }
-        let mut plan = RecallPlan::compile(&source, PlanOptions::default()).unwrap();
+            a == b && bits(a) == bits(b)
+        };
+        let mut module = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
+        let mut twin = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
+        let (kernel_rec, oracle_rec) = (MemoryRecorder::default(), MemoryRecorder::default());
+        let kernel_req = RecallRequest::recorded(&kernel_rec);
+        let oracle_req = RecallRequest::recorded(&oracle_rec);
+        let retry = RetryPolicy::default();
 
-        let interp_rec = MemoryRecorder::default();
-        let plan_rec = MemoryRecorder::default();
-        let queries: Vec<Vec<u32>> = patterns.iter().cycle().take(5).cloned().collect();
-        for q in &queries {
-            let want = interp
-                .recall_request(q, &RecallRequest::recorded(&interp_rec))
-                .unwrap();
-            let got = plan
-                .execute_request(q, &RecallRequest::recorded(&plan_rec))
-                .unwrap();
-            prop_assert_eq!(got, want);
+        // Every mutation is followed by a probe recall, so a kernel a
+        // mutator failed to drop shows up at once; the final probe pins the
+        // RNG streams after the whole sequence.
+        let probes = steps.iter().enumerate().map(|(n, step)| (n, Some(step)));
+        for (n, step) in probes.chain([(steps.len(), None)]) {
+            let probe = match step.copied() {
+                None => Some(0),
+                Some(Step::Recall(i)) => Some(i),
+                Some(Step::Batch(n)) => {
+                    let got = module.recall_batch_request(&queries[..n], &kernel_req).unwrap();
+                    for (g, q) in got.iter().zip(&queries) {
+                        let want = twin.oracle_recall_request(q, &oracle_req).unwrap();
+                        prop_assert!(same(g, &want), "{:?}: {:?} vs {:?}", step, g, want);
+                    }
+                    None
+                }
+                Some(Step::Split(i)) => {
+                    let eval = module
+                        .clone()
+                        .evaluate_query_request(&queries[i], &kernel_req)
+                        .unwrap();
+                    let got = module.select_winner_request(eval, &kernel_req).unwrap();
+                    let want = twin.oracle_recall_request(&queries[i], &oracle_req).unwrap();
+                    prop_assert!(same(&got, &want), "{:?}: {:?} vs {:?}", step, got, want);
+                    None
+                }
+                Some(Step::Faults(seed)) => {
+                    let model = FaultModel {
+                        spread_sigma: 0.05,
+                        ..FaultModel::stuck(0.1).unwrap()
+                    };
+                    let map = FaultMap::sample(&model, 8, module.array().cols(), seed).unwrap();
+                    let policy = DegradationPolicy::default();
+                    let a = module.inject_faults(map.clone(), &policy).ok();
+                    prop_assert_eq!(a, twin.inject_faults(map, &policy).ok());
+                    Some(n % 6)
+                }
+                Some(Step::Age(seed, elapsed)) => {
+                    let age = |m: &mut AssociativeMemoryModule| {
+                        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                        m.age_array(Seconds(elapsed), &DriftModel::AGGRESSIVE, &mut rng).is_ok()
+                    };
+                    prop_assert_eq!(age(&mut module), age(&mut twin));
+                    Some(n % 6)
+                }
+                Some(Step::Install(i)) => {
+                    let a = module.install_template(&queries[i]).ok();
+                    prop_assert_eq!(a, twin.install_template(&queries[i]).ok());
+                    Some(n % 6)
+                }
+                Some(Step::Retire(slot)) => {
+                    prop_assert_eq!(module.retire_template(slot).ok(), twin.retire_template(slot).ok());
+                    Some(n % 6)
+                }
+                Some(Step::Refresh(slot)) => {
+                    let a = module.refresh_template(slot, &retry).ok();
+                    prop_assert_eq!(a, twin.refresh_template(slot, &retry).ok());
+                    module.commit_maintenance().unwrap();
+                    twin.commit_maintenance().unwrap();
+                    Some(n % 6)
+                }
+                Some(Step::Migrate(slot, c)) => {
+                    let col = module.free_columns().get(c).copied().unwrap_or(0);
+                    let a = module.migrate_template(slot, col, &retry).ok();
+                    prop_assert_eq!(a, twin.migrate_template(slot, col, &retry).ok());
+                    module.commit_maintenance().unwrap();
+                    twin.commit_maintenance().unwrap();
+                    Some(n % 6)
+                }
+                Some(Step::Stamp(col)) => {
+                    for m in [&mut module, &mut twin] {
+                        for row in 0..8 {
+                            m.array_maintenance()
+                                .apply_retention(row, col, Seconds(1e5), 0.8)
+                                .unwrap();
+                        }
+                    }
+                    Some(n % 6)
+                }
+                Some(Step::Commit) => {
+                    module.commit_maintenance().unwrap();
+                    twin.commit_maintenance().unwrap();
+                    Some(n % 6)
+                }
+            };
+            if let Some(i) = probe {
+                let got = module.recall_request(&queries[i], &kernel_req).unwrap();
+                let want = twin.oracle_recall_request(&queries[i], &oracle_req).unwrap();
+                prop_assert!(same(&got, &want), "{:?}: {:?} vs {:?}", step, got, want);
+            }
         }
-        let want = interp_rec.snapshot();
-        let got = plan_rec.snapshot();
-        for name in [
-            "recall.count",
-            "adc.sar_cycles",
-            "spin.dwn_switch_events",
-            "spin.latch_fires",
-            "wta.dl_transitions",
-        ] {
-            prop_assert_eq!(got.counter(name), want.counter(name), "counter {}", name);
+
+        let (got, want) = (kernel_rec.snapshot(), oracle_rec.snapshot());
+        for (name, &count) in &want.counters {
+            let simulated = name == "recall.count"
+                || name == "adc.sar_cycles"
+                || name == "wta.dl_transitions"
+                || name.starts_with("spin.");
+            if simulated {
+                prop_assert_eq!(got.counter(name), count, "counter {}", name);
+            }
         }
+        prop_assert!(want.counter("recall.count") > 0);
     }
 }

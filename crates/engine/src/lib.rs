@@ -24,10 +24,12 @@
 //! the top (centroid) selection gates which cluster evaluates, so the
 //! sequencer re-dispatches a stage-B job on an internal queue that workers
 //! drain with priority. Tiled capacity pools ([`Deployment::Tiled`])
-//! evaluate every tile of a query in one worker phase — through the pool's
-//! embedded per-tile plans — and the sequencer's in-order select phase
-//! digitizes tiles in fixed tile order, so ranked top-k responses carry
-//! the same bit-identity guarantee.
+//! evaluate every tile of a query in one worker phase and the sequencer's
+//! in-order select phase digitizes tiles in fixed tile order, so ranked
+//! top-k responses carry the same bit-identity guarantee. Every phase
+//! runs through the modules' compiled kernels (`spinamm_core::plan`),
+//! which clones share, so the engine has no execution path of its own to
+//! choose.
 //!
 //! ```
 //! use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule};
@@ -40,7 +42,7 @@
 //!
 //! let engine = RecallEngine::new(
 //!     Deployment::Flat(module),
-//!     &EngineConfig::builder().workers(2).queue_capacity(8).use_plans(false).build(),
+//!     &EngineConfig::builder().workers(2).queue_capacity(8).build(),
 //! );
 //! let responses = engine.recall_many(&patterns)?;
 //! for (input, response) in patterns.iter().zip(&responses) {
@@ -55,7 +57,6 @@ use spinamm_core::amm::{AssociativeMemoryModule, QueryEvaluation, RecallResult};
 use spinamm_core::capacity::{TiledAmm, TiledRecall};
 use spinamm_core::hierarchy::{HierarchicalAmm, HierarchicalRecall};
 use spinamm_core::partition::{PartitionedAmm, PartitionedRecall};
-use spinamm_core::plan::{HierarchicalPlan, PartitionedPlan, PlanOptions, RecallPlan};
 use spinamm_core::request::RecallRequest;
 use spinamm_core::CoreError;
 use spinamm_telemetry::{NoopRecorder, Recorder};
@@ -228,15 +229,6 @@ pub struct EngineConfig {
     /// blocks and [`RecallEngine::try_submit`] rejects once this many
     /// queries are waiting.
     pub queue_capacity: usize,
-    /// Run the workers' RNG-free evaluation phase through compiled
-    /// [`RecallPlan`]s instead of interpreted module clones. f64 plan
-    /// execution is bit-identical to the interpreted path, so responses do
-    /// not depend on this flag — only throughput does. A deployment (or,
-    /// for hierarchical deployments, an individual cluster) whose plan
-    /// fails to compile keeps the interpreted path, counted as
-    /// `engine.plan_fallbacks`. Tiled pools ignore the flag: their tiles
-    /// carry their own embedded plans.
-    pub use_plans: bool,
 }
 
 impl Default for EngineConfig {
@@ -244,7 +236,6 @@ impl Default for EngineConfig {
         Self {
             workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             queue_capacity: 64,
-            use_plans: false,
         }
     }
 }
@@ -260,7 +251,6 @@ impl EngineConfig {
     /// let config = EngineConfig::builder()
     ///     .workers(2)
     ///     .queue_capacity(8)
-    ///     .use_plans(true)
     ///     .build();
     /// assert_eq!((config.workers, config.queue_capacity), (2, 8));
     /// ```
@@ -292,13 +282,6 @@ impl EngineConfigBuilder {
     #[must_use]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Whether workers evaluate through compiled [`RecallPlan`]s.
-    #[must_use]
-    pub fn use_plans(mut self, use_plans: bool) -> Self {
-        self.config.use_plans = use_plans;
         self
     }
 
@@ -386,55 +369,6 @@ impl Shared {
             (Some(tracer), Some(h)) => TraceCtx::joined(tracer, h),
             _ => TraceCtx::NONE,
         }
-    }
-}
-
-/// A worker's compiled fast path: its deployment clone lowered into flat
-/// recall plans at startup (see [`EngineConfig::use_plans`]). Primary-stage
-/// jobs then run the allocation-free plan kernel; stage-B (hierarchical
-/// member) jobs always use the interpreted clone.
-enum WorkerPlan {
-    Flat(RecallPlan),
-    Partitioned(PartitionedPlan),
-    Hierarchical(HierarchicalPlan),
-}
-
-impl WorkerPlan {
-    /// Lowers a worker's deployment clone, falling back to the interpreted
-    /// path (`None`, counted as `engine.plan_fallbacks`) on compile errors.
-    /// Hierarchical deployments compile their stage-A top module plus every
-    /// compilable cluster; uncompiled clusters evaluate interpreted and
-    /// count one fallback each. Tiled pools carry their own embedded
-    /// per-tile plans, so there is nothing to lower and no fallback to
-    /// count. The fallback is behaviour-preserving: f64 plans are
-    /// bit-identical to interpreted evaluation.
-    fn compile(deployment: &Deployment, recorder: &SharedRecorder) -> Option<Self> {
-        let req = RecallRequest::recorded(recorder);
-        let compiled = match deployment {
-            Deployment::Flat(m) => RecallPlan::compile_request(m, PlanOptions::default(), &req)
-                .map(WorkerPlan::Flat)
-                .ok(),
-            Deployment::Partitioned(p) => PartitionedPlan::compile(p, PlanOptions::default())
-                .map(WorkerPlan::Partitioned)
-                .ok(),
-            Deployment::Hierarchical(h) => {
-                match HierarchicalPlan::compile_request(h, PlanOptions::default(), &req) {
-                    Ok(plan) => {
-                        let member_fallbacks = plan.member_fallbacks();
-                        if member_fallbacks > 0 {
-                            recorder.counter("engine.plan_fallbacks", member_fallbacks);
-                        }
-                        return Some(WorkerPlan::Hierarchical(plan));
-                    }
-                    Err(_) => None,
-                }
-            }
-            Deployment::Tiled(_) => return None,
-        };
-        if compiled.is_none() {
-            recorder.counter("engine.plan_fallbacks", 1);
-        }
-        compiled
     }
 }
 
@@ -528,16 +462,11 @@ impl RecallEngine {
                 let shared = Arc::clone(&shared);
                 let tx = tx.clone();
                 // Each worker owns a full clone of the deployment; clones
-                // share the canonically warmed solver sessions, so their
-                // evaluations are bit-identical to the master's. With
-                // `use_plans` the clone is additionally lowered into a
-                // compiled plan for the primary evaluation phase.
+                // share the canonically warmed solver sessions and the
+                // kernel tables, so their evaluations are bit-identical to
+                // the master's.
                 let clone = deployment.clone();
-                let plan = config
-                    .use_plans
-                    .then(|| WorkerPlan::compile(&clone, &shared.recorder))
-                    .flatten();
-                std::thread::spawn(move || worker_loop(idx, &shared, clone, plan, &tx))
+                std::thread::spawn(move || worker_loop(idx, &shared, clone, &tx))
             })
             .collect();
         drop(tx);
@@ -699,40 +628,9 @@ impl Drop for RecallEngine {
 /// Phase 1 on a worker's deployment clone: RNG-free, order-independent.
 fn run_phase1(
     deployment: &mut Deployment,
-    plan: Option<&mut WorkerPlan>,
     stage: &Stage,
     req: &Req<'_>,
 ) -> Result<Phase1, CoreError> {
-    // The compiled fast path covers primary-stage jobs on flat and
-    // partitioned deployments; everything else falls through to the
-    // interpreted clone. Responses are identical either way (f64 plans are
-    // bit-identical); only the evaluation cost differs.
-    match (plan, stage) {
-        (Some(WorkerPlan::Flat(p)), Stage::Primary(input)) => {
-            return p.evaluate_query_request(input, req).map(Phase1::Flat);
-        }
-        (Some(WorkerPlan::Partitioned(p)), Stage::Primary(input)) => {
-            return p
-                .evaluate_query_request(input, req)
-                .map(Phase1::Partitioned);
-        }
-        (Some(WorkerPlan::Hierarchical(p)), Stage::Primary(input)) => {
-            return p.evaluate_top_request(input, req).map(|eval| Phase1::Top {
-                eval,
-                input: Arc::clone(input),
-            });
-        }
-        // A cluster whose plan failed to compile falls through to the
-        // interpreted clone below.
-        (Some(WorkerPlan::Hierarchical(p)), Stage::Member { cluster, input })
-            if p.has_member_plan(*cluster) =>
-        {
-            return p
-                .evaluate_member_request(*cluster, input, req)
-                .map(|eval| Phase1::Member { eval });
-        }
-        _ => {}
-    }
     match (deployment, stage) {
         (Deployment::Flat(m), Stage::Primary(input)) => {
             m.evaluate_query_request(input, req).map(Phase1::Flat)
@@ -762,7 +660,6 @@ fn worker_loop(
     idx: usize,
     shared: &Shared,
     mut deployment: Deployment,
-    mut plan: Option<WorkerPlan>,
     out: &mpsc::Sender<WorkerOut>,
 ) {
     let recorder = &shared.recorder;
@@ -812,7 +709,7 @@ fn worker_loop(
             if let Stage::Member { cluster, .. } = &job.stage {
                 phase.attr("cluster", *cluster as f64);
             }
-            run_phase1(&mut deployment, plan.as_mut(), &job.stage, req)
+            run_phase1(&mut deployment, &job.stage, req)
         };
         if recorder.is_enabled() {
             let dt = t0.elapsed().as_secs_f64();
@@ -1084,11 +981,7 @@ mod tests {
         let mut sequential = flat_deployment();
         let engine = RecallEngine::new(
             flat_deployment(),
-            &EngineConfig::builder()
-                .workers(3)
-                .queue_capacity(2)
-                .use_plans(false)
-                .build(),
+            &EngineConfig::builder().workers(3).queue_capacity(2).build(),
         );
         let queries: Vec<Vec<u32>> = patterns().into_iter().cycle().take(9).collect();
         let got = engine.recall_many(&queries).unwrap();
@@ -1104,11 +997,7 @@ mod tests {
         // submission pressure must eventually reject.
         let engine = RecallEngine::new(
             flat_deployment(),
-            &EngineConfig::builder()
-                .workers(1)
-                .queue_capacity(1)
-                .use_plans(false)
-                .build(),
+            &EngineConfig::builder().workers(1).queue_capacity(1).build(),
         );
         let input = patterns()[0].clone();
         let mut rejected = false;
@@ -1162,11 +1051,7 @@ mod tests {
         let recorder = Arc::new(MemoryRecorder::default());
         let engine = RecallEngine::with_recorder(
             flat_deployment(),
-            &EngineConfig::builder()
-                .workers(2)
-                .queue_capacity(4)
-                .use_plans(false)
-                .build(),
+            &EngineConfig::builder().workers(2).queue_capacity(4).build(),
             recorder.clone(),
         );
         let queries: Vec<Vec<u32>> = patterns().into_iter().cycle().take(6).collect();
@@ -1202,11 +1087,7 @@ mod tests {
         let mut sequential = build();
         let engine = RecallEngine::new(
             build(),
-            &EngineConfig::builder()
-                .workers(3)
-                .queue_capacity(2)
-                .use_plans(false)
-                .build(),
+            &EngineConfig::builder().workers(3).queue_capacity(2).build(),
         );
         let queries: Vec<Vec<u32>> = patterns().into_iter().cycle().take(9).collect();
         let got = engine.recall_many(&queries).unwrap();
@@ -1224,33 +1105,7 @@ mod tests {
     }
 
     #[test]
-    fn tiled_use_plans_counts_no_fallbacks() {
-        // The pool carries its own embedded per-tile plans; `use_plans`
-        // must neither change responses nor count a plan fallback.
-        let recorder = Arc::new(MemoryRecorder::default());
-        let pool = TiledAmm::build(&patterns(), 2, &AmmConfig::default()).unwrap();
-        let mut sequential = Deployment::Tiled(pool.clone());
-        let engine = RecallEngine::with_recorder(
-            Deployment::Tiled(pool),
-            &EngineConfig::builder()
-                .workers(2)
-                .queue_capacity(4)
-                .use_plans(true)
-                .build(),
-            recorder.clone(),
-        );
-        let queries = patterns();
-        for (q, response) in queries.iter().zip(engine.recall_many(&queries).unwrap()) {
-            assert_eq!(response, sequential.recall(q).unwrap());
-        }
-        engine.shutdown();
-        assert_eq!(recorder.snapshot().counter("engine.plan_fallbacks"), 0);
-    }
-
-    #[test]
-    fn hierarchical_use_plans_compiles_and_matches_sequential() {
-        // Satellite fix: hierarchical deployments now lower into compiled
-        // stage-A + member plans instead of always falling back.
+    fn hierarchical_engine_matches_sequential() {
         let hier_patterns: Vec<Vec<u32>> = (0..6)
             .map(|p| {
                 (0..12)
@@ -1269,23 +1124,16 @@ mod tests {
                 HierarchicalAmm::build(&hier_patterns, 2, &AmmConfig::default()).unwrap(),
             )
         };
-        let recorder = Arc::new(MemoryRecorder::default());
         let mut sequential = build();
-        let engine = RecallEngine::with_recorder(
+        let engine = RecallEngine::new(
             build(),
-            &EngineConfig::builder()
-                .workers(2)
-                .queue_capacity(4)
-                .use_plans(true)
-                .build(),
-            recorder.clone(),
+            &EngineConfig::builder().workers(2).queue_capacity(4).build(),
         );
         let queries: Vec<Vec<u32>> = hier_patterns.iter().cloned().cycle().take(12).collect();
         for (q, response) in queries.iter().zip(engine.recall_many(&queries).unwrap()) {
             assert_eq!(response, sequential.recall(q).unwrap());
         }
         engine.shutdown();
-        assert_eq!(recorder.snapshot().counter("engine.plan_fallbacks"), 0);
     }
 
     #[test]

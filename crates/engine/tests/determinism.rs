@@ -67,11 +67,7 @@ fn flat_driven_engine_is_bit_identical() {
     let module = AssociativeMemoryModule::build(&p, &config(Fidelity::Driven)).unwrap();
     assert_engine_matches_sequential(
         Deployment::Flat(module),
-        &EngineConfig::builder()
-            .workers(4)
-            .queue_capacity(3)
-            .use_plans(false)
-            .build(),
+        &EngineConfig::builder().workers(4).queue_capacity(3).build(),
         &queries(&p, 12),
     );
 }
@@ -96,11 +92,7 @@ fn duplicated_template_ties_break_to_lowest_index_through_engine() {
         let mut sequential = Deployment::Flat(module.clone());
         let engine = RecallEngine::new(
             Deployment::Flat(module),
-            &EngineConfig::builder()
-                .workers(3)
-                .queue_capacity(2)
-                .use_plans(false)
-                .build(),
+            &EngineConfig::builder().workers(3).queue_capacity(2).build(),
         );
         let got = engine.recall_many(&inputs).unwrap();
         engine.shutdown();
@@ -124,11 +116,7 @@ fn partitioned_driven_engine_is_bit_identical() {
     let part = PartitionedAmm::build(&p, 3, &config(Fidelity::Driven)).unwrap();
     assert_engine_matches_sequential(
         Deployment::Partitioned(part),
-        &EngineConfig::builder()
-            .workers(3)
-            .queue_capacity(2)
-            .use_plans(false)
-            .build(),
+        &EngineConfig::builder().workers(3).queue_capacity(2).build(),
         &queries(&p, 10),
     );
 }
@@ -139,11 +127,7 @@ fn hierarchical_driven_engine_is_bit_identical() {
     let hier = HierarchicalAmm::build(&p, 2, &config(Fidelity::Driven)).unwrap();
     assert_engine_matches_sequential(
         Deployment::Hierarchical(hier),
-        &EngineConfig::builder()
-            .workers(4)
-            .queue_capacity(2)
-            .use_plans(false)
-            .build(),
+        &EngineConfig::builder().workers(4).queue_capacity(2).build(),
         &queries(&p, 12),
     );
 }
@@ -156,11 +140,7 @@ fn partitioned_parasitic_engine_is_bit_identical() {
     let part = PartitionedAmm::build(&p, 2, &config(Fidelity::Parasitic)).unwrap();
     assert_engine_matches_sequential(
         Deployment::Partitioned(part),
-        &EngineConfig::builder()
-            .workers(2)
-            .queue_capacity(4)
-            .use_plans(false)
-            .build(),
+        &EngineConfig::builder().workers(2).queue_capacity(4).build(),
         &queries(&p, 6),
     );
 }
@@ -186,41 +166,28 @@ fn fault_injected_engine_is_bit_identical() {
         .unwrap();
     assert_engine_matches_sequential(
         Deployment::Flat(module),
-        &EngineConfig::builder()
-            .workers(3)
-            .queue_capacity(2)
-            .use_plans(false)
-            .build(),
+        &EngineConfig::builder().workers(3).queue_capacity(2).build(),
         &queries(&p, 8),
     );
 }
 
 #[test]
 fn plan_enabled_engine_is_bit_identical() {
-    // With `use_plans` the workers evaluate through compiled recall plans;
-    // f64 plans are bit-identical, so responses must not change — across
-    // flat and partitioned deployments and both analytic and parasitic
-    // fidelities (hierarchical deployments fall back to interpreted).
+    // Workers evaluate through the modules' compiled kernels, shared with
+    // the master; responses must not change — across flat and partitioned
+    // deployments and both analytic and parasitic fidelities.
     let p = patterns(4, 12);
     for fidelity in [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic] {
         let module = AssociativeMemoryModule::build(&p, &config(fidelity)).unwrap();
         assert_engine_matches_sequential(
             Deployment::Flat(module),
-            &EngineConfig::builder()
-                .workers(3)
-                .queue_capacity(2)
-                .use_plans(true)
-                .build(),
+            &EngineConfig::builder().workers(3).queue_capacity(2).build(),
             &queries(&p, 9),
         );
         let part = PartitionedAmm::build(&p, 3, &config(fidelity)).unwrap();
         assert_engine_matches_sequential(
             Deployment::Partitioned(part),
-            &EngineConfig::builder()
-                .workers(2)
-                .queue_capacity(3)
-                .use_plans(true)
-                .build(),
+            &EngineConfig::builder().workers(2).queue_capacity(3).build(),
             &queries(&p, 6),
         );
     }
@@ -237,7 +204,6 @@ fn single_worker_engine_matches_many_workers() {
             &EngineConfig::builder()
                 .workers(workers)
                 .queue_capacity(4)
-                .use_plans(false)
                 .build(),
         );
         let out = engine.recall_many(&inputs).unwrap();
@@ -261,7 +227,6 @@ proptest! {
         amm_seed in any::<u64>(),
         fault in any::<bool>(),
         map_seed in any::<u64>(),
-        use_plans in any::<bool>(),
     ) {
         let p = patterns(4, 12);
         let cfg = AmmConfig {
@@ -290,7 +255,7 @@ proptest! {
         let mut sequential = deployment.clone();
         let engine = RecallEngine::new(
             deployment,
-            &EngineConfig::builder().workers(workers).queue_capacity(capacity).use_plans(use_plans).build(),
+            &EngineConfig::builder().workers(workers).queue_capacity(capacity).build(),
         );
         let got = engine.recall_many(&inputs).unwrap();
         engine.shutdown();

@@ -201,19 +201,24 @@ struct HttpRequest {
 fn handle_http_session(service: &RecallService, mut stream: TcpStream, first_byte: u8) {
     let mut pending = vec![first_byte];
     loop {
-        let Some(request) = read_http_request(&mut stream, std::mem::take(&mut pending)) else {
+        let Some((request, rest)) = read_http_request(&mut stream, std::mem::take(&mut pending))
+        else {
             return;
         };
         let keep_alive = request.keep_alive;
         if route(service, &mut stream, &request).is_err() || !keep_alive {
             return;
         }
+        // Bytes of a pipelined next request that arrived in the same read.
+        pending = rest;
     }
 }
 
-/// Reads one HTTP/1.1 request (header block then `Content-Length` body).
+/// Reads one HTTP/1.1 request (header block then `Content-Length` body),
+/// starting from the already-received bytes in `buf`. Returns the request
+/// and any bytes received past its body — the start of the next request.
 /// Returns `None` on EOF or a malformed/oversized request.
-fn read_http_request(stream: &mut TcpStream, mut buf: Vec<u8>) -> Option<HttpRequest> {
+fn read_http_request(stream: &mut impl Read, mut buf: Vec<u8>) -> Option<(HttpRequest, Vec<u8>)> {
     let header_end = loop {
         if let Some(pos) = find_header_end(&buf) {
             break pos;
@@ -250,7 +255,7 @@ fn read_http_request(stream: &mut TcpStream, mut buf: Vec<u8>) -> Option<HttpReq
     if content_length > MAX_BODY_BYTES {
         return None;
     }
-    let mut body_bytes = buf[header_end + 4..].to_vec();
+    let mut body_bytes = buf.split_off(header_end + 4);
     while body_bytes.len() < content_length {
         let mut chunk = [0u8; 4096];
         let n = stream.read(&mut chunk).ok()?;
@@ -259,13 +264,14 @@ fn read_http_request(stream: &mut TcpStream, mut buf: Vec<u8>) -> Option<HttpReq
         }
         body_bytes.extend_from_slice(&chunk[..n]);
     }
-    body_bytes.truncate(content_length);
-    Some(HttpRequest {
+    let rest = body_bytes.split_off(content_length);
+    let request = HttpRequest {
         method,
         path,
         body: String::from_utf8(body_bytes).ok()?,
         keep_alive,
-    })
+    };
+    Some((request, rest))
 }
 
 fn find_header_end(buf: &[u8]) -> Option<usize> {
@@ -386,8 +392,7 @@ fn error_body(status: u16, kind: &str, message: &str) -> String {
 ///   "quota_qps": 500.0,
 ///   "quota_burst": 50.0,
 ///   "workers": 2,
-///   "queue_capacity": 16,
-///   "use_plans": true
+///   "queue_capacity": 16
 /// }
 /// ```
 ///
@@ -476,10 +481,6 @@ fn parse_tenant_registration(
             "queue_capacity",
             defaults.engine.queue_capacity,
         ))
-        .use_plans(match doc.get("use_plans") {
-            Some(JsonValue::Bool(b)) => *b,
-            _ => defaults.engine.use_plans,
-        })
         .build();
     Ok((name, spec, TenantOptions { quota, engine }))
 }
@@ -500,16 +501,96 @@ fn write_http(
         503 => "Service Unavailable",
         _ => "Response",
     };
-    let mut head = format!(
+    // Header and body go out in one write: two small writes on a
+    // keep-alive socket would hold the body back under Nagle's algorithm
+    // until the client's delayed ACK.
+    let mut out = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
         body.len()
     );
     for header in extra_headers {
-        head.push_str(header);
-        head.push_str("\r\n");
+        out.push_str(header);
+        out.push_str("\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    out.push_str("\r\n");
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::ModuleRegistry;
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_goes_out_in_one_write() {
+        let mut out = CountingWriter::default();
+        write_http(&mut out, 429, "{\"a\":1}", &["Retry-After: 2".to_owned()]).unwrap();
+        assert_eq!(out.writes, 1);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
+        assert!(text.contains("Retry-After: 2\r\n"));
+        assert!(text.ends_with("\r\n\r\n{\"a\":1}"));
+    }
+
+    #[test]
+    fn read_keeps_bytes_past_the_body_for_the_next_request() {
+        let raw = b"POST /v1/recall HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}GET /hea";
+        let (request, rest) = read_http_request(&mut &b""[..], raw.to_vec()).unwrap();
+        assert_eq!(
+            (request.method.as_str(), request.body.as_str()),
+            ("POST", "{}")
+        );
+        assert_eq!(rest, b"GET /hea");
+        let mut tail = &b"lthz HTTP/1.1\r\n\r\n"[..];
+        let (next, rest) = read_http_request(&mut tail, rest).unwrap();
+        assert_eq!(
+            (next.method.as_str(), next.path.as_str()),
+            ("GET", "/healthz")
+        );
+        assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn pipelined_requests_in_one_write_get_two_responses() {
+        let config = ServerConfig::builder().bind("127.0.0.1:0").build();
+        let service = Arc::new(RecallService::new(Arc::new(ModuleRegistry::new()), &config));
+        let server = SpinServer::start(service, &config).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // A lost second request would otherwise hang the read forever.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        stream
+            .write_all(
+                b"GET /healthz HTTP/1.1\r\nHost: a\r\n\r\n\
+                  GET /healthz HTTP/1.1\r\nHost: a\r\nConnection: close\r\n\r\n",
+            )
+            .unwrap();
+        let mut raw = Vec::new();
+        let _ = stream.read_to_end(&mut raw);
+        let raw = String::from_utf8_lossy(&raw);
+        assert_eq!(raw.matches("HTTP/1.1 200 OK").count(), 2, "{raw}");
+        server.shutdown();
+    }
 }
