@@ -20,16 +20,22 @@
 //! phase consumes each module's RNG in exactly the sequential order, every
 //! response is **bit-identical** to calling the deployment's `recall` once
 //! per query in submission order — at any worker count, queue capacity, or
-//! thread interleaving. Hierarchical deployments pipeline in two stages:
-//! the top (centroid) selection gates which cluster evaluates, so the
-//! sequencer re-dispatches a stage-B job on an internal queue that workers
-//! drain with priority. Tiled capacity pools ([`Deployment::Tiled`])
+//! thread interleaving. Every deployment kind is one evaluate phase plus
+//! one select phase through the same queue. A hierarchical deployment's
+//! worker evaluates its top (centroid) module; the sequencer's select
+//! picks the cluster, evaluates that cluster's member module on the
+//! master — only the chosen cluster runs, as in the paper's §5 hierarchy —
+//! and picks the member. Tiled capacity pools ([`Deployment::Tiled`])
 //! evaluate every tile of a query in one worker phase and the sequencer's
 //! in-order select phase digitizes tiles in fixed tile order, so ranked
 //! top-k responses carry the same bit-identity guarantee. Every phase
 //! runs through the modules' compiled kernels (`spinamm_core::plan`),
 //! which clones share, so the engine has no execution path of its own to
 //! choose.
+//!
+//! Stopping the engine — [`RecallEngine::shutdown`],
+//! [`RecallEngine::into_deployment`] or a drop — drains the queue first:
+//! every accepted query is answered.
 //!
 //! ```
 //! use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule};
@@ -60,11 +66,11 @@ use spinamm_core::partition::{PartitionedAmm, PartitionedRecall};
 use spinamm_core::request::RecallRequest;
 use spinamm_core::CoreError;
 use spinamm_telemetry::{NoopRecorder, Recorder};
-use spinamm_trace::{ReqHandle, TraceCtx, Tracer};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use spinamm_trace::{ReqHandle, Tracer};
+use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -311,8 +317,10 @@ impl Ticket {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::ShutDown`] when the engine stopped before
-    /// answering, or the query's own recall error.
+    /// Returns [`EngineError::ShutDown`] when the engine dropped the query
+    /// unanswered (only after one of its threads panicked — stopping the
+    /// engine answers every accepted query first), or the query's own
+    /// recall error.
     pub fn wait(self) -> Result<EngineResponse, EngineError> {
         match self.rx.recv() {
             Ok(response) => response,
@@ -321,32 +329,23 @@ impl Ticket {
     }
 }
 
-/// A query travelling through the engine. Stage-B (member) jobs exist only
-/// for hierarchical deployments, carry their original submission instant,
-/// and ride the internal queue so they can never deadlock behind new
-/// external submissions.
-enum Stage {
-    Primary(Arc<Vec<u32>>),
-    Member {
-        cluster: usize,
-        input: Arc<Vec<u32>>,
-    },
-}
-
+/// One accepted query travelling through the engine, carrying the channel
+/// its answer goes back on. Dropping a job unanswered drops that sender,
+/// which turns its ticket's `wait` into [`EngineError::ShutDown`].
 struct Job {
     seq: u64,
-    stage: Stage,
-    /// When the original query entered the engine (latency reference).
+    input: Vec<u32>,
+    /// When the query entered the queue (queue-wait and latency reference).
     submitted: Instant,
-    /// When this job (re-)entered a queue — stage-B jobs get a fresh
-    /// timestamp at dispatch, so queue-wait accounting stays per-hop.
-    enqueued: Instant,
     trace: Option<ReqHandle>,
+    reply: mpsc::Sender<Result<EngineResponse, EngineError>>,
 }
 
+/// A worker's output: the job plus its RNG-free evaluation.
+type Evaluated = (Job, Result<Evaluation, CoreError>);
+
 struct QueueState {
-    external: VecDeque<Job>,
-    internal: VecDeque<Job>,
+    jobs: VecDeque<Job>,
     closed: bool,
     next_seq: u64,
 }
@@ -356,42 +355,114 @@ struct Shared {
     job_ready: Condvar,
     space_ready: Condvar,
     capacity: usize,
-    tickets: Mutex<HashMap<u64, mpsc::Sender<Result<EngineResponse, EngineError>>>>,
     recorder: SharedRecorder,
     tracer: Option<Arc<Tracer>>,
 }
 
 impl Shared {
-    /// The tracing context of one in-flight request, inert without a
-    /// tracer.
-    fn trace_ctx(&self, handle: Option<ReqHandle>) -> TraceCtx<'_> {
+    /// The request one job's phases run under: the shared recorder, joined
+    /// to the job's trace when a tracer is attached.
+    fn request(&self, handle: Option<ReqHandle>) -> Req<'_> {
+        let req = RecallRequest::recorded(&self.recorder);
         match (&self.tracer, handle) {
-            (Some(tracer), Some(h)) => TraceCtx::joined(tracer, h),
-            _ => TraceCtx::NONE,
+            (Some(tracer), Some(h)) => req.with_trace_handle(tracer, h),
+            _ => req,
         }
+    }
+
+    /// Blocks for the next queued job. Returns `None` only once the engine
+    /// is closed *and* the queue is empty, so workers drain every accepted
+    /// query before they exit.
+    fn next_job(&self) -> Option<Job> {
+        let mut state = self.state.lock().expect("queue lock");
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                self.space_ready.notify_one();
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.job_ready.wait(state).expect("queue lock");
+        }
+    }
+
+    /// Samples the `engine.queue_depth` gauge.
+    fn gauge_depth(&self) {
+        let depth = self.state.lock().expect("queue lock").jobs.len();
+        self.recorder.gauge("engine.queue_depth", depth as f64);
     }
 }
 
-/// A worker's phase-1 output: everything the sequencer needs to finish the
-/// query without touching the crossbar again.
-enum Phase1 {
+/// A worker's RNG-free phase output: everything the sequencer's select
+/// needs besides the query itself.
+enum Evaluation {
     Flat(QueryEvaluation),
     Partitioned(Vec<QueryEvaluation>),
+    /// The top (centroid) module's evaluation; the chosen cluster's member
+    /// module evaluates inside the select phase, on the master.
+    Hierarchical(QueryEvaluation),
     Tiled(Vec<QueryEvaluation>),
-    Top {
-        eval: QueryEvaluation,
-        input: Arc<Vec<u32>>,
-    },
-    Member {
-        eval: QueryEvaluation,
-    },
 }
 
-struct WorkerOut {
-    seq: u64,
-    submitted: Instant,
-    trace: Option<ReqHandle>,
-    phase1: Result<Phase1, CoreError>,
+/// The engine's only per-kind dispatch.
+impl Deployment {
+    /// The RNG-free phase, run on a worker's clone. Order-independent: the
+    /// canonical warm start makes an evaluation independent of the
+    /// module's history.
+    fn evaluate(&mut self, input: &[u32], req: &Req<'_>) -> Result<Evaluation, CoreError> {
+        match self {
+            Deployment::Flat(m) => m.evaluate_query_request(input, req).map(Evaluation::Flat),
+            Deployment::Partitioned(p) => p
+                .evaluate_query_request(input, req)
+                .map(Evaluation::Partitioned),
+            Deployment::Hierarchical(h) => h
+                .evaluate_top_request(input, req)
+                .map(Evaluation::Hierarchical),
+            Deployment::Tiled(t) => t.evaluate_query_request(input, req).map(Evaluation::Tiled),
+        }
+    }
+
+    /// The RNG-consuming phase, run on the master in submission order: it
+    /// advances every module's RNG exactly as a sequential recall of
+    /// `input` would. A hierarchical select picks the cluster, evaluates
+    /// that cluster's member module here on the master — only the chosen
+    /// cluster runs (paper §5) — and then picks the member.
+    fn select(
+        &mut self,
+        evaluation: Evaluation,
+        input: &[u32],
+        req: &Req<'_>,
+    ) -> Result<EngineResponse, CoreError> {
+        match (self, evaluation) {
+            (Deployment::Flat(m), Evaluation::Flat(eval)) => {
+                m.select_winner_request(eval, req).map(EngineResponse::Flat)
+            }
+            (Deployment::Partitioned(p), Evaluation::Partitioned(evals)) => p
+                .select_winner_request(evals, req)
+                .map(EngineResponse::Partitioned),
+            (Deployment::Hierarchical(h), Evaluation::Hierarchical(eval)) => {
+                let top = h.select_top_request(eval, req)?;
+                let cluster = top.raw_winner;
+                let ctx = req.trace_binding().join_ctx();
+                let member = {
+                    let phase = ctx.phase("evaluate.member");
+                    phase.attr("cluster", cluster as f64);
+                    h.evaluate_member_request(cluster, input, req)?
+                };
+                let phase = ctx.phase("select.member");
+                phase.attr("cluster", cluster as f64);
+                h.select_member_request(cluster, member, &top, req)
+                    .map(EngineResponse::Hierarchical)
+            }
+            (Deployment::Tiled(t), Evaluation::Tiled(evals)) => t
+                .select_winner_request(evals, req)
+                .map(EngineResponse::Tiled),
+            _ => Err(CoreError::InvalidParameter {
+                what: "evaluation does not match the deployment",
+            }),
+        }
+    }
 }
 
 /// The long-lived recall service. See the crate docs for the execution
@@ -412,8 +483,10 @@ impl RecallEngine {
     /// Starts an engine reporting `engine.*` telemetry into `recorder`:
     /// `engine.submitted` / `engine.rejected` / `engine.completed` /
     /// `engine.errors` counters, the `engine.queue_depth` gauge, the
-    /// `engine.settle` (per-worker phase 1) and `engine.select`
-    /// (sequencer phase 2) span timers, the `engine.latency_seconds`
+    /// `engine.queue_wait_ns` histogram, the `engine.settle` (worker
+    /// evaluate phase) and `engine.select` (sequencer select phase, which
+    /// includes a hierarchical query's member evaluation) span timers —
+    /// one sample of each per query — the `engine.latency_seconds`
     /// submit-to-response histogram (p50/p95 in the snapshot), and
     /// per-worker `engine.worker.<i>.jobs` / `.utilization` series.
     #[must_use]
@@ -428,12 +501,14 @@ impl RecallEngine {
     /// Starts an engine with full observability: the recorder telemetry of
     /// [`RecallEngine::with_recorder`] plus, when `tracer` is given,
     /// per-request span trees. Each submission becomes one
-    /// `"engine.recall"` request; its trace carries a `"queue_wait"` span
-    /// per queue hop, an `"evaluate"` span per worker phase (with
-    /// `worker`, and `cluster` for stage-B hops, as attributes) wrapping
-    /// the core drive/settle/solve spans, and a `"select"` span for the
-    /// sequencer's RNG phase. Tracing is observation-only: responses are
-    /// bit-identical with or without it.
+    /// `"engine.recall"` request; its trace carries one `"queue_wait"`
+    /// span, an `"evaluate"` span for the worker phase (with `worker` as
+    /// an attribute) wrapping the core drive/settle/solve spans, and a
+    /// `"select"` span for the sequencer's RNG phase. A hierarchical
+    /// query's `"select"` nests an `"evaluate.member"` and a
+    /// `"select.member"` span, both with `cluster` as an attribute.
+    /// Tracing is observation-only: responses are bit-identical with or
+    /// without it.
     #[must_use]
     pub fn with_observability(
         deployment: Deployment,
@@ -444,19 +519,17 @@ impl RecallEngine {
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
-                external: VecDeque::new(),
-                internal: VecDeque::new(),
+                jobs: VecDeque::new(),
                 closed: false,
                 next_seq: 0,
             }),
             job_ready: Condvar::new(),
             space_ready: Condvar::new(),
             capacity: config.queue_capacity.max(1),
-            tickets: Mutex::new(HashMap::new()),
             recorder,
             tracer,
         });
-        let (tx, rx) = mpsc::channel::<WorkerOut>();
+        let (tx, rx) = mpsc::channel::<Evaluated>();
         let workers = (0..worker_count)
             .map(|idx| {
                 let shared = Arc::clone(&shared);
@@ -504,7 +577,7 @@ impl RecallEngine {
     fn submit_inner(&self, input: &[u32], block: bool) -> Result<Ticket, EngineError> {
         let recorder = &self.shared.recorder;
         let mut state = self.shared.state.lock().expect("queue lock");
-        while state.external.len() >= self.shared.capacity && !state.closed {
+        while state.jobs.len() >= self.shared.capacity && !state.closed {
             if !block {
                 recorder.counter("engine.rejected", 1);
                 return Err(EngineError::QueueFull);
@@ -516,29 +589,20 @@ impl RecallEngine {
         }
         let seq = state.next_seq;
         state.next_seq += 1;
-        let (tx, rx) = mpsc::channel();
-        self.shared
-            .tickets
-            .lock()
-            .expect("ticket lock")
-            .insert(seq, tx);
-        let now = Instant::now();
-        state.external.push_back(Job {
+        let (reply, rx) = mpsc::channel();
+        state.jobs.push_back(Job {
             seq,
-            stage: Stage::Primary(Arc::new(input.to_vec())),
-            submitted: now,
-            enqueued: now,
+            input: input.to_vec(),
+            submitted: Instant::now(),
             trace: self
                 .shared
                 .tracer
                 .as_deref()
                 .map(|t| t.begin("engine.recall")),
+            reply,
         });
         recorder.counter("engine.submitted", 1);
-        recorder.gauge(
-            "engine.queue_depth",
-            (state.external.len() + state.internal.len()) as f64,
-        );
+        recorder.gauge("engine.queue_depth", state.jobs.len() as f64);
         drop(state);
         self.shared.job_ready.notify_one();
         Ok(Ticket { seq, rx })
@@ -554,24 +618,25 @@ impl RecallEngine {
         &self,
         inputs: &[S],
     ) -> Result<Vec<EngineResponse>, EngineError> {
-        let tickets: Vec<Ticket> = inputs
+        let pending: Vec<Ticket> = inputs
             .iter()
             .map(|input| self.submit(input.as_ref()))
             .collect::<Result<_, _>>()?;
-        tickets.into_iter().map(Ticket::wait).collect()
+        pending.into_iter().map(Ticket::wait).collect()
     }
 
-    /// Stops the engine: queued queries finish, then the workers and the
-    /// sequencer join. Hierarchical queries still waiting for their
-    /// stage-B dispatch at close time may be abandoned with
-    /// [`EngineError::ShutDown`]. Dropping the engine does the same.
+    /// Stops the engine: the workers drain the queue and every accepted
+    /// query is answered — for every deployment kind — before the threads
+    /// join. Dropping the engine does the same.
     pub fn shutdown(mut self) {
-        self.shutdown_inner();
+        self.stop();
     }
 
-    /// Stops the engine like [`RecallEngine::shutdown`] and hands back the
-    /// deployment the sequencer was serving — with all RNG and solver
-    /// state exactly where the served traffic left it. This is how a
+    /// Stops the engine like [`RecallEngine::shutdown`] — every accepted
+    /// query answered — and hands back the deployment the sequencer was
+    /// serving, with all RNG and solver state exactly where that answered
+    /// traffic left it: its next recall equals the next recall of a
+    /// sequential twin that recalled the same queries. This is how a
     /// lifetime maintenance window works: drain the engine, run background
     /// refresh on the recovered module, then start a new engine over it.
     ///
@@ -581,78 +646,34 @@ impl RecallEngine {
     /// unrecoverable in that case).
     #[must_use]
     pub fn into_deployment(mut self) -> Deployment {
-        {
-            let mut state = self.shared.state.lock().expect("queue lock");
-            state.closed = true;
-        }
-        self.shared.job_ready.notify_all();
-        self.shared.space_ready.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        let deployment = self
-            .sequencer
-            .take()
-            .expect("sequencer runs until shutdown")
-            .join()
-            .expect("sequencer thread panicked");
-        self.shared.tickets.lock().expect("ticket lock").clear();
-        deployment
+        self.stop().expect("sequencer thread panicked")
     }
 
-    fn shutdown_inner(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("queue lock");
-            state.closed = true;
-        }
+    /// The one stop path: close the queue, let the workers drain it, then
+    /// join the sequencer once it has answered everything they evaluated.
+    /// Returns the master deployment on the first call, unless the
+    /// sequencer panicked.
+    fn stop(&mut self) -> Option<Deployment> {
+        // Closing is valid on any queue state, and this runs in `Drop`,
+        // which must not panic: recover a lock poisoned by a panicked
+        // thread instead of failing on it.
+        self.shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
         self.shared.job_ready.notify_all();
         self.shared.space_ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        if let Some(sequencer) = self.sequencer.take() {
-            let _ = sequencer.join();
-        }
-        // Any ticket still registered can no longer be answered; dropping
-        // its sender turns the owner's `wait` into `ShutDown`.
-        self.shared.tickets.lock().expect("ticket lock").clear();
+        self.sequencer.take()?.join().ok()
     }
 }
 
 impl Drop for RecallEngine {
     fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-/// Phase 1 on a worker's deployment clone: RNG-free, order-independent.
-fn run_phase1(
-    deployment: &mut Deployment,
-    stage: &Stage,
-    req: &Req<'_>,
-) -> Result<Phase1, CoreError> {
-    match (deployment, stage) {
-        (Deployment::Flat(m), Stage::Primary(input)) => {
-            m.evaluate_query_request(input, req).map(Phase1::Flat)
-        }
-        (Deployment::Partitioned(p), Stage::Primary(input)) => p
-            .evaluate_query_request(input, req)
-            .map(Phase1::Partitioned),
-        (Deployment::Tiled(t), Stage::Primary(input)) => {
-            t.evaluate_query_request(input, req).map(Phase1::Tiled)
-        }
-        (Deployment::Hierarchical(h), Stage::Primary(input)) => {
-            h.evaluate_top_request(input, req).map(|eval| Phase1::Top {
-                eval,
-                input: Arc::clone(input),
-            })
-        }
-        (Deployment::Hierarchical(h), Stage::Member { cluster, input }) => h
-            .evaluate_member_request(*cluster, input, req)
-            .map(|eval| Phase1::Member { eval }),
-        (_, Stage::Member { .. }) => Err(CoreError::InvalidParameter {
-            what: "member-stage job on a non-hierarchical deployment",
-        }),
+        self.stop();
     }
 }
 
@@ -660,56 +681,24 @@ fn worker_loop(
     idx: usize,
     shared: &Shared,
     mut deployment: Deployment,
-    out: &mpsc::Sender<WorkerOut>,
+    out: &mpsc::Sender<Evaluated>,
 ) {
     let recorder = &shared.recorder;
-    let req = RecallRequest::recorded(recorder);
     let started = Instant::now();
     let mut busy = 0.0f64;
-    loop {
-        let job = {
-            let mut state = shared.state.lock().expect("queue lock");
-            loop {
-                // Internal (stage-B) jobs first: they unblock responses
-                // that external submissions may be waiting behind.
-                if let Some(job) = state.internal.pop_front() {
-                    break Some(job);
-                }
-                if let Some(job) = state.external.pop_front() {
-                    shared.space_ready.notify_one();
-                    break Some(job);
-                }
-                if state.closed {
-                    break None;
-                }
-                state = shared.job_ready.wait(state).expect("queue lock");
-            }
-        };
-        let Some(job) = job else { return };
-        let wait = job.enqueued.elapsed();
+    while let Some(job) = shared.next_job() {
+        let wait = job.submitted.elapsed();
         if recorder.is_enabled() {
             recorder.observe("engine.queue_wait_ns", wait.as_secs_f64() * 1e9);
         }
-        let ctx = shared.trace_ctx(job.trace);
-        let traced_req;
-        let req = if let (Some(tracer), Some(h)) = (&shared.tracer, job.trace) {
-            ctx.span_at("queue_wait", job.enqueued, wait, &[("worker", idx as f64)]);
-            traced_req = req.with_trace_handle(tracer, h);
-            &traced_req
-        } else {
-            &req
-        };
+        let req = shared.request(job.trace);
+        let ctx = req.trace_binding().join_ctx();
+        ctx.span_at("queue_wait", job.submitted, wait, &[("worker", idx as f64)]);
         let t0 = Instant::now();
-        let phase1 = {
-            let phase = ctx.phase(match &job.stage {
-                Stage::Primary(_) => "evaluate",
-                Stage::Member { .. } => "evaluate.member",
-            });
+        let evaluation = {
+            let phase = ctx.phase("evaluate");
             phase.attr("worker", idx as f64);
-            if let Stage::Member { cluster, .. } = &job.stage {
-                phase.attr("cluster", *cluster as f64);
-            }
-            run_phase1(&mut deployment, &job.stage, req)
+            deployment.evaluate(&job.input, &req)
         };
         if recorder.is_enabled() {
             let dt = t0.elapsed().as_secs_f64();
@@ -720,88 +709,26 @@ fn worker_loop(
             if total > 0.0 {
                 recorder.gauge(&format!("engine.worker.{idx}.utilization"), busy / total);
             }
-            let state = shared.state.lock().expect("queue lock");
-            recorder.gauge(
-                "engine.queue_depth",
-                (state.external.len() + state.internal.len()) as f64,
-            );
+            shared.gauge_depth();
         }
-        let sent = out.send(WorkerOut {
-            seq: job.seq,
-            submitted: job.submitted,
-            trace: job.trace,
-            phase1,
-        });
-        if sent.is_err() {
+        if out.send((job, evaluation)).is_err() {
             // Sequencer gone: the engine is tearing down.
             return;
         }
     }
 }
 
-/// What the sequencer does with an in-order primary phase-1 result.
-enum SelectOutcome {
-    Done(Result<EngineResponse, EngineError>),
-    MemberDispatch {
-        cluster: usize,
-        input: Arc<Vec<u32>>,
-        top: RecallResult,
-    },
-}
-
-/// Phase 2 on the master deployment: consumes the RNG exactly as a
-/// sequential recall of this query would.
-fn select_primary(master: &mut Deployment, phase1: Phase1, req: &Req<'_>) -> SelectOutcome {
-    match (master, phase1) {
-        (Deployment::Flat(m), Phase1::Flat(eval)) => SelectOutcome::Done(
-            m.select_winner_request(eval, req)
-                .map(EngineResponse::Flat)
-                .map_err(EngineError::from),
-        ),
-        (Deployment::Partitioned(p), Phase1::Partitioned(evals)) => SelectOutcome::Done(
-            p.select_winner_request(evals, req)
-                .map(EngineResponse::Partitioned)
-                .map_err(EngineError::from),
-        ),
-        (Deployment::Tiled(t), Phase1::Tiled(evals)) => SelectOutcome::Done(
-            t.select_winner_request(evals, req)
-                .map(EngineResponse::Tiled)
-                .map_err(EngineError::from),
-        ),
-        (Deployment::Hierarchical(h), Phase1::Top { eval, input }) => {
-            match h.select_top_request(eval, req) {
-                Ok(top) => SelectOutcome::MemberDispatch {
-                    cluster: top.raw_winner,
-                    input,
-                    top,
-                },
-                Err(e) => SelectOutcome::Done(Err(e.into())),
-            }
-        }
-        _ => SelectOutcome::Done(Err(EngineError::Core(CoreError::InvalidParameter {
-            what: "phase-1 result does not match the deployment",
-        }))),
-    }
-}
-
-fn respond(
-    shared: &Shared,
-    seq: u64,
-    submitted: Instant,
-    trace: Option<ReqHandle>,
-    response: Result<EngineResponse, EngineError>,
-) {
+fn respond(shared: &Shared, job: Job, response: Result<EngineResponse, EngineError>) {
     let recorder = &shared.recorder;
     if recorder.is_enabled() {
-        recorder.observe("engine.latency_seconds", submitted.elapsed().as_secs_f64());
+        recorder.observe(
+            "engine.latency_seconds",
+            job.submitted.elapsed().as_secs_f64(),
+        );
         // Re-sample the depth gauge at completion: submissions and
         // dequeues alone leave it stuck at its high-water mark once the
-        // queues drain.
-        let state = shared.state.lock().expect("queue lock");
-        recorder.gauge(
-            "engine.queue_depth",
-            (state.external.len() + state.internal.len()) as f64,
-        );
+        // queue drains.
+        shared.gauge_depth();
     }
     recorder.counter(
         if response.is_ok() {
@@ -811,146 +738,41 @@ fn respond(
         },
         1,
     );
-    if let (Some(tracer), Some(h)) = (&shared.tracer, trace) {
+    if let (Some(tracer), Some(h)) = (&shared.tracer, job.trace) {
         tracer.finish(h);
     }
-    let tx = shared.tickets.lock().expect("ticket lock").remove(&seq);
-    if let Some(tx) = tx {
-        let _ = tx.send(response);
-    }
+    // The caller may have dropped its ticket unwaited; nothing to tell.
+    let _ = job.reply.send(response);
 }
 
+/// Runs every select on the master strictly in submission order, stalling
+/// evaluations that arrive early, until the workers have exited and their
+/// evaluations are all answered.
 fn sequencer_loop(
     shared: &Shared,
     mut master: Deployment,
-    rx: &mpsc::Receiver<WorkerOut>,
+    rx: &mpsc::Receiver<Evaluated>,
 ) -> Deployment {
     let recorder = &shared.recorder;
-    let req = RecallRequest::recorded(recorder);
-    let cluster_count = match &master {
-        Deployment::Hierarchical(h) => h.cluster_count(),
-        _ => 0,
-    };
-    // Primary phase-1 results waiting for their submission-order turn.
-    type Pending<T> = (Instant, Option<ReqHandle>, Result<T, CoreError>);
-    let mut primary: BTreeMap<u64, Pending<Phase1>> = BTreeMap::new();
-    let mut next_primary: u64 = 0;
-    // Hierarchical stage-B bookkeeping: which cluster each dispatched seq
-    // went to, its stage-A result, the per-cluster expected select order,
-    // and member phase-1 results waiting for that order.
-    let mut member_cluster: HashMap<u64, usize> = HashMap::new();
-    let mut tops: HashMap<u64, RecallResult> = HashMap::new();
-    let mut expected: Vec<VecDeque<u64>> = vec![VecDeque::new(); cluster_count];
-    let mut members: HashMap<u64, Pending<QueryEvaluation>> = HashMap::new();
-
-    while let Ok(msg) = rx.recv() {
-        match msg.phase1 {
-            Ok(Phase1::Member { eval }) => {
-                members.insert(msg.seq, (msg.submitted, msg.trace, Ok(eval)));
-            }
-            Err(e) if member_cluster.contains_key(&msg.seq) => {
-                members.insert(msg.seq, (msg.submitted, msg.trace, Err(e)));
-            }
-            other => {
-                primary.insert(msg.seq, (msg.submitted, msg.trace, other));
-            }
-        }
-
-        // Primary selections run strictly in submission order: stall until
-        // the next expected sequence number has evaluated.
-        while let Some((submitted, trace, result)) = primary.remove(&next_primary) {
-            let seq = next_primary;
-            next_primary += 1;
-            match result {
-                Err(e) => respond(shared, seq, submitted, trace, Err(EngineError::Core(e))),
-                Ok(phase1) => {
-                    let ctx = shared.trace_ctx(trace);
-                    let traced_req;
-                    let job_req = if let (Some(tracer), Some(h)) = (&shared.tracer, trace) {
-                        traced_req = req.with_trace_handle(tracer, h);
-                        &traced_req
-                    } else {
-                        &req
-                    };
-                    let t0 = recorder.is_enabled().then(Instant::now);
-                    let outcome = {
-                        let _select_phase = ctx.phase("select");
-                        select_primary(&mut master, phase1, job_req)
-                    };
-                    if let Some(t0) = t0 {
-                        recorder.record_span("engine.select", t0.elapsed().as_secs_f64());
-                    }
-                    match outcome {
-                        SelectOutcome::Done(response) => {
-                            respond(shared, seq, submitted, trace, response);
-                        }
-                        SelectOutcome::MemberDispatch {
-                            cluster,
-                            input,
-                            top,
-                        } => {
-                            member_cluster.insert(seq, cluster);
-                            tops.insert(seq, top);
-                            expected[cluster].push_back(seq);
-                            {
-                                let mut state = shared.state.lock().expect("queue lock");
-                                state.internal.push_back(Job {
-                                    seq,
-                                    stage: Stage::Member { cluster, input },
-                                    submitted,
-                                    enqueued: Instant::now(),
-                                    trace,
-                                });
-                            }
-                            shared.job_ready.notify_one();
-                        }
-                    }
+    let mut pending: BTreeMap<u64, Evaluated> = BTreeMap::new();
+    let mut next: u64 = 0;
+    while let Ok(evaluated) = rx.recv() {
+        pending.insert(evaluated.0.seq, evaluated);
+        while let Some((job, evaluation)) = pending.remove(&next) {
+            next += 1;
+            let response = evaluation.and_then(|evaluation| {
+                let req = shared.request(job.trace);
+                let t0 = recorder.is_enabled().then(Instant::now);
+                let response = {
+                    let _phase = req.trace_binding().join_ctx().phase("select");
+                    master.select(evaluation, &job.input, &req)
+                };
+                if let Some(t0) = t0 {
+                    recorder.record_span("engine.select", t0.elapsed().as_secs_f64());
                 }
-            }
-        }
-
-        // Member selections run in per-cluster submission order (each
-        // cluster module owns its RNG, so clusters are independent).
-        for (cluster, queue) in expected.iter_mut().enumerate() {
-            while let Some(&seq) = queue.front() {
-                let Some((submitted, trace, result)) = members.remove(&seq) else {
-                    break;
-                };
-                queue.pop_front();
-                member_cluster.remove(&seq);
-                let top = tops
-                    .remove(&seq)
-                    .expect("stage-A result stored at dispatch");
-                let response = match (&mut master, result) {
-                    (Deployment::Hierarchical(h), Ok(eval)) => {
-                        let ctx = shared.trace_ctx(trace);
-                        let traced_req;
-                        let job_req = if let (Some(tracer), Some(h)) = (&shared.tracer, trace) {
-                            traced_req = req.with_trace_handle(tracer, h);
-                            &traced_req
-                        } else {
-                            &req
-                        };
-                        let t0 = recorder.is_enabled().then(Instant::now);
-                        let r = {
-                            let select_phase = ctx.phase("select.member");
-                            select_phase.attr("cluster", cluster as f64);
-                            h.select_member_request(cluster, eval, &top, job_req)
-                                .map(EngineResponse::Hierarchical)
-                                .map_err(EngineError::from)
-                        };
-                        if let Some(t0) = t0 {
-                            recorder.record_span("engine.select", t0.elapsed().as_secs_f64());
-                        }
-                        r
-                    }
-                    (_, Err(e)) => Err(EngineError::Core(e)),
-                    (_, Ok(_)) => Err(EngineError::Core(CoreError::InvalidParameter {
-                        what: "member-stage result on a non-hierarchical deployment",
-                    })),
-                };
-                respond(shared, seq, submitted, trace, response);
-            }
+                response
+            });
+            respond(shared, job, response.map_err(EngineError::from));
         }
     }
     master
@@ -1001,10 +823,10 @@ mod tests {
         );
         let input = patterns()[0].clone();
         let mut rejected = false;
-        let mut tickets = Vec::new();
+        let mut accepted = Vec::new();
         for _ in 0..64 {
             match engine.try_submit(&input) {
-                Ok(t) => tickets.push(t),
+                Ok(t) => accepted.push(t),
                 Err(EngineError::QueueFull) => {
                     rejected = true;
                     break;
@@ -1013,7 +835,7 @@ mod tests {
             }
         }
         assert!(rejected, "capacity-1 queue never filled");
-        for t in tickets {
+        for t in accepted {
             t.wait().unwrap();
         }
         engine.shutdown();

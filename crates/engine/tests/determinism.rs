@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule, Fidelity};
+use spinamm_core::capacity::TiledAmm;
 use spinamm_core::degrade::DegradationPolicy;
 use spinamm_core::hierarchy::HierarchicalAmm;
 use spinamm_core::partition::PartitionedAmm;
@@ -174,8 +175,10 @@ fn fault_injected_engine_is_bit_identical() {
 #[test]
 fn plan_enabled_engine_is_bit_identical() {
     // Workers evaluate through the modules' compiled kernels, shared with
-    // the master; responses must not change — across flat and partitioned
-    // deployments and both analytic and parasitic fidelities.
+    // the master; responses must not change — across every deployment
+    // kind and both analytic and parasitic fidelities. The hierarchical
+    // case also evaluates its member modules on the master's solver
+    // sessions.
     let p = patterns(4, 12);
     for fidelity in [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic] {
         let module = AssociativeMemoryModule::build(&p, &config(fidelity)).unwrap();
@@ -190,6 +193,74 @@ fn plan_enabled_engine_is_bit_identical() {
             &EngineConfig::builder().workers(2).queue_capacity(3).build(),
             &queries(&p, 6),
         );
+        let hier = HierarchicalAmm::build(&p, 2, &config(fidelity)).unwrap();
+        assert_engine_matches_sequential(
+            Deployment::Hierarchical(hier),
+            &EngineConfig::builder().workers(2).queue_capacity(3).build(),
+            &queries(&p, 6),
+        );
+        let tiled = TiledAmm::build(&p, 2, &config(fidelity))
+            .unwrap()
+            .with_top_k(2)
+            .unwrap();
+        assert_engine_matches_sequential(
+            Deployment::Tiled(tiled),
+            &EngineConfig::builder().workers(2).queue_capacity(3).build(),
+            &queries(&p, 6),
+        );
+    }
+}
+
+#[test]
+fn draining_answers_every_accepted_query() {
+    // Stopping the engine drains its one queue: queries submitted without
+    // waiting are all answered, for every deployment kind, and the
+    // recovered deployment's RNG state matches the answered traffic.
+    let p = patterns(6, 12);
+    let cfg = config(Fidelity::Driven);
+    let kinds = [
+        (
+            "flat",
+            Deployment::Flat(AssociativeMemoryModule::build(&p, &cfg).unwrap()),
+        ),
+        (
+            "partitioned",
+            Deployment::Partitioned(PartitionedAmm::build(&p, 3, &cfg).unwrap()),
+        ),
+        (
+            "hierarchical",
+            Deployment::Hierarchical(HierarchicalAmm::build(&p, 2, &cfg).unwrap()),
+        ),
+        (
+            "tiled",
+            Deployment::Tiled(TiledAmm::build(&p, 2, &cfg).unwrap().with_top_k(2).unwrap()),
+        ),
+    ];
+    let inputs = queries(&p, 24);
+    for (kind, deployment) in kinds {
+        for round in 0..4 {
+            let mut sequential = deployment.clone();
+            let engine = RecallEngine::new(
+                deployment.clone(),
+                &EngineConfig::builder()
+                    .workers(2)
+                    .queue_capacity(32)
+                    .build(),
+            );
+            let tickets: Vec<_> = inputs.iter().map(|q| engine.submit(q).unwrap()).collect();
+            let mut recovered = engine.into_deployment();
+            for (q, ticket) in inputs.iter().zip(tickets) {
+                let got = ticket
+                    .wait()
+                    .unwrap_or_else(|e| panic!("{kind} round {round}: {e}"));
+                assert_eq!(got, sequential.recall(q).unwrap(), "{kind} round {round}");
+            }
+            assert_eq!(
+                recovered.recall(&inputs[0]).unwrap(),
+                sequential.recall(&inputs[0]).unwrap(),
+                "{kind} round {round}: recovered RNG state"
+            );
+        }
     }
 }
 

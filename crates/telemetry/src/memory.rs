@@ -12,7 +12,7 @@ const SAMPLE_CAP: usize = 65_536;
 /// Retained structured events; later events are counted but dropped.
 const EVENT_CAP: usize = 4_096;
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Series {
     count: u64,
     sum: f64,
@@ -37,15 +37,12 @@ impl Series {
         }
     }
 
-    fn sorted(&self) -> Vec<f64> {
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        sorted
-    }
-
-    fn stats(&self) -> HistStats {
-        let sorted = self.sorted();
-        HistStats {
+    /// Sorts the retained samples once and derives the stats from that
+    /// sort; returns both.
+    fn summarize(mut self) -> (HistStats, Vec<f64>) {
+        self.samples.sort_by(f64::total_cmp);
+        let sorted = self.samples;
+        let stats = HistStats {
             count: self.count,
             sum: self.sum,
             min: self.min,
@@ -55,8 +52,22 @@ impl Series {
             p95: percentile(&sorted, 0.95),
             p99: percentile(&sorted, 0.99),
             p999: percentile(&sorted, 0.999),
-        }
+        };
+        (stats, sorted)
     }
+}
+
+/// Per-name stats and ascending-sorted samples of a set of series.
+type Summaries = (BTreeMap<String, HistStats>, BTreeMap<String, Vec<f64>>);
+
+fn summarize_all(series: BTreeMap<String, Series>) -> Summaries {
+    series
+        .into_iter()
+        .map(|(name, s)| {
+            let (stats, sorted) = s.summarize();
+            ((name.clone(), stats), (name, sorted))
+        })
+        .unzip()
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice.
@@ -68,7 +79,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
@@ -94,32 +105,20 @@ impl MemoryRecorder {
     /// (poisoned mutex).
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let inner = self.inner.lock().expect("telemetry mutex poisoned");
+        // Copy under the lock, sort after releasing it: a snapshot must not
+        // stall the recording hot path.
+        let inner = self.with(|inner| inner.clone());
+        let (histograms, histogram_samples) = summarize_all(inner.histograms);
+        let (spans, span_samples) = summarize_all(inner.spans);
         TelemetrySnapshot {
-            counters: inner.counters.clone(),
-            gauges: inner.gauges.clone(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.stats()))
-                .collect(),
-            spans: inner
-                .spans
-                .iter()
-                .map(|(k, v)| (k.clone(), v.stats()))
-                .collect(),
-            events: inner.events.clone(),
+            counters: inner.counters,
+            gauges: inner.gauges,
+            histograms,
+            spans,
+            events: inner.events,
             dropped_events: inner.dropped_events,
-            histogram_samples: inner
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.sorted()))
-                .collect(),
-            span_samples: inner
-                .spans
-                .iter()
-                .map(|(k, v)| (k.clone(), v.sorted()))
-                .collect(),
+            histogram_samples,
+            span_samples,
         }
     }
 
