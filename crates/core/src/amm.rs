@@ -26,8 +26,8 @@ use spinamm_cmos::{DtcsDac, Tech45};
 use spinamm_crossbar::{CachedParasiticCrossbar, CrossbarArray, PatternRetryReport, RowDrive};
 use spinamm_faults::{FaultMap, LineDefect, StuckKind};
 use spinamm_memristor::{LevelMap, RetryPolicy, WriteScheme};
-use spinamm_telemetry::{NoopRecorder, Recorder};
-use spinamm_trace::TraceCtx;
+use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
+use spinamm_trace::Probe;
 use std::sync::{Arc, OnceLock};
 
 /// How faithfully the crossbar is evaluated.
@@ -264,7 +264,7 @@ impl AssociativeMemoryModule {
         let write = WriteScheme::new(p.write_tolerance)?;
         let mut array = CrossbarArray::new(rows, total_cols, p.memristor_limits)?;
         {
-            let _program_span = recorder.span("build.program");
+            let _program = recorder.span(Layer::PROGRAM);
             for (j, pattern) in patterns.iter().enumerate() {
                 array.program_pattern_with(j, pattern, &map, &write, &mut rng, recorder)?;
             }
@@ -452,7 +452,7 @@ impl AssociativeMemoryModule {
             return Ok(Arc::clone(kernel));
         }
         let kernel = {
-            let _span = recorder.span("plan.compile");
+            let _compile = recorder.span(Layer::COMPILE);
             recorder.counter("plan.compiles", 1);
             Arc::new(Kernel::build(self)?)
         };
@@ -538,13 +538,12 @@ impl AssociativeMemoryModule {
     /// cached evaluator is order-independent (deterministic full restamp,
     /// fixed warm-start reference, stable preconditioner), every readout is
     /// bit-identical to what a sequential loop would produce.
-    fn evaluate_batch<T: Recorder + Sync>(
+    fn evaluate_batch<R: Recorder + Sync>(
         &mut self,
         kernel: &Kernel,
         inputs: &[&[u32]],
         workers_hint: usize,
-        recorder: &T,
-        trace: TraceCtx<'_>,
+        probe: &Probe<'_, R>,
     ) -> Result<Vec<QueryEvaluation>, CoreError> {
         let Some((first, rest)) = inputs.split_first() else {
             return Ok(Vec::new());
@@ -552,16 +551,16 @@ impl AssociativeMemoryModule {
         let array = &self.array;
         // Only the first query carries restamp/solve sub-spans.
         let mut out = Vec::with_capacity(inputs.len());
-        out.push(kernel.evaluate(&mut self.parasitic, array, first, recorder, trace)?);
+        out.push(kernel.evaluate(&mut self.parasitic, array, first, probe)?);
         let mut workers = 1;
         if kernel.solves() {
             workers = workers_hint.min(rest.len());
-            trace.attr("workers", workers as f64);
+            probe.trace_attr("workers", workers as f64);
         }
+        let recorder = &probe.without_trace();
         if workers <= 1 {
             for q in rest {
-                let eval = kernel.evaluate(&mut self.parasitic, array, q, recorder, TraceCtx::NONE);
-                out.push(eval?);
+                out.push(kernel.evaluate(&mut self.parasitic, array, q, recorder)?);
             }
             return Ok(out);
         }
@@ -574,9 +573,7 @@ impl AssociativeMemoryModule {
                     s.spawn(move || {
                         queries
                             .iter()
-                            .map(|q| {
-                                kernel.evaluate(&mut worker, array, q, recorder, TraceCtx::NONE)
-                            })
+                            .map(|q| kernel.evaluate(&mut worker, array, q, recorder))
                             .collect()
                     })
                 })
@@ -624,11 +621,10 @@ impl AssociativeMemoryModule {
         levels: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<RecallResult, CoreError> {
-        let recorder = req.recorder();
-        let _total_span = recorder.span("recall.total");
-        let scope = req.trace_binding().begin("recall");
-        let eval = self.evaluate_query_inner(levels, recorder, scope.ctx())?;
-        self.select_winner_inner(eval, recorder, scope.ctx())
+        let probe = req.begin(Layer::RECALL);
+        let eval = self.evaluate_query_inner(levels, &probe)?;
+        self.kernel(&probe)?
+            .select(&self.wta, &mut self.rng, eval, &probe)
     }
 
     /// Runs the RNG-free first phase of one recognition: input validation
@@ -648,25 +644,22 @@ impl AssociativeMemoryModule {
         levels: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<QueryEvaluation, CoreError> {
-        self.evaluate_query_inner(levels, req.recorder(), req.trace_binding().join_ctx())
+        self.evaluate_query_inner(levels, &req.probe())
     }
 
     fn evaluate_query_inner<T: Recorder>(
         &mut self,
         levels: &[u32],
         recorder: &T,
-        trace: TraceCtx<'_>,
     ) -> Result<QueryEvaluation, CoreError> {
         let kernel = {
-            let _drive_span = recorder.span("recall.drive");
-            let _drive_phase = trace.phase("drive");
+            let _drive = recorder.span(Layer::DRIVE);
             let kernel = self.kernel(recorder)?;
             kernel.check(levels)?;
             kernel
         };
-        let _settle_span = recorder.span("recall.settle");
-        let _settle_phase = trace.phase("settle");
-        kernel.evaluate(&mut self.parasitic, &self.array, levels, recorder, trace)
+        let _settle = recorder.span(Layer::SETTLE);
+        kernel.evaluate(&mut self.parasitic, &self.array, levels, recorder)
     }
 
     /// Runs the RNG-consuming second phase of one recognition: fault
@@ -684,17 +677,9 @@ impl AssociativeMemoryModule {
         eval: QueryEvaluation,
         req: &RecallRequest<'_, R>,
     ) -> Result<RecallResult, CoreError> {
-        self.select_winner_inner(eval, req.recorder(), req.trace_binding().join_ctx())
-    }
-
-    fn select_winner_inner<T: Recorder>(
-        &mut self,
-        eval: QueryEvaluation,
-        recorder: &T,
-        trace: TraceCtx<'_>,
-    ) -> Result<RecallResult, CoreError> {
-        self.kernel(recorder)?
-            .select(&self.wta, &mut self.rng, eval, recorder, trace)
+        let probe = req.probe();
+        self.kernel(&probe)?
+            .select(&self.wta, &mut self.rng, eval, &probe)
     }
 
     /// The interpreted reference implementation of
@@ -815,36 +800,33 @@ impl AssociativeMemoryModule {
         inputs: &[S],
         req: &RecallRequest<'_, R>,
     ) -> Result<Vec<RecallResult>, CoreError> {
-        let recorder = req.recorder();
-        let _batch_span = recorder.span("recall.batch");
         // One trace covers the whole batch: phase-level spans plus
         // restamp/solve detail for the master query, so the span count is
         // bounded no matter how many queries ride along.
-        let scope = req.trace_binding().begin("recall.batch");
-        scope.attr("queries", inputs.len() as f64);
+        let probe = req.begin(Layer::RECALL_BATCH);
+        probe.trace_attr("queries", inputs.len() as f64);
         let inputs: Vec<&[u32]> = inputs.iter().map(AsRef::as_ref).collect();
         // Validate every input before any query runs.
         let kernel = {
-            let _drive_span = recorder.span("recall.drive");
-            let _drive_phase = scope.phase("drive");
-            let kernel = self.kernel(recorder)?;
+            let _drive = probe.span(Layer::DRIVE);
+            let kernel = self.kernel(&probe)?;
             for levels in &inputs {
                 kernel.check(levels)?;
             }
             kernel
         };
         let evaluated = {
-            let _settle_span = recorder.span("recall.settle");
-            let _settle_phase = scope.phase("settle");
-            self.evaluate_batch(&kernel, &inputs, req.batch_workers(), recorder, scope.ctx())?
+            let _settle = probe.span(Layer::SETTLE);
+            self.evaluate_batch(&kernel, &inputs, req.batch_workers(), &probe)?
         };
         // Sequential select, consuming the RNG in query order. Per-query
-        // convert/select spans are suppressed for the same bounded-size
-        // reason; the "select" phase covers the whole loop.
-        let _select_phase = scope.phase("select");
+        // convert/select spans stay out of the trace for the same
+        // bounded-size reason; one "select" span covers the whole loop.
+        let _select = probe.span(Layer::BATCH_SELECT);
+        let recorder = &probe.without_trace();
         evaluated
             .into_iter()
-            .map(|eval| kernel.select(&self.wta, &mut self.rng, eval, recorder, TraceCtx::NONE))
+            .map(|eval| kernel.select(&self.wta, &mut self.rng, eval, recorder))
             .collect()
     }
 

@@ -55,7 +55,7 @@ use crate::energy::EnergyBreakdown;
 use crate::request::RecallRequest;
 use crate::CoreError;
 use spinamm_circuit::units::Seconds;
-use spinamm_telemetry::Recorder;
+use spinamm_telemetry::{Layer, Recorder};
 
 /// Identifies one crossbar tile within a [`TiledAmm`] pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -442,7 +442,7 @@ impl TiledAmm {
         inputs: &[S],
         req: &RecallRequest<'_, R>,
     ) -> Result<Vec<TiledRecall>, CoreError> {
-        let _span = req.recorder().span("capacity.batch");
+        let _span = req.recorder().span(Layer::CAPACITY_BATCH);
         if inputs.is_empty() {
             return Ok(Vec::new());
         }

@@ -12,7 +12,8 @@ use crate::amm::{AmmConfig, AssociativeMemoryModule, QueryEvaluation, RecallResu
 use crate::energy::EnergyBreakdown;
 use crate::request::RecallRequest;
 use crate::CoreError;
-use spinamm_telemetry::Recorder;
+use spinamm_telemetry::{Layer, Recorder};
+use std::time::Instant;
 
 /// A two-level clustered associative memory.
 ///
@@ -258,19 +259,17 @@ impl HierarchicalAmm {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        let _span = req.recorder().span("hierarchy.batch");
         // The hierarchical batch is one traced request; both levels run
-        // with tracing stripped and contribute externally timed spans
-        // (stage A as a whole, then one span per active cluster).
-        let scope = req.trace_binding().begin("hierarchy.batch");
-        scope.attr("queries", inputs.len() as f64);
+        // with tracing stripped and contribute one span each (stage A as a
+        // whole, then one span per active cluster).
+        let probe = req.begin(Layer::HIERARCHY_BATCH);
+        probe.trace_attr("queries", inputs.len() as f64);
         let inner = req.untraced();
         // Stage A: centroid match for every query, in order.
-        let top_t0 = scope.active().then(std::time::Instant::now);
-        let top_results = self.top.recall_batch_request(inputs, &inner)?;
-        if let Some(t0) = top_t0 {
-            scope.span_at("hierarchy.top", t0, t0.elapsed(), &[]);
-        }
+        let top_results = {
+            let _top = probe.span(Layer::HIERARCHY_TOP);
+            self.top.recall_batch_request(inputs, &inner)?
+        };
         // Group queries by selected cluster, preserving submission order.
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.clusters.len()];
         for (q, r) in top_results.iter().enumerate() {
@@ -280,7 +279,7 @@ impl HierarchicalAmm {
         // its own scoped thread (independent modules, independent RNGs).
         let mut per_cluster: Vec<Option<Result<Vec<RecallResult>, CoreError>>> =
             (0..self.clusters.len()).map(|_| None).collect();
-        let ctx = scope.ctx();
+        let probe = &probe;
         std::thread::scope(|s| {
             for (c, ((cluster, slot), group)) in self
                 .clusters
@@ -295,16 +294,10 @@ impl HierarchicalAmm {
                 let sub: Vec<&[u32]> = group.iter().map(|&q| inputs[q].as_ref()).collect();
                 let inner = &inner;
                 s.spawn(move || {
-                    let t0 = ctx.active().then(std::time::Instant::now);
+                    let t0 = Instant::now();
                     *slot = Some(cluster.module.recall_batch_request(&sub, inner));
-                    if let Some(t0) = t0 {
-                        ctx.span_at(
-                            "hierarchy.cluster",
-                            t0,
-                            t0.elapsed(),
-                            &[("cluster", c as f64), ("queries", sub.len() as f64)],
-                        );
-                    }
+                    let attrs = [("cluster", c as f64), ("queries", sub.len() as f64)];
+                    probe.span_since(Layer::HIERARCHY_CLUSTER, t0, &attrs);
                 });
             }
         });

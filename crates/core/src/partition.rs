@@ -16,7 +16,7 @@ use crate::energy::EnergyBreakdown;
 use crate::request::RecallRequest;
 use crate::CoreError;
 use spinamm_circuit::units::Seconds;
-use spinamm_telemetry::Recorder;
+use spinamm_telemetry::{Layer, Recorder};
 use std::time::Instant;
 
 /// An associative memory whose rows are partitioned across several modules.
@@ -192,7 +192,10 @@ impl PartitionedAmm {
         inputs: &[S],
         req: &RecallRequest<'_, R>,
     ) -> Result<Vec<PartitionedRecall>, CoreError> {
-        let _span = req.recorder().span("partition.batch");
+        // The partitioned batch is one traced request; segment modules run
+        // with tracing stripped (each would otherwise begin its own
+        // trace) and contribute one span apiece instead.
+        let probe = req.begin(Layer::PARTITION_BATCH);
         for input in inputs {
             if input.as_ref().len() != self.vector_len {
                 return Err(CoreError::InputLengthMismatch {
@@ -204,12 +207,8 @@ impl PartitionedAmm {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        // The partitioned batch is one traced request; segment modules run
-        // with tracing stripped (each would otherwise begin its own
-        // trace) and contribute one externally timed span apiece instead.
-        let scope = req.trace_binding().begin("partition.batch");
-        scope.attr("queries", inputs.len() as f64);
-        scope.attr("segments", self.segments.len() as f64);
+        probe.trace_attr("queries", inputs.len() as f64);
+        probe.trace_attr("segments", self.segments.len() as f64);
         let inner = req.untraced();
         let mut per_seg: Vec<Option<Result<Vec<RecallResult>, CoreError>>> =
             (0..self.segments.len()).map(|_| None).collect();
@@ -219,13 +218,11 @@ impl PartitionedAmm {
                 .iter()
                 .map(|i| &i.as_ref()[seg.start..seg.end])
                 .collect();
-            let t0 = scope.active().then(Instant::now);
+            let segment = probe.span(Layer::PARTITION_SEGMENT);
+            segment.attr("segment", 0.0);
             per_seg[0] = Some(seg.module.recall_batch_request(&sub, &inner));
-            if let Some(t0) = t0 {
-                scope.span_at("partition.segment", t0, t0.elapsed(), &[("segment", 0.0)]);
-            }
         } else {
-            let ctx = scope.ctx();
+            let probe = &probe;
             std::thread::scope(|s| {
                 for (k, (seg, slot)) in self.segments.iter_mut().zip(per_seg.iter_mut()).enumerate()
                 {
@@ -235,16 +232,9 @@ impl PartitionedAmm {
                         .collect();
                     let inner = &inner;
                     s.spawn(move || {
-                        let t0 = ctx.active().then(Instant::now);
+                        let t0 = Instant::now();
                         *slot = Some(seg.module.recall_batch_request(&sub, inner));
-                        if let Some(t0) = t0 {
-                            ctx.span_at(
-                                "partition.segment",
-                                t0,
-                                t0.elapsed(),
-                                &[("segment", k as f64)],
-                            );
-                        }
+                        probe.span_since(Layer::PARTITION_SEGMENT, t0, &[("segment", k as f64)]);
                     });
                 }
             });
@@ -281,25 +271,17 @@ impl PartitionedAmm {
         // Per-shard attribution for an enclosing (engine) trace: segment
         // modules run untraced and each contributes one "shard.settle"
         // span instead of generic drive/settle spans per shard.
-        let ctx = req.trace_binding().join_ctx();
+        let probe = req.probe();
         let inner = req.untraced();
         self.segments
             .iter_mut()
             .enumerate()
             .map(|(k, seg)| {
-                let t0 = ctx.active().then(Instant::now);
-                let eval = seg
-                    .module
-                    .evaluate_query_request(&input[seg.start..seg.end], &inner);
-                if let Some(t0) = t0 {
-                    ctx.span_at(
-                        "shard.settle",
-                        t0,
-                        t0.elapsed(),
-                        &[("shard", k as f64), ("rows", (seg.end - seg.start) as f64)],
-                    );
-                }
-                eval
+                let shard = probe.span(Layer::SHARD_SETTLE);
+                shard.attr("shard", k as f64);
+                shard.attr("rows", (seg.end - seg.start) as f64);
+                seg.module
+                    .evaluate_query_request(&input[seg.start..seg.end], &inner)
             })
             .collect()
     }
@@ -324,7 +306,7 @@ impl PartitionedAmm {
                 what: "one evaluation per segment is required",
             });
         }
-        let ctx = req.trace_binding().join_ctx();
+        let probe = req.probe();
         let inner = req.untraced();
         let results: Vec<RecallResult> = self
             .segments
@@ -332,12 +314,9 @@ impl PartitionedAmm {
             .zip(evals)
             .enumerate()
             .map(|(k, (seg, eval))| {
-                let t0 = ctx.active().then(Instant::now);
-                let result = seg.module.select_winner_request(eval, &inner);
-                if let Some(t0) = t0 {
-                    ctx.span_at("shard.select", t0, t0.elapsed(), &[("shard", k as f64)]);
-                }
-                result
+                let shard = probe.span(Layer::SHARD_SELECT);
+                shard.attr("shard", k as f64);
+                seg.module.select_winner_request(eval, &inner)
             })
             .collect::<Result<_, _>>()?;
         Ok(self.combine(results.iter()))

@@ -70,8 +70,7 @@ use rand_chacha::ChaCha8Rng;
 use spinamm_circuit::units::{Amps, Joules, Seconds, Watts};
 use spinamm_crossbar::{CachedParasiticCrossbar, CrossbarArray, RowDrive};
 use spinamm_spin::{DomainWallNeuron, Polarity};
-use spinamm_telemetry::Recorder;
-use spinamm_trace::TraceCtx;
+use spinamm_telemetry::{Layer, Recorder};
 
 /// How the evaluate phase turns staged levels into column currents.
 #[derive(Debug)]
@@ -245,7 +244,6 @@ impl Kernel {
         array: &CrossbarArray,
         levels: &[u32],
         recorder: &T,
-        trace: TraceCtx<'_>,
     ) -> Result<QueryEvaluation, CoreError> {
         let lc = self.levels;
         match &self.correlate {
@@ -285,7 +283,7 @@ impl Kernel {
                     .enumerate()
                     .map(|(i, &level)| drives[i * lc + level as usize])
                     .collect();
-                let readout = session.evaluate_traced(array, &staged, recorder, trace)?;
+                let readout = session.evaluate_with(array, &staged, recorder)?;
                 Ok(QueryEvaluation {
                     currents: readout.column_currents,
                     rcm_power: readout.dissipated_power,
@@ -296,15 +294,13 @@ impl Kernel {
 
     /// The select phase: condition → convert → select. Consumes `rng`
     /// through the live spin devices of `wta` exactly as the reference's
-    /// `SpinWta` evaluation does, with the same counters, spans and trace
-    /// phases.
+    /// `SpinWta` evaluation does, with the same counters and spans.
     pub(crate) fn select<T: Recorder>(
         &self,
         wta: &SpinWta,
         rng: &mut ChaCha8Rng,
         eval: QueryEvaluation,
         recorder: &T,
-        trace: TraceCtx<'_>,
     ) -> Result<RecallResult, CoreError> {
         let QueryEvaluation {
             mut currents,
@@ -329,21 +325,18 @@ impl Kernel {
                 }
             }
         }
-        if trace.active() {
-            if self.masked_columns > 0 {
-                trace.attr("masked_columns", self.masked_columns as f64);
-            }
-            if self.remapped_columns > 0 {
-                trace.attr("remapped_columns", self.remapped_columns as f64);
-            }
+        if self.masked_columns > 0 {
+            recorder.trace_attr("masked_columns", self.masked_columns as f64);
+        }
+        if self.remapped_columns > 0 {
+            recorder.trace_attr("remapped_columns", self.remapped_columns as f64);
         }
 
         // Convert: per column, clamp → SAR cycle → neuron write → latch
         // sense → DAC energy, as `SpinSarAdc::convert_with` does, with the
         // DAC model replaced by table reads. Energy subtotals start from
         // zero per conversion and sum in column order.
-        let convert_span = recorder.span("recall.convert");
-        let convert_phase = trace.phase("convert");
+        let convert = recorder.span(Layer::CONVERT);
         let bits = self.bits as usize;
         let codes_per_col = 1usize << bits;
         let mut traj = vec![0u32; self.cols * bits];
@@ -391,14 +384,12 @@ impl Kernel {
             energy.latch_sense += latch_energy;
             energy.dac_static += dac_energy;
         }
-        convert_phase.attr("columns", self.cols as f64);
-        drop(convert_phase);
-        drop(convert_span);
+        convert.attr("columns", self.cols as f64);
+        drop(convert);
 
         // Select: the winner tracker's narrowing schedule (Fig. 12), then
         // the lowest-index argmax and result assembly.
-        let _select_span = recorder.span("recall.select");
-        let _select_phase = trace.phase("select");
+        let _select = recorder.span(Layer::SELECT);
         let msb = 1u32 << (self.bits - 1);
         let mut tr: Vec<bool> = (0..self.cols).map(|j| traj[j * bits] & msb != 0).collect();
         for cycle in 1..bits {

@@ -24,8 +24,8 @@
 //! # }
 //! ```
 
-use spinamm_telemetry::{NoopRecorder, Recorder};
-use spinamm_trace::{ReqHandle, TraceBinding, Tracer};
+use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
+use spinamm_trace::{Probe, ReqHandle, TraceBinding, Tracer};
 
 /// Options for one recall-pipeline operation: the telemetry sink plus
 /// execution knobs. Construct with [`RecallRequest::DEFAULT`] (silent) or
@@ -129,6 +129,18 @@ impl<'r, R: Recorder> RecallRequest<'r, R> {
     pub fn trace_binding(&self) -> TraceBinding<'r> {
         self.trace
     }
+
+    /// Scopes one top-level operation of `layer`. See [`Probe::begin`].
+    pub(crate) fn begin(&self, layer: Layer) -> Probe<'r, R> {
+        Probe::begin(self.recorder, self.trace, layer)
+    }
+
+    /// The recorder an evaluate or select half reports into, joined to the
+    /// enclosing engine request's trace. See [`Probe::joined`].
+    #[must_use]
+    pub fn probe(&self) -> Probe<'r, R> {
+        Probe::joined(self.recorder, self.trace)
+    }
 }
 
 impl<R: Recorder> Clone for RecallRequest<'_, R> {
@@ -182,7 +194,7 @@ mod tests {
         assert!(req.untraced().trace_binding().is_off());
         let handle = tracer.begin("engine.recall");
         let joined = RecallRequest::DEFAULT.with_trace_handle(&tracer, handle);
-        assert!(joined.trace_binding().join_ctx().active());
+        assert!(joined.probe().trace_sink().is_some());
         tracer.finish(handle);
     }
 }

@@ -23,8 +23,7 @@ use crate::CoreError;
 use rand::Rng;
 use spinamm_circuit::units::{switched_capacitor_energy, Amps, Farads, Joules, Seconds};
 use spinamm_cmos::Tech45;
-use spinamm_telemetry::{NoopRecorder, Recorder};
-use spinamm_trace::TraceCtx;
+use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
 
 /// The multi-column converter + tracker.
 ///
@@ -167,9 +166,11 @@ impl SpinWta {
     }
 
     /// Like [`SpinWta::evaluate`], recording telemetry on `recorder`: the
-    /// `recall.convert` and `recall.select` span timings, the per-device
-    /// counters from the column ADCs, and `wta.dl_transitions` — one count
-    /// per cycle in which the detection line actually discharged.
+    /// [`Layer::CONVERT`] and [`Layer::SELECT`] spans (traced too when the
+    /// recorder traces a request), the per-device counters from the column
+    /// ADCs, and `wta.dl_transitions` — one count per cycle in which the
+    /// detection line actually discharged. The outcome and RNG stream are
+    /// those of [`SpinWta::evaluate`].
     ///
     /// # Errors
     ///
@@ -180,43 +181,22 @@ impl SpinWta {
         rng: &mut R,
         recorder: &T,
     ) -> Result<WtaOutcome, CoreError> {
-        self.evaluate_traced(currents, rng, recorder, TraceCtx::NONE)
-    }
-
-    /// Like [`SpinWta::evaluate_with`], additionally attaching `"convert"`
-    /// and `"select"` spans to a live per-request trace. Tracing is
-    /// observation-only; RNG consumption and the outcome are bit-identical
-    /// to [`SpinWta::evaluate`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SpinWta::evaluate`].
-    pub fn evaluate_traced<R: Rng + ?Sized, T: Recorder>(
-        &self,
-        currents: &[Amps],
-        rng: &mut R,
-        recorder: &T,
-        trace: TraceCtx<'_>,
-    ) -> Result<WtaOutcome, CoreError> {
         if currents.len() != self.adcs.len() {
             return Err(CoreError::InputLengthMismatch {
                 expected: self.adcs.len(),
                 found: currents.len(),
             });
         }
-        let convert_span = recorder.span("recall.convert");
-        let convert_phase = trace.phase("convert");
+        let convert = recorder.span(Layer::CONVERT);
         let conversions: Vec<AdcConversion> = self
             .adcs
             .iter()
             .zip(currents)
             .map(|(adc, &i)| adc.convert_with(i, rng, recorder))
             .collect::<Result<_, _>>()?;
-        convert_phase.attr("columns", self.adcs.len() as f64);
-        drop(convert_phase);
-        drop(convert_span);
-        let _select_span = recorder.span("recall.select");
-        let _select_phase = trace.phase("select");
+        convert.attr("columns", self.adcs.len() as f64);
+        drop(convert);
+        let _select = recorder.span(Layer::SELECT);
 
         let bits = self.bits();
         let n = self.adcs.len();

@@ -35,8 +35,7 @@ use crate::CrossbarError;
 use spinamm_circuit::prelude::*;
 use spinamm_circuit::units::Amps;
 use spinamm_circuit::{ElementId, PreparedSystem};
-use spinamm_telemetry::{NoopRecorder, Recorder};
-use spinamm_trace::TraceCtx;
+use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
 
 /// Discriminant of a [`RowDrive`] — a cached netlist is only valid for
 /// queries whose per-row drive kinds match the ones it was built for.
@@ -159,9 +158,12 @@ impl CachedParasiticCrossbar {
     /// Like [`CachedParasiticCrossbar::evaluate`], recording the same
     /// solver telemetry as the cold evaluator (`crossbar.solves`,
     /// `crossbar.settle_iterations`, `crossbar.solver_residual`,
-    /// `crossbar.unknowns`) plus the reuse counters
+    /// `crossbar.unknowns`), the reuse counters
     /// `crossbar.netlist_cache_hits`, `circuit.factorization_reuses` and
-    /// `circuit.warm_start_iterations_saved`.
+    /// `circuit.warm_start_iterations_saved`, and [`Layer::RESTAMP`] and
+    /// [`Layer::SOLVE`] spans; the traced solve span carries
+    /// `cg_iterations`, `residual` and `factorization_reused` attributes.
+    /// The readout is that of [`CachedParasiticCrossbar::evaluate`].
     ///
     /// # Errors
     ///
@@ -171,27 +173,6 @@ impl CachedParasiticCrossbar {
         array: &CrossbarArray,
         drives: &[RowDrive],
         recorder: &T,
-    ) -> Result<ColumnReadout, CrossbarError> {
-        self.evaluate_traced(array, drives, recorder, TraceCtx::NONE)
-    }
-
-    /// Like [`CachedParasiticCrossbar::evaluate_with`], additionally
-    /// attaching per-request trace spans when `trace` is live: a
-    /// `"restamp"` span over the value-only restamp and a `"solve"` span
-    /// over the linear solve, the latter carrying `cg_iterations`,
-    /// `residual` and `factorization_reused` attributes. Tracing is
-    /// observation-only; the readout is bit-identical to
-    /// [`CachedParasiticCrossbar::evaluate`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CachedParasiticCrossbar::evaluate`].
-    pub fn evaluate_traced<T: Recorder>(
-        &mut self,
-        array: &CrossbarArray,
-        drives: &[RowDrive],
-        recorder: &T,
-        trace: TraceCtx<'_>,
     ) -> Result<ColumnReadout, CrossbarError> {
         if drives.len() != array.rows() {
             return Err(CrossbarError::InputLengthMismatch {
@@ -220,8 +201,7 @@ impl CachedParasiticCrossbar {
         let session = self.session.as_mut().expect("session built above");
 
         // Value-only restamp: every setter no-ops on unchanged values.
-        let restamp_span = recorder.span("crossbar.restamp_ns");
-        let restamp_phase = trace.phase("restamp");
+        let restamp = recorder.span(Layer::RESTAMP);
         for i in 0..session.rows {
             for j in 0..session.cols {
                 let g = array.conductance(i, j).expect("bounded by construction");
@@ -251,14 +231,13 @@ impl CachedParasiticCrossbar {
                 }
             }
         }
-        drop(restamp_phase);
-        drop(restamp_span);
+        drop(restamp);
 
-        let solve_phase = trace.phase("solve");
+        let solve = recorder.span(Layer::SOLVE);
         let (sol, report) = session.prepared.solve_report()?;
-        solve_phase.attr("cg_iterations", report.stats.iterations as f64);
-        solve_phase.attr("residual", report.stats.residual);
-        solve_phase.attr(
+        solve.attr("cg_iterations", report.stats.iterations as f64);
+        solve.attr("residual", report.stats.residual);
+        solve.attr(
             "factorization_reused",
             if report.factorization_reused {
                 1.0
@@ -266,7 +245,7 @@ impl CachedParasiticCrossbar {
                 0.0
             },
         );
-        drop(solve_phase);
+        drop(solve);
         recorder.counter("crossbar.solves", 1);
         recorder.counter("crossbar.settle_iterations", report.stats.iterations as u64);
         recorder.gauge("crossbar.solver_residual", report.stats.residual);

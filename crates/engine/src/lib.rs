@@ -65,7 +65,7 @@ use spinamm_core::hierarchy::{HierarchicalAmm, HierarchicalRecall};
 use spinamm_core::partition::{PartitionedAmm, PartitionedRecall};
 use spinamm_core::request::RecallRequest;
 use spinamm_core::CoreError;
-use spinamm_telemetry::{NoopRecorder, Recorder};
+use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
 use spinamm_trace::{ReqHandle, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
@@ -444,14 +444,14 @@ impl Deployment {
             (Deployment::Hierarchical(h), Evaluation::Hierarchical(eval)) => {
                 let top = h.select_top_request(eval, req)?;
                 let cluster = top.raw_winner;
-                let ctx = req.trace_binding().join_ctx();
+                let probe = req.probe();
                 let member = {
-                    let phase = ctx.phase("evaluate.member");
-                    phase.attr("cluster", cluster as f64);
+                    let span = probe.span(Layer::MEMBER_EVALUATE);
+                    span.attr("cluster", cluster as f64);
                     h.evaluate_member_request(cluster, input, req)?
                 };
-                let phase = ctx.phase("select.member");
-                phase.attr("cluster", cluster as f64);
+                let span = probe.span(Layer::MEMBER_SELECT);
+                span.attr("cluster", cluster as f64);
                 h.select_member_request(cluster, member, &top, req)
                     .map(EngineResponse::Hierarchical)
             }
@@ -684,30 +684,30 @@ fn worker_loop(
     out: &mpsc::Sender<Evaluated>,
 ) {
     let recorder = &shared.recorder;
+    let jobs_series = format!("engine.worker.{idx}.jobs");
+    let utilization_series = format!("engine.worker.{idx}.utilization");
     let started = Instant::now();
     let mut busy = 0.0f64;
     while let Some(job) = shared.next_job() {
-        let wait = job.submitted.elapsed();
         if recorder.is_enabled() {
+            let wait = job.submitted.elapsed();
             recorder.observe("engine.queue_wait_ns", wait.as_secs_f64() * 1e9);
         }
         let req = shared.request(job.trace);
-        let ctx = req.trace_binding().join_ctx();
-        ctx.span_at("queue_wait", job.submitted, wait, &[("worker", idx as f64)]);
+        let probe = req.probe();
+        probe.span_since(Layer::QUEUE_WAIT, job.submitted, &[("worker", idx as f64)]);
         let t0 = Instant::now();
         let evaluation = {
-            let phase = ctx.phase("evaluate");
-            phase.attr("worker", idx as f64);
+            let span = probe.span(Layer::ENGINE_EVALUATE);
+            span.attr("worker", idx as f64);
             deployment.evaluate(&job.input, &req)
         };
         if recorder.is_enabled() {
-            let dt = t0.elapsed().as_secs_f64();
-            busy += dt;
-            recorder.record_span("engine.settle", dt);
-            recorder.counter(&format!("engine.worker.{idx}.jobs"), 1);
+            busy += t0.elapsed().as_secs_f64();
+            recorder.counter(&jobs_series, 1);
             let total = started.elapsed().as_secs_f64();
             if total > 0.0 {
-                recorder.gauge(&format!("engine.worker.{idx}.utilization"), busy / total);
+                recorder.gauge(&utilization_series, busy / total);
             }
             shared.gauge_depth();
         }
@@ -753,7 +753,6 @@ fn sequencer_loop(
     mut master: Deployment,
     rx: &mpsc::Receiver<Evaluated>,
 ) -> Deployment {
-    let recorder = &shared.recorder;
     let mut pending: BTreeMap<u64, Evaluated> = BTreeMap::new();
     let mut next: u64 = 0;
     while let Ok(evaluated) = rx.recv() {
@@ -762,15 +761,9 @@ fn sequencer_loop(
             next += 1;
             let response = evaluation.and_then(|evaluation| {
                 let req = shared.request(job.trace);
-                let t0 = recorder.is_enabled().then(Instant::now);
-                let response = {
-                    let _phase = req.trace_binding().join_ctx().phase("select");
-                    master.select(evaluation, &job.input, &req)
-                };
-                if let Some(t0) = t0 {
-                    recorder.record_span("engine.select", t0.elapsed().as_secs_f64());
-                }
-                response
+                let probe = req.probe();
+                let _select = probe.span(Layer::ENGINE_SELECT);
+                master.select(evaluation, &job.input, &req)
             });
             respond(shared, job, response.map_err(EngineError::from));
         }

@@ -188,3 +188,146 @@ fn engine_without_tracer_records_no_traces() {
     // Nothing to assert beyond "no panic": the default engine carries no
     // tracer and the disabled-handle paths must all be inert.
 }
+
+/// Span trees and recorder series the observability surface promises:
+/// exact `(depth, name)` sequences per entry point, and the span series
+/// a fragment caller (evaluate + select) reads from its recorder.
+#[test]
+fn span_trees_and_series_names_are_pinned() {
+    use spinamm_core::request::RecallRequest;
+
+    let module_tree = |fidelity: Fidelity| -> Vec<(u16, &'static str)> {
+        if fidelity == Fidelity::Parasitic {
+            vec![
+                (0, "drive"),
+                (0, "settle"),
+                (1, "restamp"),
+                (1, "solve"),
+                (0, "convert"),
+                (0, "select"),
+            ]
+        } else {
+            vec![(0, "drive"), (0, "settle"), (0, "convert"), (0, "select")]
+        }
+    };
+    let at = |fidelity: Fidelity| AmmConfig {
+        fidelity,
+        ..AmmConfig::default()
+    };
+    let p = patterns(4, 12);
+    let inputs = queries(&p, 3);
+
+    for fidelity in [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic] {
+        let mut module = AssociativeMemoryModule::build(&p, &at(fidelity)).unwrap();
+        let tracer = Tracer::new(&TraceConfig::default());
+        let req = RecallRequest::DEFAULT.with_tracer(&tracer);
+        module.recall_request(&inputs[0], &req).unwrap();
+        let traces = tracer.traces();
+        assert_eq!(traces.len(), 1);
+        assert_eq!(traces[0].kind, "recall");
+        assert_eq!(traces[0].structure(), module_tree(fidelity), "{fidelity:?}");
+
+        let tracer = Tracer::new(&TraceConfig::default());
+        let req = RecallRequest::DEFAULT.with_tracer(&tracer).with_workers(2);
+        module.recall_batch_request(&inputs, &req).unwrap();
+        let traces = tracer.traces();
+        assert_eq!(traces.len(), 1);
+        assert_eq!(traces[0].kind, "recall.batch");
+        let mut want = module_tree(fidelity);
+        want.retain(|&span| span != (0, "convert"));
+        assert_eq!(traces[0].structure(), want, "{fidelity:?} batch");
+    }
+
+    let cfg = at(Fidelity::Parasitic);
+    let engine_trees = |deployment: Deployment, inputs: &[Vec<u32>]| {
+        let (engine, tracer) = traced_engine(deployment, 2);
+        engine.recall_many(inputs).unwrap();
+        engine.shutdown();
+        let traces = tracer.traces();
+        assert_eq!(traces.len(), inputs.len());
+        assert!(traces.iter().all(|t| t.kind == "engine.recall"));
+        traces.iter().map(|t| t.structure()).collect::<Vec<_>>()
+    };
+    let flat = vec![
+        (0, "queue_wait"),
+        (0, "evaluate"),
+        (1, "drive"),
+        (1, "settle"),
+        (2, "restamp"),
+        (2, "solve"),
+        (0, "select"),
+        (1, "convert"),
+        (1, "select"),
+    ];
+    let module = AssociativeMemoryModule::build(&p, &cfg).unwrap();
+    for tree in engine_trees(Deployment::Flat(module), &inputs) {
+        assert_eq!(tree, flat);
+    }
+
+    let mut partitioned = vec![(0, "queue_wait"), (0, "evaluate")];
+    partitioned.extend([(1, "shard.settle"); 3]);
+    partitioned.push((0, "select"));
+    partitioned.extend([(1, "shard.select"); 3]);
+    let part = PartitionedAmm::build(&p, 3, &cfg).unwrap();
+    for tree in engine_trees(Deployment::Partitioned(part), &inputs) {
+        assert_eq!(tree, partitioned);
+    }
+
+    let mut hierarchical = flat.clone();
+    hierarchical.extend([
+        (1, "evaluate.member"),
+        (2, "drive"),
+        (2, "settle"),
+        (3, "restamp"),
+        (3, "solve"),
+        (1, "select.member"),
+        (2, "convert"),
+        (2, "select"),
+    ]);
+    let hp = patterns(6, 12);
+    let hier = HierarchicalAmm::build(&hp, 2, &cfg).unwrap();
+    for tree in engine_trees(Deployment::Hierarchical(hier), &queries(&hp, 3)) {
+        assert_eq!(tree, hierarchical);
+    }
+
+    // The fragment path a benchmark times: evaluate + select on a module
+    // built without the recorder, so the kernel compiles inside it.
+    let mut module = AssociativeMemoryModule::build(&p, &cfg).unwrap();
+    let recorder = MemoryRecorder::default();
+    let req = RecallRequest::recorded(&recorder);
+    let eval = module.evaluate_query_request(&inputs[0], &req).unwrap();
+    module.select_winner_request(eval, &req).unwrap();
+    let snap = recorder.snapshot();
+    let series: Vec<(&str, u64)> = snap
+        .spans
+        .iter()
+        .map(|(name, stats)| (name.as_str(), stats.count))
+        .collect();
+    assert_eq!(
+        series,
+        [
+            ("crossbar.restamp_ns", 1),
+            ("plan.compile", 1),
+            ("recall.convert", 1),
+            ("recall.drive", 1),
+            ("recall.select", 1),
+            ("recall.settle", 1),
+        ]
+    );
+    assert!(snap.span_stats("recall.total").is_none());
+
+    let recorder = Arc::new(MemoryRecorder::default());
+    let module = AssociativeMemoryModule::build(&p, &cfg).unwrap();
+    let engine = RecallEngine::with_recorder(
+        Deployment::Flat(module),
+        &EngineConfig::builder().workers(2).queue_capacity(4).build(),
+        recorder.clone(),
+    );
+    engine.recall_many(&inputs).unwrap();
+    engine.shutdown();
+    let gauges = recorder.snapshot().gauges;
+    assert!(
+        (0..2).any(|i| gauges.contains_key(&format!("engine.worker.{i}.utilization"))),
+        "{gauges:?}"
+    );
+}

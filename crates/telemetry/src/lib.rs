@@ -8,6 +8,11 @@
 //! span timings and structured events into a queryable
 //! [`TelemetrySnapshot`] with JSON and table rendering.
 //!
+//! Each instrumented stage is one [`Layer`] — the table where every span
+//! name lives — and one call, `recorder.span(Layer::SETTLE)`, which times
+//! the layer's series and, while the recorder traces a request
+//! ([`Recorder::trace_sink`]), keeps the layer's trace span open.
+//!
 //! Telemetry is strictly observation-only: recorders receive copies of
 //! values the pipeline already computed and can never feed anything back,
 //! so enabling one cannot change a numeric result.
@@ -15,11 +20,11 @@
 //! # Example
 //!
 //! ```
-//! use spinamm_telemetry::{MemoryRecorder, Recorder};
+//! use spinamm_telemetry::{Layer, MemoryRecorder, Recorder};
 //!
 //! let recorder = MemoryRecorder::default();
 //! {
-//!     let _span = recorder.span("recall.total");
+//!     let _span = recorder.span(Layer::RECALL);
 //!     recorder.counter("adc.sar_cycles", 5);
 //!     recorder.observe("recall.dom", 27.0);
 //! }
@@ -29,10 +34,12 @@
 //! ```
 
 pub mod json;
+mod layer;
 mod memory;
 mod recorder;
 mod snapshot;
 
+pub use layer::Layer;
 pub use memory::MemoryRecorder;
-pub use recorder::{NoopRecorder, Recorder, Span};
+pub use recorder::{NoopRecorder, Recorder, Span, TraceSink};
 pub use snapshot::{HistStats, TelemetryEvent, TelemetrySnapshot};

@@ -6,7 +6,8 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Retained samples per histogram/span; `count`/`sum`/`min`/`max` stay
-/// exact beyond the cap, percentiles come from the retained prefix.
+/// exact beyond the cap, percentiles come from the most recent
+/// `SAMPLE_CAP` samples (each new sample overwrites the oldest).
 const SAMPLE_CAP: usize = 65_536;
 
 /// Retained structured events; later events are counted but dropped.
@@ -34,10 +35,12 @@ impl Series {
         self.sum += value;
         if self.samples.len() < SAMPLE_CAP {
             self.samples.push(value);
+        } else {
+            self.samples[((self.count - 1) % SAMPLE_CAP as u64) as usize] = value;
         }
     }
 
-    /// Sorts the retained samples once and derives the stats from that
+    /// Sorts the most recent samples once and derives the stats from that
     /// sort; returns both.
     fn summarize(mut self) -> (HistStats, Vec<f64>) {
         self.samples.sort_by(f64::total_cmp);
@@ -225,6 +228,23 @@ mod tests {
         assert_eq!(percentile(&sorted, 0.95), 95.0);
         assert_eq!(percentile(&[7.0], 0.5), 7.0);
         assert!(percentile(&[], 0.5).is_nan());
+    }
+
+    #[test]
+    fn percentiles_follow_samples_past_the_cap() {
+        let r = MemoryRecorder::default();
+        for _ in 0..SAMPLE_CAP {
+            r.observe("h", 1.0);
+        }
+        for _ in 0..10_000 {
+            r.observe("h", 100.0);
+        }
+        let s = r.snapshot();
+        let h = s.histogram_stats("h").unwrap();
+        assert_eq!(h.count, SAMPLE_CAP as u64 + 10_000);
+        assert_eq!((h.min, h.max), (1.0, 100.0));
+        assert_eq!(h.p50, 1.0);
+        assert_eq!(h.p99, 100.0);
     }
 
     #[test]

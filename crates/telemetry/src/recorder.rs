@@ -1,7 +1,22 @@
-//! The [`Recorder`] sink trait, the zero-cost [`NoopRecorder`] and the
-//! scoped [`Span`] timer guard.
+//! The [`Recorder`] and [`TraceSink`] traits, the zero-cost
+//! [`NoopRecorder`], and the scoped [`Span`] guard that feeds both sinks.
 
+use crate::Layer;
 use std::time::Instant;
+
+/// The span tree of the one request traced through a recorder. [`Span`]
+/// guards drive it; instrumented code never calls it directly.
+pub trait TraceSink {
+    /// Opens a span nested in whatever span is open.
+    fn open(&self, name: &'static str);
+
+    /// Closes the innermost open span.
+    fn close(&self);
+
+    /// Attaches an attribute to the innermost open span, or to the request
+    /// when none is open.
+    fn attr(&self, key: &'static str, value: f64);
+}
 
 /// A sink for instrumentation data.
 ///
@@ -32,15 +47,39 @@ pub trait Recorder {
     /// with its DOM margin).
     fn event(&self, name: &str, fields: &[(&str, f64)]);
 
-    /// Starts a scoped wall-clock timer that reports into `name` on drop.
-    fn span(&self, name: &'static str) -> Span<'_, Self>
+    /// The span tree this recorder also reports into: `Some` only while a
+    /// sampled request is traced through it.
+    fn trace_sink(&self) -> Option<&dyn TraceSink> {
+        None
+    }
+
+    /// Attaches a trace attribute to the open span (or the request), if any.
+    fn trace_attr(&self, key: &'static str, value: f64) {
+        if let Some(sink) = self.trace_sink() {
+            sink.attr(key, value);
+        }
+    }
+
+    /// Starts the scoped guard of one `layer`: it times the layer's series
+    /// when this recorder is enabled and, while a request is traced, keeps
+    /// the layer's trace span open until it drops.
+    fn span(&self, layer: Layer) -> Span<'_, Self>
     where
         Self: Sized,
     {
+        let timed = layer
+            .series()
+            .filter(|_| self.is_enabled())
+            .map(|series| (series, Instant::now()));
+        let trace = layer.trace_name().and_then(|name| {
+            let sink = self.trace_sink()?;
+            sink.open(name);
+            Some(sink)
+        });
         Span {
             recorder: self,
-            name,
-            start: self.is_enabled().then(Instant::now),
+            timed,
+            trace,
         }
     }
 }
@@ -105,6 +144,11 @@ impl<R: Recorder + ?Sized> Recorder for &R {
     fn event(&self, name: &str, fields: &[(&str, f64)]) {
         (**self).event(name, fields);
     }
+
+    #[inline]
+    fn trace_sink(&self) -> Option<&dyn TraceSink> {
+        (**self).trace_sink()
+    }
 }
 
 /// Forwarding impl so long-lived services (e.g. a recall engine) can share
@@ -140,23 +184,41 @@ impl<R: Recorder + ?Sized> Recorder for std::sync::Arc<R> {
     fn event(&self, name: &str, fields: &[(&str, f64)]) {
         (**self).event(name, fields);
     }
+
+    #[inline]
+    fn trace_sink(&self) -> Option<&dyn TraceSink> {
+        (**self).trace_sink()
+    }
 }
 
-/// RAII span timer: measures wall time from creation to drop and reports it
-/// via [`Recorder::record_span`]. When the recorder is disabled no clock is
-/// read at all.
+/// RAII guard of one [`Layer`], from [`Recorder::span`]: on drop it closes
+/// the trace span it opened, if any, and reports its wall time via
+/// [`Recorder::record_span`]. A disabled recorder reads no clock at all.
 #[must_use = "a span reports its timing when dropped; binding it to _ ends it immediately"]
 pub struct Span<'a, R: Recorder> {
     recorder: &'a R,
-    name: &'static str,
-    start: Option<Instant>,
+    timed: Option<(&'static str, Instant)>,
+    trace: Option<&'a dyn TraceSink>,
+}
+
+impl<R: Recorder> Span<'_, R> {
+    /// Attaches an attribute to this guard's trace span; a no-op when the
+    /// span is not traced.
+    pub fn attr(&self, key: &'static str, value: f64) {
+        if let Some(sink) = self.trace {
+            sink.attr(key, value);
+        }
+    }
 }
 
 impl<R: Recorder> Drop for Span<'_, R> {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
+        if let Some(sink) = self.trace {
+            sink.close();
+        }
+        if let Some((series, start)) = self.timed {
             self.recorder
-                .record_span(self.name, start.elapsed().as_secs_f64());
+                .record_span(series, start.elapsed().as_secs_f64());
         }
     }
 }
@@ -174,7 +236,7 @@ mod tests {
         r.gauge("b", 2.0);
         r.observe("c", 3.0);
         r.event("d", &[("x", 1.0)]);
-        let _span = r.span("e");
+        let _span = r.span(Layer::SETTLE);
     }
 
     #[test]
@@ -184,11 +246,11 @@ mod tests {
         assert!(by_ref.is_enabled());
         by_ref.counter("n", 2);
         {
-            let _span = by_ref.span("s");
+            let _span = by_ref.span(Layer::SETTLE);
         }
         let snap = r.snapshot();
         assert_eq!(snap.counter("n"), 2);
-        assert_eq!(snap.span_stats("s").unwrap().count, 1);
+        assert_eq!(snap.span_stats("recall.settle").unwrap().count, 1);
     }
 
     #[test]
@@ -202,11 +264,11 @@ mod tests {
         shared.observe("h", 0.25);
         shared.event("e", &[("x", 1.0)]);
         {
-            let _span = shared.span("s");
+            let _span = shared.span(Layer::SETTLE);
         }
         let snap = r.snapshot();
         assert_eq!(snap.counter("n"), 3);
-        assert_eq!(snap.span_stats("s").unwrap().count, 1);
+        assert_eq!(snap.span_stats("recall.settle").unwrap().count, 1);
         assert_eq!(snap.histogram_stats("h").unwrap().count, 1);
     }
 
@@ -214,14 +276,14 @@ mod tests {
     fn nested_spans_record_independently() {
         let r = MemoryRecorder::default();
         {
-            let _outer = r.span("outer");
+            let _outer = r.span(Layer::RECALL);
             for _ in 0..3 {
-                let _inner = r.span("inner");
+                let _inner = r.span(Layer::SETTLE);
             }
         }
         let snap = r.snapshot();
-        assert_eq!(snap.span_stats("outer").unwrap().count, 1);
-        assert_eq!(snap.span_stats("inner").unwrap().count, 3);
-        assert!(snap.span_stats("outer").unwrap().sum >= 0.0);
+        assert_eq!(snap.span_stats("recall.total").unwrap().count, 1);
+        assert_eq!(snap.span_stats("recall.settle").unwrap().count, 3);
+        assert!(snap.span_stats("recall.total").unwrap().sum >= 0.0);
     }
 }

@@ -15,15 +15,15 @@ pub struct HistStats {
     pub min: f64,
     /// Largest sample.
     pub max: f64,
-    /// Median (nearest rank over retained samples).
+    /// Median (nearest rank over the most recent samples).
     pub p50: f64,
-    /// 90th percentile (nearest rank over retained samples).
+    /// 90th percentile (nearest rank over the most recent samples).
     pub p90: f64,
-    /// 95th percentile (nearest rank over retained samples).
+    /// 95th percentile (nearest rank over the most recent samples).
     pub p95: f64,
-    /// 99th percentile (nearest rank over retained samples).
+    /// 99th percentile (nearest rank over the most recent samples).
     pub p99: f64,
-    /// 99.9th percentile (nearest rank over retained samples).
+    /// 99.9th percentile (nearest rank over the most recent samples).
     pub p999: f64,
 }
 
@@ -78,10 +78,10 @@ pub struct TelemetrySnapshot {
     pub events: Vec<TelemetryEvent>,
     /// Events dropped once the retention cap was hit.
     pub dropped_events: u64,
-    /// Retained histogram samples, ascending-sorted per name — the basis
-    /// of [`TelemetrySnapshot::percentile`] at arbitrary quantiles.
+    /// The most recent histogram samples, ascending-sorted per name — the
+    /// basis of [`TelemetrySnapshot::percentile`] at arbitrary quantiles.
     pub histogram_samples: BTreeMap<String, Vec<f64>>,
-    /// Retained span samples (seconds), ascending-sorted per name.
+    /// The most recent span samples (seconds), ascending-sorted per name.
     pub span_samples: BTreeMap<String, Vec<f64>>,
 }
 
@@ -106,7 +106,7 @@ impl TelemetrySnapshot {
 
     /// Nearest-rank percentile of a histogram (or, when no histogram has
     /// the name, a span series) at an arbitrary quantile `q ∈ [0, 1]`,
-    /// computed over the retained samples. Returns `NaN` for an unknown
+    /// computed over the most recent samples. Returns `NaN` for an unknown
     /// name or an empty series; a single-sample series answers that sample
     /// for every `q`.
     #[must_use]

@@ -2,14 +2,14 @@
 //! that must hold for *any* recorded series, not just hand-picked examples.
 
 use proptest::prelude::*;
-use spinamm_telemetry::{json, MemoryRecorder, Recorder};
+use spinamm_telemetry::{json, Layer, MemoryRecorder, Recorder};
 
 /// Nests `depth` spans recursively, opening `width` siblings at each level.
 fn nest_spans(r: &MemoryRecorder, depth: usize, width: usize) {
     if depth == 0 {
         return;
     }
-    let _guard = r.span("prop.nest");
+    let _guard = r.span(Layer::SETTLE);
     for _ in 0..width {
         nest_spans(r, depth - 1, width);
     }
@@ -52,7 +52,7 @@ proptest! {
             layer *= width as u64;
         }
         // The recursion opens one span per call with depth > 0.
-        match snap.span_stats("prop.nest") {
+        match snap.span_stats("recall.settle") {
             Some(s) => prop_assert_eq!(s.count, expected),
             None => prop_assert_eq!(expected, 0),
         }

@@ -18,23 +18,25 @@
 //!   loadable in Perfetto) plus a span-aggregate "flamegraph table"
 //!   ([`Tracer::phase_rows`], self/total time per phase).
 //!
-//! The pipeline crates never talk to a `Tracer` directly; they receive a
-//! [`TraceBinding`] (through `RecallRequest`) and open a [`TraceScope`]
-//! per logical request. With the default [`TraceBinding::Off`] every
-//! operation is an inert `Option` check — no clock reads, no locks.
+//! The pipeline crates never talk to a `Tracer` directly. Each top-level
+//! operation wraps its recorder in a [`Probe`] bound by the request's
+//! [`TraceBinding`]; a layer's one `recorder.span(Layer::…)` call then also
+//! opens and closes that layer's span in the request's tree. With the
+//! default [`TraceBinding::Off`] the tracing half is an inert `Option`
+//! check — no clock reads, no locks.
 //!
 //! ```
-//! use spinamm_trace::{TraceBinding, TraceConfig, Tracer};
+//! use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
+//! use spinamm_trace::{Probe, TraceBinding, TraceConfig, Tracer};
 //!
 //! let tracer = Tracer::new(&TraceConfig::default());
 //! let binding = TraceBinding::Sampled(&tracer);
 //! {
-//!     let scope = binding.begin("recall");
-//!     let phase = scope.phase("drive");
-//!     drop(phase);
-//!     let settle = scope.phase("settle");
+//!     let probe = Probe::begin(&NoopRecorder, binding, Layer::RECALL);
+//!     drop(probe.span(Layer::DRIVE));
+//!     let settle = probe.span(Layer::SETTLE);
 //!     settle.attr("cg_iterations", 12.0);
-//! } // scope drop finishes the request
+//! } // the probe's drop finishes the request
 //! assert_eq!(tracer.request_count(), 1);
 //! assert_eq!(tracer.sampled_count(), 1);
 //! let traces = tracer.exemplars();
@@ -46,6 +48,7 @@ mod histogram;
 pub use histogram::LatencyHistogram;
 
 use spinamm_telemetry::json::JsonValue;
+use spinamm_telemetry::{Layer, Recorder, TraceSink};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -304,7 +307,7 @@ impl Tracer {
     }
 
     /// Starts a request of the given kind, returning its handle. Must be
-    /// paired with [`Tracer::finish`] (usually via a [`TraceScope`]).
+    /// paired with [`Tracer::finish`] (usually by a [`Probe`]).
     #[must_use]
     pub fn begin(&self, kind: &'static str) -> ReqHandle {
         if !self.active {
@@ -378,60 +381,6 @@ impl Tracer {
             state.traces.push(trace);
         } else {
             state.dropped_traces += 1;
-        }
-    }
-
-    /// Opens a nested span on a sampled request. Spans opened through this
-    /// stack API must close in LIFO order ([`Tracer::span_close`]) and may
-    /// only be driven from one thread at a time per request (phases of one
-    /// request are temporally disjoint in every pipeline path).
-    pub fn span_open(&self, h: ReqHandle, name: &'static str) {
-        if !h.sampled() {
-            return;
-        }
-        let start_ns = duration_ns(h.t0.expect("sampled implies live").elapsed());
-        let mut state = self.lock();
-        if let Some(pending) = state.pending.get_mut(&h.id) {
-            let idx = pending.spans.len();
-            let depth = pending.stack.len() as u16;
-            pending.spans.push(TraceSpan {
-                name,
-                depth,
-                start_ns,
-                dur_ns: 0,
-                attrs: Vec::new(),
-            });
-            pending.stack.push(idx);
-        }
-    }
-
-    /// Closes the innermost open span.
-    pub fn span_close(&self, h: ReqHandle) {
-        if !h.sampled() {
-            return;
-        }
-        let now_ns = duration_ns(h.t0.expect("sampled implies live").elapsed());
-        let mut state = self.lock();
-        if let Some(pending) = state.pending.get_mut(&h.id) {
-            if let Some(idx) = pending.stack.pop() {
-                let span = &mut pending.spans[idx];
-                span.dur_ns = now_ns.saturating_sub(span.start_ns);
-            }
-        }
-    }
-
-    /// Attaches a numeric attribute to the innermost open span, or to the
-    /// request itself when no span is open.
-    pub fn attr(&self, h: ReqHandle, key: &'static str, value: f64) {
-        if !h.sampled() {
-            return;
-        }
-        let mut state = self.lock();
-        if let Some(pending) = state.pending.get_mut(&h.id) {
-            match pending.stack.last() {
-                Some(&idx) => pending.spans[idx].attrs.push((key, value)),
-                None => pending.attrs.push((key, value)),
-            }
         }
     }
 
@@ -641,153 +590,6 @@ fn aggregate_phases(phases: &mut BTreeMap<&'static str, PhaseAgg>, trace: &Reque
     agg.self_ns += trace.total_ns.saturating_sub(top);
 }
 
-/// A copyable view of one request's tracing context: either inert or a
-/// `(tracer, handle)` pair. Threaded through the pipeline so inner layers
-/// (crossbar solver, WTA) can attach spans and attributes to the request
-/// that is currently executing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceCtx<'t> {
-    inner: Option<(&'t Tracer, ReqHandle)>,
-}
-
-impl<'t> TraceCtx<'t> {
-    /// The inert context: every method is a no-op.
-    pub const NONE: TraceCtx<'static> = TraceCtx { inner: None };
-
-    /// A context bound to an existing request.
-    #[must_use]
-    pub fn joined(tracer: &'t Tracer, handle: ReqHandle) -> Self {
-        Self {
-            inner: Some((tracer, handle)),
-        }
-    }
-
-    /// Whether spans recorded here are captured. Callers use this to skip
-    /// computing expensive diagnostics (never to change results).
-    #[must_use]
-    pub fn active(&self) -> bool {
-        self.inner.is_some_and(|(_, h)| h.sampled())
-    }
-
-    /// Opens a scoped span that closes when the guard drops.
-    pub fn phase(&self, name: &'static str) -> PhaseScope<'t> {
-        if let Some((tracer, h)) = self.inner {
-            tracer.span_open(h, name);
-            PhaseScope {
-                inner: Some((tracer, h)),
-            }
-        } else {
-            PhaseScope { inner: None }
-        }
-    }
-
-    /// Attaches an attribute to the innermost open span (or the request).
-    pub fn attr(&self, key: &'static str, value: f64) {
-        if let Some((tracer, h)) = self.inner {
-            tracer.attr(h, key, value);
-        }
-    }
-
-    /// Records an externally timed span. See [`Tracer::span_at`].
-    pub fn span_at(
-        &self,
-        name: &'static str,
-        start: Instant,
-        dur: Duration,
-        attrs: &[(&'static str, f64)],
-    ) {
-        if let Some((tracer, h)) = self.inner {
-            tracer.span_at(h, name, start, dur, attrs);
-        }
-    }
-}
-
-/// RAII guard of one open span; closes it on drop.
-#[must_use = "a phase closes its span when dropped; binding it to _ ends it immediately"]
-pub struct PhaseScope<'t> {
-    inner: Option<(&'t Tracer, ReqHandle)>,
-}
-
-impl PhaseScope<'_> {
-    /// Attaches an attribute to the innermost open span.
-    pub fn attr(&self, key: &'static str, value: f64) {
-        if let Some((tracer, h)) = self.inner {
-            tracer.attr(h, key, value);
-        }
-    }
-}
-
-impl Drop for PhaseScope<'_> {
-    fn drop(&mut self) {
-        if let Some((tracer, h)) = self.inner {
-            tracer.span_close(h);
-        }
-    }
-}
-
-/// RAII scope of one traced request. Obtained from
-/// [`TraceBinding::begin`]; when the scope *owns* its request (the
-/// binding was [`TraceBinding::Sampled`]) dropping it finishes the
-/// request, so early error returns still record a (truncated) trace.
-#[must_use = "a trace scope finishes its request when dropped"]
-pub struct TraceScope<'t> {
-    ctx: TraceCtx<'t>,
-    owned: bool,
-}
-
-impl<'t> TraceScope<'t> {
-    /// A scope that traces nothing.
-    pub fn inert() -> Self {
-        Self {
-            ctx: TraceCtx::NONE,
-            owned: false,
-        }
-    }
-
-    /// The context to hand further down the pipeline.
-    #[must_use]
-    pub fn ctx(&self) -> TraceCtx<'t> {
-        self.ctx
-    }
-
-    /// Whether spans recorded here are captured.
-    #[must_use]
-    pub fn active(&self) -> bool {
-        self.ctx.active()
-    }
-
-    /// Opens a scoped span. See [`TraceCtx::phase`].
-    pub fn phase(&self, name: &'static str) -> PhaseScope<'t> {
-        self.ctx.phase(name)
-    }
-
-    /// Attaches an attribute. See [`TraceCtx::attr`].
-    pub fn attr(&self, key: &'static str, value: f64) {
-        self.ctx.attr(key, value);
-    }
-
-    /// Records an externally timed span. See [`Tracer::span_at`].
-    pub fn span_at(
-        &self,
-        name: &'static str,
-        start: Instant,
-        dur: Duration,
-        attrs: &[(&'static str, f64)],
-    ) {
-        self.ctx.span_at(name, start, dur, attrs);
-    }
-}
-
-impl Drop for TraceScope<'_> {
-    fn drop(&mut self) {
-        if self.owned {
-            if let Some((tracer, h)) = self.ctx.inner {
-                tracer.finish(h);
-            }
-        }
-    }
-}
-
 /// How a pipeline entry point relates to tracing — the field carried by
 /// `RecallRequest`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -798,38 +600,11 @@ pub enum TraceBinding<'t> {
     /// A tracer samples each top-level operation as its own request.
     Sampled(&'t Tracer),
     /// The operation runs *inside* an existing request (an engine job):
-    /// spans attach to that request; the scope does not finish it.
+    /// spans attach to that request, which the caller finishes.
     Joined(&'t Tracer, ReqHandle),
 }
 
-impl<'t> TraceBinding<'t> {
-    /// Opens the request scope for one top-level operation.
-    pub fn begin(&self, kind: &'static str) -> TraceScope<'t> {
-        match *self {
-            TraceBinding::Off => TraceScope::inert(),
-            TraceBinding::Sampled(tracer) => TraceScope {
-                ctx: TraceCtx::joined(tracer, tracer.begin(kind)),
-                owned: true,
-            },
-            TraceBinding::Joined(tracer, handle) => TraceScope {
-                ctx: TraceCtx::joined(tracer, handle),
-                owned: false,
-            },
-        }
-    }
-
-    /// The bound request context when already inside one
-    /// ([`TraceBinding::Joined`]), else inert. Used by the RNG-free
-    /// evaluate/select halves, which are fragments of an engine request
-    /// rather than requests of their own.
-    #[must_use]
-    pub fn join_ctx(&self) -> TraceCtx<'t> {
-        match *self {
-            TraceBinding::Joined(tracer, handle) => TraceCtx::joined(tracer, handle),
-            _ => TraceCtx::NONE,
-        }
-    }
-
+impl TraceBinding<'_> {
     /// Whether no tracer is attached.
     #[must_use]
     pub fn is_off(&self) -> bool {
@@ -837,25 +612,191 @@ impl<'t> TraceBinding<'t> {
     }
 }
 
+/// A recorder that also traces: it forwards every [`Recorder`] call to `R`
+/// and, while its request is sampled, lends span guards that request's
+/// [`TraceSink`], so one `span(Layer::…)` call feeds both sinks.
+pub struct Probe<'a, R: Recorder> {
+    recorder: &'a R,
+    /// The request spans attach to, when a tracer is bound.
+    request: Option<Bound<'a>>,
+    /// Whether the probe began `request`, and so finishes it on drop.
+    owned: bool,
+    /// A top-level operation's series and its start.
+    timed: Option<(&'static str, Instant)>,
+}
+
+impl<'a, R: Recorder> Probe<'a, R> {
+    /// Scopes one top-level operation of `layer`. A
+    /// [`TraceBinding::Sampled`] binding begins a request of the layer's
+    /// kind; a [`TraceBinding::Joined`] one attaches to the existing
+    /// request. On drop the probe records the layer's series and finishes
+    /// any request it began, so an error return still leaves a truncated
+    /// trace.
+    pub fn begin(recorder: &'a R, binding: TraceBinding<'a>, layer: Layer) -> Self {
+        let mut probe = Self::joined(recorder, binding);
+        probe.timed = layer
+            .series()
+            .filter(|_| recorder.is_enabled())
+            .map(|series| (series, Instant::now()));
+        if let (TraceBinding::Sampled(tracer), Some(kind)) = (binding, layer.trace_name()) {
+            let handle = tracer.begin(kind);
+            probe.request = Some(Bound { tracer, handle });
+            probe.owned = true;
+        }
+        probe
+    }
+
+    /// A probe for a fragment of an engine job (an evaluate or select
+    /// half): joined to the job's request under a
+    /// [`TraceBinding::Joined`] binding, untraced otherwise.
+    pub fn joined(recorder: &'a R, binding: TraceBinding<'a>) -> Self {
+        let request = match binding {
+            TraceBinding::Joined(tracer, handle) => Some(Bound { tracer, handle }),
+            _ => None,
+        };
+        Self {
+            recorder,
+            request,
+            owned: false,
+            timed: None,
+        }
+    }
+
+    /// The same recorder, untraced: for the part of an operation whose
+    /// spans its trace leaves out, such as the tail of a batch.
+    #[must_use]
+    pub fn without_trace(&self) -> Self {
+        Self::joined(self.recorder, TraceBinding::Off)
+    }
+
+    /// Records the trace span of `layer` (a trace-only layer) that started
+    /// at `start` and ends now, nested under whatever span is open. Use it
+    /// only where spans of one request run concurrently, on threads a
+    /// guard's nesting cannot follow.
+    pub fn span_since(&self, layer: Layer, start: Instant, attrs: &[(&'static str, f64)]) {
+        if let (Some(Bound { tracer, handle }), Some(name)) = (self.request, layer.trace_name()) {
+            tracer.span_at(handle, name, start, start.elapsed(), attrs);
+        }
+    }
+}
+
+impl<R: Recorder> Recorder for Probe<'_, R> {
+    fn is_enabled(&self) -> bool {
+        self.recorder.is_enabled()
+    }
+
+    fn counter(&self, name: &str, delta: u64) {
+        self.recorder.counter(name, delta);
+    }
+
+    fn gauge(&self, name: &str, value: f64) {
+        self.recorder.gauge(name, value);
+    }
+
+    fn observe(&self, name: &str, value: f64) {
+        self.recorder.observe(name, value);
+    }
+
+    fn record_span(&self, name: &str, seconds: f64) {
+        self.recorder.record_span(name, seconds);
+    }
+
+    fn event(&self, name: &str, fields: &[(&str, f64)]) {
+        self.recorder.event(name, fields);
+    }
+
+    fn trace_sink(&self) -> Option<&dyn TraceSink> {
+        let bound = self.request.as_ref().filter(|b| b.handle.sampled());
+        bound.map(|b| b as &dyn TraceSink)
+    }
+}
+
+impl<R: Recorder> Drop for Probe<'_, R> {
+    fn drop(&mut self) {
+        if let Some((series, start)) = self.timed {
+            self.record_span(series, start.elapsed().as_secs_f64());
+        }
+        if let (true, Some(Bound { tracer, handle })) = (self.owned, self.request) {
+            tracer.finish(handle);
+        }
+    }
+}
+
+/// One request of a [`Tracer`]; when sampled, the [`TraceSink`] that
+/// builds its span tree. Spans open and close in LIFO order, from one
+/// thread at a time (the stages of one request never overlap).
+#[derive(Clone, Copy)]
+struct Bound<'t> {
+    tracer: &'t Tracer,
+    handle: ReqHandle,
+}
+
+impl Bound<'_> {
+    /// Nanoseconds since the request began.
+    fn now_ns(&self) -> u64 {
+        duration_ns(self.handle.t0.expect("sampled implies live").elapsed())
+    }
+
+    /// Runs `f` on the request's pending trace.
+    fn with(&self, f: impl FnOnce(&mut Pending)) {
+        if let Some(pending) = self.tracer.lock().pending.get_mut(&self.handle.id) {
+            f(pending);
+        }
+    }
+}
+
+impl TraceSink for Bound<'_> {
+    fn open(&self, name: &'static str) {
+        let start_ns = self.now_ns();
+        self.with(|pending| {
+            pending.spans.push(TraceSpan {
+                name,
+                depth: pending.stack.len() as u16,
+                start_ns,
+                dur_ns: 0,
+                attrs: Vec::new(),
+            });
+            pending.stack.push(pending.spans.len() - 1);
+        });
+    }
+
+    fn close(&self) {
+        let now_ns = self.now_ns();
+        self.with(|pending| {
+            if let Some(idx) = pending.stack.pop() {
+                let span = &mut pending.spans[idx];
+                span.dur_ns = now_ns.saturating_sub(span.start_ns);
+            }
+        });
+    }
+
+    fn attr(&self, key: &'static str, value: f64) {
+        self.with(|pending| match pending.stack.last() {
+            Some(&idx) => pending.spans[idx].attrs.push((key, value)),
+            None => pending.attrs.push((key, value)),
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinamm_telemetry::json;
+    use spinamm_telemetry::{json, MemoryRecorder, NoopRecorder};
 
     fn run_requests(tracer: &Tracer, n: usize) {
         let binding = TraceBinding::Sampled(tracer);
         for _ in 0..n {
-            let scope = binding.begin("recall");
+            let probe = Probe::begin(&NoopRecorder, binding, Layer::RECALL);
             {
-                let _drive = scope.phase("drive");
+                let _drive = probe.span(Layer::DRIVE);
             }
             {
-                let settle = scope.phase("settle");
+                let settle = probe.span(Layer::SETTLE);
                 settle.attr("cg_iterations", 7.0);
-                let _solve = scope.phase("solve");
+                let _solve = probe.span(Layer::SOLVE);
             }
             {
-                let _select = scope.phase("select");
+                let _select = probe.span(Layer::SELECT);
             }
         }
     }
@@ -955,12 +896,12 @@ mod tests {
         });
         let binding = TraceBinding::Sampled(&tracer);
         for spin in [0u64, 200_000, 50_000] {
-            let scope = binding.begin("recall");
+            let probe = Probe::begin(&NoopRecorder, binding, Layer::RECALL);
             let t0 = Instant::now();
             while duration_ns(t0.elapsed()) < spin {
                 std::hint::spin_loop();
             }
-            drop(scope);
+            drop(probe);
         }
         let ex = tracer.exemplars();
         assert_eq!(ex.len(), 2);
@@ -1008,9 +949,9 @@ mod tests {
         let handle = tracer.begin("engine.recall");
         {
             let binding = TraceBinding::Joined(&tracer, handle);
-            let scope = binding.begin("recall");
-            let _p = scope.phase("settle");
-            assert!(scope.active());
+            let probe = Probe::begin(&NoopRecorder, binding, Layer::RECALL);
+            let _p = probe.span(Layer::SETTLE);
+            assert!(probe.trace_sink().is_some());
         }
         assert_eq!(tracer.request_count(), 0, "joined drop must not finish");
         tracer.finish(handle);
@@ -1050,10 +991,48 @@ mod tests {
     fn off_binding_is_inert() {
         let binding = TraceBinding::default();
         assert!(binding.is_off());
-        let scope = binding.begin("recall");
-        assert!(!scope.active());
-        let _p = scope.phase("drive");
-        scope.attr("x", 1.0);
-        assert!(!binding.join_ctx().active());
+        let probe = Probe::begin(&NoopRecorder, binding, Layer::RECALL);
+        assert!(probe.trace_sink().is_none());
+        let _p = probe.span(Layer::DRIVE);
+        probe.trace_attr("x", 1.0);
+        assert!(Probe::joined(&NoopRecorder, binding).trace_sink().is_none());
+    }
+
+    #[test]
+    fn one_span_call_feeds_both_sinks() {
+        let recorder = MemoryRecorder::default();
+        let tracer = Tracer::new(&TraceConfig::default());
+        {
+            let probe = Probe::begin(&recorder, TraceBinding::Sampled(&tracer), Layer::RECALL);
+            let settle = probe.span(Layer::SETTLE);
+            settle.attr("workers", 2.0);
+            // A recorder-only layer opens no trace span; a trace-only one
+            // records no series.
+            drop(probe.span(Layer::COMPILE));
+            drop(probe.span(Layer::SOLVE));
+            drop(settle);
+            // The untraced view keeps the recorder, not the trace.
+            drop(probe.without_trace().span(Layer::SELECT));
+        }
+        let snap = recorder.snapshot();
+        let series: Vec<(&str, u64)> = snap
+            .spans
+            .iter()
+            .map(|(name, stats)| (name.as_str(), stats.count))
+            .collect();
+        assert_eq!(
+            series,
+            [
+                ("plan.compile", 1),
+                ("recall.select", 1),
+                ("recall.settle", 1),
+                ("recall.total", 1),
+            ]
+        );
+        let traces = tracer.traces();
+        assert_eq!(traces.len(), 1);
+        assert_eq!(traces[0].kind, "recall");
+        assert_eq!(traces[0].structure(), vec![(0, "settle"), (1, "solve")]);
+        assert_eq!(traces[0].spans[0].attrs, vec![("workers", 2.0)]);
     }
 }

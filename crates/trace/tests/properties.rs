@@ -3,29 +3,34 @@
 //! are identical across reruns at a fixed seed.
 
 use proptest::prelude::*;
-use spinamm_trace::{TraceBinding, TraceConfig, Tracer};
+use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
+use spinamm_trace::{Probe, TraceBinding, TraceConfig, Tracer};
 
 /// Replays a small deterministic workload whose span shape depends on the
 /// request index, returning the captured structures.
 fn run_workload(tracer: &Tracer, requests: usize) -> Vec<Vec<(u16, &'static str)>> {
     let binding = TraceBinding::Sampled(tracer);
     for i in 0..requests {
-        let scope = binding.begin(if i % 2 == 0 {
-            "recall"
-        } else {
-            "engine.recall"
-        });
+        let probe = Probe::begin(
+            &NoopRecorder,
+            binding,
+            if i % 2 == 0 {
+                Layer::RECALL
+            } else {
+                Layer::RECALL_BATCH
+            },
+        );
         {
-            let _drive = scope.phase("drive");
+            let _drive = probe.span(Layer::DRIVE);
         }
         {
-            let settle = scope.phase("settle");
+            let settle = probe.span(Layer::SETTLE);
             settle.attr("cg_iterations", i as f64);
             if i % 3 == 0 {
-                let _solve = scope.phase("solve");
+                let _solve = probe.span(Layer::SOLVE);
             }
         }
-        let _select = scope.phase("select");
+        let _select = probe.span(Layer::SELECT);
     }
     tracer.traces().iter().map(|t| t.structure()).collect()
 }
