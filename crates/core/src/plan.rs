@@ -70,7 +70,7 @@ use rand_chacha::ChaCha8Rng;
 use spinamm_circuit::units::{Amps, Joules, Seconds, Watts};
 use spinamm_crossbar::{CachedParasiticCrossbar, CrossbarArray, RowDrive};
 use spinamm_spin::{DomainWallNeuron, Polarity};
-use spinamm_telemetry::{Layer, Recorder};
+use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
 
 /// How the evaluate phase turns staged levels into column currents.
 #[derive(Debug)]
@@ -294,7 +294,9 @@ impl Kernel {
 
     /// The select phase: condition → convert → select. Consumes `rng`
     /// through the live spin devices of `wta` exactly as the reference's
-    /// `SpinWta` evaluation does, with the same counters and spans.
+    /// `SpinWta` evaluation does, with the same spans and counter totals.
+    /// The device counters are tallied locally and reported once per
+    /// select, not once per cycle.
     pub(crate) fn select<T: Recorder>(
         &self,
         wta: &SpinWta,
@@ -342,8 +344,10 @@ impl Kernel {
         let mut traj = vec![0u32; self.cols * bits];
         let mut codes = vec![0u32; self.cols];
         let mut energy = EnergyBreakdown::default();
+        let (mut sar_cycles, mut dwn_switches) = (0u64, 0u64);
         for (j, adc) in wta.adcs().iter().enumerate() {
             if !currents[j].0.is_finite() {
+                report_device_counters(recorder, sar_cycles, dwn_switches, 0);
                 return Err(CoreError::InvalidParameter {
                     what: "ADC input current must be finite",
                 });
@@ -357,20 +361,21 @@ impl Kernel {
             let mut neuron = DomainWallNeuron::new(adc.neuron);
             let mut cycle = 0;
             while !sar.is_done() {
-                recorder.counter("adc.sar_cycles", 1);
+                sar_cycles += 1;
                 let trial = j * codes_per_col + sar.code() as usize;
                 let net = Amps(input - self.i_dac[trial]);
                 neuron.set_state(Polarity::Down);
                 let state = if adc.thermal {
-                    neuron.apply_thermal_with(net, pulse, rng, recorder)
+                    neuron.apply_thermal_with(net, pulse, rng, &NoopRecorder)
                 } else {
-                    neuron.apply_with(net, pulse, recorder)
+                    neuron.apply_with(net, pulse, &NoopRecorder)
                 };
+                // Each cycle starts Down, so the wall switched iff it reads Up.
+                dwn_switches += u64::from(state == Polarity::Up);
                 dwn_energy += adc.neuron.write_energy(net, pulse);
                 let sensed = if adc.latch_noise {
-                    adc.latch.sense_with(&adc.mtj, state, rng, recorder)
+                    adc.latch.sense_with(&adc.mtj, state, rng, &NoopRecorder)
                 } else {
-                    recorder.counter("spin.latch_fires", 1);
                     state
                 };
                 latch_energy += adc.latch.sense_energy();
@@ -392,11 +397,12 @@ impl Kernel {
         let _select = recorder.span(Layer::SELECT);
         let msb = 1u32 << (self.bits - 1);
         let mut tr: Vec<bool> = (0..self.cols).map(|j| traj[j * bits] & msb != 0).collect();
+        let mut dl_transitions = 0u64;
         for cycle in 1..bits {
             let mask = 1u32 << (bits - 1 - cycle);
             let resolved = |j: usize| traj[j * bits + cycle] & mask != 0;
             if (0..self.cols).any(|j| tr[j] && resolved(j)) {
-                recorder.counter("wta.dl_transitions", 1);
+                dl_transitions += 1;
                 for (j, t) in tr.iter_mut().enumerate() {
                     *t = *t && resolved(j);
                 }
@@ -414,6 +420,7 @@ impl Kernel {
         // A disowned column only wins when every owned column read zero;
         // it then reports template 0.
         let raw_winner = self.owner[winner].unwrap_or(0);
+        report_device_counters(recorder, sar_cycles, dwn_switches, dl_transitions);
         Ok(RecallResult {
             winner: (dom >= self.dom_threshold).then_some(raw_winner),
             raw_winner,
@@ -429,6 +436,27 @@ impl Kernel {
     /// benefits from batch worker threads).
     pub(crate) fn solves(&self) -> bool {
         matches!(self.correlate, Correlate::Parasitic { .. })
+    }
+}
+
+/// Reports one select's device counters, one call per non-zero total.
+/// Every SAR cycle senses the latch once, so `spin.latch_fires` equals
+/// `adc.sar_cycles`.
+fn report_device_counters<T: Recorder>(
+    recorder: &T,
+    sar_cycles: u64,
+    dwn_switches: u64,
+    dl_transitions: u64,
+) {
+    for (name, total) in [
+        ("adc.sar_cycles", sar_cycles),
+        ("spin.dwn_switch_events", dwn_switches),
+        ("spin.latch_fires", sar_cycles),
+        ("wta.dl_transitions", dl_transitions),
+    ] {
+        if total > 0 {
+            recorder.counter(name, total);
+        }
     }
 }
 

@@ -12,8 +12,11 @@
 //! * **worker threads** — each owning a clone of the deployment with its
 //!   canonically warmed solver sessions — run the RNG-free
 //!   drive/settle/solve phase of whichever query is next;
-//! * a **sequencer thread** owning the master deployment applies the
-//!   RNG-consuming ADC/WTA selection phase strictly in submission order.
+//! * the **master deployment** sits behind one lock, with the evaluations
+//!   waiting for their turn. After its evaluation, a worker takes that
+//!   lock and applies the RNG-consuming ADC/WTA selection phase of every
+//!   query whose turn has come — its own and any that were waiting for
+//!   it — strictly in submission order. A query crosses one engine thread.
 //!
 //! Because the evaluation phase is deterministic and order-independent
 //! (fixed warm-start reference pinned at build time) and the stochastic
@@ -22,16 +25,15 @@
 //! per query in submission order — at any worker count, queue capacity, or
 //! thread interleaving. Every deployment kind is one evaluate phase plus
 //! one select phase through the same queue. A hierarchical deployment's
-//! worker evaluates its top (centroid) module; the sequencer's select
-//! picks the cluster, evaluates that cluster's member module on the
-//! master — only the chosen cluster runs, as in the paper's §5 hierarchy —
-//! and picks the member. Tiled capacity pools ([`Deployment::Tiled`])
-//! evaluate every tile of a query in one worker phase and the sequencer's
-//! in-order select phase digitizes tiles in fixed tile order, so ranked
-//! top-k responses carry the same bit-identity guarantee. Every phase
-//! runs through the modules' compiled kernels (`spinamm_core::plan`),
-//! which clones share, so the engine has no execution path of its own to
-//! choose.
+//! worker evaluates its top (centroid) module; the select on the master
+//! picks the cluster, evaluates that cluster's member module — only the
+//! chosen cluster runs, as in the paper's §5 hierarchy — and picks the
+//! member. Tiled capacity pools ([`Deployment::Tiled`]) evaluate every
+//! tile of a query in one worker phase and the in-order select phase
+//! digitizes tiles in fixed tile order, so ranked top-k responses carry
+//! the same bit-identity guarantee. Every phase runs through the modules'
+//! compiled kernels (`spinamm_core::plan`), which clones share, so the
+//! engine has no execution path of its own to choose.
 //!
 //! Stopping the engine — [`RecallEngine::shutdown`],
 //! [`RecallEngine::into_deployment`] or a drop — drains the queue first:
@@ -70,6 +72,7 @@ use spinamm_trace::{ReqHandle, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -344,6 +347,37 @@ struct Job {
 /// A worker's output: the job plus its RNG-free evaluation.
 type Evaluated = (Job, Result<Evaluation, CoreError>);
 
+/// The master deployment and the evaluations waiting for their turn to
+/// select. The workers share it behind one lock; whichever worker holds
+/// the lock runs the selects whose turn has come.
+struct Master {
+    deployment: Deployment,
+    /// Evaluations that finished ahead of sequence number `next`.
+    pending: BTreeMap<u64, Evaluated>,
+    /// The sequence number of the next select.
+    next: u64,
+}
+
+impl Master {
+    /// Files one evaluation, then runs every select whose sequence number
+    /// is next — its own and any that were waiting for it — on the master,
+    /// answering each ticket. Jobs leave the queue in sequence order, so
+    /// the evaluation that completes a prefix drains it.
+    fn complete(&mut self, shared: &Shared, evaluated: Evaluated) {
+        self.pending.insert(evaluated.0.seq, evaluated);
+        while let Some((job, evaluation)) = self.pending.remove(&self.next) {
+            self.next += 1;
+            let response = evaluation.and_then(|evaluation| {
+                let req = shared.request(job.trace);
+                let probe = req.probe();
+                let _select = probe.span(Layer::ENGINE_SELECT);
+                self.deployment.select(evaluation, &job.input, &req)
+            });
+            respond(shared, job, response.map_err(EngineError::from));
+        }
+    }
+}
+
 struct QueueState {
     jobs: VecDeque<Job>,
     closed: bool,
@@ -352,6 +386,9 @@ struct QueueState {
 
 struct Shared {
     state: Mutex<QueueState>,
+    /// The queue's length, written under the queue lock at every push and
+    /// pop, so the depth gauge can read it without that lock.
+    depth: AtomicUsize,
     job_ready: Condvar,
     space_ready: Condvar,
     capacity: usize,
@@ -377,6 +414,7 @@ impl Shared {
         let mut state = self.state.lock().expect("queue lock");
         loop {
             if let Some(job) = state.jobs.pop_front() {
+                self.depth.store(state.jobs.len(), Ordering::Relaxed);
                 self.space_ready.notify_one();
                 return Some(job);
             }
@@ -389,13 +427,13 @@ impl Shared {
 
     /// Samples the `engine.queue_depth` gauge.
     fn gauge_depth(&self) {
-        let depth = self.state.lock().expect("queue lock").jobs.len();
+        let depth = self.depth.load(Ordering::Relaxed);
         self.recorder.gauge("engine.queue_depth", depth as f64);
     }
 }
 
-/// A worker's RNG-free phase output: everything the sequencer's select
-/// needs besides the query itself.
+/// A worker's RNG-free phase output: everything the master's select needs
+/// besides the query itself.
 enum Evaluation {
     Flat(QueryEvaluation),
     Partitioned(Vec<QueryEvaluation>),
@@ -470,7 +508,8 @@ impl Deployment {
 pub struct RecallEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    sequencer: Option<JoinHandle<Deployment>>,
+    /// `None` once [`RecallEngine::stop`] has taken the master back.
+    master: Option<Arc<Mutex<Master>>>,
 }
 
 impl RecallEngine {
@@ -484,11 +523,12 @@ impl RecallEngine {
     /// `engine.submitted` / `engine.rejected` / `engine.completed` /
     /// `engine.errors` counters, the `engine.queue_depth` gauge, the
     /// `engine.queue_wait_ns` histogram, the `engine.settle` (worker
-    /// evaluate phase) and `engine.select` (sequencer select phase, which
-    /// includes a hierarchical query's member evaluation) span timers —
-    /// one sample of each per query — the `engine.latency_seconds`
-    /// submit-to-response histogram (p50/p95 in the snapshot), and
-    /// per-worker `engine.worker.<i>.jobs` / `.utilization` series.
+    /// evaluate phase) and `engine.select` (in-order select phase on the
+    /// master, which includes a hierarchical query's member evaluation)
+    /// span timers — one sample of each per query — the
+    /// `engine.latency_seconds` submit-to-response histogram (p50/p95 in
+    /// the snapshot), and per-worker `engine.worker.<i>.jobs` /
+    /// `.utilization` series (utilization counts evaluate time only).
     #[must_use]
     pub fn with_recorder(
         deployment: Deployment,
@@ -504,7 +544,8 @@ impl RecallEngine {
     /// `"engine.recall"` request; its trace carries one `"queue_wait"`
     /// span, an `"evaluate"` span for the worker phase (with `worker` as
     /// an attribute) wrapping the core drive/settle/solve spans, and a
-    /// `"select"` span for the sequencer's RNG phase. A hierarchical
+    /// `"select"` span for the RNG phase on the master, run by whichever
+    /// worker holds the master when the query's turn comes. A hierarchical
     /// query's `"select"` nests an `"evaluate.member"` and a
     /// `"select.member"` span, both with `cluster` as an attribute.
     /// Tracing is observation-only: responses are bit-identical with or
@@ -523,34 +564,35 @@ impl RecallEngine {
                 closed: false,
                 next_seq: 0,
             }),
+            depth: AtomicUsize::new(0),
             job_ready: Condvar::new(),
             space_ready: Condvar::new(),
             capacity: config.queue_capacity.max(1),
             recorder,
             tracer,
         });
-        let (tx, rx) = mpsc::channel::<Evaluated>();
-        let workers = (0..worker_count)
-            .map(|idx| {
+        // Each worker owns a full clone of the deployment; clones share the
+        // canonically warmed solver sessions and the kernel tables, so their
+        // evaluations are bit-identical to the master's.
+        let clones: Vec<Deployment> = (0..worker_count).map(|_| deployment.clone()).collect();
+        let master = Arc::new(Mutex::new(Master {
+            deployment,
+            pending: BTreeMap::new(),
+            next: 0,
+        }));
+        let workers = clones
+            .into_iter()
+            .enumerate()
+            .map(|(idx, clone)| {
                 let shared = Arc::clone(&shared);
-                let tx = tx.clone();
-                // Each worker owns a full clone of the deployment; clones
-                // share the canonically warmed solver sessions and the
-                // kernel tables, so their evaluations are bit-identical to
-                // the master's.
-                let clone = deployment.clone();
-                std::thread::spawn(move || worker_loop(idx, &shared, clone, &tx))
+                let master = Arc::clone(&master);
+                std::thread::spawn(move || worker_loop(idx, &shared, &master, clone))
             })
             .collect();
-        drop(tx);
-        let sequencer = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || sequencer_loop(&shared, deployment, &rx))
-        };
         Self {
             shared,
             workers,
-            sequencer: Some(sequencer),
+            master: Some(master),
         }
     }
 
@@ -601,6 +643,7 @@ impl RecallEngine {
                 .map(|t| t.begin("engine.recall")),
             reply,
         });
+        self.shared.depth.store(state.jobs.len(), Ordering::Relaxed);
         recorder.counter("engine.submitted", 1);
         recorder.gauge("engine.queue_depth", state.jobs.len() as f64);
         drop(state);
@@ -633,8 +676,8 @@ impl RecallEngine {
     }
 
     /// Stops the engine like [`RecallEngine::shutdown`] — every accepted
-    /// query answered — and hands back the deployment the sequencer was
-    /// serving, with all RNG and solver state exactly where that answered
+    /// query answered — and hands back the master deployment the selects
+    /// ran on, with all RNG and solver state exactly where that answered
     /// traffic left it: its next recall equals the next recall of a
     /// sequential twin that recalled the same queries. This is how a
     /// lifetime maintenance window works: drain the engine, run background
@@ -642,17 +685,16 @@ impl RecallEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the sequencer thread itself panicked (its deployment is
-    /// unrecoverable in that case).
+    /// Panics if a select panicked (the master deployment is unrecoverable
+    /// in that case).
     #[must_use]
     pub fn into_deployment(mut self) -> Deployment {
-        self.stop().expect("sequencer thread panicked")
+        self.stop().expect("a select panicked on the master")
     }
 
-    /// The one stop path: close the queue, let the workers drain it, then
-    /// join the sequencer once it has answered everything they evaluated.
-    /// Returns the master deployment on the first call, unless the
-    /// sequencer panicked.
+    /// The one stop path: close the queue and join the workers once they
+    /// have drained it and answered everything they evaluated. Returns the
+    /// master deployment on the first call, unless a select panicked.
     fn stop(&mut self) -> Option<Deployment> {
         // Closing is valid on any queue state, and this runs in `Drop`,
         // which must not panic: recover a lock poisoned by a panicked
@@ -667,7 +709,9 @@ impl RecallEngine {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.sequencer.take()?.join().ok()
+        // The workers are gone, so this is the last handle on the master.
+        let master = Arc::try_unwrap(self.master.take()?).ok()?;
+        master.into_inner().ok().map(|master| master.deployment)
     }
 }
 
@@ -677,12 +721,7 @@ impl Drop for RecallEngine {
     }
 }
 
-fn worker_loop(
-    idx: usize,
-    shared: &Shared,
-    mut deployment: Deployment,
-    out: &mpsc::Sender<Evaluated>,
-) {
+fn worker_loop(idx: usize, shared: &Shared, master: &Mutex<Master>, mut deployment: Deployment) {
     let recorder = &shared.recorder;
     let jobs_series = format!("engine.worker.{idx}.jobs");
     let utilization_series = format!("engine.worker.{idx}.utilization");
@@ -711,9 +750,15 @@ fn worker_loop(
             }
             shared.gauge_depth();
         }
-        if out.send((job, evaluation)).is_err() {
-            // Sequencer gone: the engine is tearing down.
-            return;
+        match master.lock() {
+            Ok(mut master) => master.complete(shared, (job, evaluation)),
+            Err(poisoned) => {
+                // A select panicked, leaving the master's RNG position
+                // unknown: answer nothing more. Dropping a job unanswered
+                // fails its ticket with `ShutDown`.
+                poisoned.into_inner().pending.clear();
+                return;
+            }
         }
     }
 }
@@ -743,32 +788,6 @@ fn respond(shared: &Shared, job: Job, response: Result<EngineResponse, EngineErr
     }
     // The caller may have dropped its ticket unwaited; nothing to tell.
     let _ = job.reply.send(response);
-}
-
-/// Runs every select on the master strictly in submission order, stalling
-/// evaluations that arrive early, until the workers have exited and their
-/// evaluations are all answered.
-fn sequencer_loop(
-    shared: &Shared,
-    mut master: Deployment,
-    rx: &mpsc::Receiver<Evaluated>,
-) -> Deployment {
-    let mut pending: BTreeMap<u64, Evaluated> = BTreeMap::new();
-    let mut next: u64 = 0;
-    while let Ok(evaluated) = rx.recv() {
-        pending.insert(evaluated.0.seq, evaluated);
-        while let Some((job, evaluation)) = pending.remove(&next) {
-            next += 1;
-            let response = evaluation.and_then(|evaluation| {
-                let req = shared.request(job.trace);
-                let probe = req.probe();
-                let _select = probe.span(Layer::ENGINE_SELECT);
-                master.select(evaluation, &job.input, &req)
-            });
-            respond(shared, job, response.map_err(EngineError::from));
-        }
-    }
-    master
 }
 
 #[cfg(test)]

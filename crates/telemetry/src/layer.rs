@@ -54,7 +54,8 @@ impl Layer {
     pub const QUEUE_WAIT: Self = Self::new(None, Some("queue_wait"));
     /// An engine worker's RNG-free evaluate phase.
     pub const ENGINE_EVALUATE: Self = Self::new(Some("engine.settle"), Some("evaluate"));
-    /// The engine sequencer's RNG-consuming select phase.
+    /// The engine's RNG-consuming select phase, run in submission order on
+    /// the master deployment by a worker holding its lock.
     pub const ENGINE_SELECT: Self = Self::new(Some("engine.select"), Some("select"));
     /// The chosen cluster's member evaluate inside a hierarchical select.
     pub const MEMBER_EVALUATE: Self = Self::new(None, Some("evaluate.member"));

@@ -82,6 +82,15 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// Applies `f` to the value of series `name`, looked up by `&str`: the key
+/// is allocated only the first time `name` is seen.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(value) => f(value),
+        None => f(map.entry(name.to_owned()).or_default()),
+    }
+}
+
 #[derive(Debug, Default, Clone)]
 struct Inner {
     counters: BTreeMap<String, u64>,
@@ -136,35 +145,19 @@ impl Recorder for MemoryRecorder {
     }
 
     fn counter(&self, name: &str, delta: u64) {
-        self.with(|inner| {
-            *inner.counters.entry(name.to_owned()).or_insert(0) += delta;
-        });
+        self.with(|inner| update(&mut inner.counters, name, |c| *c += delta));
     }
 
     fn gauge(&self, name: &str, value: f64) {
-        self.with(|inner| {
-            inner.gauges.insert(name.to_owned(), value);
-        });
+        self.with(|inner| update(&mut inner.gauges, name, |g| *g = value));
     }
 
     fn observe(&self, name: &str, value: f64) {
-        self.with(|inner| {
-            inner
-                .histograms
-                .entry(name.to_owned())
-                .or_default()
-                .push(value);
-        });
+        self.with(|inner| update(&mut inner.histograms, name, |s| s.push(value)));
     }
 
     fn record_span(&self, name: &str, seconds: f64) {
-        self.with(|inner| {
-            inner
-                .spans
-                .entry(name.to_owned())
-                .or_default()
-                .push(seconds);
-        });
+        self.with(|inner| update(&mut inner.spans, name, |s| s.push(seconds)));
     }
 
     fn event(&self, name: &str, fields: &[(&str, f64)]) {

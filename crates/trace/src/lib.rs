@@ -182,8 +182,9 @@ pub struct PhaseRow {
 }
 
 /// An opaque per-request handle. `Copy` and thread-safe: the engine moves
-/// it across queue/worker/sequencer threads while the [`Tracer`] keeps the
-/// mutable trace state. A handle from a disabled tracer is dead — every
+/// it from the submitting thread to the worker that evaluates the request
+/// and the one that selects it, while the [`Tracer`] keeps the mutable
+/// trace state. A handle from a disabled tracer is dead — every
 /// operation on it is a no-op without clock reads.
 #[derive(Debug, Clone, Copy)]
 pub struct ReqHandle {
