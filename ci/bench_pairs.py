@@ -6,16 +6,26 @@ BENCHMARK.json's command then runs from each checkout's root, alternating
 which side runs first, so that drifts in host speed fall on both sides. For
 every workload and end-to-end metric this prints each side's median and
 Q1-Q3 (``statistics.quantiles(values, n=4)``), how many pairs the change won
-(the direction comes from the metric's ``better``) and the change / parent
-ratio of the medians. The last line of output is one JSON object with the
-same data. Run it from anywhere in the repository:
+(the direction comes from the metric's ``better``), the change / parent
+ratio of the medians and a verdict under the metric's ``bound``:
+
+* ``worse``: the change's median is worse than the parent's by more than
+  the bound (relative to the parent's median);
+* ``gain``: over at least 10 pairs, the change wins at least 9 of 10 and
+  the medians differ by more than the parent's Q1-Q3 width;
+* ``unresolved``: the parent's (Q3 - Q1) / median exceeds the bound and
+  not every change run beats every parent run;
+* ``held``: anything else.
+
+The last line of output is one JSON object with the same data plus every
+pair's ``[parent, change]`` values. Run it from anywhere in the repository:
 
     python3 ci/bench_pairs.py --parent HEAD~1 --workload serve --pairs 10 --seed 1 --seconds 10
     python3 ci/bench_pairs.py --parent HEAD~1 --workload serve --pairs 2 --trace 1 \\
         --extra ledger.telemetry_us ledger.engine_us
 
 ``--extra`` adds per-layer metrics or detail lines (by name) to the table;
-they are not judged, so their wins assume lower is better. The exit status is
+they get no verdict, and their wins assume lower is better. The exit status is
 non-zero only when a run prints no result line or reports ``failed > 0``;
 timing gates are not this script's job.
 """
@@ -90,10 +100,26 @@ def summary(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def verdict(parent, change, both, wins, better, bound):
+    """The acceptance verdict of one end-to-end metric; see the module docs."""
+    sign = 1 if better == "lower" else -1
+    gained = sign * (parent["median"] - change["median"])
+    spread = parent["q3"] - parent["q1"]
+    if -gained > bound * abs(parent["median"]):
+        return "worse"
+    if len(both) >= 10 and 10 * wins >= 9 * len(both) and gained > spread:
+        return "gain"
+    beats_every = all(sign * (p - c) > 0 for p, _ in both for _, c in both)
+    if spread > bound * abs(parent["median"]) and not beats_every:
+        return "unresolved"
+    return "held"
+
+
 def compare(workload, pairs, metrics):
-    """Per metric: both sides' medians and quartiles, wins and ratio."""
+    """Per metric: both sides' medians and quartiles, wins, ratio, verdict
+    and every pair's values."""
     rows = {}
-    for name, better in metrics:
+    for name, better, bound in metrics:
         both = [(p["values"].get(name), c["values"].get(name)) for p, c in pairs]
         both = [(p, c) for p, c in both if p is not None and c is not None]
         if not both:
@@ -101,16 +127,18 @@ def compare(workload, pairs, metrics):
         parent, change = summary([p for p, _ in both]), summary([c for _, c in both])
         wins = sum(c < p if better == "lower" else c > p for p, c in both)
         ratio = change["median"] / parent["median"] if parent["median"] else None
+        judged = None if bound is None else verdict(parent, change, both, wins, better, bound)
         rows[name] = {"parent": parent, "change": change, "wins": wins,
-                      "pairs": len(both), "ratio": ratio, "better": better}
+                      "pairs": len(both), "ratio": ratio, "better": better,
+                      "bound": bound, "verdict": judged, "runs": [list(pc) for pc in both]}
     print(f"\n{workload}: {len(pairs)} pairs")
     print(f"  {'metric':<26}{'parent median [Q1-Q3]':>34}{'change median [Q1-Q3]':>34}"
-          f"{'wins':>7}{'ratio':>8}")
+          f"{'wins':>7}{'ratio':>8}  verdict")
     for name, r in rows.items():
         side = lambda s: f"{s['median']:.4g} [{s['q1']:.4g}-{s['q3']:.4g}]"
         ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
         print(f"  {name:<26}{side(r['parent']):>34}{side(r['change']):>34}"
-              f"{r['wins']:>4}/{r['pairs']:<2}{ratio:>8}")
+              f"{r['wins']:>4}/{r['pairs']:<2}{ratio:>8}  {r['verdict'] or '-'}")
     return rows
 
 
@@ -130,8 +158,8 @@ def main():
 
     sha, parent_root = checkout(args.parent)
     sides = {"parent": parent_root, "change": ROOT}
-    metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
-    metrics += [(name, "lower") for name in args.extra]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
+    metrics += [(name, "lower", None) for name in args.extra]
     workloads = names if args.workload == "all" else [args.workload]
     report = {"parent": sha, "seed": args.seed, "seconds": args.seconds,
               "trace": args.trace, "workloads": {}}

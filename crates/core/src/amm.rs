@@ -316,30 +316,7 @@ impl AssociativeMemoryModule {
         // size, so after the first rescale, re-measure and correct once
         // more. The probe uses the same drive style as the configured
         // fidelity so Ideal-fidelity modules cannot saturate.
-        let mut gain = 1.0_f64;
-        let calibration_passes = if config.gain_calibration { 2 } else { 0 };
-        for _ in 0..calibration_passes {
-            let probe = DtcsDac::design(p.template_bits, Amps(dac_fs.0 * gain), p.delta_v, &tech)?
-                .nominal();
-            let mut max_self: f64 = 0.0;
-            for (j, pattern) in patterns.iter().enumerate() {
-                let drives: Vec<RowDrive> = pattern
-                    .iter()
-                    .map(|&l| match config.fidelity {
-                        Fidelity::Ideal => Ok(RowDrive::Current(probe.clamped_current(l)?)),
-                        Fidelity::Driven | Fidelity::Parasitic => Ok(RowDrive::SourceConductance {
-                            g: probe.conductance(l)?,
-                            supply: p.delta_v,
-                        }),
-                    })
-                    .collect::<Result<_, CoreError>>()?;
-                let currents = array.driven_column_currents(&drives)?;
-                max_self = max_self.max(currents[j].0);
-            }
-            if max_self > 0.0 {
-                gain *= Self::FULL_SCALE_HEADROOM * i_fs_col.0 / max_self;
-            }
-        }
+        let gain = Self::calibrated_gain(&array, patterns, config, i_fs_col, dac_fs, &tech)?;
         let input_design =
             DtcsDac::design(p.template_bits, Amps(dac_fs.0 * gain), p.delta_v, &tech)?;
         let input_dacs = (0..rows)
@@ -368,6 +345,58 @@ impl AssociativeMemoryModule {
         };
         module.warm_session(recorder)?;
         Ok(module)
+    }
+
+    /// The input-DAC gain correction of [`AssociativeMemoryModule::build`]:
+    /// two fixed-point passes (none when `gain_calibration` is off), each
+    /// probing every stored pattern's self-correlation current at the
+    /// current gain and rescaling so the largest lands at
+    /// [`Self::FULL_SCALE_HEADROOM`] of `i_fs_col`.
+    ///
+    /// A pattern's probe reads only its own column, summed in row order
+    /// from the drive's input voltage against the row's total load — the
+    /// numbers `CrossbarArray::driven_column_currents` computes for that
+    /// column — so the gain is the same as from the full current vector.
+    fn calibrated_gain(
+        array: &CrossbarArray,
+        patterns: &[Vec<u32>],
+        config: &AmmConfig,
+        i_fs_col: Amps,
+        dac_fs: Amps,
+        tech: &Tech45,
+    ) -> Result<f64, CoreError> {
+        let p = &config.params;
+        let loads = (0..array.rows())
+            .map(|i| array.row_total_conductance(i))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut gain = 1.0_f64;
+        let calibration_passes = if config.gain_calibration { 2 } else { 0 };
+        for _ in 0..calibration_passes {
+            let probe =
+                DtcsDac::design(p.template_bits, Amps(dac_fs.0 * gain), p.delta_v, tech)?.nominal();
+            let mut max_self: f64 = 0.0;
+            for (j, pattern) in patterns.iter().enumerate() {
+                let mut current = 0.0;
+                for (i, (&l, &load)) in pattern.iter().zip(&loads).enumerate() {
+                    let drive = match config.fidelity {
+                        Fidelity::Ideal => RowDrive::Current(probe.clamped_current(l)?),
+                        Fidelity::Driven | Fidelity::Parasitic => RowDrive::SourceConductance {
+                            g: probe.conductance(l)?,
+                            supply: p.delta_v,
+                        },
+                    };
+                    current += drive.input_voltage(load).0 * array.conductance(i, j)?.0;
+                }
+                if array.column_disconnected(j) {
+                    current = 0.0;
+                }
+                max_self = max_self.max(current);
+            }
+            if max_self > 0.0 {
+                gain *= Self::FULL_SCALE_HEADROOM * i_fs_col.0 / max_self;
+            }
+        }
+        Ok(gain)
     }
 
     /// Pins the cached parasitic session's state with one canonical
@@ -2165,6 +2194,104 @@ mod tests {
             let a: Vec<RecallResult> = queries.iter().map(|q| seq.recall(q).unwrap()).collect();
             let b = bat.recall_batch(&queries).unwrap();
             assert_eq!(a, b, "{fidelity:?}: batch must stay bit-identical");
+        }
+    }
+
+    #[test]
+    fn gain_calibration_reads_only_the_self_column() {
+        // The previous calibration: the full driven current vector per
+        // stored pattern, keeping only the pattern's own entry.
+        fn full_vector_gain(
+            array: &CrossbarArray,
+            patterns: &[Vec<u32>],
+            config: &AmmConfig,
+            i_fs_col: Amps,
+            dac_fs: Amps,
+        ) -> f64 {
+            let p = &config.params;
+            let tech = Tech45::DEFAULT;
+            let mut gain = 1.0_f64;
+            for _ in 0..2 {
+                let probe =
+                    DtcsDac::design(p.template_bits, Amps(dac_fs.0 * gain), p.delta_v, &tech)
+                        .unwrap()
+                        .nominal();
+                let mut max_self: f64 = 0.0;
+                for (j, pattern) in patterns.iter().enumerate() {
+                    let drives: Vec<RowDrive> = pattern
+                        .iter()
+                        .map(|&l| match config.fidelity {
+                            Fidelity::Ideal => RowDrive::Current(probe.clamped_current(l).unwrap()),
+                            Fidelity::Driven | Fidelity::Parasitic => RowDrive::SourceConductance {
+                                g: probe.conductance(l).unwrap(),
+                                supply: p.delta_v,
+                            },
+                        })
+                        .collect();
+                    let currents = array.driven_column_currents(&drives).unwrap();
+                    max_self = max_self.max(currents[j].0);
+                }
+                if max_self > 0.0 {
+                    gain *= AssociativeMemoryModule::FULL_SCALE_HEADROOM * i_fs_col.0 / max_self;
+                }
+            }
+            gain
+        }
+
+        for (rows, count) in [(16usize, 4usize), (128, 128)] {
+            // Pattern 1 is the strongest, so severing its column moves the
+            // calibration maximum.
+            let patterns: Vec<Vec<u32>> = (0..count)
+                .map(|p| {
+                    (0..rows)
+                        .map(|i| {
+                            if p == 1 {
+                                31
+                            } else {
+                                ((i * 7 + p * 13) % 32) as u32
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let spares = 2;
+            let module = AssociativeMemoryModule::build(
+                &patterns,
+                &AmmConfig {
+                    spare_columns: spares,
+                    ..AmmConfig::default()
+                },
+            )
+            .unwrap();
+            let i_fs_col = module.wta.adcs()[0].nominal_full_scale();
+            let dac_fs = Amps(i_fs_col.0 * (count + spares) as f64 / rows as f64);
+            // A shorted column still loads its rows but reads zero.
+            let mut severed = module.array.clone();
+            let map = FaultMap::pristine(rows, count + spares, 0)
+                .unwrap()
+                .with_col_defect(1, LineDefect::Short)
+                .unwrap();
+            severed.set_fault_map(map).unwrap();
+            for array in [&module.array, &severed] {
+                for fidelity in [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic] {
+                    let cfg = AmmConfig {
+                        fidelity,
+                        spare_columns: spares,
+                        ..AmmConfig::default()
+                    };
+                    let got = AssociativeMemoryModule::calibrated_gain(
+                        array,
+                        &patterns,
+                        &cfg,
+                        i_fs_col,
+                        dac_fs,
+                        &Tech45::DEFAULT,
+                    )
+                    .unwrap();
+                    let want = full_vector_gain(array, &patterns, &cfg, i_fs_col, dac_fs);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{rows}x{count} {fidelity:?}");
+                }
+            }
         }
     }
 }

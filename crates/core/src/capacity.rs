@@ -108,79 +108,35 @@ pub struct TiledRecall {
     pub energy: EnergyBreakdown,
 }
 
-/// Ranks candidates best-first: higher code wins, ties break to the
-/// lowest global column index. A strict total order (global indices are
-/// unique), which is what makes the merge deterministic and
-/// truncation-safe.
-fn rank_order(a: &(usize, u32), b: &(usize, u32)) -> std::cmp::Ordering {
-    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
-}
-
-/// Merges two rank-ordered candidate lists, keeping the best `k`.
-fn merge_pair(a: &[(usize, u32)], b: &[(usize, u32)], k: usize) -> Vec<(usize, u32)> {
-    let mut out = Vec::with_capacity(k.min(a.len() + b.len()));
-    let (mut i, mut j) = (0, 0);
-    while out.len() < k && (i < a.len() || j < b.len()) {
-        let take_a = match (a.get(i), b.get(j)) {
-            (Some(x), Some(y)) => rank_order(x, y).is_le(),
-            (Some(_), None) => true,
-            _ => false,
-        };
-        if take_a {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out
-}
-
-/// The deterministic top-k merge tree over per-tile code vectors.
+/// The deterministic top-k merge over per-tile code vectors.
 ///
-/// Each tile contributes its columns as `(global_column, code)` candidates
-/// (global index = running offset + local column); leaves keep their local
-/// top-k, then a pairwise tournament merges lists until one remains.
-/// Because `rank_order` is a strict total order, the result equals the
-/// first `k` entries of a full argsort of the concatenation — the oracle
-/// the conformance harness and the E18 gate check against — and at `k = 1`
-/// it is exactly [`crate::wta::argmax_lowest_index`].
+/// Scans every column in global order (global index = running offset +
+/// local column), keeping at most `k` `(global_column, code)` candidates
+/// sorted best first: a candidate enters while the buffer is short, or
+/// when its code beats the k-th strictly, since a later column loses every
+/// tie. The result therefore equals the first `k` entries of a full
+/// argsort of the concatenation by `(code descending, global column
+/// ascending)` — the oracle the conformance harness and the E18 gate check
+/// against — and at `k = 1` it is exactly
+/// [`crate::wta::argmax_lowest_index`]. An entry costs one compare, plus
+/// a shift of up to `k` candidates when it enters.
 #[must_use]
 pub fn top_k_merge(per_tile: &[&[u32]], k: usize) -> Vec<(usize, u32)> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut offset = 0usize;
-    let mut lists: Vec<Vec<(usize, u32)>> = Vec::with_capacity(per_tile.len());
+    let columns: usize = per_tile.iter().map(|codes| codes.len()).sum();
+    let mut top: Vec<(usize, u32)> = Vec::with_capacity(k.min(columns) + 1);
+    let mut column = 0;
     for codes in per_tile {
-        let mut leaf: Vec<(usize, u32)> = codes
-            .iter()
-            .enumerate()
-            .map(|(j, &c)| (offset + j, c))
-            .collect();
-        offset += codes.len();
-        // Any global top-k candidate is within its own tile's top-k, so
-        // truncating at the leaves loses nothing.
-        if leaf.len() > k {
-            leaf.select_nth_unstable_by(k - 1, rank_order);
-            leaf.truncate(k);
-        }
-        leaf.sort_unstable_by(rank_order);
-        lists.push(leaf);
-    }
-    while lists.len() > 1 {
-        let mut next = Vec::with_capacity(lists.len().div_ceil(2));
-        let mut it = lists.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_pair(&a, &b, k)),
-                None => next.push(a),
+        for &code in *codes {
+            if top.len() < k || top.last().is_some_and(|&(_, last)| code > last) {
+                // After every candidate that scores at least as high.
+                let at = top.partition_point(|&(_, c)| c >= code);
+                top.insert(at, (column, code));
+                top.truncate(k);
             }
+            column += 1;
         }
-        lists = next;
     }
-    lists.pop().unwrap_or_default()
+    top
 }
 
 /// Derives tile `index`'s RNG seed from the pool seed. Tile 0 keeps the
@@ -784,6 +740,12 @@ mod tests {
             );
             assert_eq!(r.dom, r.scores[r.matches[0].global_column]);
         }
+    }
+
+    /// Ranks candidates best-first: higher code wins, ties break to the
+    /// lowest global column index.
+    fn rank_order(a: &(usize, u32), b: &(usize, u32)) -> std::cmp::Ordering {
+        b.1.cmp(&a.1).then(a.0.cmp(&b.0))
     }
 
     /// The full argsort oracle the merge must equal.

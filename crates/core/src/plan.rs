@@ -10,9 +10,13 @@
 //!   load. At query time a drive is a table read, not a DAC model call.
 //! * **Conductance table** — effective cell conductances with fault gains
 //!   and column disconnections applied, in one row-major buffer.
-//! * **SAR DAC tables** — per-column trial currents and per-cycle DAC rail
-//!   energies for every code, replacing the DAC model in the conversion
-//!   loop. The spin devices themselves (domain-wall neuron, latch) stay
+//! * **SAR DAC table** — per-column trial currents for every code,
+//!   replacing the DAC model in the conversion loop; each cycle's DAC rail
+//!   energy is computed from it with the converter's own expression.
+//! * **Switching cutoffs** — a column whose devices draw no randomness (no
+//!   thermal switching, no latch noise) is lowered to one number: the
+//!   smallest net current that switches its domain-wall neuron within the
+//!   write pulse, so each SAR cycle is one compare. Noisy devices stay
 //!   live models on the module: they carry the stochastic physics and the
 //!   RNG stream.
 //! * **Condition/select maps** — column gating, latch offsets, template
@@ -38,7 +42,11 @@
 //! interpreted reference runs (drive lowering, DAC currents, conductance
 //! reads), the floating-point accumulation order is the same, and the
 //! RNG-consuming devices are the same live models called in the same
-//! order. Module recalls therefore reproduce the interpreted reference
+//! order. A deterministic comparator is lowered to its cutoff, which gives
+//! the device's own decision for every net current (see
+//! `switch_cutoff`), and the winner tracker's outcome is read off the
+//! final codes, which fix every decision it would replay. Module recalls
+//! therefore reproduce the interpreted reference
 //! (`AssociativeMemoryModule::oracle_recall_request`) bit for bit:
 //! results, energy floats, RNG stream and device counters. `plan::tests`,
 //! the mutation proptest and the conformance `bit_identity.plan.*` checks
@@ -63,13 +71,12 @@
 use crate::adc::SpinSarAdc;
 use crate::amm::{AssociativeMemoryModule, Fidelity, QueryEvaluation, RecallResult};
 use crate::energy::EnergyBreakdown;
-use crate::sar::SarRegister;
 use crate::wta::{argmax_lowest_index, SpinWta};
 use crate::CoreError;
 use rand_chacha::ChaCha8Rng;
 use spinamm_circuit::units::{Amps, Joules, Seconds, Watts};
 use spinamm_crossbar::{CachedParasiticCrossbar, CrossbarArray, RowDrive};
-use spinamm_spin::{DomainWallNeuron, Polarity};
+use spinamm_spin::{DomainWallNeuron, NeuronConfig, Polarity};
 use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
 
 /// How the evaluate phase turns staged levels into column currents.
@@ -115,10 +122,12 @@ pub(crate) struct Kernel {
     bits: u32,
     /// SAR DAC trial currents, `[col × code]`.
     i_dac: Vec<f64>,
-    /// Per-cycle DAC rail energy, `[col × code]`.
-    dac_energy: Vec<f64>,
     /// Input saturation ceiling per column.
     ceiling: Vec<f64>,
+    /// Per column, the net current at and above which its comparator
+    /// switches (see [`switch_cutoff`]); `None` for a column whose devices
+    /// draw randomness, which runs the live models.
+    cutoff: Vec<Option<f64>>,
 
     // --- select ---------------------------------------------------------
     owner: Vec<Option<usize>>,
@@ -178,15 +187,29 @@ impl Kernel {
         let bits = wta.bits();
         let codes = 1u32 << bits;
         let mut i_dac = Vec::with_capacity(cols * codes as usize);
-        let mut dac_energy = Vec::with_capacity(cols * codes as usize);
         let mut ceiling = Vec::with_capacity(cols);
+        let mut cutoff = Vec::with_capacity(cols);
+        // Fault-free columns share one comparator, so reuse the previous
+        // column's cutoff while its neuron and pulse are unchanged.
+        let mut last: Option<(NeuronConfig, f64, Option<f64>)> = None;
         for adc in wta.adcs() {
             ceiling.push(adc.saturation_ceiling()?.0);
             for code in 0..codes {
-                let i = adc.dac.clamped_current(code)?.0;
-                i_dac.push(i);
-                dac_energy.push(i * 2.0 * adc.dac.supply().0 * adc.clock_period.0);
+                i_dac.push(adc.dac.clamped_current(code)?.0);
             }
+            cutoff.push(if adc.thermal || adc.latch_noise {
+                None
+            } else {
+                let pulse = adc.clock_period.0 * SpinSarAdc::PULSE_FRACTION;
+                match last {
+                    Some((neuron, p, c)) if neuron == adc.neuron && p == pulse => c,
+                    _ => {
+                        let c = switch_cutoff(adc.neuron, Seconds(pulse));
+                        last = Some((adc.neuron, pulse, c));
+                        c
+                    }
+                }
+            });
         }
 
         let owner = module.column_owner.clone();
@@ -209,8 +232,8 @@ impl Kernel {
                 .count(),
             bits,
             i_dac,
-            dac_energy,
             ceiling,
+            cutoff,
             owner,
             dom_threshold: module.config.dom_threshold,
             latency: wta.latency(),
@@ -253,12 +276,16 @@ impl Kernel {
                 g,
                 disconnected,
             } => {
-                // Row-outer / column-inner accumulation, the order of
+                // Stage the row voltages first, so the table reads overlap,
+                // then accumulate row-outer / column-inner, the order of
                 // `CrossbarArray::ideal_column_currents`.
+                let staged: Vec<f64> = levels
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &level)| v[i * lc + level as usize])
+                    .collect();
                 let mut currents = vec![Amps(0.0); self.cols];
-                for (i, &level) in levels.iter().enumerate() {
-                    let vi = v[i * lc + level as usize];
-                    let row = &g[i * self.cols..(i + 1) * self.cols];
+                for (&vi, row) in staged.iter().zip(g.chunks_exact(self.cols)) {
                     for (o, &gij) in currents.iter_mut().zip(row) {
                         o.0 += vi * gij;
                     }
@@ -293,8 +320,9 @@ impl Kernel {
     }
 
     /// The select phase: condition → convert → select. Consumes `rng`
-    /// through the live spin devices of `wta` exactly as the reference's
-    /// `SpinWta` evaluation does, with the same spans and counter totals.
+    /// through the live spin devices of `wta`'s noisy columns exactly as
+    /// the reference's `SpinWta` evaluation does, with the same spans and
+    /// counter totals; a deterministic column compares against its cutoff.
     /// The device counters are tallied locally and reported once per
     /// select, not once per cycle.
     pub(crate) fn select<T: Recorder>(
@@ -337,11 +365,12 @@ impl Kernel {
         // Convert: per column, clamp → SAR cycle → neuron write → latch
         // sense → DAC energy, as `SpinSarAdc::convert_with` does, with the
         // DAC model replaced by table reads. Energy subtotals start from
-        // zero per conversion and sum in column order.
+        // zero per conversion and sum in column order. `code` holds the
+        // SAR register's trial code and `bit` its trial bit: a cycle keeps
+        // the bit when the comparator reads Up, then sets the next one.
         let convert = recorder.span(Layer::CONVERT);
-        let bits = self.bits as usize;
-        let codes_per_col = 1usize << bits;
-        let mut traj = vec![0u32; self.cols * bits];
+        let codes_per_col = 1usize << self.bits;
+        let msb = 1u32 << (self.bits - 1);
         let mut codes = vec![0u32; self.cols];
         let mut energy = EnergyBreakdown::default();
         let (mut sar_cycles, mut dwn_switches) = (0u64, 0u64);
@@ -353,38 +382,57 @@ impl Kernel {
                 });
             }
             let input = currents[j].0.clamp(0.0, self.ceiling[j]);
+            let i_dac = &self.i_dac[j * codes_per_col..(j + 1) * codes_per_col];
             let pulse = Seconds(adc.clock_period.0 * SpinSarAdc::PULSE_FRACTION);
-            let mut sar = SarRegister::new(self.bits);
+            let (supply, clock) = (adc.dac.supply().0, adc.clock_period.0);
+            let sense_energy = adc.latch.sense_energy();
             let mut dwn_energy = Joules::ZERO;
             let mut latch_energy = Joules::ZERO;
             let mut dac_energy = Joules::ZERO;
-            let mut neuron = DomainWallNeuron::new(adc.neuron);
-            let mut cycle = 0;
-            while !sar.is_done() {
-                sar_cycles += 1;
-                let trial = j * codes_per_col + sar.code() as usize;
-                let net = Amps(input - self.i_dac[trial]);
-                neuron.set_state(Polarity::Down);
-                let state = if adc.thermal {
-                    neuron.apply_thermal_with(net, pulse, rng, &NoopRecorder)
-                } else {
-                    neuron.apply_with(net, pulse, &NoopRecorder)
-                };
-                // Each cycle starts Down, so the wall switched iff it reads Up.
-                dwn_switches += u64::from(state == Polarity::Up);
-                dwn_energy += adc.neuron.write_energy(net, pulse);
-                let sensed = if adc.latch_noise {
-                    adc.latch.sense_with(&adc.mtj, state, rng, &NoopRecorder)
-                } else {
-                    state
-                };
-                latch_energy += adc.latch.sense_energy();
-                dac_energy += Joules(self.dac_energy[trial]);
-                sar.step(sensed == Polarity::Up);
-                traj[j * bits + cycle] = sar.code();
-                cycle += 1;
+            let (mut code, mut bit) = (msb, msb);
+            if let Some(cutoff) = self.cutoff[j] {
+                while bit != 0 {
+                    let i = i_dac[code as usize];
+                    let net = Amps(input - i);
+                    let up = net.0 >= cutoff;
+                    dwn_energy += adc.neuron.write_energy(net, pulse);
+                    latch_energy += sense_energy;
+                    dac_energy += Joules(i * 2.0 * supply * clock);
+                    code ^= bit * u32::from(!up);
+                    bit >>= 1;
+                    code |= bit;
+                }
+                // Each cycle starts Down and keeps its bit only if the
+                // wall switched, so the switches are the code's set bits.
+                dwn_switches += u64::from(code.count_ones());
+            } else {
+                let mut neuron = DomainWallNeuron::new(adc.neuron);
+                while bit != 0 {
+                    let i = i_dac[code as usize];
+                    let net = Amps(input - i);
+                    neuron.set_state(Polarity::Down);
+                    let state = if adc.thermal {
+                        neuron.apply_thermal_with(net, pulse, rng, &NoopRecorder)
+                    } else {
+                        neuron.apply_with(net, pulse, &NoopRecorder)
+                    };
+                    // Each cycle starts Down, so the wall switched iff it reads Up.
+                    dwn_switches += u64::from(state == Polarity::Up);
+                    dwn_energy += adc.neuron.write_energy(net, pulse);
+                    let sensed = if adc.latch_noise {
+                        adc.latch.sense_with(&adc.mtj, state, rng, &NoopRecorder)
+                    } else {
+                        state
+                    };
+                    latch_energy += sense_energy;
+                    dac_energy += Joules(i * 2.0 * supply * clock);
+                    code ^= bit * u32::from(sensed != Polarity::Up);
+                    bit >>= 1;
+                    code |= bit;
+                }
             }
-            codes[j] = sar.code();
+            sar_cycles += u64::from(self.bits);
+            codes[j] = code;
             energy.dwn_write += dwn_energy;
             energy.latch_sense += latch_energy;
             energy.dac_static += dac_energy;
@@ -392,29 +440,24 @@ impl Kernel {
         convert.attr("columns", self.cols as f64);
         drop(convert);
 
-        // Select: the winner tracker's narrowing schedule (Fig. 12), then
-        // the lowest-index argmax and result assembly.
+        // Select: the lowest-index argmax and result assembly. The winner
+        // tracker (Fig. 12) needs no replay: each cycle's decision is the
+        // code bit it resolved, so its narrowing ends on the columns that
+        // hold the maximum code when that code has its MSB set, and on none
+        // otherwise, and the detection line falls once per set bit of that
+        // code below the MSB. `SpinWta::evaluate_with` keeps the
+        // cycle-by-cycle tracker as the reference.
         let _select = recorder.span(Layer::SELECT);
-        let msb = 1u32 << (self.bits - 1);
-        let mut tr: Vec<bool> = (0..self.cols).map(|j| traj[j * bits] & msb != 0).collect();
-        let mut dl_transitions = 0u64;
-        for cycle in 1..bits {
-            let mask = 1u32 << (bits - 1 - cycle);
-            let resolved = |j: usize| traj[j * bits + cycle] & mask != 0;
-            if (0..self.cols).any(|j| tr[j] && resolved(j)) {
-                dl_transitions += 1;
-                for (j, t) in tr.iter_mut().enumerate() {
-                    *t = *t && resolved(j);
-                }
-            }
-        }
-        let mut tracked = tr.iter().enumerate().filter(|&(_, &t)| t).map(|(j, _)| j);
-        let tracked_phys = match (tracked.next(), tracked.next()) {
-            (Some(j), None) => Some(j),
-            _ => None,
-        };
         let winner = argmax_lowest_index(&codes).expect("non-empty by construction");
         let dom = codes[winner];
+        let tracks = dom & msb != 0;
+        let dl_transitions = if tracks {
+            u64::from((dom & (msb - 1)).count_ones())
+        } else {
+            0
+        };
+        let tracked_phys =
+            (tracks && codes.iter().filter(|&&c| c == dom).count() == 1).then_some(winner);
         energy.digital = self.digital_energy;
         energy.rcm_static = Joules(rcm_power.0 * self.latency.0);
         // A disowned column only wins when every owned column read zero;
@@ -458,6 +501,43 @@ fn report_device_counters<T: Recorder>(
             recorder.counter(name, total);
         }
     }
+}
+
+/// The smallest net current at which a fresh (`Down`) comparator of
+/// `neuron` ends `Up` after a write `pulse`, or `None` when no net current
+/// switches it.
+///
+/// The decision is monotone in the net current, so `net >= cutoff` is the
+/// device's own answer for every `f64` net. A net at or below zero drives
+/// the wall toward `Down`, which it already holds. Above zero,
+/// [`DomainWallNeuron::apply_with`] switches iff the overdrive
+/// `net − threshold` is positive and the transit time
+/// `L / (μ·u·overdrive)` is at most the pulse. With a module's positive
+/// length, mobility and drift, the subtraction, the product, the division
+/// and the `≤ pulse` test are each monotone under IEEE rounding, so once a
+/// net switches, every larger one does too. Non-negative floats order
+/// like their bit patterns, so a bisection over the patterns of
+/// `[0, +∞]`, calling the device itself, finds the cutoff exactly in at
+/// most 64 calls.
+fn switch_cutoff(neuron: NeuronConfig, pulse: Seconds) -> Option<f64> {
+    let switches = |bits: u64| {
+        DomainWallNeuron::new(neuron).apply_with(Amps(f64::from_bits(bits)), pulse, &NoopRecorder)
+            == Polarity::Up
+    };
+    // Invariant: `lo` stays Down (zero net never switches), `hi` ends Up.
+    let (mut lo, mut hi) = (0.0f64.to_bits(), f64::INFINITY.to_bits());
+    if !switches(hi) {
+        return None;
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if switches(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(f64::from_bits(hi))
 }
 
 #[cfg(test)]
@@ -745,5 +825,115 @@ mod tests {
             .expect("three templates stay live");
         module.recall_request(&queries()[2], &req).unwrap();
         assert_eq!(rec.snapshot().counter("plan.compiles"), 2);
+    }
+
+    /// The device's own decision from a fresh (`Down`) neuron.
+    fn device_switches(neuron: NeuronConfig, net: f64, pulse: Seconds) -> bool {
+        DomainWallNeuron::new(neuron).apply_with(Amps(net), pulse, &NoopRecorder) == Polarity::Up
+    }
+
+    #[test]
+    fn switch_cutoff_reproduces_the_device() {
+        use rand::{Rng, SeedableRng};
+        let nominal = AmmConfig::default().params.dwn_threshold;
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        // Fault injection scales thresholds per column; a module's pulse is
+        // 0.9 of its clock.
+        for factor in [0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0] {
+            let neuron = NeuronConfig::paper()
+                .with_threshold(Amps(nominal.0 * factor))
+                .unwrap();
+            for pulse in [0.9e-9, 9e-9, 90e-9].map(Seconds) {
+                let cutoff = switch_cutoff(neuron, pulse).expect("a finite drive switches");
+                let below = f64::from_bits(cutoff.to_bits() - 1);
+                assert!(device_switches(neuron, cutoff, pulse), "{factor} {pulse:?}");
+                assert!(!device_switches(neuron, below, pulse), "{factor} {pulse:?}");
+                let mut nets: Vec<f64> = (0..10_000)
+                    .map(|_| rng.gen_range(-2.0 * cutoff..2.0 * cutoff))
+                    .collect();
+                nets.extend((1..=8).flat_map(|ulp| {
+                    [
+                        f64::from_bits(cutoff.to_bits() + ulp),
+                        f64::from_bits(cutoff.to_bits() - ulp),
+                    ]
+                }));
+                for net in nets {
+                    assert_eq!(
+                        net >= cutoff,
+                        device_switches(neuron, net, pulse),
+                        "factor {factor}, pulse {pulse:?}, net {net:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tracker_edge_cases_match_the_oracle() {
+        use crate::degrade::DegradationPolicy;
+        use spinamm_faults::FaultMap;
+
+        // Kernel against oracle on twin modules: results, energy bits and
+        // the tracker and switch counters, query by query.
+        fn check(
+            module: &mut AssociativeMemoryModule,
+            reference: &mut AssociativeMemoryModule,
+            q: &[u32],
+        ) -> RecallResult {
+            let (got_rec, want_rec) = (MemoryRecorder::default(), MemoryRecorder::default());
+            let got = module
+                .recall_request(q, &RecallRequest::recorded(&got_rec))
+                .unwrap();
+            let want = reference
+                .oracle_recall_request(q, &RecallRequest::recorded(&want_rec))
+                .unwrap();
+            assert_results_identical(&got, &want);
+            let (got_rec, want_rec) = (got_rec.snapshot(), want_rec.snapshot());
+            for name in ["wta.dl_transitions", "spin.dwn_switch_events"] {
+                assert_eq!(got_rec.counter(name), want_rec.counter(name), "{name}");
+            }
+            got
+        }
+
+        let cfg = config(Fidelity::Driven);
+        let msb = 1u32 << (cfg.params.comparator_bits - 1);
+        let mut pats = patterns();
+        pats.insert(1, pats[0].clone());
+        let mut module = AssociativeMemoryModule::build(&pats, &cfg).unwrap();
+        let mut reference = AssociativeMemoryModule::build(&pats, &cfg).unwrap();
+
+        // (a) Duplicated templates tie at the maximum: no tracked winner.
+        let q: Vec<u32> = pats[0].iter().map(|&l| l * 7 / 8).collect();
+        let r = check(&mut module, &mut reference, &q);
+        assert!(r.dom & msb != 0, "codes {:?}", r.codes);
+        assert_eq!((r.codes[0], r.codes[1]), (r.dom, r.dom));
+        assert_eq!(r.tracked_winner, None);
+        // (b) An all-zero query sets no MSB: no transition, no winner.
+        let r = check(&mut module, &mut reference, &[0; 16]);
+        assert!(r.dom & msb == 0, "codes {:?}", r.codes);
+        assert_eq!(r.tracked_winner, None);
+        // (c) A unique maximum is tracked.
+        let r = check(&mut module, &mut reference, &pats[2]);
+        assert_eq!(r.codes.iter().filter(|&&c| c == r.dom).count(), 1);
+        assert_eq!(r.tracked_winner, Some(r.raw_winner));
+
+        // (d) A threshold spread gives columns distinct cutoffs.
+        let map = FaultMap::pristine(16, pats.len(), 0)
+            .and_then(|m| m.with_threshold_factor(0, 0.6))
+            .and_then(|m| m.with_threshold_factor(2, 1.4))
+            .and_then(|m| m.with_threshold_factor(3, 2.5))
+            .unwrap();
+        for m in [&mut module, &mut reference] {
+            m.inject_faults(map.clone(), &DegradationPolicy::default())
+                .unwrap();
+        }
+        let cutoffs = Kernel::build(&module).unwrap().cutoff;
+        let mut distinct: Vec<f64> = cutoffs.iter().map(|c| c.unwrap()).collect();
+        distinct.sort_by(f64::total_cmp);
+        distinct.dedup();
+        assert_eq!(distinct.len(), 4, "{cutoffs:?}");
+        for q in pats.iter().chain(&queries()) {
+            check(&mut module, &mut reference, q);
+        }
     }
 }
