@@ -26,8 +26,9 @@ pair's ``[parent, change]`` values. Run it from anywhere in the repository:
 
 ``--extra`` adds per-layer metrics or detail lines (by name) to the table;
 they get no verdict, and their wins assume lower is better. The exit status is
-non-zero only when a run prints no result line or reports ``failed > 0``;
-timing gates are not this script's job.
+non-zero only when a run prints no result line, reports ``failed > 0`` or
+reports ``"correct": false`` (perfbench prints that with ``failed: 0`` when a
+run attempted nothing); timing gates are not this script's job.
 """
 
 import argparse
@@ -65,8 +66,8 @@ def checkout(rev):
 
 
 def run(command, cwd, workload, seed, seconds, trace):
-    """One benchmark run: its failure count and metric and detail values,
-    or None when it printed no result line."""
+    """One benchmark run: its failure count, correctness flag and metric and
+    detail values, or None when it printed no result line."""
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", str(trace)]
     try:
@@ -90,7 +91,8 @@ def run(command, cwd, workload, seed, seconds, trace):
                 values.setdefault(parts[1], float(parts[2]))
             except ValueError:
                 pass
-    return {"failed": result.get("failed", 0), "values": values}
+    return {"failed": result.get("failed", 0), "correct": result.get("correct", True),
+            "values": values}
 
 
 def summary(values):
@@ -174,11 +176,16 @@ def main():
             runs = {side: run(bench["command"], sides[side], workload, args.seed,
                               args.seconds, args.trace) for side in order}
             for side, result in runs.items():
-                if result is None or result["failed"] > 0:
-                    broken += 1
-                    print(f"  {workload} pair {i} {side}: "
-                          f"{'no result' if result is None else 'failed ' + str(result['failed'])}",
-                          file=sys.stderr)
+                if result is None:
+                    problem = "no result"
+                elif result["failed"] > 0:
+                    problem = f"failed {result['failed']}"
+                elif result["correct"] is not True:
+                    problem = "not correct"
+                else:
+                    continue
+                broken += 1
+                print(f"  {workload} pair {i} {side}: {problem}", file=sys.stderr)
             if all(runs.values()):
                 pairs.append((runs["parent"], runs["change"]))
             print(f"  {workload} pair {i + 1}/{args.pairs} done ({order[0]} first)",

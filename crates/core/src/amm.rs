@@ -1041,8 +1041,7 @@ impl AssociativeMemoryModule {
         // Gain spread and open columns change the row loads; refresh the
         // dummies so every DAC still sees G_TS.
         if self.config.equalize_rows {
-            let target = self.array.equalization_target()?;
-            self.array.equalize_rows(Some(target))?;
+            self.array.retrim_dummies();
         }
 
         // The installed map changes drive kinds (line defects) and stamped
@@ -1299,8 +1298,7 @@ impl AssociativeMemoryModule {
         // dummies so every DAC still sees G_TS, then rebuild the cached
         // parasitic session against the new conductances.
         if self.config.equalize_rows {
-            let target = self.array.equalization_target()?;
-            self.array.equalize_rows(Some(target))?;
+            self.array.retrim_dummies();
         }
         self.parasitic.invalidate();
         self.warm_session(recorder)?;
@@ -1541,15 +1539,14 @@ impl AssociativeMemoryModule {
     ///
     /// # Errors
     ///
-    /// Propagates equalization and solver errors.
+    /// Propagates solver errors.
     pub fn commit_maintenance_request<R: Recorder>(
         &mut self,
         req: &RecallRequest<'_, R>,
     ) -> Result<(), CoreError> {
         self.kernel.take();
         if self.config.equalize_rows {
-            let target = self.array.equalization_target()?;
-            self.array.equalize_rows(Some(target))?;
+            self.array.retrim_dummies();
         }
         self.parasitic.invalidate();
         self.warm_session(req.recorder())?;

@@ -44,11 +44,12 @@
 //! spare-column machinery from the fault subsystem:
 //! [`TiledAmm::insert_template`] programs the pattern into the first free
 //! column of the first tile with space (program-and-verify retry path,
-//! re-equalized rows), growing the pool by a fresh tile when every tile is
-//! full. [`TiledAmm::evict_template`] releases the column back to the free
-//! pool; it is pure ownership bookkeeping (conductances, row loads and the
-//! RNG schedule are untouched). Both drop the tile's kernel tables, which
-//! the tile's next recall rebuilds.
+//! re-trimmed row dummies), growing the pool by a fresh tile when every
+//! tile is full; the pool flags which tiles have a free column, so an
+//! insert goes straight to its tile. [`TiledAmm::evict_template`] releases
+//! the column back to the free pool; it is pure ownership bookkeeping
+//! (conductances, row loads and the RNG schedule are untouched). Both drop
+//! the tile's kernel tables, which the tile's next recall rebuilds.
 
 use crate::amm::{AmmConfig, AssociativeMemoryModule, QueryEvaluation, RecallResult};
 use crate::energy::EnergyBreakdown;
@@ -171,6 +172,10 @@ fn tile_seed(base: u64, index: usize) -> u64 {
 pub struct TiledAmm {
     /// One full module per crossbar tile.
     tiles: Vec<AssociativeMemoryModule>,
+    /// Per tile, whether it has a free column, re-read from the tile after
+    /// every insert or evict that touches it, so an insert finds its tile
+    /// without reading every full tile's column map.
+    open: Vec<bool>,
     /// Template slots per tile at build time.
     tile_capacity: usize,
     /// Physical columns per tile (`tile_capacity + spare_columns`),
@@ -236,6 +241,7 @@ impl TiledAmm {
         }
         req.recorder().counter("capacity.tiles", tiles.len() as u64);
         Ok(Self {
+            open: tiles.iter().map(has_free_column).collect(),
             tiles,
             tile_capacity,
             tile_columns,
@@ -578,11 +584,11 @@ impl TiledAmm {
                 found: pattern.len(),
             });
         }
-        for (index, tile) in self.tiles.iter_mut().enumerate() {
-            if tile.free_columns().is_empty() {
-                continue;
-            }
-            let (slot, column) = tile.install_template_request(pattern, req)?;
+        if let Some(index) = self.open.iter().position(|&open| open) {
+            let tile = &mut self.tiles[index];
+            let installed = tile.install_template_request(pattern, req);
+            self.open[index] = has_free_column(tile);
+            let (slot, column) = installed?;
             return Ok(TemplateHandle {
                 tile: TileId(index),
                 column,
@@ -596,6 +602,7 @@ impl TiledAmm {
         cfg.spare_columns = self.tile_columns - 1;
         let module = AssociativeMemoryModule::build_request(&[pattern.to_vec()], &cfg, req)?;
         let column = module.template_columns()[0];
+        self.open.push(has_free_column(&module));
         self.tiles.push(module);
         req.recorder().counter("capacity.tiles_grown", 1);
         Ok(TemplateHandle {
@@ -621,10 +628,11 @@ impl TiledAmm {
     ///
     /// Evicting the **sole** live template of the **trailing** tile
     /// releases the whole tile instead (undoing pool growth): the tile —
-    /// with its crossbar, converters and kernel tables — is dropped, `total_columns` shrinks by one tile's width, and the
-    /// remaining tiles' independent RNG schedules are untouched, so every
-    /// surviving handle and recall stays bit-identical. The pool always
-    /// keeps at least one tile.
+    /// with its crossbar, converters and kernel tables — is dropped,
+    /// `total_columns` shrinks by one tile's width, and the remaining
+    /// tiles' independent RNG schedules are untouched, so every surviving
+    /// handle and recall stays bit-identical. The pool always keeps at
+    /// least one tile.
     ///
     /// Emits `bank.retires` (and `capacity.tiles_released` when a tile is
     /// dropped).
@@ -659,13 +667,21 @@ impl TiledAmm {
             // Dropping the trailing tile removes only that tile's
             // independent RNG stream.
             self.tiles.pop();
+            self.open.pop();
             req.recorder().counter("bank.retires", 1);
             req.recorder().counter("capacity.tiles_released", 1);
             return Ok(());
         }
-        self.tiles[handle.tile.0].retire_template_request(handle.slot, req)?;
-        Ok(())
+        let tile = &mut self.tiles[handle.tile.0];
+        let retired = tile.retire_template_request(handle.slot, req);
+        self.open[handle.tile.0] = has_free_column(tile);
+        retired.map(|_| ())
     }
+}
+
+/// Whether `tile` can take an insert.
+fn has_free_column(tile: &AssociativeMemoryModule) -> bool {
+    !tile.free_columns().is_empty()
 }
 
 #[cfg(test)]
@@ -955,6 +971,119 @@ mod tests {
         let handles = single.handles();
         single.evict_template(handles[0]).unwrap();
         assert!(single.evict_template(handles[1]).is_err());
+    }
+
+    #[test]
+    fn bank_writes_retrim_dummies_to_the_cellwise_reference() {
+        use crate::degrade::DegradationPolicy;
+        use spinamm_crossbar::CrossbarArray;
+        use spinamm_faults::{FaultMap, FaultModel};
+
+        // Each row's load summed cell by cell in column order, the target
+        // widened past `cols × g_max` by the largest load, and each dummy
+        // the target minus its row's load.
+        fn reference_dummies(a: &CrossbarArray) -> Vec<u64> {
+            let loads: Vec<f64> = (0..a.rows())
+                .map(|i| {
+                    let mut total = 0.0;
+                    for j in 0..a.cols() {
+                        total += a.conductance(i, j).unwrap().0;
+                    }
+                    total
+                })
+                .collect();
+            let default = a.limits().g_max().0 * a.cols() as f64;
+            let target = loads.iter().fold(default, |t, &l| t.max(l));
+            loads
+                .iter()
+                .map(|l| (target - l).max(0.0).to_bits())
+                .collect()
+        }
+        fn assert_dummies(pool: &TiledAmm) {
+            for (t, tile) in pool.tiles.iter().enumerate() {
+                let a = tile.array();
+                let got: Vec<u64> = (0..a.rows())
+                    .map(|i| a.dummy_conductance(i).unwrap().0.to_bits())
+                    .collect();
+                assert_eq!(got, reference_dummies(a), "tile {t}");
+            }
+        }
+
+        // Two tiles of three templates plus one spare, each faulted with
+        // stuck cells, a gain spread and a 6× gain on row 0, which pushes
+        // that row's load past `cols × g_max` on tile 1.
+        let w = workload(6, 1);
+        let cfg = AmmConfig {
+            spare_columns: 1,
+            ..AmmConfig::default()
+        };
+        let mut pool = TiledAmm::build(&w.patterns, 3, &cfg).unwrap();
+        let mut model = FaultModel::stuck(0.05).unwrap();
+        model.spread_sigma = 0.2;
+        for (t, tile) in pool.tiles.iter_mut().enumerate() {
+            let map = FaultMap::sample(&model, 16, 4, t as u64)
+                .and_then(|m| (0..4).try_fold(m, |m, j| m.with_cell_gain(0, j, 6.0)))
+                .unwrap();
+            tile.inject_faults(map, &DegradationPolicy::default())
+                .unwrap();
+        }
+        let g_max = cfg.params.memristor_limits.g_max().0;
+        let widened = |pool: &TiledAmm| {
+            pool.tiles
+                .iter()
+                .filter(|t| t.array().equalization_target().unwrap().0 > 4.0 * g_max)
+                .count()
+        };
+        assert_eq!(widened(&pool), 1);
+        assert_dummies(&pool);
+
+        // A full-scale row-0 level in tile 0's spare widens its target too.
+        let novel: Vec<u32> = (0..16).map(|i| (i as u32 * 7 + 31) % 32).collect();
+        let inserted = pool.insert_template(&novel).unwrap();
+        assert_eq!(inserted.tile, TileId(0));
+        assert_eq!(widened(&pool), 2);
+        assert_dummies(&pool);
+        pool.evict_template(inserted).unwrap();
+        assert_dummies(&pool);
+        let victim = pool.handles()[4];
+        pool.evict_template(victim).unwrap();
+        assert_dummies(&pool);
+        let again = pool.insert_template(&w.patterns[0]).unwrap();
+        assert!(again.tile.0 < 2);
+        assert_dummies(&pool);
+    }
+
+    #[test]
+    fn inserts_land_on_the_lowest_tile_with_a_free_column() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        // Random inserts and evicts, growing and releasing tiles: each
+        // insert lands where a scan of every tile's free columns points,
+        // and the open flags always match that scan.
+        let w = workload(7, 1);
+        let mut pool = TiledAmm::build(&w.patterns, 2, &AmmConfig::default()).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let (mut grew, mut released) = (false, false);
+        for step in 0..80 {
+            let scan: Vec<bool> = pool.tiles.iter().map(has_free_column).collect();
+            assert_eq!(pool.open, scan, "step {step}");
+            let tiles = pool.tile_count();
+            if rng.gen_bool(0.5) {
+                let want = scan.iter().position(|&open| open).unwrap_or(tiles);
+                let handle = pool.insert_template(&w.patterns[step % 7]).unwrap();
+                assert_eq!(handle.tile.0, want, "step {step}");
+            } else {
+                let handles = pool.handles();
+                let victim = handles[rng.gen_range(0..handles.len())];
+                // A tile's last template stays unless the tile is the
+                // trailing one, so some evictions are refused.
+                let _ = pool.evict_template(victim);
+            }
+            grew |= pool.tile_count() > tiles;
+            released |= pool.tile_count() < tiles;
+        }
+        assert!(grew && released);
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! * **Drive tables** — every `(row, level)` pair is lowered through the
 //!   module's own `drive_for_row`, then evaluated against the row's total
 //!   load. At query time a drive is a table read, not a DAC model call.
-//! * **Conductance table** — effective cell conductances with fault gains
-//!   and column disconnections applied, in one row-major buffer.
+//! * **Column cuts** — the columns a line defect severs, whose currents
+//!   the correlate forces to zero. The conductances themselves are not
+//!   copied: the correlate reads the array's effective-conductance table
+//!   ([`CrossbarArray::conductances`]), which the array refreshes on every
+//!   write and shares between module clones, so a rebuild after a template
+//!   write reads no cell.
 //! * **SAR DAC table** — per-column trial currents for every code,
 //!   replacing the DAC model in the conversion loop; each cycle's DAC rail
 //!   energy is computed from it with the converter's own expression.
@@ -39,11 +43,11 @@
 //! # Bit-identity contract
 //!
 //! Every number the kernel consumes comes from the code path the
-//! interpreted reference runs (drive lowering, DAC currents, conductance
-//! reads), the floating-point accumulation order is the same, and the
-//! RNG-consuming devices are the same live models called in the same
-//! order. A deterministic comparator is lowered to its cutoff, which gives
-//! the device's own decision for every net current (see
+//! interpreted reference runs (drive lowering, DAC currents, the array's
+//! conductance table), the floating-point accumulation order is the same,
+//! and the RNG-consuming devices are the same live models called in the
+//! same order. A deterministic comparator is lowered to its cutoff, which
+//! gives the device's own decision for every net current (see
 //! `switch_cutoff`), and the winner tracker's outcome is read off the
 //! final codes, which fix every decision it would replay. Module recalls
 //! therefore reproduce the interpreted reference
@@ -82,14 +86,13 @@ use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
 /// How the evaluate phase turns staged levels into column currents.
 #[derive(Debug)]
 enum Correlate {
-    /// Ideal and driven fidelity: a flat multiply-accumulate.
+    /// Ideal and driven fidelity: a flat multiply-accumulate against the
+    /// array's conductance table.
     Analytic {
         /// Row input voltages, `[row × level]`.
         v: Vec<f64>,
         /// Row input currents (for RCM power), `[row × level]`.
         i_in: Vec<f64>,
-        /// Effective conductances, row-major `[row × col]`.
-        g: Vec<f64>,
         /// Columns severed by line defects (currents forced to zero).
         disconnected: Vec<bool>,
     },
@@ -169,16 +172,9 @@ impl Kernel {
                     i_in.push(d.current_into(load).0);
                 }
             }
-            let mut g = Vec::with_capacity(rows * cols);
-            for i in 0..rows {
-                for j in 0..cols {
-                    g.push(array.conductance(i, j)?.0);
-                }
-            }
             Correlate::Analytic {
                 v,
                 i_in,
-                g,
                 disconnected: (0..cols).map(|j| array.column_disconnected(j)).collect(),
             }
         };
@@ -258,9 +254,10 @@ impl Kernel {
         Ok(())
     }
 
-    /// The evaluate phase for checked `levels`: stage → correlate, or
-    /// stage → solve through `session` (the module's cached parasitic
-    /// session, or a batch worker's clone of it).
+    /// The evaluate phase for checked `levels`: stage → correlate against
+    /// `array`'s conductance table, or stage → solve through `session` (the
+    /// module's cached parasitic session, or a batch worker's clone of it).
+    /// `array` is the module's own, unchanged since this kernel was built.
     pub(crate) fn evaluate<T: Recorder>(
         &self,
         session: &mut CachedParasiticCrossbar,
@@ -273,7 +270,6 @@ impl Kernel {
             Correlate::Analytic {
                 v,
                 i_in,
-                g,
                 disconnected,
             } => {
                 // Stage the row voltages first, so the table reads overlap,
@@ -284,10 +280,11 @@ impl Kernel {
                     .enumerate()
                     .map(|(i, &level)| v[i * lc + level as usize])
                     .collect();
+                let g = array.conductances();
                 let mut currents = vec![Amps(0.0); self.cols];
                 for (&vi, row) in staged.iter().zip(g.chunks_exact(self.cols)) {
-                    for (o, &gij) in currents.iter_mut().zip(row) {
-                        o.0 += vi * gij;
+                    for (o, gij) in currents.iter_mut().zip(row) {
+                        o.0 += vi * gij.0;
                     }
                 }
                 for (o, &cut) in currents.iter_mut().zip(disconnected) {

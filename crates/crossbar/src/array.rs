@@ -7,6 +7,7 @@ use spinamm_circuit::units::{Amps, Joules, Siemens, Volts, Watts};
 use spinamm_faults::{FaultMap, LineDefect, StuckKind};
 use spinamm_memristor::{DeviceLimits, LevelMap, Memristor, RetryPolicy, WriteReport, WriteScheme};
 use spinamm_telemetry::{NoopRecorder, Recorder};
+use std::sync::Arc;
 
 /// A `rows × cols` crossbar of memristors, plus one optional *dummy*
 /// conductance per row.
@@ -23,12 +24,20 @@ use spinamm_telemetry::{NoopRecorder, Recorder};
 /// applied by [`CrossbarArray::conductance`], so every evaluation path
 /// (ideal, driven, cold parasitic, cached parasitic) sees one consistent
 /// faulty array.
+///
+/// The array owns one dense, row-major table of those effective
+/// conductances ([`CrossbarArray::conductances`]). Every mutator refreshes
+/// the entries it touches, so reads, row loads and the dummy re-trim scan
+/// 8-byte values instead of whole devices, and clones share the table
+/// until one of them writes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrossbarArray {
     rows: usize,
     cols: usize,
     limits: DeviceLimits,
     cells: Vec<Memristor>,
+    /// `conductance(i, j)` at `i · cols + j`, copy-on-write across clones.
+    table: Arc<Vec<Siemens>>,
     dummy: Vec<Siemens>,
     faults: Option<FaultMap>,
 }
@@ -60,11 +69,13 @@ impl CrossbarArray {
                 what: "crossbar dimensions must be non-zero",
             });
         }
+        let cell = Memristor::new(limits);
         Ok(Self {
             rows,
             cols,
             limits,
-            cells: vec![Memristor::new(limits); rows * cols],
+            table: Arc::new(vec![cell.conductance(); rows * cols]),
+            cells: vec![cell; rows * cols],
             dummy: vec![Siemens::ZERO; rows],
             faults: None,
         })
@@ -120,14 +131,44 @@ impl CrossbarArray {
     ///
     /// Returns [`CrossbarError::IndexOutOfBounds`] for a bad index.
     pub fn conductance(&self, row: usize, col: usize) -> Result<Siemens, CrossbarError> {
-        let g = self.cells[self.check(row, col)?].conductance();
+        Ok(self.table[self.check(row, col)?])
+    }
+
+    /// Every cell's effective conductance ([`CrossbarArray::conductance`]),
+    /// row-major: entry `row · cols + col`.
+    #[must_use]
+    pub fn conductances(&self) -> &[Siemens] {
+        &self.table
+    }
+
+    /// Recomputes the effective conductance of cell `idx` from its device
+    /// and the fault map.
+    fn effective(&self, idx: usize) -> Siemens {
+        let g = self.cells[idx].conductance();
         let Some(map) = &self.faults else {
-            return Ok(g);
+            return g;
         };
+        let (row, col) = (idx / self.cols, idx % self.cols);
         if map.col_defect(col) == Some(LineDefect::Open) {
-            return Ok(Siemens::ZERO);
+            return Siemens::ZERO;
         }
-        Ok(Siemens(g.0 * map.cell_gain(row, col)))
+        Siemens(g.0 * map.cell_gain(row, col))
+    }
+
+    /// Refreshes the table entry of cell `idx` after a device write.
+    fn refresh(&mut self, idx: usize) {
+        let g = self.effective(idx);
+        Arc::make_mut(&mut self.table)[idx] = g;
+    }
+
+    /// Rebuilds the whole table after a pass over every cell or a fault-map
+    /// change.
+    fn refresh_all(&mut self) {
+        self.table = Arc::new(
+            (0..self.cells.len())
+                .map(|idx| self.effective(idx))
+                .collect(),
+        );
     }
 
     /// The conductance the write circuitry believes it stored at
@@ -146,8 +187,8 @@ impl CrossbarArray {
     /// previously installed map.
     ///
     /// Row-load changes (gain spread, open columns) can leave previously
-    /// equalized dummies stale — callers that equalize should re-run
-    /// [`CrossbarArray::equalize_rows`] afterwards.
+    /// equalized dummies stale — callers that equalize should call
+    /// [`CrossbarArray::retrim_dummies`] afterwards.
     ///
     /// # Errors
     ///
@@ -170,6 +211,7 @@ impl CrossbarArray {
             self.cells[stuck.row * self.cols + stuck.col].pin(g);
         }
         self.faults = Some(map);
+        self.refresh_all();
         Ok(())
     }
 
@@ -179,6 +221,7 @@ impl CrossbarArray {
             cell.unpin();
         }
         self.faults = None;
+        self.refresh_all();
     }
 
     /// The installed fault map, if any.
@@ -211,6 +254,7 @@ impl CrossbarArray {
     ) -> Result<(), CrossbarError> {
         let idx = self.check(row, col)?;
         self.cells[idx].set_conductance(g)?;
+        self.refresh(idx);
         Ok(())
     }
 
@@ -248,7 +292,9 @@ impl CrossbarArray {
         recorder: &T,
     ) -> Result<WriteReport, CrossbarError> {
         let idx = self.check(row, col)?;
-        Ok(self.cells[idx].program_with(target, scheme, rng, recorder)?)
+        let report = self.cells[idx].program_with(target, scheme, rng, recorder)?;
+        self.refresh(idx);
+        Ok(report)
     }
 
     /// Programs one cell to a digital level under a [`LevelMap`].
@@ -359,6 +405,7 @@ impl CrossbarArray {
             let target = map.conductance(level)?;
             let idx = self.check(row, col)?;
             let cell = self.cells[idx].program_with_retry(target, scheme, policy, rng, recorder)?;
+            self.refresh(idx);
             report.pulses += cell.pulses;
             report.energy += cell.energy;
             if cell.attempts > 1 {
@@ -379,11 +426,21 @@ impl CrossbarArray {
     /// Returns [`CrossbarError::IndexOutOfBounds`] for a bad row.
     pub fn row_cell_conductance(&self, row: usize) -> Result<Siemens, CrossbarError> {
         self.check(row, 0)?;
+        Ok(Siemens(self.row_load(row)))
+    }
+
+    /// Row `row`'s stored-cell load, summed in column order.
+    fn row_load(&self, row: usize) -> f64 {
         let mut total = 0.0;
-        for j in 0..self.cols {
-            total += self.conductance(row, j)?.0;
+        for g in &self.table[row * self.cols..(row + 1) * self.cols] {
+            total += g.0;
         }
-        Ok(Siemens(total))
+        total
+    }
+
+    /// Every row's [`CrossbarArray::row_load`].
+    fn row_loads(&self) -> Vec<f64> {
+        (0..self.rows).map(|row| self.row_load(row)).collect()
     }
 
     /// Total load on row `i` including its dummy conductance — the paper's
@@ -417,19 +474,44 @@ impl CrossbarArray {
     /// Returns [`CrossbarError::InvalidParameter`] if some row already
     /// exceeds the target (the dummy cannot be negative).
     pub fn equalize_rows(&mut self, target: Option<Siemens>) -> Result<Siemens, CrossbarError> {
-        let target = target.unwrap_or(Siemens(self.limits.g_max().0 * self.cols as f64));
-        let mut dummies = Vec::with_capacity(self.rows);
-        for row in 0..self.rows {
-            let have = self.row_cell_conductance(row)?;
-            if have.0 > target.0 * (1.0 + 1e-12) {
-                return Err(CrossbarError::InvalidParameter {
-                    what: "row conductance already exceeds equalization target",
-                });
-            }
-            dummies.push(Siemens((target.0 - have.0).max(0.0)));
+        let target = target.unwrap_or(Siemens(self.default_target()));
+        let loads = self.row_loads();
+        if loads.iter().any(|&have| have > target.0 * (1.0 + 1e-12)) {
+            return Err(CrossbarError::InvalidParameter {
+                what: "row conductance already exceeds equalization target",
+            });
         }
-        self.dummy = dummies;
+        self.trim_dummies(target, &loads);
         Ok(target)
+    }
+
+    /// Re-trims every row's dummy so each total load equals
+    /// [`CrossbarArray::equalization_target`], and returns that target:
+    /// `equalize_rows(Some(equalization_target()?))` with each row's load
+    /// summed once. Cannot fail, since the target bounds every row.
+    pub fn retrim_dummies(&mut self) -> Siemens {
+        let loads = self.row_loads();
+        let target = self.widest(&loads);
+        self.trim_dummies(target, &loads);
+        target
+    }
+
+    /// `cols × g_max`: the largest load any pattern could present.
+    fn default_target(&self) -> f64 {
+        self.limits.g_max().0 * self.cols as f64
+    }
+
+    /// The default target, widened to the largest of `loads`.
+    fn widest(&self, loads: &[f64]) -> Siemens {
+        Siemens(loads.iter().fold(self.default_target(), |t, &l| t.max(l)))
+    }
+
+    /// Sizes each row's dummy to `target` minus that row's load.
+    fn trim_dummies(&mut self, target: Siemens, loads: &[f64]) {
+        self.dummy = loads
+            .iter()
+            .map(|&have| Siemens((target.0 - have).max(0.0)))
+            .collect();
     }
 
     /// Removes all dummy conductances.
@@ -444,8 +526,7 @@ impl CrossbarArray {
     /// # Errors
     ///
     /// Returns a device error when `elapsed` is not finite (no cell is
-    /// modified in that case), and propagates equalization errors (which
-    /// cannot occur without a fault map: drift only lowers row conductance).
+    /// modified in that case).
     pub fn age<R: Rng + ?Sized>(
         &mut self,
         elapsed: spinamm_circuit::units::Seconds,
@@ -455,7 +536,9 @@ impl CrossbarArray {
         for cell in &mut self.cells {
             cell.age(elapsed, model, rng)?;
         }
-        self.reequalize_after_aging()
+        self.refresh_all();
+        self.reequalize_after_aging();
+        Ok(())
     }
 
     /// Sets every cell's absolute age since its last write to `elapsed`
@@ -474,7 +557,9 @@ impl CrossbarArray {
         for cell in &mut self.cells {
             cell.age_to(elapsed, model, rng)?;
         }
-        self.reequalize_after_aging()
+        self.refresh_all();
+        self.reequalize_after_aging();
+        Ok(())
     }
 
     /// Stamps one cell's retention: conductance moves to
@@ -483,7 +568,7 @@ impl CrossbarArray {
     /// scheduler uses this with per-device ν values drawn once at program
     /// time, so trajectories are deterministic without consuming RNG during
     /// clock ticks. Dummies are NOT re-trimmed here — batch the stamps,
-    /// then call [`CrossbarArray::equalize_rows`] (or let the module-level
+    /// then call [`CrossbarArray::retrim_dummies`] (or let the module-level
     /// maintenance commit do it).
     ///
     /// # Errors
@@ -499,16 +584,15 @@ impl CrossbarArray {
     ) -> Result<(), CrossbarError> {
         let idx = self.check(row, col)?;
         self.cells[idx].apply_retention(elapsed, fraction)?;
+        self.refresh(idx);
         Ok(())
     }
 
-    /// Preserve the previous equalization target if any dummy was set.
-    fn reequalize_after_aging(&mut self) -> Result<(), CrossbarError> {
-        let had_dummies = self.dummy.iter().any(|d| d.0 > 0.0);
-        if had_dummies {
-            self.equalize_rows(Some(self.equalization_target()?))?;
+    /// Re-trims the dummies after drift, if any dummy was set.
+    fn reequalize_after_aging(&mut self) {
+        if self.dummy.iter().any(|d| d.0 > 0.0) {
+            self.retrim_dummies();
         }
-        Ok(())
     }
 
     /// The default row-equalization target, widened when a fault map's gain
@@ -516,26 +600,18 @@ impl CrossbarArray {
     ///
     /// # Errors
     ///
-    /// Cannot fail for a well-formed array (kept fallible for call-site
-    /// uniformity with the row accessors it uses).
+    /// Never fails; the `Result` is kept for existing callers.
     pub fn equalization_target(&self) -> Result<Siemens, CrossbarError> {
-        let mut target = self.limits.g_max().0 * self.cols as f64;
-        for row in 0..self.rows {
-            target = target.max(self.row_cell_conductance(row)?.0);
-        }
-        Ok(Siemens(target))
+        Ok(self.widest(&self.row_loads()))
     }
 
     /// The effective conductance matrix as nested vectors (row-major),
     /// useful for diagnostics and for building reference computations.
     #[must_use]
     pub fn conductance_matrix(&self) -> Vec<Vec<Siemens>> {
-        (0..self.rows)
-            .map(|i| {
-                (0..self.cols)
-                    .map(|j| self.conductance(i, j).expect("indices in range"))
-                    .collect()
-            })
+        self.table
+            .chunks_exact(self.cols)
+            .map(<[Siemens]>::to_vec)
             .collect()
     }
 
@@ -557,9 +633,9 @@ impl CrossbarArray {
             });
         }
         let mut out = vec![0.0; self.cols];
-        for (i, v) in row_voltages.iter().enumerate() {
-            for (j, o) in out.iter_mut().enumerate() {
-                *o += v.0 * self.conductance(i, j)?.0;
+        for (v, row) in row_voltages.iter().zip(self.table.chunks_exact(self.cols)) {
+            for (o, g) in out.iter_mut().zip(row) {
+                *o += v.0 * g.0;
             }
         }
         // A shorted column still loads its rows (the sum above) but its
@@ -893,6 +969,31 @@ mod tests {
         assert_eq!(i_short[0].0, healthy[0].0);
     }
 
+    /// The re-trim reference: each row's load summed cell by cell in
+    /// column order, the target widened past `cols × g_max` by the largest
+    /// load, and each dummy the target minus its row's load.
+    fn retrim_reference(a: &CrossbarArray) -> (u64, Vec<u64>) {
+        let loads: Vec<f64> = (0..a.rows())
+            .map(|i| {
+                let mut total = 0.0;
+                for j in 0..a.cols() {
+                    total += a.conductance(i, j).unwrap().0;
+                }
+                total
+            })
+            .collect();
+        let default = a.limits().g_max().0 * a.cols() as f64;
+        let target = loads.iter().fold(default, |t, &l| t.max(l));
+        let dummies = loads.iter().map(|l| (target - l).max(0.0).to_bits());
+        (target.to_bits(), dummies.collect())
+    }
+
+    fn dummy_bits(a: &CrossbarArray) -> Vec<u64> {
+        (0..a.rows())
+            .map(|i| a.dummy_conductance(i).unwrap().0.to_bits())
+            .collect()
+    }
+
     #[test]
     fn equalization_target_tracks_gain_spread() {
         use spinamm_faults::FaultMap;
@@ -906,6 +1007,7 @@ mod tests {
         assert_eq!(base, Siemens(DeviceLimits::PAPER.g_max().0 * 2.0));
         // A >1 gain pushes row 0 past the default target; the target widens
         // so equalize_rows keeps succeeding.
+        let mut clean = a.clone();
         let map = FaultMap::pristine(3, 2, 0)
             .unwrap()
             .with_cell_gain(0, 0, 1.5)
@@ -913,7 +1015,18 @@ mod tests {
         a.set_fault_map(map).unwrap();
         let widened = a.equalization_target().unwrap();
         assert!(widened > base);
-        a.equalize_rows(Some(widened)).unwrap();
+        // The one-pass re-trim lands on the same target and dummy bits as
+        // the two-pass pair and as the cell-by-cell reference, at the
+        // default target and at the widened one.
+        for (array, target) in [(&mut clean, base), (&mut a, widened)] {
+            let (want_target, want_dummies) = retrim_reference(array);
+            let mut pair = array.clone();
+            pair.equalize_rows(Some(target)).unwrap();
+            assert_eq!(array.retrim_dummies().0.to_bits(), want_target);
+            assert_eq!(target.0.to_bits(), want_target);
+            assert_eq!(dummy_bits(array), want_dummies);
+            assert_eq!(dummy_bits(&pair), want_dummies);
+        }
     }
 
     #[test]

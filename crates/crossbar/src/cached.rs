@@ -202,13 +202,8 @@ impl CachedParasiticCrossbar {
 
         // Value-only restamp: every setter no-ops on unchanged values.
         let restamp = recorder.span(Layer::RESTAMP);
-        for i in 0..session.rows {
-            for j in 0..session.cols {
-                let g = array.conductance(i, j).expect("bounded by construction");
-                session
-                    .prepared
-                    .set_conductance(session.cell_ids[i * session.cols + j], g)?;
-            }
+        for (&id, &g) in session.cell_ids.iter().zip(array.conductances()) {
+            session.prepared.set_conductance(id, g)?;
         }
         for i in 0..session.rows {
             let dummy = array.dummy_conductance(i).expect("row bounded");
@@ -599,8 +594,7 @@ mod tests {
         assert!(map.injected_count() > 0);
         let disconnected: Vec<usize> = (0..5).filter(|&j| map.col_disconnected(j)).collect();
         a.set_fault_map(map).unwrap();
-        a.equalize_rows(Some(a.equalization_target().unwrap()))
-            .unwrap();
+        a.retrim_dummies();
 
         let geom = CrossbarGeometry::PAPER;
         let cold = ParasiticCrossbar::new(geom);

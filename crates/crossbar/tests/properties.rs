@@ -1,13 +1,16 @@
 //! Property-based tests: the parasitic netlist model must degenerate to the
 //! ideal dot product when wires are lossless, and must obey conservation
-//! laws for any programmed pattern.
+//! laws for any programmed pattern; the array's conductance table must
+//! track every mutation.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use spinamm_circuit::units::{Farads, Micrometers, Ohms, Siemens, Volts};
+use spinamm_circuit::units::{Farads, Micrometers, Ohms, Seconds, Siemens, Volts};
 use spinamm_crossbar::{CrossbarArray, CrossbarGeometry, ParasiticCrossbar, RowDrive};
-use spinamm_memristor::{DeviceLimits, LevelMap, WriteScheme};
+use spinamm_faults::{FaultMap, FaultModel, LineDefect, StuckKind};
+use spinamm_memristor::{DeviceLimits, DriftModel, LevelMap, RetryPolicy, WriteScheme};
+use spinamm_telemetry::NoopRecorder;
 
 #[derive(Debug, Clone)]
 struct Scenario {
@@ -153,6 +156,136 @@ proptest! {
         for (a1, a2) in r1.column_currents.iter().zip(&r2.column_currents) {
             let scale = a1.0.abs().max(1e-12);
             prop_assert!((a2.0 - 2.0 * a1.0).abs() / scale < 1e-7);
+        }
+    }
+}
+
+/// Asserts that every entry of `a`'s conductance table (and the
+/// `conductance` accessor) equals, bit for bit, the effective conductance
+/// recomputed from the cell, the fault map's gain and the open-column rule.
+fn assert_table_coherent(a: &CrossbarArray) -> Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert_eq!(a.conductances().len(), a.rows() * a.cols());
+    for i in 0..a.rows() {
+        for j in 0..a.cols() {
+            let g = a.cell(i, j).unwrap().conductance().0;
+            let want = match a.fault_map() {
+                None => g,
+                Some(map) if map.col_defect(j) == Some(LineDefect::Open) => 0.0,
+                Some(map) => g * map.cell_gain(i, j),
+            };
+            let got = a.conductances()[i * a.cols() + j].0;
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "cell ({}, {})", i, j);
+            prop_assert_eq!(a.conductance(i, j).unwrap().0.to_bits(), want.to_bits());
+        }
+    }
+    Ok(())
+}
+
+/// A fault map with stuck cells of both kinds, a lognormal gain spread and
+/// one open column.
+fn faulted_map(rows: usize, cols: usize, rng: &mut ChaCha8Rng) -> FaultMap {
+    let mut model = FaultModel::stuck(0.2).unwrap();
+    model.spread_sigma = 0.2;
+    FaultMap::sample(&model, rows, cols, rng.gen())
+        .and_then(|m| {
+            m.with_stuck_cell(
+                rng.gen_range(0..rows),
+                rng.gen_range(0..cols),
+                StuckKind::Lrs,
+            )
+        })
+        .and_then(|m| {
+            m.with_stuck_cell(
+                rng.gen_range(0..rows),
+                rng.gen_range(0..cols),
+                StuckKind::Hrs,
+            )
+        })
+        .and_then(|m| m.with_col_defect(rng.gen_range(0..cols), LineDefect::Open))
+        .unwrap()
+}
+
+/// Applies mutation `kind` (one per `CrossbarArray` mutator), drawing its
+/// arguments from `rng`.
+fn mutate(a: &mut CrossbarArray, kind: u8, rng: &mut ChaCha8Rng) {
+    let map = LevelMap::new(DeviceLimits::PAPER, 5).unwrap();
+    let scheme = WriteScheme::paper();
+    let (rows, cols) = (a.rows(), a.cols());
+    let col = rng.gen_range(0..cols);
+    let levels: Vec<u32> = (0..rows).map(|_| rng.gen_range(0..32)).collect();
+    match kind {
+        0 => {
+            a.program_pattern(col, &levels, &map, &scheme, rng).unwrap();
+        }
+        1 => {
+            let policy = RetryPolicy::default();
+            a.program_pattern_retry_with(col, &levels, &map, &scheme, &policy, rng, &NoopRecorder)
+                .unwrap();
+        }
+        2 => {
+            let g = map.conductance(levels[0]).unwrap();
+            a.set_conductance(rng.gen_range(0..rows), col, g).unwrap();
+        }
+        3 => {
+            a.apply_retention(
+                rng.gen_range(0..rows),
+                col,
+                Seconds(1e4),
+                rng.gen_range(0.0..=1.0),
+            )
+            .unwrap();
+        }
+        4 => {
+            a.age(
+                Seconds(rng.gen_range(0.0..1e6)),
+                &DriftModel::AGGRESSIVE,
+                rng,
+            )
+            .unwrap();
+        }
+        5 => {
+            a.age_to(Seconds(rng.gen_range(0.0..1e7)), &DriftModel::TYPICAL, rng)
+                .unwrap();
+        }
+        6 => {
+            let faults = faulted_map(rows, cols, rng);
+            a.set_fault_map(faults).unwrap();
+        }
+        7 => a.clear_fault_map(),
+        _ => {
+            a.retrim_dummies();
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every mutator keeps the conductance table equal to the effective
+    /// conductance of every cell. A clone taken mid-sequence shares the
+    /// table, and the original's later writes must never reach it.
+    #[test]
+    fn conductance_table_tracks_every_mutation(
+        rows in 2usize..7,
+        cols in 2usize..6,
+        steps in proptest::collection::vec((0u8..9, any::<bool>()), 1..16),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut a = CrossbarArray::new(rows, cols, DeviceLimits::PAPER).unwrap();
+        a.equalize_rows(None).unwrap();
+        let mut frozen: Vec<(CrossbarArray, Vec<Siemens>)> = Vec::new();
+        assert_table_coherent(&a)?;
+        for (kind, fork) in steps {
+            if fork {
+                frozen.push((a.clone(), a.conductances().to_vec()));
+            }
+            mutate(&mut a, kind, &mut rng);
+            assert_table_coherent(&a)?;
+            for (clone, snapshot) in &frozen {
+                prop_assert_eq!(clone.conductances(), snapshot.as_slice());
+                assert_table_coherent(clone)?;
+            }
         }
     }
 }
