@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Compare the benchmark of a parent revision and the working tree in interleaved pairs.
 
+This is the repository's one timing harness and CI's one timing gate.
+
 The parent is built from ``git archive <rev>`` under ``.bench_build/<rev>/``.
 BENCHMARK.json's command then runs from each checkout's root, alternating
 which side runs first, so that drifts in host speed fall on both sides. For
@@ -26,9 +28,10 @@ pair's ``[parent, change]`` values. Run it from anywhere in the repository:
 
 ``--extra`` adds per-layer metrics or detail lines (by name) to the table;
 they get no verdict, and their wins assume lower is better. The exit status is
-non-zero only when a run prints no result line, reports ``failed > 0`` or
-reports ``"correct": false`` (perfbench prints that with ``failed: 0`` when a
-run attempted nothing); timing gates are not this script's job.
+non-zero when any end-to-end metric reads ``worse`` on any workload, or when a
+run prints no result line, reports ``failed > 0`` or reports ``"correct":
+false`` (perfbench prints that with ``failed: 0`` when a run attempted
+nothing). CI runs it on every push and pull request against ``HEAD^``.
 """
 
 import argparse
@@ -193,7 +196,11 @@ def main():
         report["workloads"][workload] = compare(workload, pairs, metrics)
     report["broken_runs"] = broken
     print(json.dumps(report))
-    return 1 if broken else 0
+    worse = [f"{workload} {name}" for workload, rows in report["workloads"].items()
+             for name, row in rows.items() if row["verdict"] == "worse"]
+    if worse:
+        print(f"worse under the BENCHMARK.json bound: {', '.join(worse)}", file=sys.stderr)
+    return 1 if broken or worse else 0
 
 
 if __name__ == "__main__":

@@ -7,27 +7,10 @@ Checks, per study matched by name:
 * every accuracy-like number (table columns whose header mentions
   "accuracy", "ideal" or "hardware", plus the yield study's numeric
   ``*_accuracy`` fields) stays within +/-0.02 absolute of the baseline;
-* total wall clock stays within 3x of the baseline total (machines differ;
-  a 3x blowup means an algorithmic regression, not noise);
 * no study present in the baseline disappears;
-* the engine-scale study (E14) stays bit-identical to sequential recall in
-  every sweep cell, with positive throughput. Its timing columns depend on
-  the measuring host's core count and are never compared against the
-  baseline;
 * the conformance study (E15) reports zero unwaived tolerance-ledger
   violations and still catches the committed intentionally-perturbed
   repro (``injected_caught``);
-* the profile study (E16) stays bit-identical with every request sampled,
-  keeps its latency percentiles monotone, keeps p99 latency within
-  ``P99_FACTOR`` x the baseline row at the same worker count (with an
-  absolute floor -- hosts differ), and keeps the disabled-tracer overhead
-  ratio at or under ``NOOP_OVERHEAD_LIMIT`` (with a noise escape against
-  the baseline's own measured ratio);
-* the plan study (E17) keeps module recall through the compiled kernel
-  bit-identical to the interpreted oracle in every fidelity row, and
-  keeps the driven-fidelity kernel-over-oracle speedup at or above
-  ``PLAN_MIN_SPEEDUP`` (an interleaved min-of-N ratio on the same host,
-  so it is host-independent enough to gate);
 * the capacity study (E18) keeps every (templates, k) cell's ranked
   matches equal to the full argsort oracle, keeps the first match equal
   to the legacy single-winner WTA rule, reports positive throughput at
@@ -49,10 +32,13 @@ Checks, per study matched by name:
   ``LIFETIME_OVERHEAD_LIMIT`` of the recall energy spent over the same
   horizon.
 
-The baseline-independent invariant checks (engine-scale, conformance,
-profile percentile sanity, plan, capacity, serve) are also importable via
-``invariant_failures(fresh_doc)`` so the nightly full-scale workflow can
-gate without a full-scale baseline.
+The baseline-independent invariant checks (conformance, capacity, serve,
+lifetime) are also importable via ``invariant_failures(fresh_doc)`` so the
+nightly full-scale workflow can gate without a full-scale baseline.
+
+Nothing here gates on time. The simulator's speed is gated by
+``ci/bench_pairs.py``, which runs the repository benchmark (BENCHMARK.json)
+for the parent and the change in interleaved pairs.
 
 Failures print as a table of study / field / baseline / fresh / delta and
 exit non-zero.
@@ -64,26 +50,7 @@ import json
 import sys
 
 ACCURACY_TOLERANCE = 0.02
-WALL_CLOCK_FACTOR = 3.0
 ACCURACY_HEADERS = ("accuracy", "ideal", "hardware")
-
-# E16 tracing gates. The disabled tracer is the production default and must
-# be free: <= 2 % on an interleaved min-of-N comparison. Sub-microsecond
-# jitter can still trip a ratio on a noisy shared runner, so a fresh ratio
-# also passes when it is within NOOP_NOISE_ESCAPE of what the committed
-# baseline itself measured. p99 latency is host-dependent: gate at a loose
-# multiple of the baseline with an absolute floor.
-NOOP_OVERHEAD_LIMIT = 1.02
-NOOP_NOISE_ESCAPE = 0.05
-P99_FACTOR = 5.0
-P99_FLOOR_US = 1000.0
-
-# E17 compiled-kernel gate. The speedup is the interpreted oracle over
-# module recall, a ratio of two interleaved min-of-N passes on the same
-# host, so it cancels machine speed; the driven (analytic) fidelity is the
-# gated row because there the flat kernel is the entire query. The parasitic row is informational -- both
-# sides share the cached nodal solve, which dominates that fidelity.
-PLAN_MIN_SPEEDUP = 5.0
 
 # E20 lifetime gates. Maintained arms must hold accuracy to within two
 # points of fresh at the end of the traffic horizon while spending at most
@@ -121,37 +88,6 @@ def accuracy_cells(report):
                     yield f"row {r} [{key}]", float(value)
 
 
-ENGINE_STUDY = "engine-scale"
-
-
-def check_engine_scale(fresh_by_name, failures):
-    """The engine study's gated invariant is bit-identity, not speed: a
-    False cell means concurrent recall diverged from the sequential RNG
-    order, which is a correctness bug regardless of the host."""
-    study = fresh_by_name.get(ENGINE_STUDY)
-    if study is None:
-        return
-    rows = study["report"].get("rows", [])
-    if not rows:
-        failures.append((ENGINE_STUDY, "rows", ">= 1", "0", ""))
-    for k, row in enumerate(rows):
-        if row.get("bit_identical") is not True:
-            failures.append(
-                (
-                    ENGINE_STUDY,
-                    f"row {k} [bit_identical]",
-                    "true",
-                    str(row.get("bit_identical")),
-                    "",
-                )
-            )
-        throughput = row.get("throughput_qps", 0)
-        if not throughput > 0:
-            failures.append(
-                (ENGINE_STUDY, f"row {k} [throughput_qps]", "> 0", str(throughput), "")
-            )
-
-
 CONFORMANCE_STUDY = "conformance"
 
 
@@ -180,138 +116,6 @@ def check_conformance(fresh_by_name, failures):
                 "injected_caught",
                 "true",
                 str(report.get("injected_caught")),
-                "",
-            )
-        )
-
-
-PROFILE_STUDY = "profile"
-
-
-def check_profile(baseline_by_name, fresh_by_name, failures):
-    """The profile study (E16) gates on three things: tracing never
-    perturbs results (bit-identity at sample rate 1.0), the latency
-    histogram is sane (monotone percentiles), and observability stays
-    cheap (p99 within a loose multiple of the baseline, disabled-tracer
-    overhead at or under NOOP_OVERHEAD_LIMIT)."""
-    study = fresh_by_name.get(PROFILE_STUDY)
-    if study is None:
-        return
-    report = study["report"]
-    base_study = baseline_by_name.get(PROFILE_STUDY)
-    base_report = base_study["report"] if base_study else {}
-    base_p99 = {
-        row.get("workers"): row.get("p99_us", 0.0)
-        for row in base_report.get("rows", [])
-    }
-
-    rows = report.get("rows", [])
-    if not rows:
-        failures.append((PROFILE_STUDY, "rows", ">= 1", "0", ""))
-    for k, row in enumerate(rows):
-        if row.get("bit_identical") is not True:
-            failures.append(
-                (
-                    PROFILE_STUDY,
-                    f"row {k} [bit_identical]",
-                    "true",
-                    str(row.get("bit_identical")),
-                    "",
-                )
-            )
-        if row.get("sampled") != row.get("queries"):
-            failures.append(
-                (
-                    PROFILE_STUDY,
-                    f"row {k} [sampled]",
-                    str(row.get("queries")),
-                    str(row.get("sampled")),
-                    "",
-                )
-            )
-        quantiles = [row.get(f, 0.0) for f in ("p50_us", "p90_us", "p99_us", "p999_us")]
-        if not all(a <= b for a, b in zip(quantiles, quantiles[1:])):
-            failures.append(
-                (
-                    PROFILE_STUDY,
-                    f"row {k} [percentiles]",
-                    "monotone",
-                    str(quantiles),
-                    "",
-                )
-            )
-        base = base_p99.get(row.get("workers"))
-        if base:
-            limit = max(P99_FACTOR * base, P99_FLOOR_US)
-            p99 = row.get("p99_us", 0.0)
-            if p99 > limit:
-                failures.append(
-                    (
-                        PROFILE_STUDY,
-                        f"row {k} [p99_us]",
-                        f"<= {limit:.0f}",
-                        f"{p99:.0f}",
-                        f"x{p99 / base:.2f}",
-                    )
-                )
-
-    noop = report.get("noop_overhead_ratio")
-    if noop is None:
-        failures.append((PROFILE_STUDY, "noop_overhead_ratio", "present", "MISSING", ""))
-    else:
-        base_noop = base_report.get("noop_overhead_ratio", 1.0)
-        limit = max(NOOP_OVERHEAD_LIMIT, base_noop + NOOP_NOISE_ESCAPE)
-        if noop > limit:
-            failures.append(
-                (
-                    PROFILE_STUDY,
-                    "noop_overhead_ratio",
-                    f"<= {limit:.3f}",
-                    f"{noop:.3f}",
-                    f"{noop - 1.0:+.3f}",
-                )
-            )
-
-
-PLAN_STUDY = "plan"
-
-
-def check_plan(fresh_by_name, failures):
-    """The plan study (E17) gates on the compiled-kernel contract: module
-    recall is bit-identical to the interpreted oracle (a False cell is a
-    correctness bug, not noise), and the driven-fidelity kernel keeps its
-    headline speedup over the oracle."""
-    study = fresh_by_name.get(PLAN_STUDY)
-    if study is None:
-        return
-    report = study["report"]
-    rows = report.get("rows", [])
-    if not rows:
-        failures.append((PLAN_STUDY, "rows", ">= 1", "0", ""))
-    driven_speedup = None
-    for row in rows:
-        fidelity = row.get("fidelity", "?")
-        if row.get("bit_identical") is not True:
-            failures.append(
-                (
-                    PLAN_STUDY,
-                    f"{fidelity} [bit_identical]",
-                    "true",
-                    str(row.get("bit_identical")),
-                    "",
-                )
-            )
-        if fidelity == "driven":
-            driven_speedup = row.get("speedup", 0.0)
-    if driven_speedup is None:
-        failures.append((PLAN_STUDY, "driven row", "present", "MISSING", ""))
-    elif driven_speedup < PLAN_MIN_SPEEDUP:
-        failures.append(
-            (
-                PLAN_STUDY,
-                "driven [speedup]",
-                f">= {PLAN_MIN_SPEEDUP:.1f}",
-                f"{driven_speedup:.2f}",
                 "",
             )
         )
@@ -529,9 +333,7 @@ def invariant_failures(fresh):
     workflow where no full-scale baseline exists."""
     failures = []
     fresh_by_name = {s["name"]: s for s in fresh["studies"]}
-    check_engine_scale(fresh_by_name, failures)
     check_conformance(fresh_by_name, failures)
-    check_plan(fresh_by_name, failures)
     check_capacity(fresh_by_name, failures)
     check_serve(fresh_by_name, failures)
     check_lifetime(fresh_by_name, failures)
@@ -573,22 +375,7 @@ def main(baseline_path, fresh_path):
                     (name, field, f"{base_value:.3f}", f"{fresh_value:.3f}", f"{delta:+.3f}")
                 )
 
-    baseline_by_name = {s["name"]: s for s in baseline["studies"]}
     failures.extend(invariant_failures(fresh))
-    check_profile(baseline_by_name, fresh_by_name, failures)
-
-    base_wall = baseline["total_wall_clock_seconds"]
-    fresh_wall = fresh["total_wall_clock_seconds"]
-    if fresh_wall > WALL_CLOCK_FACTOR * base_wall:
-        failures.append(
-            (
-                "<total>",
-                "wall_clock_seconds",
-                f"{base_wall:.2f}",
-                f"{fresh_wall:.2f}",
-                f"x{fresh_wall / base_wall:.2f}",
-            )
-        )
 
     if failures:
         print("regression gate FAILED:")
@@ -600,8 +387,7 @@ def main(baseline_path, fresh_path):
     )
     print(
         f"regression gate passed: {checked} accuracy cells within "
-        f"+/-{ACCURACY_TOLERANCE}, wall clock {fresh_wall:.2f}s vs "
-        f"baseline {base_wall:.2f}s (limit x{WALL_CLOCK_FACTOR})"
+        f"+/-{ACCURACY_TOLERANCE}"
     )
     return 0
 

@@ -1,21 +1,20 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! experiments [--quick] [--json <path>] [--trace-out <path>]
+//! experiments [--quick] [--json <path>]
 //!             [fig3a|fig3b|fig5b|fig5c|fig7a|fig8b|fig9a|fig9b|
 //!              fig13a|fig13b|table1|table2|hierarchy|ablations|settling|
-//!              drift|write-precision|disturb|noise|yield|engine-scale|
-//!              conformance|profile|plan|capacity|serve|lifetime|all]
+//!              drift|write-precision|disturb|noise|yield|conformance|
+//!              capacity|serve|lifetime|all]
 //! ```
 //!
 //! Without arguments, runs `all` at full (paper) scale. `--quick` runs the
 //! miniature configuration used by the test suite. `--json <path>` also
 //! writes every selected study's rows — plus a telemetry snapshot from an
 //! instrumented parasitic-fidelity recognition run — as one machine-readable
-//! JSON report (see README.md, "Observability"). `--trace-out <path>`
-//! additionally persists the `profile` study's Chrome trace-event document
-//! (loadable in Perfetto / `chrome://tracing`) to `<path>` and its
-//! slow-request exemplars to `<path>.exemplars.json`.
+//! JSON report (see README.md, "Observability"). Simulator speed is timed
+//! by the repository benchmark (`perfbench/`, compared in interleaved pairs
+//! by `ci/bench_pairs.py`), not here.
 
 use spinamm_bench::report::{eng, Table};
 use spinamm_bench::{experiments, Scale};
@@ -50,15 +49,6 @@ fn main() -> ExitCode {
         eprintln!("--json requires a path argument");
         return ExitCode::FAILURE;
     }
-    let trace_out = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|k| args.get(k + 1))
-        .cloned();
-    if args.iter().any(|a| a == "--trace-out") && trace_out.is_none() {
-        eprintln!("--trace-out requires a path argument");
-        return ExitCode::FAILURE;
-    }
     let mut skip_next = false;
     let mut wanted: Vec<&str> = Vec::new();
     for a in &args {
@@ -66,7 +56,7 @@ fn main() -> ExitCode {
             skip_next = false;
             continue;
         }
-        if a == "--json" || a == "--trace-out" {
+        if a == "--json" {
             skip_next = true;
         } else if !a.starts_with("--") {
             wanted.push(a.as_str());
@@ -81,21 +71,15 @@ fn main() -> ExitCode {
     let all = wanted.contains(&"all");
     let run = |name: &str| all || wanted.contains(&name);
     let mut failures = 0;
-    let mut studies: Vec<TimedStudy> = Vec::new();
+    let mut studies: Vec<(&str, JsonValue)> = Vec::new();
 
     macro_rules! section {
         ($name:literal, $body:expr) => {
             if run($name) {
-                let started = std::time::Instant::now();
                 match $body {
                     Ok(section) => {
-                        let wall_clock_seconds = started.elapsed().as_secs_f64();
                         println!("{}", section.text);
-                        studies.push(TimedStudy {
-                            name: $name.to_string(),
-                            report: section.json,
-                            wall_clock_seconds,
-                        });
+                        studies.push(($name, section.json));
                     }
                     Err(e) => {
                         eprintln!("{}: FAILED: {e}", $name);
@@ -126,10 +110,7 @@ fn main() -> ExitCode {
     section!("disturb", render_disturb());
     section!("noise", render_noise(&scale));
     section!("yield", render_yield(&scale));
-    section!("engine-scale", render_engine_scale(&scale));
     section!("conformance", render_conformance(&scale));
-    section!("profile", render_profile(&scale, trace_out.as_deref()));
-    section!("plan", render_plan(&scale));
     section!("capacity", render_capacity(&scale));
     section!("serve", render_serve(&scale));
     section!("lifetime", render_lifetime(&scale));
@@ -151,37 +132,20 @@ fn main() -> ExitCode {
     }
 }
 
-/// One selected study with its structured report and measured runtime.
-struct TimedStudy {
-    name: String,
-    report: JsonValue,
-    wall_clock_seconds: f64,
-}
-
 /// Assembles and writes the machine-readable report: every rendered study
-/// (with its wall-clock runtime) plus a telemetry snapshot from an
-/// instrumented recognition workload.
+/// plus a telemetry snapshot from an instrumented recognition workload.
 ///
-/// Schema history: v1 had `studies[].{name, report}`; v2 adds
-/// `studies[].wall_clock_seconds` and the top-level
-/// `total_wall_clock_seconds`; v3 adds the `yield` study, whose report
+/// Schema history: v1 had `studies[].{name, report}`; v2 adds per-study and
+/// total wall-clock fields; v3 adds the `yield` study, whose report
 /// carries numeric `rows[]` (fault rates, unmitigated/mitigated accuracy
 /// and margin, fault counters) instead of rendered table cells; v4 adds
-/// the `engine-scale` study (E14) with numeric `rows[]` over the
-/// shards × workers × batch sweep plus its `host_cpus` measurement
-/// context; v5 adds the `conformance` study (E15), a flat numeric object
-/// (cases, checks, `unwaived_divergences`, `injected_caught`, observed
-/// divergence maxima, cross-decomposition agreement rates) from the
-/// cross-fidelity differential sweep plus committed-corpus replay; v6 adds
-/// the `profile` study (E16) with per-worker latency percentile `rows[]`,
-/// a span-aggregate `phases[]` table (self/total wall time per pipeline
-/// phase) and the `noop_overhead_ratio` / `traced_overhead_ratio` pair
-/// that CI gates tracing cost on; v7 adds the `plan` study (E17) with
-/// per-fidelity interpreted-vs-compiled speedup `rows[]` (each carrying
-/// the `bit_identical` verdict) that CI pins alongside the ≥5× driven
-/// speedup floor, plus f32-tier audit fields; v8 adds the
-/// `capacity` study (E18) with numeric `rows[]` over the
-/// templates × k sweep (throughput, energy per query, the
+/// the `engine-scale` study (E14); v5 adds the `conformance` study (E15),
+/// a flat numeric object (cases, checks, `unwaived_divergences`,
+/// `injected_caught`, observed divergence maxima, cross-decomposition
+/// agreement rates) from the cross-fidelity differential sweep plus
+/// committed-corpus replay; v6 adds the `profile` study (E16); v7 adds the
+/// `plan` study (E17); v8 adds the `capacity` study (E18) with numeric
+/// `rows[]` over the templates × k sweep (throughput, energy per query, the
 /// `topk_matches_oracle` / `top1_matches_wta` verdicts and the
 /// engine-identity pair CI gates on) and extends the `conformance` report
 /// with `flat_tiled_agreement`; v9 adds the `serve` study (E19) with one
@@ -196,34 +160,31 @@ struct TimedStudy {
 /// refresh-energy overhead relative to recall energy — the quantities
 /// `check_lifetime` gates on) and log-spaced `points[]` over the virtual
 /// traffic horizon (10⁶ queries quick, 10⁹-equivalent full); v11 drops
-/// the plan study's f32-tier fields with the tier itself, its rows now
-/// timing module recall (the compiled kernel) against the interpreted
-/// oracle.
+/// the plan study's f32-tier fields; v12 drops the `engine-scale`,
+/// `profile` and `plan` studies and the wall-clock fields, since the
+/// repository benchmark (`perfbench/`) times the simulator.
 fn write_json_report(
     path: &str,
     scale: &Scale,
     quick: bool,
-    studies: Vec<TimedStudy>,
+    studies: Vec<(&str, JsonValue)>,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let snapshot = experiments::telemetry_capture(scale)?;
-    let total_wall: f64 = studies.iter().map(|s| s.wall_clock_seconds).sum();
     let document = JsonValue::object([
-        ("schema_version", JsonValue::Uint(11)),
+        ("schema_version", JsonValue::Uint(12)),
         (
             "scale",
             JsonValue::Str(if quick { "quick" } else { "full" }.to_string()),
         ),
-        ("total_wall_clock_seconds", JsonValue::Num(total_wall)),
         (
             "studies",
             JsonValue::Array(
                 studies
                     .into_iter()
-                    .map(|s| {
+                    .map(|(name, report)| {
                         JsonValue::object([
-                            ("name", JsonValue::Str(s.name)),
-                            ("wall_clock_seconds", JsonValue::Num(s.wall_clock_seconds)),
-                            ("report", s.report),
+                            ("name", JsonValue::Str(name.to_string())),
+                            ("report", report),
                         ])
                     })
                     .collect(),
@@ -660,73 +621,6 @@ fn render_yield(scale: &Scale) -> Rendered {
     })
 }
 
-fn render_engine_scale(scale: &Scale) -> Rendered {
-    let study = experiments::engine_scale_study(scale)?;
-    let mut t = Table::new(
-        "E14: engine scaling (shards x workers x batch, parasitic fidelity)",
-        &[
-            "shards",
-            "workers",
-            "batch",
-            "queries",
-            "wall",
-            "throughput",
-            "speedup vs 1w",
-            "bit-identical",
-        ],
-    );
-    for r in &study.rows {
-        t.row(&[
-            format!("{}", r.shards),
-            format!("{}", r.workers),
-            format!("{}", r.batch),
-            format!("{}", r.queries),
-            eng(r.wall_seconds, "s"),
-            format!("{:.1} q/s", r.throughput_qps),
-            format!("{:.2}x", r.speedup_vs_1worker),
-            if r.bit_identical { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    let mut section = Section::table(&t);
-    section
-        .text
-        .push_str(&format!("host cpus: {}\n", study.host_cpus));
-    // The JSON twin keeps numbers numeric (and carries host_cpus) so the
-    // CI gate can assert bit-identity without parsing table cells, and so
-    // timing columns are interpretable on any measuring host.
-    section.json = JsonValue::object([
-        (
-            "title",
-            JsonValue::Str(
-                "E14: engine scaling (shards x workers x batch, parasitic fidelity)".to_string(),
-            ),
-        ),
-        ("host_cpus", JsonValue::Uint(study.host_cpus as u64)),
-        (
-            "rows",
-            JsonValue::Array(
-                study
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        JsonValue::object([
-                            ("shards", JsonValue::Uint(r.shards as u64)),
-                            ("workers", JsonValue::Uint(r.workers as u64)),
-                            ("batch", JsonValue::Uint(r.batch as u64)),
-                            ("queries", JsonValue::Uint(r.queries as u64)),
-                            ("wall_seconds", JsonValue::Num(r.wall_seconds)),
-                            ("throughput_qps", JsonValue::Num(r.throughput_qps)),
-                            ("speedup_vs_1worker", JsonValue::Num(r.speedup_vs_1worker)),
-                            ("bit_identical", JsonValue::Bool(r.bit_identical)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    Ok(section)
-}
-
 /// Directory fresh divergence repros are persisted to (uploaded by CI as
 /// a failure artifact).
 const FRESH_REPRO_DIR: &str = "conformance-repros";
@@ -835,192 +729,6 @@ fn render_conformance(scale: &Scale) -> Rendered {
         (
             "flat_tiled_agreement",
             JsonValue::Num(study.flat_tiled_agreement),
-        ),
-    ]);
-    Ok(section)
-}
-
-fn render_profile(scale: &Scale, trace_out: Option<&str>) -> Rendered {
-    let study = experiments::profile_study(scale)?;
-
-    if let Some(path) = trace_out {
-        let persist = std::fs::write(path, &study.chrome_trace_json)
-            .and_then(|()| std::fs::write(format!("{path}.exemplars.json"), &study.exemplars_json));
-        match persist {
-            Ok(()) => println!("wrote Chrome trace to {path} (+ {path}.exemplars.json)"),
-            Err(e) => eprintln!("--trace-out {path}: {e}"),
-        }
-    }
-
-    let mut t = Table::new(
-        "E16: recall-pipeline profile (engine, parasitic fidelity, sample rate 1.0)",
-        &[
-            "workers",
-            "queries",
-            "throughput",
-            "p50",
-            "p90",
-            "p99",
-            "p99.9",
-            "max",
-            "queue-wait p99",
-            "bit-identical",
-        ],
-    );
-    for r in &study.rows {
-        t.row(&[
-            format!("{}", r.workers),
-            format!("{}", r.queries),
-            format!("{:.1} q/s", r.throughput_qps),
-            eng(r.p50_us * 1e-6, "s"),
-            eng(r.p90_us * 1e-6, "s"),
-            eng(r.p99_us * 1e-6, "s"),
-            eng(r.p999_us * 1e-6, "s"),
-            eng(r.max_us * 1e-6, "s"),
-            eng(r.queue_wait_p99_us * 1e-6, "s"),
-            if r.bit_identical { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    let mut section = Section::table(&t);
-
-    let mut phases = Table::new(
-        "E16 phases: wall time per pipeline phase (widest run, self vs total)",
-        &["phase", "count", "total", "self"],
-    );
-    for p in &study.phases {
-        phases.row(&[
-            p.name.clone(),
-            format!("{}", p.count),
-            eng(p.total_us * 1e-6, "s"),
-            eng(p.self_us * 1e-6, "s"),
-        ]);
-    }
-    section.text.push('\n');
-    section.text.push_str(&phases.render());
-    section.text.push_str(&format!(
-        "tracing overhead (sequential, min-of-N): disabled {:.3}x | sampling {:.3}x | host cpus {}\n",
-        study.noop_overhead_ratio, study.traced_overhead_ratio, study.host_cpus,
-    ));
-
-    // The JSON twin keeps numbers numeric so the CI gate can assert on
-    // p99 latency and the overhead ratios without parsing table cells.
-    section.json = JsonValue::object([
-        (
-            "title",
-            JsonValue::Str(
-                "E16: recall-pipeline profile (engine, parasitic fidelity, sample rate 1.0)"
-                    .to_string(),
-            ),
-        ),
-        ("host_cpus", JsonValue::Uint(study.host_cpus as u64)),
-        (
-            "noop_overhead_ratio",
-            JsonValue::Num(study.noop_overhead_ratio),
-        ),
-        (
-            "traced_overhead_ratio",
-            JsonValue::Num(study.traced_overhead_ratio),
-        ),
-        (
-            "rows",
-            JsonValue::Array(
-                study
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        JsonValue::object([
-                            ("workers", JsonValue::Uint(r.workers as u64)),
-                            ("queries", JsonValue::Uint(r.queries as u64)),
-                            ("wall_seconds", JsonValue::Num(r.wall_seconds)),
-                            ("throughput_qps", JsonValue::Num(r.throughput_qps)),
-                            ("p50_us", JsonValue::Num(r.p50_us)),
-                            ("p90_us", JsonValue::Num(r.p90_us)),
-                            ("p99_us", JsonValue::Num(r.p99_us)),
-                            ("p999_us", JsonValue::Num(r.p999_us)),
-                            ("max_us", JsonValue::Num(r.max_us)),
-                            ("queue_wait_p99_us", JsonValue::Num(r.queue_wait_p99_us)),
-                            ("sampled", JsonValue::Uint(r.sampled)),
-                            ("bit_identical", JsonValue::Bool(r.bit_identical)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "phases",
-            JsonValue::Array(
-                study
-                    .phases
-                    .iter()
-                    .map(|p| {
-                        JsonValue::object([
-                            ("name", JsonValue::Str(p.name.clone())),
-                            ("count", JsonValue::Uint(p.count)),
-                            ("total_us", JsonValue::Num(p.total_us)),
-                            ("self_us", JsonValue::Num(p.self_us)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    Ok(section)
-}
-
-fn render_plan(scale: &Scale) -> Rendered {
-    const TITLE: &str =
-        "E17: compiled recall kernel (128x40, interpreted oracle vs module recall, interleaved min-of-N)";
-    let study = experiments::plan_study(scale)?;
-    let mut t = Table::new(
-        TITLE,
-        &[
-            "fidelity",
-            "queries",
-            "oracle",
-            "kernel",
-            "speedup",
-            "bit-identical",
-        ],
-    );
-    for r in &study.rows {
-        t.row(&[
-            r.fidelity.to_string(),
-            format!("{}", r.queries),
-            eng(r.interpreted_seconds, "s"),
-            eng(r.plan_seconds, "s"),
-            format!("{:.1}x", r.speedup),
-            if r.bit_identical { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    let mut section = Section::table(&t);
-    section
-        .text
-        .push_str(&format!("host cpus {}\n", study.host_cpus));
-
-    // The JSON twin keeps numbers numeric so the CI gate can pin the
-    // driven speedup floor and the bit-identity verdicts without parsing
-    // table cells.
-    section.json = JsonValue::object([
-        ("title", JsonValue::Str(TITLE.to_string())),
-        ("host_cpus", JsonValue::Uint(study.host_cpus as u64)),
-        (
-            "rows",
-            JsonValue::Array(
-                study
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        JsonValue::object([
-                            ("fidelity", JsonValue::Str(r.fidelity.to_string())),
-                            ("queries", JsonValue::Uint(r.queries as u64)),
-                            ("interpreted_seconds", JsonValue::Num(r.interpreted_seconds)),
-                            ("plan_seconds", JsonValue::Num(r.plan_seconds)),
-                            ("speedup", JsonValue::Num(r.speedup)),
-                            ("bit_identical", JsonValue::Bool(r.bit_identical)),
-                        ])
-                    })
-                    .collect(),
-            ),
         ),
     ]);
     Ok(section)

@@ -47,7 +47,6 @@
 //! ```
 
 pub mod dense;
-pub mod multi_rhs;
 pub mod netlist;
 pub mod prepared;
 pub mod solve;
@@ -56,7 +55,6 @@ pub mod transient;
 pub mod units;
 
 pub use dense::DenseMatrix;
-pub use multi_rhs::{MultiRhsReport, RhsQuery, RhsUpdate};
 pub use netlist::{ElementId, Netlist, NodeId};
 pub use prepared::{PreparedSolveReport, PreparedSystem};
 pub use solve::{DcSolution, SolveMethod, SolveStats};

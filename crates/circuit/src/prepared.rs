@@ -566,112 +566,6 @@ impl PreparedSystem {
     }
 }
 
-/// Internal hooks for the multi-RHS block path (see [`crate::multi_rhs`]).
-/// Each mirrors one step of [`PreparedSystem::solve_report`] exactly so the
-/// block path stays bit-identical to sequential prepared solves.
-impl PreparedSystem {
-    /// `true` when this system solves through the dense Cholesky backend —
-    /// the only backend with a reusable factor for multi-RHS block solves.
-    #[must_use]
-    pub fn uses_dense_backend(&self) -> bool {
-        matches!(self.backend, Backend::Dense { .. })
-    }
-
-    /// Re-derives the clamp map if a clamp value changed since the last
-    /// solve (the clamped node *set* is fixed at preparation).
-    pub(crate) fn refresh_clamps(&mut self) -> Result<(), CircuitError> {
-        if self.clamps_dirty {
-            self.clamp = collect_clamps(&self.elements, self.node_count)?;
-            self.clamps_dirty = false;
-        }
-        Ok(())
-    }
-
-    /// Builds the RHS for the current element values into `col` and the
-    /// clamp-seeded full voltage vector into `seed` (same order as
-    /// [`PreparedSystem::solve_report`]).
-    pub(crate) fn stage_rhs(
-        &mut self,
-        col: &mut Vec<f64>,
-        seed: &mut Vec<f64>,
-    ) -> Result<(), CircuitError> {
-        self.refresh_clamps()?;
-        self.build_rhs();
-        col.clear();
-        col.extend_from_slice(&self.rhs);
-        seed.clear();
-        seed.resize(self.node_count, 0.0);
-        for (i, c) in self.clamp.iter().enumerate() {
-            if let Some(v) = c {
-                seed[i] = *v;
-            }
-        }
-        Ok(())
-    }
-
-    /// Restamps values if dirty (dropping any stale factor, as the dense
-    /// arm of `solve_report` does) and guarantees a Cholesky factor exists.
-    /// Returns whether an existing factor was reused.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::InvalidParameter`] on the CG backend;
-    /// [`CircuitError::SingularSystem`] if factorization fails.
-    pub(crate) fn ensure_dense_factor(&mut self) -> Result<bool, CircuitError> {
-        if self.values_dirty {
-            self.restamp_values();
-            if let Backend::Dense { factor } = &mut self.backend {
-                *factor = None;
-            }
-        }
-        let Self {
-            m, matrix, backend, ..
-        } = self;
-        let Backend::Dense { factor } = backend else {
-            return Err(CircuitError::InvalidParameter {
-                what: "multi-RHS block solves require the dense Cholesky backend",
-            });
-        };
-        if factor.is_some() {
-            return Ok(true);
-        }
-        let mut a = DenseMatrix::zeros(*m, *m);
-        for (r, c, v) in matrix.iter() {
-            a[(r, c)] = v;
-        }
-        *factor = Some(a.cholesky()?);
-        Ok(false)
-    }
-
-    /// The current dense factor, if the backend is dense and one is cached.
-    pub(crate) fn dense_factor(&self) -> Option<&CholeskyFactor> {
-        match &self.backend {
-            Backend::Dense { factor } => factor.as_ref(),
-            Backend::Cg { .. } => None,
-        }
-    }
-
-    /// Bumps the factorization-reuse counter by `n` (the block path counts
-    /// one reuse per solved column, matching `n` sequential solves).
-    pub(crate) fn note_factor_reuses(&mut self, n: u64) {
-        self.factorization_reuses += n;
-    }
-
-    /// Scatters a reduced solution into the free-node slots of `voltages`.
-    pub(crate) fn scatter_free(&self, reduced: &[f64], voltages: &mut [f64]) {
-        for (k, &node) in self.free_nodes.iter().enumerate() {
-            voltages[node] = reduced[k];
-        }
-    }
-
-    /// Completes a [`DcSolution`] from a full voltage vector using the
-    /// *current* element values for branch currents.
-    pub(crate) fn solution_from_voltages(&self, voltages: Vec<f64>) -> DcSolution {
-        let currents = branch_currents(&self.elements, self.node_count, &voltages);
-        DcSolution::from_parts(voltages, currents)
-    }
-}
-
 impl Clone for PreparedSystem {
     /// Cloning a prepared system clones the cached pattern, values,
     /// factorizations and warm-start reference — batch workers clone a

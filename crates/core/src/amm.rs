@@ -716,8 +716,8 @@ impl AssociativeMemoryModule {
     /// construction, cell-by-cell correlation, fault conditioning and the
     /// [`SpinWta`]-driven select, with no compiled tables. It consumes the
     /// module RNG and reports `recall.count` and the device counters as
-    /// `recall` does, so core tests, the conformance harness and the E17
-    /// study compare the kernel against it bit for bit. Not a serving path.
+    /// `recall` does, so core tests and the conformance harness compare the
+    /// kernel against it bit for bit. Not a serving path.
     ///
     /// # Errors
     ///

@@ -597,14 +597,31 @@ mod tests {
         );
     }
 
+    /// The paper's 128×40 module: at parasitic fidelity its netlist is large
+    /// enough for the conjugate-gradient backend, where 16×4 stays dense.
+    fn paper_geometry() -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        let patterns = (0..40)
+            .map(|j| (0..128).map(|i| ((i * 5 + j * 3) % 32) as u32).collect())
+            .collect();
+        let queries = (0..3)
+            .map(|q| (0..128).map(|i| ((i * 7 + q * 11) % 32) as u32).collect())
+            .collect();
+        (patterns, queries)
+    }
+
     #[test]
     fn f64_plan_is_bit_identical_across_fidelities() {
-        for fidelity in [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic] {
-            let cfg = config(fidelity);
-            let mut module = AssociativeMemoryModule::build(&patterns(), &cfg).unwrap();
-            let mut reference = AssociativeMemoryModule::build(&patterns(), &cfg).unwrap();
-            for q in queries() {
-                assert_results_identical(&module.recall(&q).unwrap(), &oracle(&mut reference, &q));
+        for (patterns, queries) in [(patterns(), queries()), paper_geometry()] {
+            for fidelity in [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic] {
+                let cfg = config(fidelity);
+                let mut module = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
+                let mut reference = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
+                for q in &queries {
+                    assert_results_identical(
+                        &module.recall(q).unwrap(),
+                        &oracle(&mut reference, q),
+                    );
+                }
             }
         }
     }

@@ -136,14 +136,20 @@ fn hierarchical_driven_engine_is_bit_identical() {
 #[test]
 fn partitioned_parasitic_engine_is_bit_identical() {
     // Parasitic mode exercises the cached-netlist solver sessions: worker
-    // clones warm-started at build must reproduce the master's solves.
+    // clones warm-started at build must reproduce the master's solves, with
+    // one worker as with several.
     let p = patterns(3, 10);
     let part = PartitionedAmm::build(&p, 2, &config(Fidelity::Parasitic)).unwrap();
-    assert_engine_matches_sequential(
-        Deployment::Partitioned(part),
-        &EngineConfig::builder().workers(2).queue_capacity(4).build(),
-        &queries(&p, 6),
-    );
+    for workers in [1, 2, 4] {
+        assert_engine_matches_sequential(
+            Deployment::Partitioned(part.clone()),
+            &EngineConfig::builder()
+                .workers(workers)
+                .queue_capacity(4)
+                .build(),
+            &queries(&p, 6),
+        );
+    }
 }
 
 #[test]

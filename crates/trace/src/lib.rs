@@ -184,20 +184,19 @@ pub struct PhaseRow {
 /// An opaque per-request handle. `Copy` and thread-safe: the engine moves
 /// it from the submitting thread to the worker that evaluates the request
 /// and the one that selects it, while the [`Tracer`] keeps the mutable
-/// trace state. A handle from a disabled tracer is dead — every
-/// operation on it is a no-op without clock reads.
+/// trace state.
 #[derive(Debug, Clone, Copy)]
 pub struct ReqHandle {
     id: u64,
     sampled: bool,
-    t0: Option<Instant>,
+    t0: Instant,
 }
 
 impl ReqHandle {
     /// Whether this request's span tree is being captured.
     #[must_use]
     pub fn sampled(&self) -> bool {
-        self.sampled && self.t0.is_some()
+        self.sampled
     }
 }
 
@@ -235,10 +234,9 @@ struct TracerState {
 /// All methods take `&self`; state lives behind one mutex that is touched
 /// only at request begin/finish and, for *sampled* requests, per span.
 /// Unsampled requests pay two lock acquisitions and two clock reads
-/// total; a [`Tracer::disabled`] tracer pays neither.
+/// total; an untraced request ([`TraceBinding::Off`]) pays neither.
 #[derive(Debug)]
 pub struct Tracer {
-    active: bool,
     sample_rate: f64,
     seed: u64,
     exemplar_capacity: usize,
@@ -252,7 +250,6 @@ impl Tracer {
     #[must_use]
     pub fn new(config: &TraceConfig) -> Self {
         Self {
-            active: true,
             sample_rate: config.sample_rate,
             seed: config.seed,
             exemplar_capacity: config.exemplar_capacity,
@@ -270,25 +267,6 @@ impl Tracer {
                 dropped_traces: 0,
             }),
         }
-    }
-
-    /// A tracer that records nothing: handles it issues are dead, so every
-    /// tracing call short-circuits before any clock read or lock. This is
-    /// the arm the `<2 %` overhead regression gate measures.
-    #[must_use]
-    pub fn disabled() -> Self {
-        let mut t = Self::new(&TraceConfig {
-            sample_rate: 0.0,
-            ..TraceConfig::default()
-        });
-        t.active = false;
-        t
-    }
-
-    /// Whether this tracer records anything at all.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.active
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, TracerState> {
@@ -311,13 +289,6 @@ impl Tracer {
     /// paired with [`Tracer::finish`] (usually by a [`Probe`]).
     #[must_use]
     pub fn begin(&self, kind: &'static str) -> ReqHandle {
-        if !self.active {
-            return ReqHandle {
-                id: 0,
-                sampled: false,
-                t0: None,
-            };
-        }
         let now = Instant::now();
         let mut state = self.lock();
         let id = state.next_id;
@@ -338,7 +309,7 @@ impl Tracer {
         ReqHandle {
             id,
             sampled,
-            t0: Some(now),
+            t0: now,
         }
     }
 
@@ -346,8 +317,7 @@ impl Tracer {
     /// and, if sampled, its span tree flows into the phase aggregates, the
     /// exemplar buffer and the retained-trace buffer.
     pub fn finish(&self, h: ReqHandle) {
-        let Some(t0) = h.t0 else { return };
-        let total = duration_ns(t0.elapsed());
+        let total = duration_ns(h.t0.elapsed());
         let mut state = self.lock();
         state.requests += 1;
         state.latency.record(total);
@@ -400,8 +370,7 @@ impl Tracer {
         if !h.sampled() {
             return;
         }
-        let t0 = h.t0.expect("sampled implies live");
-        let start_ns = duration_ns(start.saturating_duration_since(t0));
+        let start_ns = duration_ns(start.saturating_duration_since(h.t0));
         let mut state = self.lock();
         if let Some(pending) = state.pending.get_mut(&h.id) {
             let depth = pending.stack.len() as u16;
@@ -735,7 +704,7 @@ struct Bound<'t> {
 impl Bound<'_> {
     /// Nanoseconds since the request began.
     fn now_ns(&self) -> u64 {
-        duration_ns(self.handle.t0.expect("sampled implies live").elapsed())
+        duration_ns(self.handle.t0.elapsed())
     }
 
     /// Runs `f` on the request's pending trace.
@@ -830,15 +799,6 @@ mod tests {
         assert_eq!(tracer.sampled_count(), 0);
         assert!(tracer.traces().is_empty());
         assert_eq!(tracer.latency().count(), 4);
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let tracer = Tracer::disabled();
-        assert!(!tracer.is_active());
-        run_requests(&tracer, 3);
-        assert_eq!(tracer.request_count(), 0);
-        assert_eq!(tracer.latency().count(), 0);
     }
 
     #[test]

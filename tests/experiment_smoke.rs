@@ -192,30 +192,6 @@ fn e13_yield_mitigation_halves_the_drop() {
 }
 
 #[test]
-fn e14_engine_scale_is_bit_identical() {
-    let study = experiments::engine_scale_study(&quick()).unwrap();
-    assert!(study.host_cpus >= 1);
-    assert!(!study.rows.is_empty());
-    // The gated invariant: every cell of the sweep — any shard count,
-    // worker count, or submission window — reproduces sequential recall
-    // bit for bit. Timing columns are informational (they depend on
-    // host_cpus) and are never asserted on.
-    for r in &study.rows {
-        assert!(
-            r.bit_identical,
-            "{} shards / {} workers / batch {} diverged from sequential",
-            r.shards, r.workers, r.batch
-        );
-        assert!(r.throughput_qps > 0.0);
-        assert_eq!(r.queries, study.rows[0].queries);
-    }
-    // The sweep covers multiple shard and worker counts.
-    assert!(study.rows.iter().any(|r| r.shards > 1));
-    assert!(study.rows.iter().any(|r| r.workers > 1));
-    assert!(study.rows.iter().any(|r| r.workers == 1));
-}
-
-#[test]
 fn e20_lifetime_maintenance_holds_accuracy() {
     let study = experiments::lifetime_study(&quick()).unwrap();
     assert_eq!(study.arms.len(), 4, "2 corners x maintained/unmaintained");
