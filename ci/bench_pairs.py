@@ -5,7 +5,11 @@ This is the repository's one timing harness and CI's one timing gate.
 
 The parent is built from ``git archive <rev>`` under ``.bench_build/<rev>/``.
 BENCHMARK.json's command then runs from each checkout's root, alternating
-which side runs first, so that drifts in host speed fall on both sides. For
+which side runs first, so that drifts in host speed fall on both sides.
+``--pairs`` must be even: the first run of a pair reads differently from the
+second (over 30 same-commit pairs on a 2-vCPU host, serve ``side_cost_ref``
+read about 15 % lower for whichever side ran first), so each side runs first
+in exactly half of the pairs. For
 every workload and end-to-end metric this prints each side's median and
 Q1-Q3 (``statistics.quantiles(values, n=4)``), how many pairs the change won
 (the direction comes from the metric's ``better``), the change / parent
@@ -160,6 +164,8 @@ def main():
     parser.add_argument("--extra", nargs="*", default=[],
                         help="per-layer metrics or detail lines to add to the table")
     args = parser.parse_args()
+    if args.pairs % 2:
+        parser.error(f"--pairs must be even so each side runs first equally often, not {args.pairs}")
 
     sha, parent_root = checkout(args.parent)
     sides = {"parent": parent_root, "change": ROOT}

@@ -9,12 +9,13 @@
 //! ```
 //!
 //! Without arguments, runs `all` at full (paper) scale. `--quick` runs the
-//! miniature configuration used by the test suite. `--json <path>` also
-//! writes every selected study's rows — plus a telemetry snapshot from an
-//! instrumented parasitic-fidelity recognition run — as one machine-readable
-//! JSON report (see README.md, "Observability"). Simulator speed is timed
-//! by the repository benchmark (`perfbench/`, compared in interleaved pairs
-//! by `ci/bench_pairs.py`), not here.
+//! miniature configuration used by the test suite. An unknown study name or
+//! flag prints the usage line and exits 2 before any study runs. `--json
+//! <path>` also writes every selected study's rows — plus a telemetry
+//! snapshot from an instrumented parasitic-fidelity recognition run — as one
+//! machine-readable JSON report (see README.md, "Observability"). Simulator
+//! speed is timed by the repository benchmark (`perfbench/`, compared in
+//! interleaved pairs by `ci/bench_pairs.py`), not here.
 
 use spinamm_bench::report::{eng, Table};
 use spinamm_bench::{experiments, Scale};
@@ -38,82 +39,82 @@ impl Section {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale = if quick { Scale::quick() } else { Scale::full() };
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|k| args.get(k + 1))
-        .cloned();
-    if args.iter().any(|a| a == "--json") && json_path.is_none() {
-        eprintln!("--json requires a path argument");
-        return ExitCode::FAILURE;
-    }
-    let mut skip_next = false;
+    let mut quick = false;
+    let mut json_path = None;
     let mut wanted: Vec<&str> = Vec::new();
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--json" {
-            skip_next = true;
-        } else if !a.starts_with("--") {
-            wanted.push(a.as_str());
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        match a.as_str() {
+            "--quick" => quick = true,
+            "--json" => match rest.next() {
+                Some(path) => json_path = Some(path.clone()),
+                None => {
+                    eprintln!("--json requires a path argument");
+                    return ExitCode::FAILURE;
+                }
+            },
+            name => wanted.push(name),
         }
     }
-    let wanted: Vec<&str> = if wanted.is_empty() {
-        vec!["all"]
-    } else {
-        wanted
-    };
+    let scale = if quick { Scale::quick() } else { Scale::full() };
 
-    let all = wanted.contains(&"all");
-    let run = |name: &str| all || wanted.contains(&name);
+    // Report order; the JSON report lists studies in this order too.
+    let sections: [(&str, &dyn Fn() -> Rendered); 24] = [
+        ("table2", &render_table2),
+        ("fig3a", &|| render_fig3a(&scale)),
+        ("fig3b", &|| render_fig3b(&scale)),
+        ("fig5b", &render_fig5b),
+        ("fig5c", &render_fig5c),
+        ("fig7a", &render_fig7a),
+        ("fig8b", &render_fig8b),
+        ("fig9a", &|| render_fig9a(&scale)),
+        ("fig9b", &|| render_fig9b(&scale)),
+        ("fig13a", &|| render_fig13a(&scale)),
+        ("fig13b", &|| render_fig13b(&scale)),
+        ("table1", &|| render_table1(&scale)),
+        ("hierarchy", &|| render_hierarchy(&scale)),
+        ("ablations", &|| render_ablations(&scale)),
+        ("settling", &render_settling),
+        ("drift", &|| render_drift(&scale)),
+        ("write-precision", &|| render_write_precision(&scale)),
+        ("disturb", &render_disturb),
+        ("noise", &|| render_noise(&scale)),
+        ("yield", &|| render_yield(&scale)),
+        ("conformance", &|| render_conformance(&scale)),
+        ("capacity", &|| render_capacity(&scale)),
+        ("serve", &|| render_serve(&scale)),
+        ("lifetime", &|| render_lifetime(&scale)),
+    ];
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|w| **w != "all" && sections.iter().all(|(name, _)| name != *w))
+    {
+        let names: Vec<&str> = sections.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "unknown argument `{unknown}`\nusage: experiments [--quick] [--json <path>] [all|{}]...",
+            names.join("|")
+        );
+        return ExitCode::from(2);
+    }
+
+    let all = wanted.is_empty() || wanted.contains(&"all");
     let mut failures = 0;
     let mut studies: Vec<(&str, JsonValue)> = Vec::new();
-
-    macro_rules! section {
-        ($name:literal, $body:expr) => {
-            if run($name) {
-                match $body {
-                    Ok(section) => {
-                        println!("{}", section.text);
-                        studies.push(($name, section.json));
-                    }
-                    Err(e) => {
-                        eprintln!("{}: FAILED: {e}", $name);
-                        failures += 1;
-                    }
-                }
+    for (name, render) in sections {
+        if !all && !wanted.contains(&name) {
+            continue;
+        }
+        match render() {
+            Ok(section) => {
+                println!("{}", section.text);
+                studies.push((name, section.json));
             }
-        };
+            Err(e) => {
+                eprintln!("{name}: FAILED: {e}");
+                failures += 1;
+            }
+        }
     }
-
-    section!("table2", render_table2());
-    section!("fig3a", render_fig3a(&scale));
-    section!("fig3b", render_fig3b(&scale));
-    section!("fig5b", render_fig5b());
-    section!("fig5c", render_fig5c());
-    section!("fig7a", render_fig7a());
-    section!("fig8b", render_fig8b());
-    section!("fig9a", render_fig9a(&scale));
-    section!("fig9b", render_fig9b(&scale));
-    section!("fig13a", render_fig13a(&scale));
-    section!("fig13b", render_fig13b(&scale));
-    section!("table1", render_table1(&scale));
-    section!("hierarchy", render_hierarchy(&scale));
-    section!("ablations", render_ablations(&scale));
-    section!("settling", render_settling());
-    section!("drift", render_drift(&scale));
-    section!("write-precision", render_write_precision(&scale));
-    section!("disturb", render_disturb());
-    section!("noise", render_noise(&scale));
-    section!("yield", render_yield(&scale));
-    section!("conformance", render_conformance(&scale));
-    section!("capacity", render_capacity(&scale));
-    section!("serve", render_serve(&scale));
-    section!("lifetime", render_lifetime(&scale));
 
     if let Some(path) = json_path {
         match write_json_report(&path, &scale, quick, studies) {
@@ -162,7 +163,11 @@ fn main() -> ExitCode {
 /// traffic horizon (10⁶ queries quick, 10⁹-equivalent full); v11 drops
 /// the plan study's f32-tier fields; v12 drops the `engine-scale`,
 /// `profile` and `plan` studies and the wall-clock fields, since the
-/// repository benchmark (`perfbench/`) times the simulator.
+/// repository benchmark (`perfbench/`) times the simulator; v13 drops the
+/// capacity study's `wall_seconds`, `throughput_qps` and `host_cpus`, so
+/// that outside the serve study and the telemetry spans and gauges a report
+/// is a function of the commit and scale alone (`ci/regression_gate.py`
+/// compares it exactly).
 fn write_json_report(
     path: &str,
     scale: &Scale,
@@ -171,7 +176,7 @@ fn write_json_report(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let snapshot = experiments::telemetry_capture(scale)?;
     let document = JsonValue::object([
-        ("schema_version", JsonValue::Uint(12)),
+        ("schema_version", JsonValue::Uint(13)),
         (
             "scale",
             JsonValue::Str(if quick { "quick" } else { "full" }.to_string()),
@@ -744,7 +749,6 @@ fn render_capacity(scale: &Scale) -> Rendered {
             "tiles",
             "compiled",
             "queries",
-            "throughput",
             "energy/query",
             "topk==oracle",
             "top1==wta",
@@ -758,7 +762,6 @@ fn render_capacity(scale: &Scale) -> Rendered {
             format!("{}", r.tiles),
             format!("{}", r.compiled_tiles),
             format!("{}", r.queries),
-            format!("{:.1} q/s", r.throughput_qps),
             eng(r.energy_per_query_j, "J"),
             if r.topk_matches_oracle { "yes" } else { "NO" }.to_string(),
             if r.top1_matches_wta { "yes" } else { "NO" }.to_string(),
@@ -777,15 +780,15 @@ fn render_capacity(scale: &Scale) -> Rendered {
         "tile capacity: {} | host cpus: {}\n",
         study.tile_capacity, study.host_cpus
     ));
-    // The JSON twin keeps numbers numeric so the CI capacity gate can
-    // assert the oracle/WTA/engine verdicts and positive throughput at
-    // every template count without parsing table cells.
+    // The JSON twin keeps numbers numeric so check_capacity can assert the
+    // oracle/WTA/engine verdicts without parsing table cells. The host's
+    // CPU count stays in the printed text only: the JSON report is compared
+    // exactly across hosts.
     section.json = JsonValue::object([
         (
             "title",
             JsonValue::Str("E18: tiled capacity (templates x k, top-k ranked recall)".to_string()),
         ),
-        ("host_cpus", JsonValue::Uint(study.host_cpus as u64)),
         ("tile_capacity", JsonValue::Uint(study.tile_capacity as u64)),
         (
             "rows",
@@ -800,8 +803,6 @@ fn render_capacity(scale: &Scale) -> Rendered {
                             ("tiles", JsonValue::Uint(r.tiles as u64)),
                             ("compiled_tiles", JsonValue::Uint(r.compiled_tiles as u64)),
                             ("queries", JsonValue::Uint(r.queries as u64)),
-                            ("wall_seconds", JsonValue::Num(r.wall_seconds)),
-                            ("throughput_qps", JsonValue::Num(r.throughput_qps)),
                             ("energy_per_query_j", JsonValue::Num(r.energy_per_query_j)),
                             (
                                 "topk_matches_oracle",

@@ -1,10 +1,9 @@
 //! Experiment harness: one function per table/figure of the paper.
 //!
-//! Everything the `experiments` binary prints, the Criterion benches time
-//! and the integration tests check flows through this crate, so the
-//! regeneration logic exists exactly once. Each experiment takes a
-//! [`Scale`] so tests can run miniature versions of the same code paths the
-//! full paper-scale reproduction uses.
+//! Everything the `experiments` binary prints and the integration tests
+//! check flows through this crate, so the regeneration logic exists exactly
+//! once. Each experiment takes a [`Scale`] so tests can run miniature
+//! versions of the same code paths the full paper-scale reproduction uses.
 
 pub mod experiments;
 pub mod report;

@@ -250,3 +250,34 @@ fn extension_hierarchy_study() {
     assert!(rows.iter().all(|r| r.energy > 0.0));
     assert!(rows[0].accuracy >= rows[1].accuracy - 0.3);
 }
+
+#[test]
+fn experiments_binary_rejects_unknown_arguments() {
+    let report = std::env::temp_dir().join(format!(
+        "experiments-unknown-argument-{}.json",
+        std::process::id()
+    ));
+    let report_arg = report.to_str().unwrap();
+    // A misspelt study selects nothing and a misspelt flag would fall back
+    // to full scale: each must stop with a usage error before any study
+    // runs (and before any report is written).
+    for (args, unknown) in [
+        (vec!["--quick", "fig3"], "fig3"),
+        (vec!["--quick", "--json", report_arg, "fig3"], "fig3"),
+        (vec!["--qiuck", "fig3b"], "--qiuck"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(&args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran a study");
+        assert!(
+            stderr.contains(&format!("`{unknown}`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage: experiments"), "{args:?}: {stderr}");
+    }
+    assert!(!report.exists(), "a rejected run wrote a report");
+}
