@@ -7,9 +7,10 @@ baseline exactly.
 The quick-scale baseline is BENCH_baseline.json (``experiments --quick
 --json``); the full-scale one is BENCH_full.json (``experiments --json``).
 Both documents are walked together: every key, list length, string, boolean
-and number must be equal, ``scale`` included. Only the paths in ``SKIPPED``
-are left out, each for the reason given there. Every differing path is
-printed with both values.
+and number must be equal, ``scale`` included. Only the two paths in
+``SKIPPED`` are left out, the E19 ``serve`` study and the telemetry spans,
+each for the reason given there. Every differing path is printed with both
+values.
 
 The fresh report must also keep four contracts: conformance (E15),
 capacity (E18), serve (E19) and lifetime (E20). At full scale they are the
@@ -25,8 +26,9 @@ for the parent and the change in interleaved pairs.
 import json
 import sys
 
-# Paths the exact comparison skips, each because it differs between runs of
-# one binary on one host.
+# The two paths the exact comparison skips, each because it differs between
+# runs of one binary on one host. Everything else, the telemetry counters,
+# gauges, histograms and events included, must repeat exactly.
 SKIPPED = {
     # E19 sets each quota tenant's rate from its measured saturation, so
     # `served`, `rejected_over_quota` and `mean_energy_j` move between runs
@@ -34,10 +36,6 @@ SKIPPED = {
     "studies[serve]",
     # Span series are wall times.
     "telemetry.spans",
-    # `crossbar.solver_residual` is written by whichever parasitic batch
-    # worker finishes last: four concurrent quick runs of one binary read
-    # 9.14e-11 twice and 3.16e-11 twice.
-    "telemetry.gauges",
 }
 
 # E20 contract: maintained arms hold accuracy to within two points of fresh

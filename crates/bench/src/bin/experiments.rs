@@ -165,8 +165,8 @@ fn main() -> ExitCode {
 /// `profile` and `plan` studies and the wall-clock fields, since the
 /// repository benchmark (`perfbench/`) times the simulator; v13 drops the
 /// capacity study's `wall_seconds`, `throughput_qps` and `host_cpus`, so
-/// that outside the serve study and the telemetry spans and gauges a report
-/// is a function of the commit and scale alone (`ci/regression_gate.py`
+/// that outside the serve study and the telemetry spans a report is a
+/// function of the commit and scale alone (`ci/regression_gate.py`
 /// compares it exactly).
 fn write_json_report(
     path: &str,

@@ -1288,9 +1288,9 @@ pub struct CapacityRow {
     pub tiles: usize,
     /// Tiles whose evaluation phase runs a compiled kernel (every tile).
     pub compiled_tiles: usize,
-    /// Queries served in the batch pass.
+    /// Queries served in the sequential pass.
     pub queries: usize,
-    /// Mean recall energy across the batch's queries, J (summed over every
+    /// Mean recall energy across the pass's queries, J (summed over every
     /// tile the query touched).
     pub energy_per_query_j: f64,
     /// Whether every recall's ranked matches equalled an independent full
@@ -1413,10 +1413,12 @@ pub fn capacity_study(scale: &Scale) -> Result<CapacityStudy, CoreError> {
                         .all(|(r, e)| matches!(r, EngineResponse::Tiled(t) if t == e));
             }
 
-            // Batch pass on the pool itself, with ranking checks on every
-            // result.
-            let results =
-                pool.recall_batch_request(&inputs, &spinamm_core::RecallRequest::DEFAULT)?;
+            // Sequential pass on the pool itself, with ranking checks on
+            // every result.
+            let results: Vec<_> = inputs
+                .iter()
+                .map(|q| pool.recall(q))
+                .collect::<Result<_, _>>()?;
             let mut topk_matches_oracle = true;
             let mut top1_matches_wta = true;
             let mut energy = 0.0;

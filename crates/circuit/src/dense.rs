@@ -418,34 +418,6 @@ impl CholeskyFactor {
         }
         Ok(())
     }
-
-    /// Solves `A·X = B` for a column block of right-hand sides stored
-    /// contiguously (`block` is `k` concatenated length-`n` columns, solved
-    /// in place). One factorization amortized over the whole block; each
-    /// column goes through the same substitutions as
-    /// [`CholeskyFactor::solve`], so per-column results are bit-identical
-    /// to `k` independent solves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::DimensionMismatch`] if `block.len()` is not a
-    /// multiple of the factored dimension.
-    pub fn solve_block(&self, block: &mut [f64]) -> Result<(), CircuitError> {
-        let n = self.n;
-        if n == 0 {
-            return Ok(());
-        }
-        if block.len() % n != 0 {
-            return Err(CircuitError::DimensionMismatch {
-                expected: n,
-                found: block.len(),
-            });
-        }
-        for col in block.chunks_exact_mut(n) {
-            self.solve_into(col)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -539,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_solve_into_and_block_bit_match_solve() {
+    fn cholesky_solve_into_bit_matches_solve() {
         let a =
             DenseMatrix::from_rows(3, 3, &[4.0, 1.0, 0.5, 1.0, 5.0, 1.5, 0.5, 1.5, 6.0]).unwrap();
         let ch = a.cholesky().unwrap();
@@ -553,21 +525,9 @@ mod tests {
             assert_eq!(x, reference);
         }
 
-        // solve_block is bit-identical per column.
-        let mut block: Vec<f64> = rhs.iter().flatten().copied().collect();
-        ch.solve_block(&mut block).unwrap();
-        for (k, b) in rhs.iter().enumerate() {
-            let reference = ch.solve(b).unwrap();
-            assert_eq!(&block[k * 3..(k + 1) * 3], reference.as_slice());
-        }
-
         // Dimension errors.
         assert!(matches!(
             ch.solve_into(&mut [0.0; 2]),
-            Err(CircuitError::DimensionMismatch { .. })
-        ));
-        assert!(matches!(
-            ch.solve_block(&mut [0.0; 4]),
             Err(CircuitError::DimensionMismatch { .. })
         ));
     }

@@ -652,8 +652,7 @@ impl AssociativeMemoryModule {
     ) -> Result<RecallResult, CoreError> {
         let probe = req.begin(Layer::RECALL);
         let eval = self.evaluate_query_inner(levels, &probe)?;
-        self.kernel(&probe)?
-            .select(&self.wta, &mut self.rng, eval, &probe)
+        self.select_winner_inner(eval, &probe)
     }
 
     /// Runs the RNG-free first phase of one recognition: input validation
@@ -676,7 +675,10 @@ impl AssociativeMemoryModule {
         self.evaluate_query_inner(levels, &req.probe())
     }
 
-    fn evaluate_query_inner<T: Recorder>(
+    /// [`AssociativeMemoryModule::evaluate_query_request`] reporting to
+    /// `recorder` directly, so a composite recall's probe carries the
+    /// module's spans.
+    pub(crate) fn evaluate_query_inner<T: Recorder>(
         &mut self,
         levels: &[u32],
         recorder: &T,
@@ -706,9 +708,18 @@ impl AssociativeMemoryModule {
         eval: QueryEvaluation,
         req: &RecallRequest<'_, R>,
     ) -> Result<RecallResult, CoreError> {
-        let probe = req.probe();
-        self.kernel(&probe)?
-            .select(&self.wta, &mut self.rng, eval, &probe)
+        self.select_winner_inner(eval, &req.probe())
+    }
+
+    /// [`AssociativeMemoryModule::select_winner_request`] reporting to
+    /// `recorder` directly.
+    pub(crate) fn select_winner_inner<T: Recorder>(
+        &mut self,
+        eval: QueryEvaluation,
+        recorder: &T,
+    ) -> Result<RecallResult, CoreError> {
+        self.kernel(recorder)?
+            .select(&self.wta, &mut self.rng, eval, recorder)
     }
 
     /// The interpreted reference implementation of

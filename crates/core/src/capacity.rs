@@ -17,9 +17,9 @@
 //!
 //! 1. **Evaluate** (RNG-free): each tile produces its analog column
 //!    currents through its module's compiled kernel ([`crate::plan`]).
-//!    Tiles are independent, so this phase parallelizes freely — across
-//!    engine workers or across the in-process batch threads — without
-//!    affecting any bit of the result.
+//!    Tiles are independent, so this phase may run anywhere — on any
+//!    engine worker, on a clone of the pool — without affecting any bit of
+//!    the result.
 //! 2. **Select** (RNG-consuming): each tile's converters digitize in
 //!    **fixed tile order**, advancing each tile module's own RNG exactly
 //!    as a sequential loop would. Responses are therefore bit-identical
@@ -56,7 +56,7 @@ use crate::energy::EnergyBreakdown;
 use crate::request::RecallRequest;
 use crate::CoreError;
 use spinamm_circuit::units::Seconds;
-use spinamm_telemetry::{Layer, Recorder};
+use spinamm_telemetry::Recorder;
 
 /// Identifies one crossbar tile within a [`TiledAmm`] pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -385,79 +385,6 @@ impl TiledAmm {
     ) -> Result<TiledRecall, CoreError> {
         let evals = self.evaluate_query_request(input, req)?;
         self.select_winner_request(evals, req)
-    }
-
-    /// Runs a batch of ranked recalls. The RNG-free evaluate phase fans
-    /// tiles across worker threads ([`RecallRequest::with_workers`], or
-    /// available parallelism); the select phase then runs queries in
-    /// submission order and tiles in tile order, so results are
-    /// bit-identical to a sequential loop of [`TiledAmm::recall`] at any
-    /// worker count.
-    ///
-    /// # Errors
-    ///
-    /// Every input is validated during the evaluate phase before any
-    /// select consumes randomness, so an invalid input fails the batch
-    /// without perturbing the RNG schedule.
-    pub fn recall_batch_request<S: AsRef<[u32]> + Sync, R: Recorder + Sync>(
-        &mut self,
-        inputs: &[S],
-        req: &RecallRequest<'_, R>,
-    ) -> Result<Vec<TiledRecall>, CoreError> {
-        let _span = req.recorder().span(Layer::CAPACITY_BATCH);
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // evals[tile][query], filled by disjoint tile chunks in parallel.
-        let tile_count = self.tiles.len();
-        let mut evals: Vec<Vec<Option<Result<QueryEvaluation, CoreError>>>> = (0..tile_count)
-            .map(|_| (0..inputs.len()).map(|_| None).collect())
-            .collect();
-        let workers = req.batch_workers().min(tile_count);
-        let inner = req.untraced();
-        if workers <= 1 {
-            for (tile, slots) in self.tiles.iter_mut().zip(&mut evals) {
-                for (input, slot) in inputs.iter().zip(slots.iter_mut()) {
-                    *slot = Some(tile.evaluate_query_request(input.as_ref(), &inner));
-                }
-            }
-        } else {
-            let chunk = tile_count.div_ceil(workers);
-            std::thread::scope(|s| {
-                for (tiles, slots) in self.tiles.chunks_mut(chunk).zip(evals.chunks_mut(chunk)) {
-                    let inner = &inner;
-                    s.spawn(move || {
-                        for (tile, tile_slots) in tiles.iter_mut().zip(slots.iter_mut()) {
-                            for (input, slot) in inputs.iter().zip(tile_slots.iter_mut()) {
-                                *slot = Some(tile.evaluate_query_request(input.as_ref(), inner));
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        // Surface any evaluate-phase error before selection starts.
-        let mut per_tile: Vec<Vec<QueryEvaluation>> = Vec::with_capacity(tile_count);
-        for slots in evals {
-            per_tile.push(
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every batch slot is filled"))
-                    .collect::<Result<_, _>>()?,
-            );
-        }
-        // In-order stochastic selection: queries in submission order,
-        // tiles in tile order within each query.
-        let mut out = Vec::with_capacity(inputs.len());
-        for q in (0..inputs.len()).rev() {
-            let evals_q: Vec<QueryEvaluation> =
-                per_tile.iter_mut().map(|t| t.swap_remove(q)).collect();
-            out.push(evals_q);
-        }
-        out.reverse();
-        out.into_iter()
-            .map(|evals_q| self.select_winner_request(evals_q, &inner))
-            .collect()
     }
 
     /// Runs the RNG-free first phase on every tile. Safe on a clone of
@@ -815,30 +742,6 @@ mod tests {
             let a = compiled.recall(q).unwrap();
             let b = oracle_recall(&mut interpreted, q);
             assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn batch_matches_sequential_at_any_worker_count() {
-        let w = workload(9, 5);
-        let cfg = AmmConfig::default();
-        let inputs: Vec<Vec<u32>> = w.queries.iter().map(|(_, q)| q.clone()).collect();
-        let mut reference = TiledAmm::build(&w.patterns, 2, &cfg)
-            .unwrap()
-            .with_top_k(3)
-            .unwrap();
-        let sequential: Vec<TiledRecall> = inputs
-            .iter()
-            .map(|q| reference.recall(q).unwrap())
-            .collect();
-        for workers in [1, 3] {
-            let mut pool = TiledAmm::build(&w.patterns, 2, &cfg)
-                .unwrap()
-                .with_top_k(3)
-                .unwrap();
-            let req = RecallRequest::DEFAULT.with_workers(workers);
-            let batched = pool.recall_batch_request(&inputs, &req).unwrap();
-            assert_eq!(batched, sequential, "workers={workers}");
         }
     }
 

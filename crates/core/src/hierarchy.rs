@@ -13,7 +13,6 @@ use crate::energy::EnergyBreakdown;
 use crate::request::RecallRequest;
 use crate::CoreError;
 use spinamm_telemetry::{Layer, Recorder};
-use std::time::Instant;
 
 /// A two-level clustered associative memory.
 ///
@@ -199,10 +198,8 @@ impl HierarchicalAmm {
         self.top.vector_len()
     }
 
-    /// Hierarchical recall: centroid match, then member match. Routed
-    /// through the batched path, so both levels reuse their cached
-    /// parasitic sessions instead of paying the cold-netlist cost per
-    /// bank.
+    /// Hierarchical recall: centroid match, then member match in the
+    /// chosen cluster only.
     ///
     /// # Errors
     ///
@@ -211,119 +208,22 @@ impl HierarchicalAmm {
         self.recall_request(input, &RecallRequest::DEFAULT)
     }
 
-    /// [`HierarchicalAmm::recall`] with options.
+    /// [`HierarchicalAmm::recall`] with options: one traced `recall`
+    /// request running [`HierarchicalAmm::evaluate_top_request`] and then
+    /// [`HierarchicalAmm::select_winner_request`], so its spans are the
+    /// engine's for this kind.
     ///
     /// # Errors
     ///
     /// See [`HierarchicalAmm::recall`].
-    pub fn recall_request<R: Recorder + Sync>(
+    pub fn recall_request<R: Recorder>(
         &mut self,
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<HierarchicalRecall, CoreError> {
-        let mut out = self.recall_batch_request(&[input], req)?;
-        Ok(out.pop().expect("one query in, one result out"))
-    }
-
-    /// Runs a batch of hierarchical recalls, one per input vector.
-    ///
-    /// # Errors
-    ///
-    /// See [`HierarchicalAmm::recall_batch_request`].
-    pub fn recall_batch<S: AsRef<[u32]>>(
-        &mut self,
-        inputs: &[S],
-    ) -> Result<Vec<HierarchicalRecall>, CoreError> {
-        self.recall_batch_request(inputs, &RecallRequest::DEFAULT)
-    }
-
-    /// [`HierarchicalAmm::recall_batch`] with options.
-    ///
-    /// Stage A matches all centroids through the top module's two-phase
-    /// batch; queries are then grouped by selected cluster (preserving
-    /// submission order within each group) and every non-empty cluster
-    /// evaluates its group on its own scoped thread. Each module owns its
-    /// RNG and sees its queries in submission order, so the results are
-    /// **bit-identical** to calling [`HierarchicalAmm::recall`] once per
-    /// input in order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates recall errors from either level. Top-level input
-    /// validation happens before any randomness is consumed.
-    pub fn recall_batch_request<S: AsRef<[u32]>, R: Recorder + Sync>(
-        &mut self,
-        inputs: &[S],
-        req: &RecallRequest<'_, R>,
-    ) -> Result<Vec<HierarchicalRecall>, CoreError> {
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // The hierarchical batch is one traced request; both levels run
-        // with tracing stripped and contribute one span each (stage A as a
-        // whole, then one span per active cluster).
-        let probe = req.begin(Layer::HIERARCHY_BATCH);
-        probe.trace_attr("queries", inputs.len() as f64);
-        let inner = req.untraced();
-        // Stage A: centroid match for every query, in order.
-        let top_results = {
-            let _top = probe.span(Layer::HIERARCHY_TOP);
-            self.top.recall_batch_request(inputs, &inner)?
-        };
-        // Group queries by selected cluster, preserving submission order.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.clusters.len()];
-        for (q, r) in top_results.iter().enumerate() {
-            groups[r.raw_winner].push(q);
-        }
-        // Stage B: every non-empty cluster runs its group as one batch on
-        // its own scoped thread (independent modules, independent RNGs).
-        let mut per_cluster: Vec<Option<Result<Vec<RecallResult>, CoreError>>> =
-            (0..self.clusters.len()).map(|_| None).collect();
-        let probe = &probe;
-        std::thread::scope(|s| {
-            for (c, ((cluster, slot), group)) in self
-                .clusters
-                .iter_mut()
-                .zip(per_cluster.iter_mut())
-                .zip(&groups)
-                .enumerate()
-            {
-                if group.is_empty() {
-                    continue;
-                }
-                let sub: Vec<&[u32]> = group.iter().map(|&q| inputs[q].as_ref()).collect();
-                let inner = &inner;
-                s.spawn(move || {
-                    let t0 = Instant::now();
-                    *slot = Some(cluster.module.recall_batch_request(&sub, inner));
-                    let attrs = [("cluster", c as f64), ("queries", sub.len() as f64)];
-                    probe.span_since(Layer::HIERARCHY_CLUSTER, t0, &attrs);
-                });
-            }
-        });
-        // Reassemble in submission order.
-        let mut member_results: Vec<Option<RecallResult>> =
-            (0..inputs.len()).map(|_| None).collect();
-        for (c, slot) in per_cluster.into_iter().enumerate() {
-            let Some(result) = slot else { continue };
-            for (&q, r) in groups[c].iter().zip(result?) {
-                member_results[q] = Some(r);
-            }
-        }
-        Ok(top_results
-            .into_iter()
-            .zip(member_results)
-            .map(|(top, member)| {
-                let member = member.expect("every query was routed to a cluster");
-                let c = &self.clusters[top.raw_winner];
-                HierarchicalRecall {
-                    cluster: top.raw_winner,
-                    winner: c.members[member.raw_winner],
-                    dom: member.dom,
-                    energy: top.energy + member.energy,
-                }
-            })
-            .collect())
+        let probe = req.begin(Layer::RECALL);
+        let top = self.top.evaluate_query_inner(input, &probe)?;
+        self.select_winner_inner(top, input, &probe)
     }
 
     /// Engine-facing RNG-free phase of stage A: evaluates the top
@@ -340,9 +240,50 @@ impl HierarchicalAmm {
         self.top.evaluate_query_request(input, req)
     }
 
-    /// Engine-facing RNG-consuming phase of stage A: selects the cluster.
-    /// The returned result's `raw_winner` is the cluster index to evaluate
-    /// in stage B.
+    /// Engine-facing RNG-consuming phase: selects the cluster from the top
+    /// module's evaluation, then evaluates `input` on that cluster's
+    /// member module — only the chosen cluster runs (paper §5) — under an
+    /// `evaluate.member` span, and selects the member under a
+    /// `select.member` span (both with a `cluster` attribute). Feeding
+    /// evaluations of [`HierarchicalAmm::evaluate_top_request`] back in
+    /// submission order reproduces [`HierarchicalAmm::recall`] bit for
+    /// bit.
+    ///
+    /// # Errors
+    ///
+    /// See [`AssociativeMemoryModule::select_winner_request`] and
+    /// [`AssociativeMemoryModule::evaluate_query_request`].
+    pub fn select_winner_request<R: Recorder>(
+        &mut self,
+        top: QueryEvaluation,
+        input: &[u32],
+        req: &RecallRequest<'_, R>,
+    ) -> Result<HierarchicalRecall, CoreError> {
+        self.select_winner_inner(top, input, &req.probe())
+    }
+
+    fn select_winner_inner<T: Recorder>(
+        &mut self,
+        top: QueryEvaluation,
+        input: &[u32],
+        recorder: &T,
+    ) -> Result<HierarchicalRecall, CoreError> {
+        let top = self.top.select_winner_inner(top, recorder)?;
+        let cluster = top.raw_winner;
+        let c = self.cluster_mut(cluster)?;
+        let member = {
+            let span = recorder.span(Layer::MEMBER_EVALUATE);
+            span.attr("cluster", cluster as f64);
+            c.module.evaluate_query_inner(input, recorder)?
+        };
+        let span = recorder.span(Layer::MEMBER_SELECT);
+        span.attr("cluster", cluster as f64);
+        let member = c.module.select_winner_inner(member, recorder)?;
+        Ok(c.result(cluster, &member, &top))
+    }
+
+    /// Stage A's select alone: the returned result's `raw_winner` is the
+    /// cluster index to evaluate in stage B.
     ///
     /// # Errors
     ///
@@ -355,8 +296,8 @@ impl HierarchicalAmm {
         self.top.select_winner_request(eval, req)
     }
 
-    /// Engine-facing RNG-free phase of stage B: evaluates one cluster's
-    /// member module for the input. Safe to run on a clone.
+    /// Stage B's evaluate alone: evaluates one cluster's member module for
+    /// the input. Safe to run on a clone.
     ///
     /// # Errors
     ///
@@ -368,20 +309,15 @@ impl HierarchicalAmm {
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<QueryEvaluation, CoreError> {
-        let c = self
-            .clusters
-            .get_mut(cluster)
-            .ok_or(CoreError::InvalidParameter {
-                what: "cluster index out of range",
-            })?;
-        c.module.evaluate_query_request(input, req)
+        self.cluster_mut(cluster)?
+            .module
+            .evaluate_query_request(input, req)
     }
 
-    /// Engine-facing RNG-consuming phase of stage B: selects the member
-    /// winner inside `cluster` and assembles the full hierarchical result
-    /// from the stage-A outcome. Feeding per-cluster evaluations back in
-    /// submission order reproduces [`HierarchicalAmm::recall`] bit for
-    /// bit.
+    /// Stage B's select alone: selects the member winner inside `cluster`
+    /// and assembles the full hierarchical result from the stage-A
+    /// outcome. The four stage methods in order compose
+    /// [`HierarchicalAmm::recall`] bit for bit.
     ///
     /// # Errors
     ///
@@ -394,19 +330,34 @@ impl HierarchicalAmm {
         top: &RecallResult,
         req: &RecallRequest<'_, R>,
     ) -> Result<HierarchicalRecall, CoreError> {
-        let c = self
-            .clusters
+        let c = self.cluster_mut(cluster)?;
+        let member = c.module.select_winner_request(eval, req)?;
+        Ok(c.result(cluster, &member, top))
+    }
+
+    fn cluster_mut(&mut self, cluster: usize) -> Result<&mut ClusterModule, CoreError> {
+        self.clusters
             .get_mut(cluster)
             .ok_or(CoreError::InvalidParameter {
                 what: "cluster index out of range",
-            })?;
-        let member = c.module.select_winner_request(eval, req)?;
-        Ok(HierarchicalRecall {
+            })
+    }
+}
+
+impl ClusterModule {
+    /// The hierarchical result of a member select in this cluster.
+    fn result(
+        &self,
+        cluster: usize,
+        member: &RecallResult,
+        top: &RecallResult,
+    ) -> HierarchicalRecall {
+        HierarchicalRecall {
             cluster,
-            winner: c.members[member.raw_winner],
+            winner: self.members[member.raw_winner],
             dom: member.dom,
             energy: top.energy + member.energy,
-        })
+        }
     }
 }
 

@@ -17,7 +17,6 @@ use crate::request::RecallRequest;
 use crate::CoreError;
 use spinamm_circuit::units::Seconds;
 use spinamm_telemetry::{Layer, Recorder};
-use std::time::Instant;
 
 /// An associative memory whose rows are partitioned across several modules.
 ///
@@ -135,9 +134,8 @@ impl PartitionedAmm {
         self.segments[0].module.latency()
     }
 
-    /// Runs one partitioned recall. Routed through the batched path, so
-    /// every segment's cached parasitic session is reused instead of
-    /// paying the cold-netlist cost per bank.
+    /// Runs one partitioned recall: every segment evaluates, then every
+    /// segment selects, and the adder tree sums the segment codes.
     ///
     /// # Errors
     ///
@@ -147,105 +145,23 @@ impl PartitionedAmm {
         self.recall_request(input, &RecallRequest::DEFAULT)
     }
 
-    /// [`PartitionedAmm::recall`] with options.
+    /// [`PartitionedAmm::recall`] with options. The recall is one traced
+    /// `recall` request: the segment modules run with tracing stripped and
+    /// contribute one `shard.settle` and one `shard.select` span apiece,
+    /// exactly as [`PartitionedAmm::evaluate_query_request`] and
+    /// [`PartitionedAmm::select_winner_request`] do inside an engine job.
     ///
     /// # Errors
     ///
     /// See [`PartitionedAmm::recall`].
-    pub fn recall_request<R: Recorder + Sync>(
+    pub fn recall_request<R: Recorder>(
         &mut self,
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<PartitionedRecall, CoreError> {
-        let mut out = self.recall_batch_request(&[input], req)?;
-        Ok(out.pop().expect("one query in, one result out"))
-    }
-
-    /// Runs a batch of partitioned recalls, one per input vector.
-    ///
-    /// # Errors
-    ///
-    /// See [`PartitionedAmm::recall_batch_request`].
-    pub fn recall_batch<S: AsRef<[u32]>>(
-        &mut self,
-        inputs: &[S],
-    ) -> Result<Vec<PartitionedRecall>, CoreError> {
-        self.recall_batch_request(inputs, &RecallRequest::DEFAULT)
-    }
-
-    /// [`PartitionedAmm::recall_batch`] with options.
-    ///
-    /// Segments hold independent modules — disjoint crossbars, converters
-    /// and RNG streams — so each segment evaluates its sub-batch on its own
-    /// scoped thread ("in hardware they run concurrently"). Within a
-    /// segment the module's two-phase batch preserves query order, so the
-    /// combined results are **bit-identical** to calling
-    /// [`PartitionedAmm::recall`] once per input in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InputLengthMismatch`] for any mis-sized input
-    /// (validated up front, before any segment consumes randomness);
-    /// propagates per-segment recall errors.
-    pub fn recall_batch_request<S: AsRef<[u32]>, R: Recorder + Sync>(
-        &mut self,
-        inputs: &[S],
-        req: &RecallRequest<'_, R>,
-    ) -> Result<Vec<PartitionedRecall>, CoreError> {
-        // The partitioned batch is one traced request; segment modules run
-        // with tracing stripped (each would otherwise begin its own
-        // trace) and contribute one span apiece instead.
-        let probe = req.begin(Layer::PARTITION_BATCH);
-        for input in inputs {
-            if input.as_ref().len() != self.vector_len {
-                return Err(CoreError::InputLengthMismatch {
-                    expected: self.vector_len,
-                    found: input.as_ref().len(),
-                });
-            }
-        }
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        probe.trace_attr("queries", inputs.len() as f64);
-        probe.trace_attr("segments", self.segments.len() as f64);
-        let inner = req.untraced();
-        let mut per_seg: Vec<Option<Result<Vec<RecallResult>, CoreError>>> =
-            (0..self.segments.len()).map(|_| None).collect();
-        if self.segments.len() == 1 {
-            let seg = &mut self.segments[0];
-            let sub: Vec<&[u32]> = inputs
-                .iter()
-                .map(|i| &i.as_ref()[seg.start..seg.end])
-                .collect();
-            let segment = probe.span(Layer::PARTITION_SEGMENT);
-            segment.attr("segment", 0.0);
-            per_seg[0] = Some(seg.module.recall_batch_request(&sub, &inner));
-        } else {
-            let probe = &probe;
-            std::thread::scope(|s| {
-                for (k, (seg, slot)) in self.segments.iter_mut().zip(per_seg.iter_mut()).enumerate()
-                {
-                    let sub: Vec<&[u32]> = inputs
-                        .iter()
-                        .map(|i| &i.as_ref()[seg.start..seg.end])
-                        .collect();
-                    let inner = &inner;
-                    s.spawn(move || {
-                        let t0 = Instant::now();
-                        *slot = Some(seg.module.recall_batch_request(&sub, inner));
-                        probe.span_since(Layer::PARTITION_SEGMENT, t0, &[("segment", k as f64)]);
-                    });
-                }
-            });
-        }
-        let seg_results: Vec<Vec<RecallResult>> = per_seg
-            .into_iter()
-            .map(|slot| slot.expect("every segment slot is filled"))
-            .collect::<Result<_, _>>()?;
-        Ok((0..inputs.len())
-            .map(|q| self.combine(seg_results.iter().map(|r| &r[q])))
-            .collect())
+        let probe = req.begin(Layer::RECALL);
+        let evals = self.evaluate_shards(input, req, &probe)?;
+        self.select_shards(evals, req, &probe)
     }
 
     /// Engine-facing RNG-free phase: evaluates every segment's crossbar
@@ -262,28 +178,7 @@ impl PartitionedAmm {
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<Vec<QueryEvaluation>, CoreError> {
-        if input.len() != self.vector_len {
-            return Err(CoreError::InputLengthMismatch {
-                expected: self.vector_len,
-                found: input.len(),
-            });
-        }
-        // Per-shard attribution for an enclosing (engine) trace: segment
-        // modules run untraced and each contributes one "shard.settle"
-        // span instead of generic drive/settle spans per shard.
-        let probe = req.probe();
-        let inner = req.untraced();
-        self.segments
-            .iter_mut()
-            .enumerate()
-            .map(|(k, seg)| {
-                let shard = probe.span(Layer::SHARD_SETTLE);
-                shard.attr("shard", k as f64);
-                shard.attr("rows", (seg.end - seg.start) as f64);
-                seg.module
-                    .evaluate_query_request(&input[seg.start..seg.end], &inner)
-            })
-            .collect()
+        self.evaluate_shards(input, req, &req.probe())
     }
 
     /// Engine-facing RNG-consuming phase: selects per-segment winners from
@@ -301,12 +196,51 @@ impl PartitionedAmm {
         evals: Vec<QueryEvaluation>,
         req: &RecallRequest<'_, R>,
     ) -> Result<PartitionedRecall, CoreError> {
+        self.select_shards(evals, req, &req.probe())
+    }
+
+    /// The evaluate phase. Segment modules run untraced and each
+    /// contributes one `shard.settle` span on `probe` instead of generic
+    /// drive/settle spans per shard.
+    fn evaluate_shards<R: Recorder, T: Recorder>(
+        &mut self,
+        input: &[u32],
+        req: &RecallRequest<'_, R>,
+        probe: &T,
+    ) -> Result<Vec<QueryEvaluation>, CoreError> {
+        if input.len() != self.vector_len {
+            return Err(CoreError::InputLengthMismatch {
+                expected: self.vector_len,
+                found: input.len(),
+            });
+        }
+        let inner = req.untraced();
+        self.segments
+            .iter_mut()
+            .enumerate()
+            .map(|(k, seg)| {
+                let shard = probe.span(Layer::SHARD_SETTLE);
+                shard.attr("shard", k as f64);
+                shard.attr("rows", (seg.end - seg.start) as f64);
+                seg.module
+                    .evaluate_query_request(&input[seg.start..seg.end], &inner)
+            })
+            .collect()
+    }
+
+    /// The select phase: segments select in segment order, each under one
+    /// `shard.select` span on `probe`, then the adder tree combines them.
+    fn select_shards<R: Recorder, T: Recorder>(
+        &mut self,
+        evals: Vec<QueryEvaluation>,
+        req: &RecallRequest<'_, R>,
+        probe: &T,
+    ) -> Result<PartitionedRecall, CoreError> {
         if evals.len() != self.segments.len() {
             return Err(CoreError::InvalidParameter {
                 what: "one evaluation per segment is required",
             });
         }
-        let probe = req.probe();
         let inner = req.untraced();
         let results: Vec<RecallResult> = self
             .segments
@@ -319,15 +253,12 @@ impl PartitionedAmm {
                 seg.module.select_winner_request(eval, &inner)
             })
             .collect::<Result<_, _>>()?;
-        Ok(self.combine(results.iter()))
+        Ok(self.combine(&results))
     }
 
     /// Digital adder tree: sums per-segment DOM codes into global scores
     /// and picks the argmax (lowest index on ties).
-    pub(crate) fn combine<'a>(
-        &self,
-        segment_results: impl Iterator<Item = &'a RecallResult>,
-    ) -> PartitionedRecall {
+    pub(crate) fn combine(&self, segment_results: &[RecallResult]) -> PartitionedRecall {
         let mut scores = vec![0u32; self.pattern_count];
         let mut energy = EnergyBreakdown::default();
         for r in segment_results {

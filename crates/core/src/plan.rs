@@ -765,7 +765,7 @@ mod tests {
                 .iter_mut()
                 .map(|seg| oracle(&mut seg.module, &q[seg.start..seg.end]))
                 .collect();
-            let want = reference.combine(segments.iter());
+            let want = reference.combine(&segments);
             assert_eq!(got.winner, want.winner);
             assert_eq!(got.dom, want.dom);
             assert_eq!(got.scores, want.scores);
@@ -780,7 +780,8 @@ mod tests {
     fn hierarchical_plan_matches_interpreted_two_phase() {
         // Engine-style split: a worker clone runs both RNG-free phases,
         // the master runs both selects — bit-identical to the reference
-        // stage A and stage B.
+        // stage A and stage B. A direct recall on a third copy must agree
+        // with the same reference.
         let cfg = config(Fidelity::Driven);
         let pats: Vec<Vec<u32>> = (0..6)
             .map(|p| {
@@ -798,6 +799,7 @@ mod tests {
         let mut reference = HierarchicalAmm::build(&pats, 2, &cfg).unwrap();
         let mut master = reference.clone();
         let mut worker = reference.clone();
+        let mut direct = reference.clone();
         let req = RecallRequest::DEFAULT;
         for q in queries() {
             let want_top = oracle(&mut reference.top, &q);
@@ -808,18 +810,21 @@ mod tests {
             let top = master.select_top_request(top_eval, &req).unwrap();
             assert_results_identical(&top, &want_top);
             let member_eval = worker.evaluate_member_request(cluster, &q, &req).unwrap();
-            let got = master
+            let staged = master
                 .select_member_request(cluster, member_eval, &top, &req)
                 .unwrap();
-            assert_eq!(
-                got.winner,
-                reference.clusters[cluster].members[want_member.raw_winner]
-            );
-            assert_eq!(got.dom, want_member.dom);
-            assert_eq!(
-                got.energy.total().0.to_bits(),
-                (want_top.energy + want_member.energy).total().0.to_bits()
-            );
+            for got in [staged, direct.recall(&q).unwrap()] {
+                assert_eq!(got.cluster, cluster);
+                assert_eq!(
+                    got.winner,
+                    reference.clusters[cluster].members[want_member.raw_winner]
+                );
+                assert_eq!(got.dom, want_member.dom);
+                assert_eq!(
+                    got.energy.total().0.to_bits(),
+                    (want_top.energy + want_member.energy).total().0.to_bits()
+                );
+            }
         }
     }
 

@@ -115,9 +115,9 @@ impl<'r, R: Recorder> RecallRequest<'r, R> {
         self
     }
 
-    /// Strips any tracer binding, keeping recorder and workers. Wrapper
-    /// layers (partitioned/hierarchical batch) use this to trace the outer
-    /// operation once instead of re-sampling every inner module call.
+    /// Strips any tracer binding, keeping recorder and workers. A
+    /// partitioned recall runs its segment modules through this, so each
+    /// segment contributes one shard span instead of its own module spans.
     #[must_use]
     pub fn untraced(mut self) -> Self {
         self.trace = TraceBinding::Off;

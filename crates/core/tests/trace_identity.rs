@@ -4,6 +4,7 @@
 //! *untraced* recalls afterwards and requiring those to match too.
 
 use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule, Fidelity};
+use spinamm_core::hierarchy::HierarchicalAmm;
 use spinamm_core::partition::PartitionedAmm;
 use spinamm_core::request::RecallRequest;
 use spinamm_data::workload::{PatternWorkload, WorkloadConfig};
@@ -111,14 +112,33 @@ fn traced_batch_and_partitioned_paths_stay_bit_identical() {
             "traced partitioned recall diverged"
         );
     }
-    // One "partition.batch" trace per recall, with per-segment spans.
+    // One "recall" trace per recall: one settle and one select span per
+    // segment.
     assert_eq!(tracer.request_count(), queries.len() as u64);
-    let trace = &tracer.traces()[0];
-    assert_eq!(trace.kind, "partition.batch");
-    let segments = trace
-        .spans
-        .iter()
-        .filter(|s| s.name == "partition.segment")
-        .count();
-    assert_eq!(segments, 3);
+    let mut shards = vec![(0, "shard.settle"); 3];
+    shards.extend([(0, "shard.select"); 3]);
+    for trace in tracer.traces() {
+        assert_eq!(trace.kind, "recall");
+        assert_eq!(trace.structure(), shards);
+    }
+
+    let mut plain = HierarchicalAmm::build(&w.patterns, 2, &cfg).unwrap();
+    let mut traced = HierarchicalAmm::build(&w.patterns, 2, &cfg).unwrap();
+    let tracer = Tracer::new(&TraceConfig::default());
+    let req = RecallRequest::DEFAULT.with_tracer(&tracer);
+    for q in &queries {
+        assert_eq!(
+            traced.recall_request(q, &req).unwrap(),
+            plain.recall(q).unwrap(),
+            "traced hierarchical recall diverged"
+        );
+    }
+    // One "recall" trace per recall, covering both stages.
+    assert_eq!(tracer.request_count(), queries.len() as u64);
+    for trace in tracer.traces() {
+        assert_eq!(trace.kind, "recall");
+        let structure = trace.structure();
+        assert!(structure.contains(&(0, "evaluate.member")), "{structure:?}");
+        assert!(structure.contains(&(0, "select.member")), "{structure:?}");
+    }
 }

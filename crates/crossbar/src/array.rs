@@ -22,8 +22,7 @@ use std::sync::Arc;
 /// An optional [`FaultMap`] injects device defects: stuck cells pin the
 /// underlying memristors, per-cell lognormal gains and line defects are
 /// applied by [`CrossbarArray::conductance`], so every evaluation path
-/// (ideal, driven, cold parasitic, cached parasitic) sees one consistent
-/// faulty array.
+/// (ideal, driven, parasitic) sees one consistent faulty array.
 ///
 /// The array owns one dense, row-major table of those effective
 /// conductances ([`CrossbarArray::conductances`]). Every mutator refreshes
@@ -655,7 +654,7 @@ impl CrossbarArray {
     ///
     /// This captures the DTCS-DAC loading non-linearity (Fig. 8b) but not
     /// wire IR drops — for those use
-    /// [`crate::parasitic::ParasiticCrossbar`].
+    /// [`crate::CachedParasiticCrossbar`].
     ///
     /// # Errors
     ///

@@ -1,25 +1,14 @@
 //! Netlist-caching parasitic crossbar evaluator.
 //!
-//! A [`ParasiticCrossbar`](crate::ParasiticCrossbar) rebuilds the full
-//! netlist — node allocation, element stamping, clamp-map derivation, CSR
-//! sorting — on every evaluation, even though a recall sweep reuses one
-//! `(array, geometry)` topology for hundreds of queries where only the row
-//! drives (and occasionally cell conductances) change. A
-//! [`CachedParasiticCrossbar`] builds the netlist once per topology,
-//! wraps it in a [`PreparedSystem`] and restamps values per query, so
-//! repeated evaluations reuse the clamp map, sparsity pattern, dense
-//! Cholesky factorization (voltage/current drives) or warm-started CG with
-//! a cached IC(0) preconditioner (DTCS source-conductance drives).
-//!
-//! Two intentional topology differences versus the cold builder (both
-//! electrically equivalent, visible only in diagnostics such as
-//! `node_count`):
-//!
-//! * every DTCS row gets its *own* supply-rail node so per-row supplies can
-//!   be restamped independently (the cold builder shares one rail per
-//!   distinct supply value);
-//! * dummy conductances are always instantiated, even at 0 S, so they own
-//!   restampable matrix slots.
+//! A recall sweep reuses one `(array, geometry)` topology for hundreds of
+//! queries where only the row drives (and occasionally cell conductances)
+//! change. A [`CachedParasiticCrossbar`] therefore builds the netlist
+//! ([`crate::parasitic`]) once per topology, wraps it in a
+//! [`PreparedSystem`] and restamps values per query, so repeated
+//! evaluations reuse the clamp map, sparsity pattern, dense Cholesky
+//! factorization (voltage/current drives) or warm-started CG with a cached
+//! IC(0) preconditioner (DTCS source-conductance drives). The session
+//! keeps the prepared system and the element handles, not the netlist.
 //!
 //! Restamps are value-only and deterministic, so an evaluation's result
 //! depends only on the `(array, drives)` of that query — never on the order
@@ -30,11 +19,10 @@
 use crate::array::CrossbarArray;
 use crate::drive::RowDrive;
 use crate::geometry::CrossbarGeometry;
-use crate::parasitic::ColumnReadout;
+use crate::parasitic::{build_network, ColumnReadout, NetworkHandles};
 use crate::CrossbarError;
 use spinamm_circuit::prelude::*;
-use spinamm_circuit::units::Amps;
-use spinamm_circuit::{ElementId, PreparedSystem};
+use spinamm_circuit::PreparedSystem;
 use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
 
 /// Discriminant of a [`RowDrive`] — a cached netlist is only valid for
@@ -64,23 +52,11 @@ struct Session {
     cols: usize,
     drive_kinds: Vec<DriveKind>,
     prepared: PreparedSystem,
-    /// Memristor elements, row-major.
-    cell_ids: Vec<ElementId>,
-    /// Per-row dummy conductance elements.
-    dummy_ids: Vec<ElementId>,
-    /// Column clamp elements (branch current = column output).
-    clamp_ids: Vec<ElementId>,
-    /// Per-row drive element (clamp, current source or DAC conductance).
-    drive_ids: Vec<ElementId>,
-    /// Per-row supply-rail clamp for DTCS rows (`None` otherwise).
-    rail_ids: Vec<Option<ElementId>>,
-    row_inputs: Vec<NodeId>,
-    node_count: usize,
+    handles: NetworkHandles,
 }
 
 /// Parasitic crossbar evaluator with cached solver state. See the module
-/// docs; results agree with [`crate::ParasiticCrossbar`] to solver
-/// tolerance.
+/// docs.
 #[derive(Debug, Clone)]
 pub struct CachedParasiticCrossbar {
     geometry: CrossbarGeometry,
@@ -142,11 +118,16 @@ impl CachedParasiticCrossbar {
     }
 
     /// Evaluates the array under the given row drives, reusing the cached
-    /// netlist when the topology matches.
+    /// netlist when the topology matches. The column output ends are
+    /// clamped at the 0 V reference (the DWN clamp potential; drives are
+    /// specified relative to it).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::ParasiticCrossbar::evaluate`].
+    /// * [`CrossbarError::InputLengthMismatch`] if `drives.len()` differs
+    ///   from the row count.
+    /// * [`CrossbarError::Circuit`] if the netlist solve fails (or the
+    ///   method is `DenseLu`).
     pub fn evaluate(
         &mut self,
         array: &CrossbarArray,
@@ -155,10 +136,11 @@ impl CachedParasiticCrossbar {
         self.evaluate_with(array, drives, &NoopRecorder)
     }
 
-    /// Like [`CachedParasiticCrossbar::evaluate`], recording the same
-    /// solver telemetry as the cold evaluator (`crossbar.solves`,
-    /// `crossbar.settle_iterations`, `crossbar.solver_residual`,
-    /// `crossbar.unknowns`), the reuse counters
+    /// Like [`CachedParasiticCrossbar::evaluate`], recording solver
+    /// telemetry: the `crossbar.solves` counter,
+    /// `crossbar.settle_iterations` (CG iterations, or the system dimension
+    /// for the dense backend — a proxy for settling work), the
+    /// `crossbar.unknowns` histogram, the reuse counters
     /// `crossbar.netlist_cache_hits`, `circuit.factorization_reuses` and
     /// `circuit.warm_start_iterations_saved`, and [`Layer::RESTAMP`] and
     /// [`Layer::SOLVE`] spans; the traced solve span carries
@@ -174,12 +156,6 @@ impl CachedParasiticCrossbar {
         drives: &[RowDrive],
         recorder: &T,
     ) -> Result<ColumnReadout, CrossbarError> {
-        if drives.len() != array.rows() {
-            return Err(CrossbarError::InputLengthMismatch {
-                expected: array.rows(),
-                found: drives.len(),
-            });
-        }
         let reusable = self.session.as_ref().is_some_and(|s| {
             s.rows == array.rows()
                 && s.cols == array.cols()
@@ -194,34 +170,34 @@ impl CachedParasiticCrossbar {
         } else {
             // A session build is the crossbar-level "plan compile": the
             // netlist topology, element ids and solver are fixed here and
-            // only values are restamped afterwards.
-            recorder.counter("crossbar.plan_compiles", 1);
+            // only values are restamped afterwards. The builder rejects a
+            // mis-sized drive vector.
             self.session = Some(self.build_session(array, drives)?);
+            recorder.counter("crossbar.plan_compiles", 1);
         }
         let session = self.session.as_mut().expect("session built above");
+        let handles = &session.handles;
 
         // Value-only restamp: every setter no-ops on unchanged values.
         let restamp = recorder.span(Layer::RESTAMP);
-        for (&id, &g) in session.cell_ids.iter().zip(array.conductances()) {
+        for (&id, &g) in handles.cell_ids.iter().zip(array.conductances()) {
             session.prepared.set_conductance(id, g)?;
         }
-        for i in 0..session.rows {
+        for (i, &id) in handles.dummy_ids.iter().enumerate() {
             let dummy = array.dummy_conductance(i).expect("row bounded");
-            session
-                .prepared
-                .set_conductance(session.dummy_ids[i], dummy)?;
+            session.prepared.set_conductance(id, dummy)?;
         }
         for (i, drive) in drives.iter().enumerate() {
             match *drive {
                 RowDrive::Voltage(v) => {
-                    session.prepared.set_clamp(session.drive_ids[i], v)?;
+                    session.prepared.set_clamp(handles.drive_ids[i], v)?;
                 }
                 RowDrive::Current(amps) => {
-                    session.prepared.set_current(session.drive_ids[i], amps)?;
+                    session.prepared.set_current(handles.drive_ids[i], amps)?;
                 }
                 RowDrive::SourceConductance { g, supply } => {
-                    session.prepared.set_conductance(session.drive_ids[i], g)?;
-                    let rail = session.rail_ids[i].expect("DTCS row has a rail");
+                    session.prepared.set_conductance(handles.drive_ids[i], g)?;
+                    let rail = handles.rail_ids[i].expect("DTCS row has a rail");
                     session.prepared.set_clamp(rail, supply)?;
                 }
             }
@@ -243,7 +219,6 @@ impl CachedParasiticCrossbar {
         drop(solve);
         recorder.counter("crossbar.solves", 1);
         recorder.counter("crossbar.settle_iterations", report.stats.iterations as u64);
-        recorder.gauge("crossbar.solver_residual", report.stats.residual);
         recorder.observe("crossbar.unknowns", report.stats.unknowns as f64);
         if report.factorization_reused {
             recorder.counter("circuit.factorization_reuses", 1);
@@ -255,131 +230,23 @@ impl CachedParasiticCrossbar {
             );
         }
 
-        // A defective (open or shorted) column line never delivers its
-        // current to the sense node, so its readout is zero (mirrors the
-        // cold evaluator).
-        let column_currents = session
-            .clamp_ids
-            .iter()
-            .enumerate()
-            .map(|(j, &id)| {
-                if array.column_disconnected(j) {
-                    Amps(0.0)
-                } else {
-                    Amps(-sol.current(id).0)
-                }
-            })
-            .collect();
-        let row_input_voltages = session.row_inputs.iter().map(|&n| sol.voltage(n)).collect();
-        let dissipated_power = session.prepared.dissipated_power(&sol);
-
-        Ok(ColumnReadout {
-            column_currents,
-            row_input_voltages,
-            dissipated_power,
-            node_count: session.node_count,
-        })
+        let power = session.prepared.dissipated_power(&sol);
+        Ok(handles.readout(array, &sol, power, session.prepared.node_count()))
     }
 
-    /// Builds the netlist for this topology and prepares it. The layout
-    /// mirrors [`crate::ParasiticCrossbar`]'s builder except for the two
-    /// restamping-driven differences in the module docs.
-    #[allow(clippy::needless_range_loop)] // (i, j) grid indexing mirrors the array layout
+    /// Builds the netlist for this topology and prepares it.
     fn build_session(
         &self,
         array: &CrossbarArray,
         drives: &[RowDrive],
     ) -> Result<Session, CrossbarError> {
-        let rows = array.rows();
-        let cols = array.cols();
-        let r_seg = self.geometry.segment_resistance();
-        let lossless = r_seg.0 == 0.0;
-
-        let mut net = Netlist::new();
-        let row_node: Vec<Vec<NodeId>>;
-        let col_node: Vec<Vec<NodeId>>;
-        if lossless {
-            let r: Vec<NodeId> = (0..rows).map(|i| net.node(format!("row{i}"))).collect();
-            let c: Vec<NodeId> = (0..cols).map(|j| net.node(format!("col{j}"))).collect();
-            row_node = (0..rows).map(|i| vec![r[i]; cols]).collect();
-            col_node = (0..rows).map(|_| c.clone()).collect();
-        } else {
-            row_node = (0..rows)
-                .map(|i| (0..cols).map(|j| net.node(format!("r{i}_{j}"))).collect())
-                .collect();
-            col_node = (0..rows)
-                .map(|i| (0..cols).map(|j| net.node(format!("c{i}_{j}"))).collect())
-                .collect();
-            for i in 0..rows {
-                for j in 0..cols - 1 {
-                    net.resistor(row_node[i][j], row_node[i][j + 1], r_seg);
-                }
-            }
-            for j in 0..cols {
-                for i in 0..rows - 1 {
-                    net.resistor(col_node[i][j], col_node[i + 1][j], r_seg);
-                }
-            }
-        }
-
-        let mut cell_ids = Vec::with_capacity(rows * cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                let g = array.conductance(i, j).expect("bounded by construction");
-                cell_ids.push(net.conductance(row_node[i][j], col_node[i][j], g));
-            }
-        }
-
-        // Dummies are always created (even at 0 S) so the slot can be
-        // restamped when a later query needs it.
-        let mut dummy_ids = Vec::with_capacity(rows);
-        for i in 0..rows {
-            let dummy = array.dummy_conductance(i).expect("row bounded");
-            dummy_ids.push(net.conductance(row_node[i][cols - 1], Netlist::GROUND, dummy));
-        }
-
-        let clamp_ids: Vec<ElementId> = (0..cols)
-            .map(|j| net.voltage_source(col_node[rows - 1][j], Volts(0.0)))
-            .collect();
-
-        let mut drive_ids = Vec::with_capacity(rows);
-        let mut rail_ids = Vec::with_capacity(rows);
-        let mut row_inputs = Vec::with_capacity(rows);
-        for (i, drive) in drives.iter().enumerate() {
-            let input = row_node[i][0];
-            row_inputs.push(input);
-            match *drive {
-                RowDrive::Voltage(v) => {
-                    drive_ids.push(net.voltage_source(input, v));
-                    rail_ids.push(None);
-                }
-                RowDrive::Current(amps) => {
-                    drive_ids.push(net.current_source(Netlist::GROUND, input, amps));
-                    rail_ids.push(None);
-                }
-                RowDrive::SourceConductance { g, supply } => {
-                    // Per-row rail so supplies restamp independently.
-                    let rail = net.node(format!("rail{i}"));
-                    rail_ids.push(Some(net.voltage_source(rail, supply)));
-                    drive_ids.push(net.conductance(rail, input, g));
-                }
-            }
-        }
-
-        let node_count = net.node_count();
-        let prepared = PreparedSystem::with_method(&net, self.method)?;
+        let network = build_network(array, drives, self.geometry, Farads(0.0))?;
         Ok(Session {
-            rows,
-            cols,
+            rows: array.rows(),
+            cols: array.cols(),
             drive_kinds: drives.iter().map(DriveKind::from).collect(),
-            prepared,
-            cell_ids,
-            dummy_ids,
-            clamp_ids,
-            drive_ids,
-            rail_ids,
-            row_inputs,
-            node_count,
+            prepared: PreparedSystem::with_method(&network.net, self.method)?,
+            handles: network.handles,
         })
     }
 }
@@ -387,7 +254,6 @@ impl CachedParasiticCrossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parasitic::ParasiticCrossbar;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use spinamm_circuit::units::Siemens;
@@ -406,6 +272,22 @@ mod tests {
                 .unwrap();
         }
         a
+    }
+
+    /// The cold reference: the same builder's netlist, solved from scratch
+    /// by `Netlist::solve_dc_stats` — a solver path independent of the
+    /// prepared system's restamps, cached factorizations and warm starts.
+    fn cold(
+        geometry: CrossbarGeometry,
+        method: SolveMethod,
+        array: &CrossbarArray,
+        drives: &[RowDrive],
+    ) -> ColumnReadout {
+        let network = build_network(array, drives, geometry, Farads(0.0)).unwrap();
+        let (sol, _) = network.net.solve_dc_stats(method).unwrap();
+        let power = sol.dissipated_power(&network.net);
+        let nodes = network.net.node_count();
+        network.handles.readout(array, &sol, power, nodes)
     }
 
     fn dtcs_drives(rows: usize, step: f64) -> Vec<RowDrive> {
@@ -436,11 +318,10 @@ mod tests {
     fn cached_matches_cold_across_drive_sequence() {
         let a = programmed_array(8, 5, 1);
         let geom = CrossbarGeometry::PAPER;
-        let cold = ParasiticCrossbar::new(geom);
         let mut cached = CachedParasiticCrossbar::new(geom);
         for q in 0..6 {
             let drives = dtcs_drives(8, 1e-5 * (q + 1) as f64);
-            let want = cold.evaluate(&a, &drives).unwrap();
+            let want = cold(geom, SolveMethod::Auto, &a, &drives);
             let got = cached.evaluate(&a, &drives).unwrap();
             assert_agrees(&got, &want, 1e-9);
         }
@@ -451,21 +332,20 @@ mod tests {
     fn cached_matches_cold_for_voltage_and_current_drives() {
         let a = programmed_array(6, 4, 2);
         let geom = CrossbarGeometry::PAPER;
-        let cold = ParasiticCrossbar::new(geom);
         let mut cached = CachedParasiticCrossbar::new(geom);
         let v_drives: Vec<RowDrive> = (0..6)
             .map(|i| RowDrive::Voltage(Volts(0.005 * (i + 1) as f64)))
             .collect();
         assert_agrees(
             &cached.evaluate(&a, &v_drives).unwrap(),
-            &cold.evaluate(&a, &v_drives).unwrap(),
+            &cold(geom, SolveMethod::Auto, &a, &v_drives),
             1e-9,
         );
         // Kind change → rebuild, still correct.
         let i_drives = vec![RowDrive::Current(Amps(2e-6)); 6];
         assert_agrees(
             &cached.evaluate(&a, &i_drives).unwrap(),
-            &cold.evaluate(&a, &i_drives).unwrap(),
+            &cold(geom, SolveMethod::Auto, &a, &i_drives),
             1e-9,
         );
     }
@@ -524,14 +404,10 @@ mod tests {
         let a = programmed_array(16, 14, 4);
         let geom = CrossbarGeometry::PAPER;
         let tight = ConjugateGradient::new(1e-12);
-        let cold = ParasiticCrossbar {
-            geometry: geom,
-            method: SolveMethod::SparseCg(tight),
-        };
         let mut cached = CachedParasiticCrossbar::with_method(geom, SolveMethod::SparseCg(tight));
         for q in 0..3 {
             let drives = dtcs_drives(16, 2e-5 * (q + 1) as f64);
-            let want = cold.evaluate(&a, &drives).unwrap();
+            let want = cold(geom, SolveMethod::SparseCg(tight), &a, &drives);
             let got = cached.evaluate(&a, &drives).unwrap();
             assert_agrees(&got, &want, 1e-7);
         }
@@ -543,12 +419,11 @@ mod tests {
         let mut a = programmed_array(5, 3, 5);
         a.equalize_rows(None).unwrap();
         let geom = CrossbarGeometry::lossless();
-        let cold = ParasiticCrossbar::new(geom);
         let mut cached = CachedParasiticCrossbar::new(geom);
         let drives = dtcs_drives(5, 5e-5);
         assert_agrees(
             &cached.evaluate(&a, &drives).unwrap(),
-            &cold.evaluate(&a, &drives).unwrap(),
+            &cold(geom, SolveMethod::Auto, &a, &drives),
             1e-9,
         );
     }
@@ -560,11 +435,10 @@ mod tests {
         let a1 = programmed_array(6, 4, 6);
         cached.evaluate(&a1, &dtcs_drives(6, 1e-5)).unwrap();
         let a2 = programmed_array(8, 4, 7);
-        let cold = ParasiticCrossbar::new(geom);
         let drives = dtcs_drives(8, 1e-5);
         assert_agrees(
             &cached.evaluate(&a2, &drives).unwrap(),
-            &cold.evaluate(&a2, &drives).unwrap(),
+            &cold(geom, SolveMethod::Auto, &a2, &drives),
             1e-9,
         );
         cached.invalidate();
@@ -597,11 +471,10 @@ mod tests {
         a.retrim_dummies();
 
         let geom = CrossbarGeometry::PAPER;
-        let cold = ParasiticCrossbar::new(geom);
         let mut cached = CachedParasiticCrossbar::new(geom);
         for q in 0..3 {
             let drives = dtcs_drives(8, 1e-5 * (q + 1) as f64);
-            let want = cold.evaluate(&a, &drives).unwrap();
+            let want = cold(geom, SolveMethod::Auto, &a, &drives);
             let got = cached.evaluate(&a, &drives).unwrap();
             assert_agrees(&got, &want, 1e-9);
             for &j in &disconnected {

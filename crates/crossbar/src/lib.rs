@@ -8,17 +8,20 @@
 //!
 //! Three levels of fidelity are provided:
 //!
-//! * [`IdealCrossbar`](array::CrossbarArray::ideal_column_currents) — the
-//!   textbook dot product with zero wire resistance, used for algorithm
-//!   studies and as the reference in accuracy sweeps,
-//! * [`parasitic::ParasiticCrossbar`] — a full nodal-analysis netlist with
-//!   per-segment Cu wire resistance (Table 2: 1 Ω/µm) solved by
-//!   [`spinamm_circuit`]; this reproduces the IR-drop signal corruption that
-//!   shapes Fig. 9, and
-//! * source-conductance row drives ([`drive::RowDrive::SourceConductance`])
-//!   that model the paper's deep-triode current-source (DTCS) DACs in series
-//!   with the row, reproducing the DAC non-linearity of Fig. 8b at the
-//!   network level.
+//! * [`ideal_column_currents`](array::CrossbarArray::ideal_column_currents)
+//!   — the textbook dot product with zero wire resistance, used for
+//!   algorithm studies and as the reference in accuracy sweeps,
+//! * [`driven_column_currents`](array::CrossbarArray::driven_column_currents)
+//!   — the same dot product with rows excited through source-conductance
+//!   drives ([`drive::RowDrive::SourceConductance`]) that model the
+//!   paper's deep-triode current-source (DTCS) DACs in series with the
+//!   row, reproducing the DAC non-linearity of Fig. 8b, and
+//! * [`CachedParasiticCrossbar`] — the full nodal-analysis netlist
+//!   ([`parasitic`]) with per-segment Cu wire resistance (Table 2:
+//!   1 Ω/µm), built once per topology and solved by [`spinamm_circuit`]
+//!   with values restamped per query; this reproduces the IR-drop signal
+//!   corruption that shapes Fig. 9. [`SettlingStudy`] integrates the same
+//!   netlist with wire capacitance.
 //!
 //! # Example
 //!
@@ -60,7 +63,7 @@ pub use array::{CrossbarArray, PatternRetryReport};
 pub use cached::CachedParasiticCrossbar;
 pub use drive::RowDrive;
 pub use geometry::CrossbarGeometry;
-pub use parasitic::{ColumnReadout, ParasiticCrossbar};
+pub use parasitic::ColumnReadout;
 pub use programming::{ArrayProgrammer, BiasScheme, DisturbReport};
 pub use settling::{SettlingReport, SettlingStudy};
 

@@ -22,7 +22,7 @@
 use crate::array::CrossbarArray;
 use crate::drive::RowDrive;
 use crate::geometry::CrossbarGeometry;
-use crate::parasitic::ParasiticCrossbar;
+use crate::parasitic::build_network;
 use crate::CrossbarError;
 use spinamm_circuit::transient::TransientAnalysis;
 use spinamm_circuit::units::{Ohms, Seconds, Volts};
@@ -39,10 +39,11 @@ pub struct SettlingStudy {
 /// Result of a transient settling run.
 #[derive(Debug, Clone)]
 pub struct SettlingReport {
-    /// The slowest settling time over all row-input and column-end nodes,
-    /// or `None` if some node failed to settle within the simulated window.
+    /// The slowest settling time over all row-input and column nodes, or
+    /// `None` if some node failed to settle within the simulated window.
     pub max_settling: Option<Seconds>,
-    /// Per-column settling time at the clamp-end node.
+    /// Per-column settling time at the column's free node farthest from
+    /// its clamp (the row-0 crossing).
     pub column_settling: Vec<Option<Seconds>>,
     /// The simulated window.
     pub window: Seconds,
@@ -111,11 +112,15 @@ impl SettlingStudy {
                 what: "settling window and step count must be positive",
             });
         }
-        let pc = ParasiticCrossbar::new(self.geometry);
-        let built = pc.build_network(array, drives, true)?;
+        let network = build_network(
+            array,
+            drives,
+            self.geometry,
+            self.geometry.segment_capacitance(),
+        )?;
         let analysis = TransientAnalysis::new(Seconds(window.0 / steps as f64), window)
             .map_err(CrossbarError::Circuit)?;
-        let result = analysis.run(&built.net).map_err(CrossbarError::Circuit)?;
+        let result = analysis.run(&network.net).map_err(CrossbarError::Circuit)?;
 
         let tolerance_for = |node| {
             let v_final = result.final_voltage(node).0.abs();
@@ -127,25 +132,15 @@ impl SettlingStudy {
             (Some(t), Some(m)) => max_settling = Some(Seconds(m.0.max(t.0))),
             _ => max_settling = None,
         };
-        for &n in &built.row_inputs {
+        for &n in &network.handles.row_inputs {
             track(result.settling_time(n, tolerance_for(n)));
         }
-        // Column-end nodes are clamped; watch the node one segment upstream
-        // of the clamp instead — the last *free* node of each column — by
-        // observing the row-side crossing nodes is enough for rows; for the
-        // columns use the input-row crossing of each column bar, i.e. the
-        // farthest free node from the clamp.
-        let column_settling: Vec<Option<Seconds>> = built
-            .column_ends
+        // A column's clamped end is pinned from the first step; its free
+        // node farthest from the clamp is the last to settle.
+        let column_settling: Vec<Option<Seconds>> = network
+            .column_far_ends
             .iter()
-            .map(|&end| {
-                // The clamp pins `end`; its upstream neighbour dominates the
-                // column's settling. We conservatively report the slowest
-                // free row-input node instead when lookup is ambiguous.
-                let t = result.settling_time(end, tolerance_for(end));
-                // A clamped node "settles" instantly; report that.
-                t
-            })
+            .map(|&n| result.settling_time(n, tolerance_for(n)))
             .collect();
         for t in &column_settling {
             track(*t);
@@ -201,6 +196,13 @@ mod tests {
         // Four orders of magnitude inside the 10 ns SAR cycle.
         assert!(report.settles_within(Seconds(10e-9)));
         assert_eq!(report.column_settling.len(), 4);
+        // Each column is watched at a free node, not at its clamp, so none
+        // reads as settled on the first step.
+        let step = 100e-12 / 400.0;
+        for (j, t) in report.column_settling.iter().enumerate() {
+            let t = t.expect("column settles within the window").0;
+            assert!(t > step, "column {j} settled at {t} s");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use spinamm_circuit::units::{Farads, Micrometers, Ohms, Seconds, Siemens, Volts};
-use spinamm_crossbar::{CrossbarArray, CrossbarGeometry, ParasiticCrossbar, RowDrive};
+use spinamm_crossbar::{CachedParasiticCrossbar, CrossbarArray, CrossbarGeometry, RowDrive};
 use spinamm_faults::{FaultMap, FaultModel, LineDefect, StuckKind};
 use spinamm_memristor::{DeviceLimits, DriftModel, LevelMap, RetryPolicy, WriteScheme};
 use spinamm_telemetry::NoopRecorder;
@@ -61,7 +61,7 @@ proptest! {
         let a = build(&s);
         let drives: Vec<RowDrive> = s.drives.iter().map(|&v| RowDrive::Voltage(Volts(v))).collect();
         let volts: Vec<Volts> = s.drives.iter().map(|&v| Volts(v)).collect();
-        let netlist = ParasiticCrossbar::new(CrossbarGeometry::lossless())
+        let netlist = CachedParasiticCrossbar::new(CrossbarGeometry::lossless())
             .evaluate(&a, &drives)
             .unwrap();
         let ideal = a.ideal_column_currents(&volts).unwrap();
@@ -79,7 +79,7 @@ proptest! {
         let a = build(&s);
         let drives: Vec<RowDrive> = s.drives.iter().map(|&v| RowDrive::Voltage(Volts(v))).collect();
         let volts: Vec<Volts> = s.drives.iter().map(|&v| Volts(v)).collect();
-        let lossy = ParasiticCrossbar::new(CrossbarGeometry::PAPER)
+        let lossy = CachedParasiticCrossbar::new(CrossbarGeometry::PAPER)
             .evaluate(&a, &drives)
             .unwrap();
         let ideal = a.ideal_column_currents(&volts).unwrap();
@@ -104,7 +104,7 @@ proptest! {
             Ohms(r_per_um),
             Farads(0.0),
         ).unwrap();
-        let readout = ParasiticCrossbar::new(geom).evaluate(&a, &drives).unwrap();
+        let readout = CachedParasiticCrossbar::new(geom).evaluate(&a, &drives).unwrap();
         let total_in = inject * s.rows as f64;
         let total_out: f64 = readout.column_currents.iter().map(|i| i.0).sum();
         prop_assert!((total_in - total_out).abs() / total_in < 1e-7);
@@ -150,7 +150,7 @@ proptest! {
         let a = build(&s);
         let d1: Vec<RowDrive> = s.drives.iter().map(|&v| RowDrive::Voltage(Volts(v))).collect();
         let d2: Vec<RowDrive> = s.drives.iter().map(|&v| RowDrive::Voltage(Volts(2.0 * v))).collect();
-        let pc = ParasiticCrossbar::new(CrossbarGeometry::PAPER);
+        let mut pc = CachedParasiticCrossbar::new(CrossbarGeometry::PAPER);
         let r1 = pc.evaluate(&a, &d1).unwrap();
         let r2 = pc.evaluate(&a, &d2).unwrap();
         for (a1, a2) in r1.column_currents.iter().zip(&r2.column_currents) {
@@ -311,7 +311,7 @@ fn medium_array_solves_via_sparse_path() {
         };
         32
     ];
-    let readout = ParasiticCrossbar::new(CrossbarGeometry::PAPER)
+    let readout = CachedParasiticCrossbar::new(CrossbarGeometry::PAPER)
         .evaluate(&a, &drives)
         .unwrap();
     // 32×10 → 640 crossing nodes > AUTO_DENSE_LIMIT → CG path.

@@ -463,9 +463,9 @@ impl Deployment {
 
     /// The RNG-consuming phase, run on the master in submission order: it
     /// advances every module's RNG exactly as a sequential recall of
-    /// `input` would. A hierarchical select picks the cluster, evaluates
-    /// that cluster's member module here on the master — only the chosen
-    /// cluster runs (paper §5) — and then picks the member.
+    /// `input` would. A hierarchical select
+    /// ([`HierarchicalAmm::select_winner_request`]) also evaluates the
+    /// chosen cluster's member module here on the master.
     fn select(
         &mut self,
         evaluation: Evaluation,
@@ -479,20 +479,9 @@ impl Deployment {
             (Deployment::Partitioned(p), Evaluation::Partitioned(evals)) => p
                 .select_winner_request(evals, req)
                 .map(EngineResponse::Partitioned),
-            (Deployment::Hierarchical(h), Evaluation::Hierarchical(eval)) => {
-                let top = h.select_top_request(eval, req)?;
-                let cluster = top.raw_winner;
-                let probe = req.probe();
-                let member = {
-                    let span = probe.span(Layer::MEMBER_EVALUATE);
-                    span.attr("cluster", cluster as f64);
-                    h.evaluate_member_request(cluster, input, req)?
-                };
-                let span = probe.span(Layer::MEMBER_SELECT);
-                span.attr("cluster", cluster as f64);
-                h.select_member_request(cluster, member, &top, req)
-                    .map(EngineResponse::Hierarchical)
-            }
+            (Deployment::Hierarchical(h), Evaluation::Hierarchical(eval)) => h
+                .select_winner_request(eval, input, req)
+                .map(EngineResponse::Hierarchical),
             (Deployment::Tiled(t), Evaluation::Tiled(evals)) => t
                 .select_winner_request(evals, req)
                 .map(EngineResponse::Tiled),

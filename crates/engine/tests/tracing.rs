@@ -285,10 +285,41 @@ fn span_trees_and_series_names_are_pinned() {
         (2, "select"),
     ]);
     let hp = patterns(6, 12);
-    let hier = HierarchicalAmm::build(&hp, 2, &cfg).unwrap();
-    for tree in engine_trees(Deployment::Hierarchical(hier), &queries(&hp, 3)) {
+    let mut hier = HierarchicalAmm::build(&hp, 2, &cfg).unwrap();
+    for tree in engine_trees(Deployment::Hierarchical(hier.clone()), &queries(&hp, 3)) {
         assert_eq!(tree, hierarchical);
     }
+
+    // A direct composite recall is one "recall" trace whose tree is the
+    // engine's for that kind without the queue_wait/evaluate/select
+    // wrappers: each wrapper's children move up one level. The flat kind
+    // shows the relation holds for the module's own recall.
+    let unwrapped = |tree: &[(u16, &'static str)]| -> Vec<(u16, &'static str)> {
+        let mut out = Vec::new();
+        let mut wrapper = false;
+        for &(depth, name) in tree {
+            if depth == 0 {
+                wrapper = matches!(name, "queue_wait" | "evaluate" | "select");
+            }
+            match (wrapper, depth) {
+                (false, _) => out.push((depth, name)),
+                (true, 0) => {}
+                (true, _) => out.push((depth - 1, name)),
+            }
+        }
+        out
+    };
+    assert_eq!(unwrapped(&flat), module_tree(Fidelity::Parasitic));
+    let tracer = Tracer::new(&TraceConfig::default());
+    let req = RecallRequest::DEFAULT.with_tracer(&tracer);
+    let mut part = PartitionedAmm::build(&p, 3, &cfg).unwrap();
+    part.recall_request(&inputs[0], &req).unwrap();
+    hier.recall_request(&queries(&hp, 1)[0], &req).unwrap();
+    let traces = tracer.traces();
+    assert_eq!(traces.len(), 2);
+    assert!(traces.iter().all(|t| t.kind == "recall"));
+    assert_eq!(traces[0].structure(), unwrapped(&partitioned));
+    assert_eq!(traces[1].structure(), unwrapped(&hierarchical));
 
     // The fragment path a benchmark times: evaluate + select on a module
     // built without the recorder, so the kernel compiles inside it.

@@ -16,16 +16,10 @@ impl Layer {
     pub const PROGRAM: Self = Self::new(Some("build.program"), None);
     /// Lowering a module's state into kernel tables.
     pub const COMPILE: Self = Self::new(Some("plan.compile"), None);
-    /// One module recall, end to end.
+    /// One flat, partitioned or hierarchical recall, end to end.
     pub const RECALL: Self = Self::new(Some("recall.total"), Some("recall"));
     /// One module batch, end to end.
     pub const RECALL_BATCH: Self = Self::new(Some("recall.batch"), Some("recall.batch"));
-    /// One partitioned batch, end to end.
-    pub const PARTITION_BATCH: Self = Self::new(Some("partition.batch"), Some("partition.batch"));
-    /// One hierarchical batch, end to end.
-    pub const HIERARCHY_BATCH: Self = Self::new(Some("hierarchy.batch"), Some("hierarchy.batch"));
-    /// One tiled (capacity) batch, end to end.
-    pub const CAPACITY_BATCH: Self = Self::new(Some("capacity.batch"), None);
     /// Input validation and the DTCS drive tables.
     pub const DRIVE: Self = Self::new(Some("recall.drive"), Some("drive"));
     /// Crossbar settle: correlation, or the parasitic restamp and solve.
@@ -40,16 +34,10 @@ impl Layer {
     pub const SELECT: Self = Self::new(Some("recall.select"), Some("select"));
     /// A batch's whole sequential select loop.
     pub const BATCH_SELECT: Self = Self::new(None, Some("select"));
-    /// One segment's sub-batch in a partitioned batch.
-    pub const PARTITION_SEGMENT: Self = Self::new(None, Some("partition.segment"));
-    /// One shard's evaluate in a partitioned engine job.
+    /// One segment's evaluate in a partitioned recall.
     pub const SHARD_SETTLE: Self = Self::new(None, Some("shard.settle"));
-    /// One shard's select in a partitioned engine job.
+    /// One segment's select in a partitioned recall.
     pub const SHARD_SELECT: Self = Self::new(None, Some("shard.select"));
-    /// The centroid stage of a hierarchical batch.
-    pub const HIERARCHY_TOP: Self = Self::new(None, Some("hierarchy.top"));
-    /// One cluster's sub-batch in a hierarchical batch.
-    pub const HIERARCHY_CLUSTER: Self = Self::new(None, Some("hierarchy.cluster"));
     /// An engine job's wait in the submission queue.
     pub const QUEUE_WAIT: Self = Self::new(None, Some("queue_wait"));
     /// An engine worker's RNG-free evaluate phase.

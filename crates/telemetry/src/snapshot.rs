@@ -68,7 +68,7 @@ pub struct TelemetryEvent {
 pub struct TelemetrySnapshot {
     /// Monotonic counters (device events: SAR cycles, switch events, ...).
     pub counters: BTreeMap<String, u64>,
-    /// Last-value gauges (solver residuals, calibration gains, ...).
+    /// Last-value gauges (engine queue depth, worker utilization, ...).
     pub gauges: BTreeMap<String, f64>,
     /// Value distributions (DOM margins, iteration counts, ...).
     pub histograms: BTreeMap<String, HistStats>,
@@ -251,7 +251,7 @@ mod tests {
     fn sample_snapshot() -> TelemetrySnapshot {
         let r = MemoryRecorder::default();
         r.counter("adc.sar_cycles", 40);
-        r.gauge("crossbar.solver_residual", 1.5e-11);
+        r.gauge("engine.queue_depth", 3.0);
         r.observe("recall.dom", 27.0);
         r.record_span("recall.total", 0.002);
         r.event(
@@ -279,7 +279,7 @@ mod tests {
         let text = s.render();
         for name in [
             "adc.sar_cycles",
-            "crossbar.solver_residual",
+            "engine.queue_depth",
             "recall.dom",
             "recall.total",
         ] {

@@ -6,7 +6,7 @@ use rand_chacha::ChaCha8Rng;
 use spinamm_circuit::prelude::*;
 use spinamm_cmos::{DtcsDac, Tech45};
 use spinamm_core::adc::SpinSarAdc;
-use spinamm_crossbar::{CrossbarArray, CrossbarGeometry, ParasiticCrossbar, RowDrive};
+use spinamm_crossbar::{CachedParasiticCrossbar, CrossbarArray, CrossbarGeometry, RowDrive};
 use spinamm_memristor::{DeviceLimits, LevelMap, WriteScheme};
 use spinamm_spin::dynamics::DwDynamics;
 use spinamm_spin::neuron::NeuronConfig;
@@ -133,7 +133,7 @@ fn crossbar_power_balances() {
         };
         12
     ];
-    let readout = ParasiticCrossbar::new(CrossbarGeometry::PAPER)
+    let readout = CachedParasiticCrossbar::new(CrossbarGeometry::PAPER)
         .evaluate(&array, &drives)
         .unwrap();
 
