@@ -765,9 +765,7 @@ fn render_capacity(scale: &Scale) -> Rendered {
             eng(r.energy_per_query_j, "J"),
             if r.topk_matches_oracle { "yes" } else { "NO" }.to_string(),
             if r.top1_matches_wta { "yes" } else { "NO" }.to_string(),
-            if !r.engine_checked {
-                "skipped"
-            } else if r.engine_identical {
+            if r.engine_identical {
                 "identical"
             } else {
                 "DIVERGED"
@@ -809,7 +807,6 @@ fn render_capacity(scale: &Scale) -> Rendered {
                                 JsonValue::Bool(r.topk_matches_oracle),
                             ),
                             ("top1_matches_wta", JsonValue::Bool(r.top1_matches_wta)),
-                            ("engine_checked", JsonValue::Bool(r.engine_checked)),
                             ("engine_identical", JsonValue::Bool(r.engine_identical)),
                         ])
                     })

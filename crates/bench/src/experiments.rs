@@ -1301,12 +1301,8 @@ pub struct CapacityRow {
     /// single-winner rule (`argmax_lowest_index` over the concatenation,
     /// DOM = the winner's own code). CI gates on this.
     pub top1_matches_wta: bool,
-    /// Whether the engine comparison ran for this cell (skipped above 10⁴
-    /// templates — cloning the pool dominates the signal there).
-    pub engine_checked: bool,
     /// Whether every engine response was bit-identical to a sequential
-    /// recall of a pool clone in submission order. Meaningful only when
-    /// `engine_checked`; CI gates on it there.
+    /// recall of a pool clone in submission order. CI gates on this.
     pub engine_identical: bool,
 }
 
@@ -1337,9 +1333,9 @@ fn capacity_oracle(scores: &[u32], k: usize) -> Vec<(usize, u32)> {
 /// tiled capacity pool and serves a noisy query batch at ranking depths
 /// k ∈ {1, 5, 10}, measuring energy per query and checking every ranked
 /// result against a full argsort oracle and the legacy single-winner rule.
-/// At the two smaller counts each cell is also served through the recall
-/// engine and compared bit-for-bit against sequential recall of a pool
-/// clone.
+/// Every cell is also served through the recall engine and compared
+/// bit-for-bit against sequential recall of a pool clone; the clones share
+/// the pool's crossbar cells, tables and kernels.
 ///
 /// # Errors
 ///
@@ -1351,7 +1347,6 @@ pub fn capacity_study(scale: &Scale) -> Result<CapacityStudy, CoreError> {
     use spinamm_engine::{Deployment, EngineConfig, EngineError, EngineResponse, RecallEngine};
 
     const TILE_CAPACITY: usize = 128;
-    const ENGINE_CHECK_LIMIT: usize = 10_000;
     let template_counts: &[usize] = if scale.queries >= 100 {
         &[1_000, 10_000, 100_000]
     } else {
@@ -1372,7 +1367,8 @@ pub fn capacity_study(scale: &Scale) -> Result<CapacityStudy, CoreError> {
             pattern_count: templates,
             vector_len: 64,
             bits: 5,
-            query_count: if templates > ENGINE_CHECK_LIMIT {
+            // Four queries at 10⁵ templates keep the full-scale sweep short.
+            query_count: if templates > 10_000 {
                 4
             } else {
                 scale.queries.clamp(4, 12)
@@ -1387,31 +1383,27 @@ pub fn capacity_study(scale: &Scale) -> Result<CapacityStudy, CoreError> {
         for &k in depths {
             pool.set_top_k(k)?;
 
-            // Engine bit-identity at the counts where a pool clone is
-            // cheap relative to the recall work.
-            let engine_checked = templates <= ENGINE_CHECK_LIMIT;
-            let mut engine_identical = false;
-            if engine_checked {
-                let mut reference = pool.clone();
-                let expected: Vec<_> = inputs
-                    .iter()
-                    .map(|q| reference.recall(q))
-                    .collect::<Result<_, _>>()?;
-                let engine = RecallEngine::new(
-                    Deployment::Tiled(pool.clone()),
-                    &EngineConfig::builder().workers(2).queue_capacity(4).build(),
-                );
-                let mut responses = Vec::with_capacity(inputs.len());
-                for window in inputs.chunks(4) {
-                    responses.extend(engine.recall_many(window).map_err(engine_err)?);
-                }
-                engine.shutdown();
-                engine_identical = responses.len() == expected.len()
-                    && responses
-                        .iter()
-                        .zip(&expected)
-                        .all(|(r, e)| matches!(r, EngineResponse::Tiled(t) if t == e));
+            // Engine bit-identity against sequential recall of a clone.
+            let mut reference = pool.clone();
+            let expected: Vec<_> = inputs
+                .iter()
+                .map(|q| reference.recall(q))
+                .collect::<Result<_, _>>()?;
+            drop(reference);
+            let engine = RecallEngine::new(
+                Deployment::Tiled(pool.clone()),
+                &EngineConfig::builder().workers(2).queue_capacity(4).build(),
+            );
+            let mut responses = Vec::with_capacity(inputs.len());
+            for window in inputs.chunks(4) {
+                responses.extend(engine.recall_many(window).map_err(engine_err)?);
             }
+            engine.shutdown();
+            let engine_identical = responses.len() == expected.len()
+                && responses
+                    .iter()
+                    .zip(&expected)
+                    .all(|(r, e)| matches!(r, EngineResponse::Tiled(t) if t == e));
 
             // Sequential pass on the pool itself, with ranking checks on
             // every result.
@@ -1449,7 +1441,6 @@ pub fn capacity_study(scale: &Scale) -> Result<CapacityStudy, CoreError> {
                 energy_per_query_j: energy / results.len().max(1) as f64,
                 topk_matches_oracle,
                 top1_matches_wta,
-                engine_checked,
                 engine_identical,
             });
         }
@@ -2311,7 +2302,6 @@ mod tests {
                 "{} templates k={} broke the legacy single-winner rule",
                 r.templates, r.k
             );
-            assert!(r.engine_checked, "quick counts all fit the engine check");
             assert!(
                 r.engine_identical,
                 "{} templates k={} engine diverged",

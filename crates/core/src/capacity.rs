@@ -56,7 +56,7 @@ use crate::energy::EnergyBreakdown;
 use crate::request::RecallRequest;
 use crate::CoreError;
 use spinamm_circuit::units::Seconds;
-use spinamm_telemetry::Recorder;
+use spinamm_telemetry::{Layer, Recorder};
 
 /// Identifies one crossbar tile within a [`TiledAmm`] pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -370,8 +370,10 @@ impl TiledAmm {
         self.recall_request(input, &RecallRequest::DEFAULT)
     }
 
-    /// [`TiledAmm::recall`] with options: phase 1 on every tile, then the
-    /// in-order select phase and the top-k merge.
+    /// [`TiledAmm::recall`] with options: one traced `recall` request
+    /// (one `recall.total` sample) running phase 1 on every tile, then the
+    /// in-order select phase and the top-k merge. Each tile is a module
+    /// that selects, so `recall.count` rises once per tile.
     ///
     /// # Errors
     ///
@@ -383,8 +385,9 @@ impl TiledAmm {
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<TiledRecall, CoreError> {
-        let evals = self.evaluate_query_request(input, req)?;
-        self.select_winner_request(evals, req)
+        let probe = req.begin(Layer::RECALL);
+        let evals = self.evaluate_tiles(input, &probe)?;
+        self.select_tiles(evals, &probe)
     }
 
     /// Runs the RNG-free first phase on every tile. Safe on a clone of
@@ -401,6 +404,15 @@ impl TiledAmm {
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<Vec<QueryEvaluation>, CoreError> {
+        self.evaluate_tiles(input, &req.probe())
+    }
+
+    /// The evaluate phase, every tile reporting to `probe`.
+    fn evaluate_tiles<T: Recorder>(
+        &mut self,
+        input: &[u32],
+        probe: &T,
+    ) -> Result<Vec<QueryEvaluation>, CoreError> {
         if input.len() != self.vector_len {
             return Err(CoreError::InputLengthMismatch {
                 expected: self.vector_len,
@@ -409,7 +421,7 @@ impl TiledAmm {
         }
         self.tiles
             .iter_mut()
-            .map(|tile| tile.evaluate_query_request(input, req))
+            .map(|tile| tile.evaluate_query_inner(input, probe))
             .collect()
     }
 
@@ -426,6 +438,15 @@ impl TiledAmm {
         evals: Vec<QueryEvaluation>,
         req: &RecallRequest<'_, R>,
     ) -> Result<TiledRecall, CoreError> {
+        self.select_tiles(evals, &req.probe())
+    }
+
+    /// The select phase, every tile reporting to `probe`.
+    fn select_tiles<T: Recorder>(
+        &mut self,
+        evals: Vec<QueryEvaluation>,
+        probe: &T,
+    ) -> Result<TiledRecall, CoreError> {
         if evals.len() != self.tiles.len() {
             return Err(CoreError::InvalidParameter {
                 what: "one evaluation per tile is required",
@@ -433,7 +454,7 @@ impl TiledAmm {
         }
         let mut results: Vec<RecallResult> = Vec::with_capacity(self.tiles.len());
         for (tile, eval) in self.tiles.iter_mut().zip(evals) {
-            results.push(tile.select_winner_request(eval, req)?);
+            results.push(tile.select_winner_inner(eval, probe)?);
         }
         Ok(self.combine(&results))
     }

@@ -5,7 +5,10 @@ use crate::CrossbarError;
 use rand::Rng;
 use spinamm_circuit::units::{Amps, Joules, Siemens, Volts, Watts};
 use spinamm_faults::{FaultMap, LineDefect, StuckKind};
-use spinamm_memristor::{DeviceLimits, LevelMap, Memristor, RetryPolicy, WriteReport, WriteScheme};
+use spinamm_memristor::{
+    DeviceLimits, DeviceState, LevelMap, Memristor, MemristorError, RetryPolicy, WriteReport,
+    WriteScheme,
+};
 use spinamm_telemetry::{NoopRecorder, Recorder};
 use std::sync::Arc;
 
@@ -19,26 +22,42 @@ use std::sync::Arc;
 /// is equal for all horizontal bars", which makes every DTCS DAC see the same
 /// load regardless of the stored data.
 ///
-/// An optional [`FaultMap`] injects device defects: stuck cells pin the
-/// underlying memristors, per-cell lognormal gains and line defects are
-/// applied by [`CrossbarArray::conductance`], so every evaluation path
-/// (ideal, driven, parasitic) sees one consistent faulty array.
+/// An optional [`FaultMap`] injects device defects: a stuck cell reads its
+/// pinned extreme (LRS at `g_max`, HRS at `g_min`), and per-cell lognormal
+/// gains and line defects are applied by [`CrossbarArray::conductance`], so
+/// every evaluation path (ideal, driven, parasitic) sees one consistent
+/// faulty array.
 ///
-/// The array owns one dense, row-major table of those effective
-/// conductances ([`CrossbarArray::conductances`]). Every mutator refreshes
-/// the entries it touches, so reads, row loads and the dummy re-trim scan
-/// 8-byte values instead of whole devices, and clones share the table
-/// until one of them writes.
+/// Each cell is stored as a 32-byte [`DeviceState`]. The array's `limits`
+/// and the fault map's stuck-at pin make it a [`Memristor`] again
+/// ([`CrossbarArray::cell`]), and every mutator runs the device's own
+/// method on that view. The array also owns one dense, row-major table of
+/// the effective conductances ([`CrossbarArray::conductances`]); every
+/// mutator refreshes the entries it touches, so reads, row loads and the
+/// dummy re-trim scan 8-byte values instead of devices. Clones share the
+/// cell states and the table until one of them writes: the writer then
+/// copies that array's cells and table, and a clone that only reads copies
+/// neither.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrossbarArray {
     rows: usize,
     cols: usize,
     limits: DeviceLimits,
-    cells: Vec<Memristor>,
-    /// `conductance(i, j)` at `i · cols + j`, copy-on-write across clones.
-    table: Arc<Vec<Siemens>>,
+    /// Copy-on-write across clones.
+    cells: Arc<Cells>,
     dummy: Vec<Siemens>,
     faults: Option<FaultMap>,
+}
+
+/// The per-cell data of a [`CrossbarArray`]. A write always updates a
+/// state and its table entry together, so one `Arc` covers both and a
+/// write makes one uniqueness check, not two.
+#[derive(Debug, Clone, PartialEq)]
+struct Cells {
+    /// Cell `(i, j)`'s device state at `i · cols + j`.
+    states: Vec<DeviceState>,
+    /// `conductance(i, j)` at `i · cols + j`.
+    table: Vec<Siemens>,
 }
 
 /// Summary of a retry-based column programming pass
@@ -73,8 +92,10 @@ impl CrossbarArray {
             rows,
             cols,
             limits,
-            table: Arc::new(vec![cell.conductance(); rows * cols]),
-            cells: vec![cell; rows * cols],
+            cells: Arc::new(Cells {
+                states: vec![cell.state(); rows * cols],
+                table: vec![cell.conductance(); rows * cols],
+            }),
             dummy: vec![Siemens::ZERO; rows],
             faults: None,
         })
@@ -111,13 +132,20 @@ impl CrossbarArray {
         }
     }
 
-    /// The cell at `(row, col)`.
+    /// The device at `(row, col)`: the cell's stored state under the
+    /// array's limits, pinned when the fault map marks the cell stuck.
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::IndexOutOfBounds`] for a bad index.
-    pub fn cell(&self, row: usize, col: usize) -> Result<&Memristor, CrossbarError> {
-        Ok(&self.cells[self.check(row, col)?])
+    pub fn cell(&self, row: usize, col: usize) -> Result<Memristor, CrossbarError> {
+        Ok(self.device(self.check(row, col)?))
+    }
+
+    /// [`CrossbarArray::cell`] at row-major index `idx`.
+    fn device(&self, idx: usize) -> Memristor {
+        let pin = stuck_pin(self.limits, self.faults.as_ref(), self.cols, idx);
+        Memristor::from_state(self.limits, self.cells.states[idx], pin)
     }
 
     /// The *effective* conductance at `(row, col)` — what every evaluation
@@ -130,44 +158,34 @@ impl CrossbarArray {
     ///
     /// Returns [`CrossbarError::IndexOutOfBounds`] for a bad index.
     pub fn conductance(&self, row: usize, col: usize) -> Result<Siemens, CrossbarError> {
-        Ok(self.table[self.check(row, col)?])
+        Ok(self.cells.table[self.check(row, col)?])
     }
 
     /// Every cell's effective conductance ([`CrossbarArray::conductance`]),
     /// row-major: entry `row · cols + col`.
     #[must_use]
     pub fn conductances(&self) -> &[Siemens] {
-        &self.table
+        &self.cells.table
     }
 
-    /// Recomputes the effective conductance of cell `idx` from its device
-    /// and the fault map.
-    fn effective(&self, idx: usize) -> Siemens {
-        let g = self.cells[idx].conductance();
-        let Some(map) = &self.faults else {
-            return g;
-        };
-        let (row, col) = (idx / self.cols, idx % self.cols);
-        if map.col_defect(col) == Some(LineDefect::Open) {
-            return Siemens::ZERO;
+    /// Write access to the cells, copied first if a clone shares them.
+    /// Every mutator takes one writer for its whole run of cell writes.
+    fn writer(&mut self) -> CellWriter<'_> {
+        CellWriter {
+            limits: self.limits,
+            cols: self.cols,
+            faults: self.faults.as_ref(),
+            cells: Arc::make_mut(&mut self.cells),
         }
-        Siemens(g.0 * map.cell_gain(row, col))
     }
 
-    /// Refreshes the table entry of cell `idx` after a device write.
-    fn refresh(&mut self, idx: usize) {
-        let g = self.effective(idx);
-        Arc::make_mut(&mut self.table)[idx] = g;
-    }
-
-    /// Rebuilds the whole table after a pass over every cell or a fault-map
-    /// change.
+    /// Rebuilds the whole table after a fault-map change.
     fn refresh_all(&mut self) {
-        self.table = Arc::new(
-            (0..self.cells.len())
-                .map(|idx| self.effective(idx))
-                .collect(),
-        );
+        let faults = self.faults.as_ref();
+        let table = (0..self.cells.states.len())
+            .map(|idx| effective(faults, self.cols, idx, self.device(idx).conductance()))
+            .collect();
+        Arc::make_mut(&mut self.cells).table = table;
     }
 
     /// The conductance the write circuitry believes it stored at
@@ -177,13 +195,14 @@ impl CrossbarArray {
     ///
     /// Returns [`CrossbarError::IndexOutOfBounds`] for a bad index.
     pub fn programmed_conductance(&self, row: usize, col: usize) -> Result<Siemens, CrossbarError> {
-        Ok(self.cells[self.check(row, col)?].programmed())
+        Ok(self.device(self.check(row, col)?).programmed())
     }
 
-    /// Installs a fault map: stuck cells are pinned at the device level
-    /// (LRS → `g_max`, HRS → `g_min`) and the map's gains/line defects are
-    /// applied by [`CrossbarArray::conductance`] from here on. Replaces any
-    /// previously installed map.
+    /// Installs a fault map: from here on its stuck cells read pinned
+    /// (LRS → `g_max`, HRS → `g_min`; [`CrossbarArray::cell`] carries the
+    /// pin) and its gains/line defects are applied by
+    /// [`CrossbarArray::conductance`]. Replaces any previously installed
+    /// map.
     ///
     /// Row-load changes (gain spread, open columns) can leave previously
     /// equalized dummies stale — callers that equalize should call
@@ -199,26 +218,13 @@ impl CrossbarArray {
                 what: "fault map dimensions must match the array",
             });
         }
-        for cell in &mut self.cells {
-            cell.unpin();
-        }
-        for stuck in map.stuck_cells() {
-            let g = match stuck.kind {
-                StuckKind::Lrs => self.limits.g_max(),
-                StuckKind::Hrs => self.limits.g_min(),
-            };
-            self.cells[stuck.row * self.cols + stuck.col].pin(g);
-        }
         self.faults = Some(map);
         self.refresh_all();
         Ok(())
     }
 
-    /// Removes the fault map and unpins every cell.
+    /// Removes the fault map, so no cell reads pinned.
     pub fn clear_fault_map(&mut self) {
-        for cell in &mut self.cells {
-            cell.unpin();
-        }
         self.faults = None;
         self.refresh_all();
     }
@@ -252,9 +258,7 @@ impl CrossbarArray {
         g: Siemens,
     ) -> Result<(), CrossbarError> {
         let idx = self.check(row, col)?;
-        self.cells[idx].set_conductance(g)?;
-        self.refresh(idx);
-        Ok(())
+        self.writer().update(idx, |cell| cell.set_conductance(g))
     }
 
     /// Programs one cell to a target conductance with a realistic
@@ -291,9 +295,8 @@ impl CrossbarArray {
         recorder: &T,
     ) -> Result<WriteReport, CrossbarError> {
         let idx = self.check(row, col)?;
-        let report = self.cells[idx].program_with(target, scheme, rng, recorder)?;
-        self.refresh(idx);
-        Ok(report)
+        self.writer()
+            .update(idx, |cell| cell.program_with(target, scheme, rng, recorder))
     }
 
     /// Programs one cell to a digital level under a [`LevelMap`].
@@ -353,11 +356,16 @@ impl CrossbarArray {
                 found: levels.len(),
             });
         }
+        let top = self.check(0, col)?;
+        let cols = self.cols;
+        let mut cells = self.writer();
         let mut pulses = 0;
         let mut energy = Joules::ZERO;
         for (row, &level) in levels.iter().enumerate() {
             let target = map.conductance(level)?;
-            let rep = self.program_conductance_with(row, col, target, scheme, rng, recorder)?;
+            let rep = cells.update(top + row * cols, |cell| {
+                cell.program_with(target, scheme, rng, recorder)
+            })?;
             pulses += rep.pulses;
             energy += rep.energy;
         }
@@ -394,6 +402,9 @@ impl CrossbarArray {
                 found: levels.len(),
             });
         }
+        let top = self.check(0, col)?;
+        let cols = self.cols;
+        let mut cells = self.writer();
         let mut report = PatternRetryReport {
             pulses: 0,
             energy: Joules::ZERO,
@@ -402,9 +413,9 @@ impl CrossbarArray {
         };
         for (row, &level) in levels.iter().enumerate() {
             let target = map.conductance(level)?;
-            let idx = self.check(row, col)?;
-            let cell = self.cells[idx].program_with_retry(target, scheme, policy, rng, recorder)?;
-            self.refresh(idx);
+            let cell = cells.update(top + row * cols, |cell| {
+                cell.program_with_retry(target, scheme, policy, rng, recorder)
+            })?;
             report.pulses += cell.pulses;
             report.energy += cell.energy;
             if cell.attempts > 1 {
@@ -431,7 +442,7 @@ impl CrossbarArray {
     /// Row `row`'s stored-cell load, summed in column order.
     fn row_load(&self, row: usize) -> f64 {
         let mut total = 0.0;
-        for g in &self.table[row * self.cols..(row + 1) * self.cols] {
+        for g in &self.cells.table[row * self.cols..(row + 1) * self.cols] {
             total += g.0;
         }
         total
@@ -532,10 +543,11 @@ impl CrossbarArray {
         model: &spinamm_memristor::DriftModel,
         rng: &mut R,
     ) -> Result<(), CrossbarError> {
-        for cell in &mut self.cells {
-            cell.age(elapsed, model, rng)?;
+        let n = self.rows * self.cols;
+        let mut cells = self.writer();
+        for idx in 0..n {
+            cells.update(idx, |cell| cell.age(elapsed, model, rng))?;
         }
-        self.refresh_all();
         self.reequalize_after_aging();
         Ok(())
     }
@@ -553,10 +565,11 @@ impl CrossbarArray {
         model: &spinamm_memristor::DriftModel,
         rng: &mut R,
     ) -> Result<(), CrossbarError> {
-        for cell in &mut self.cells {
-            cell.age_to(elapsed, model, rng)?;
+        let n = self.rows * self.cols;
+        let mut cells = self.writer();
+        for idx in 0..n {
+            cells.update(idx, |cell| cell.age_to(elapsed, model, rng))?;
         }
-        self.refresh_all();
         self.reequalize_after_aging();
         Ok(())
     }
@@ -582,9 +595,8 @@ impl CrossbarArray {
         fraction: f64,
     ) -> Result<(), CrossbarError> {
         let idx = self.check(row, col)?;
-        self.cells[idx].apply_retention(elapsed, fraction)?;
-        self.refresh(idx);
-        Ok(())
+        self.writer()
+            .update(idx, |cell| cell.apply_retention(elapsed, fraction))
     }
 
     /// Re-trims the dummies after drift, if any dummy was set.
@@ -608,7 +620,8 @@ impl CrossbarArray {
     /// useful for diagnostics and for building reference computations.
     #[must_use]
     pub fn conductance_matrix(&self) -> Vec<Vec<Siemens>> {
-        self.table
+        self.cells
+            .table
             .chunks_exact(self.cols)
             .map(<[Siemens]>::to_vec)
             .collect()
@@ -632,7 +645,10 @@ impl CrossbarArray {
             });
         }
         let mut out = vec![0.0; self.cols];
-        for (v, row) in row_voltages.iter().zip(self.table.chunks_exact(self.cols)) {
+        for (v, row) in row_voltages
+            .iter()
+            .zip(self.cells.table.chunks_exact(self.cols))
+        {
             for (o, g) in out.iter_mut().zip(row) {
                 *o += v.0 * g.0;
             }
@@ -705,6 +721,63 @@ impl CrossbarArray {
         }
         Ok(Watts(p))
     }
+}
+
+/// Write access to a [`CrossbarArray`]'s cells, taken once for a run of
+/// cell writes: its copy-on-write check is an atomic compare-and-swap, too
+/// dear to repeat per cell of a column write.
+struct CellWriter<'a> {
+    limits: DeviceLimits,
+    cols: usize,
+    faults: Option<&'a FaultMap>,
+    cells: &'a mut Cells,
+}
+
+impl CellWriter<'_> {
+    /// Runs one device operation on cell `idx` (its state viewed under the
+    /// array's limits and stuck-at pin), then stores the state back and
+    /// refreshes the cell's table entry. A rejected operation leaves the
+    /// cell as it was.
+    fn update<T>(
+        &mut self,
+        idx: usize,
+        op: impl FnOnce(&mut Memristor) -> Result<T, MemristorError>,
+    ) -> Result<T, CrossbarError> {
+        let pin = stuck_pin(self.limits, self.faults, self.cols, idx);
+        let mut cell = Memristor::from_state(self.limits, self.cells.states[idx], pin);
+        let out = op(&mut cell)?;
+        self.cells.states[idx] = cell.state();
+        self.cells.table[idx] = effective(self.faults, self.cols, idx, cell.conductance());
+        Ok(out)
+    }
+}
+
+/// The effective conductance of cell `idx` of a `cols`-wide array whose
+/// device reads `g`: the fault map's gain and open-column rule applied.
+fn effective(faults: Option<&FaultMap>, cols: usize, idx: usize, g: Siemens) -> Siemens {
+    let Some(map) = faults else {
+        return g;
+    };
+    let (row, col) = (idx / cols, idx % cols);
+    if map.col_defect(col) == Some(LineDefect::Open) {
+        return Siemens::ZERO;
+    }
+    Siemens(g.0 * map.cell_gain(row, col))
+}
+
+/// The conductance `faults` pins cell `idx` of a `cols`-wide array to when
+/// it is stuck: LRS at `g_max`, HRS at `g_min`. Without a map no index is
+/// divided, which keeps a fault-free write cheap.
+fn stuck_pin(
+    limits: DeviceLimits,
+    faults: Option<&FaultMap>,
+    cols: usize,
+    idx: usize,
+) -> Option<Siemens> {
+    Some(match faults?.stuck_at(idx / cols, idx % cols)? {
+        StuckKind::Lrs => limits.g_max(),
+        StuckKind::Hrs => limits.g_min(),
+    })
 }
 
 #[cfg(test)]
@@ -908,6 +981,9 @@ mod tests {
             .with_cell_gain(1, 1, 1.5)
             .unwrap();
         a.set_fault_map(map).unwrap();
+        // The map's stuck cells come back pinned, and only those.
+        assert!(a.cell(0, 0).unwrap().is_pinned() && a.cell(2, 0).unwrap().is_pinned());
+        assert!(!a.cell(1, 1).unwrap().is_pinned());
         // Stuck-at-LRS reads g_max regardless of the programmed value …
         assert_eq!(a.conductance(0, 0).unwrap(), DeviceLimits::PAPER.g_max());
         assert_eq!(a.conductance(2, 0).unwrap(), DeviceLimits::PAPER.g_min());
@@ -918,7 +994,63 @@ mod tests {
         // Clearing restores the programmed view.
         a.clear_fault_map();
         assert!(a.fault_map().is_none());
+        assert!(!a.cell(0, 0).unwrap().is_pinned());
         assert_eq!(a.conductance(0, 0).unwrap(), Siemens(4e-4));
+    }
+
+    /// Every cell's state and table entry, as bits.
+    fn storage_bits(a: &CrossbarArray) -> Vec<[u64; 5]> {
+        let mut out = Vec::new();
+        for i in 0..a.rows() {
+            for j in 0..a.cols() {
+                let cell = a.cell(i, j).unwrap();
+                out.push([
+                    cell.programmed().0.to_bits(),
+                    cell.programmed_reference().0.to_bits(),
+                    cell.aged().0.to_bits(),
+                    cell.writes(),
+                    a.conductance(i, j).unwrap().0.to_bits(),
+                ]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn clones_share_cells_and_table_until_one_side_writes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let map = LevelMap::new(DeviceLimits::PAPER, 5).unwrap();
+        let scheme = WriteScheme::paper();
+        let mut a = CrossbarArray::new(4, 3, DeviceLimits::PAPER).unwrap();
+        for j in 0..3 {
+            a.program_pattern(j, &[j as u32, 9, 17, 31], &map, &scheme, &mut rng)
+                .unwrap();
+        }
+        for clone_writes in [false, true] {
+            let mut original = a.clone();
+            let mut clone = original.clone();
+            // Reads copy nothing.
+            clone.ideal_column_currents(&[Volts(0.03); 4]).unwrap();
+            assert_eq!(clone.cell(1, 1).unwrap(), original.cell(1, 1).unwrap());
+            assert!(Arc::ptr_eq(&original.cells, &clone.cells));
+
+            let (writer, reader) = if clone_writes {
+                (&mut clone, &original)
+            } else {
+                (&mut original, &clone)
+            };
+            let cells = Arc::as_ptr(&reader.cells);
+            let before = storage_bits(reader);
+            writer.set_conductance(2, 1, Siemens(5e-4)).unwrap();
+            // The writer holds a new copy; the reader keeps its storage,
+            // bit for bit.
+            assert!(!Arc::ptr_eq(&writer.cells, &reader.cells));
+            assert_eq!(Arc::as_ptr(&reader.cells), cells);
+            assert_eq!(storage_bits(reader), before);
+            assert_eq!(writer.conductance(2, 1).unwrap(), Siemens(5e-4));
+            let wear = reader.cell(2, 1).unwrap().writes();
+            assert_eq!(writer.cell(2, 1).unwrap().writes(), wear + 1);
+        }
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl ArrayProgrammer {
                 if self.scheme == BiasScheme::HalfVoltage {
                     for jj in 0..cols {
                         if jj != j {
-                            let mut cell = *array.cell(i, jj)?;
+                            let mut cell = array.cell(i, jj)?;
                             for _ in 0..n {
                                 cell.apply_voltage_pulse(v_half, self.pulse_width, &self.model);
                             }
@@ -166,7 +166,7 @@ impl ArrayProgrammer {
                     }
                     for ii in 0..rows {
                         if ii != i {
-                            let mut cell = *array.cell(ii, j)?;
+                            let mut cell = array.cell(ii, j)?;
                             for _ in 0..n {
                                 cell.apply_voltage_pulse(v_half, self.pulse_width, &self.model);
                             }

@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule, Fidelity};
+use spinamm_core::capacity::TiledAmm;
 use spinamm_core::hierarchy::HierarchicalAmm;
 use spinamm_core::partition::PartitionedAmm;
 use spinamm_engine::{Deployment, EngineConfig, RecallEngine};
@@ -320,6 +321,28 @@ fn span_trees_and_series_names_are_pinned() {
     assert!(traces.iter().all(|t| t.kind == "recall"));
     assert_eq!(traces[0].structure(), unwrapped(&partitioned));
     assert_eq!(traces[1].structure(), unwrapped(&hierarchical));
+
+    // A direct tiled recall is one "recall" trace and one `recall.total`
+    // sample: every tile's drive and settle, then every tile's convert
+    // and select. Its result is the untraced recall's, bit for bit.
+    let mut pool = TiledAmm::build(&p, 2, &cfg).unwrap();
+    let want = pool.clone().recall(&inputs[0]).unwrap();
+    let tracer = Tracer::new(&TraceConfig::default());
+    let recorder = MemoryRecorder::default();
+    let req = RecallRequest::recorded(&recorder).with_tracer(&tracer);
+    assert_eq!(pool.recall_request(&inputs[0], &req).unwrap(), want);
+    let traces = tracer.traces();
+    assert_eq!(traces.len(), 1);
+    assert_eq!(traces[0].kind, "recall");
+    let module = module_tree(Fidelity::Parasitic);
+    let (evaluate, select) = module.split_at(4);
+    let tiled = [evaluate, evaluate, select, select].concat();
+    assert_eq!(traces[0].structure(), tiled);
+    let total = recorder
+        .snapshot()
+        .span_stats("recall.total")
+        .map(|s| s.count);
+    assert_eq!(total, Some(1));
 
     // The fragment path a benchmark times: evaluate + select on a module
     // built without the recorder, so the kernel compiles inside it.

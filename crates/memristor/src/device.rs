@@ -161,6 +161,36 @@ impl ReadNoise {
     }
 }
 
+/// The mutable state of one memristor: the programmed conductance, the
+/// programmed reference the last write left behind, the age since that
+/// write, and the lifetime write count.
+///
+/// This is what a crossbar stores per cell: 32 bytes, `Copy`. The device's
+/// [`DeviceLimits`] and any stuck-at pin belong to the array and its fault
+/// map, and [`Memristor::from_state`] joins the three into a device again.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeviceState {
+    conductance: Siemens,
+    reference: Siemens,
+    age: Seconds,
+    writes: u64,
+}
+
+// A crossbar pool holds one state per cell; keep it at four words.
+const _: () = assert!(std::mem::size_of::<DeviceState>() <= 32);
+
+impl DeviceState {
+    /// A freshly written state holding `g`: reference `g`, age zero.
+    fn written(g: Siemens, writes: u64) -> Self {
+        Self {
+            conductance: g,
+            reference: g,
+            age: Seconds(0.0),
+            writes,
+        }
+    }
+}
+
 /// One Ag-Si memristor cell: a conductance state bounded by
 /// [`DeviceLimits`].
 ///
@@ -179,10 +209,7 @@ impl ReadNoise {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Memristor {
     limits: DeviceLimits,
-    conductance: Siemens,
-    reference: Siemens,
-    age: Seconds,
-    writes: u64,
+    state: DeviceState,
     pinned: Option<Siemens>,
 }
 
@@ -190,14 +217,7 @@ impl Memristor {
     /// Creates a cell in the off state.
     #[must_use]
     pub fn new(limits: DeviceLimits) -> Self {
-        Self {
-            limits,
-            conductance: limits.g_min(),
-            reference: limits.g_min(),
-            age: Seconds(0.0),
-            writes: 0,
-            pinned: None,
-        }
+        Self::from_state(limits, DeviceState::written(limits.g_min(), 0), None)
     }
 
     /// Creates a cell already holding conductance `g`.
@@ -208,14 +228,26 @@ impl Memristor {
     /// the programmable window.
     pub fn with_conductance(limits: DeviceLimits, g: Siemens) -> Result<Self, MemristorError> {
         limits.check(g)?;
-        Ok(Self {
+        Ok(Self::from_state(limits, DeviceState::written(g, 0), None))
+    }
+
+    /// The device holding `state` under `limits`, pinned to `pin` (clamped
+    /// into the window, as [`Memristor::pin`] does) when it is stuck.
+    #[inline]
+    #[must_use]
+    pub fn from_state(limits: DeviceLimits, state: DeviceState, pin: Option<Siemens>) -> Self {
+        Self {
             limits,
-            conductance: g,
-            reference: g,
-            age: Seconds(0.0),
-            writes: 0,
-            pinned: None,
-        })
+            state,
+            pinned: pin.map(|g| limits.clamp(g)),
+        }
+    }
+
+    /// The cell's mutable state, without its limits or pin.
+    #[inline]
+    #[must_use]
+    pub fn state(&self) -> DeviceState {
+        self.state
     }
 
     /// The device's programmable window.
@@ -228,14 +260,14 @@ impl Memristor {
     /// the cell is defective, otherwise the programmed state.
     #[must_use]
     pub fn conductance(&self) -> Siemens {
-        self.pinned.unwrap_or(self.conductance)
+        self.pinned.unwrap_or(self.state.conductance)
     }
 
     /// The programmed (intended) state, ignoring any stuck-at pin — what
     /// the write circuitry believes it stored.
     #[must_use]
     pub fn programmed(&self) -> Siemens {
-        self.conductance
+        self.state.conductance
     }
 
     /// Pins the cell to a stuck-at conductance (clamped into the window).
@@ -277,10 +309,7 @@ impl Memristor {
     /// the programmable window.
     pub fn set_conductance(&mut self, g: Siemens) -> Result<(), MemristorError> {
         self.limits.check(g)?;
-        self.conductance = g;
-        self.reference = g;
-        self.age = Seconds(0.0);
-        self.writes = self.writes.saturating_add(1);
+        self.state = DeviceState::written(g, self.state.writes.saturating_add(1));
         Ok(())
     }
 
@@ -288,29 +317,27 @@ impl Memristor {
     /// re-anchors the programmed reference there, and counts the pulse
     /// toward the endurance budget.
     pub(crate) fn force_conductance(&mut self, g: Siemens) {
-        self.conductance = self.limits.clamp(g);
-        self.reference = self.conductance;
-        self.age = Seconds(0.0);
-        self.writes = self.writes.saturating_add(1);
+        let g = self.limits.clamp(g);
+        self.state = DeviceState::written(g, self.state.writes.saturating_add(1));
     }
 
     /// The programmed reference `g₀`: the conductance the last write pulse
     /// left behind, from which retention decays.
     #[must_use]
     pub fn programmed_reference(&self) -> Siemens {
-        self.reference
+        self.state.reference
     }
 
     /// Seconds of drift applied since the last write pulse.
     #[must_use]
     pub fn aged(&self) -> Seconds {
-        self.age
+        self.state.age
     }
 
     /// Lifetime write-pulse count (wear) for endurance accounting.
     #[must_use]
     pub fn writes(&self) -> u64 {
-        self.writes
+        self.state.writes
     }
 
     /// Moves the programmed state to `reference · fraction` (floored at the
@@ -341,9 +368,9 @@ impl Memristor {
                 what: "retention fraction must lie in [0, 1]",
             });
         }
-        let g = self.reference.0 * fraction;
-        self.conductance = Siemens(g.max(self.limits.g_min().0));
-        self.age = elapsed;
+        let g = self.state.reference.0 * fraction;
+        self.state.conductance = Siemens(g.max(self.limits.g_min().0));
+        self.state.age = elapsed;
         Ok(())
     }
 }
@@ -447,6 +474,23 @@ mod tests {
         assert_eq!(cell.conductance(), DeviceLimits::PAPER.g_max());
         cell.pin(Siemens(0.0));
         assert_eq!(cell.conductance(), DeviceLimits::PAPER.g_min());
+    }
+
+    #[test]
+    fn a_stored_state_rebuilds_the_same_device() {
+        let mut cell = Memristor::new(DeviceLimits::PAPER);
+        cell.set_conductance(Siemens(5e-4)).unwrap();
+        cell.apply_retention(Seconds(7.0), 0.9).unwrap();
+        let state = cell.state();
+        assert_eq!(
+            Memristor::from_state(DeviceLimits::PAPER, state, None),
+            cell
+        );
+        // A pin passed in is clamped exactly as `pin` clamps it.
+        cell.pin(Siemens(1.0));
+        let stuck = Memristor::from_state(DeviceLimits::PAPER, state, Some(Siemens(1.0)));
+        assert_eq!(stuck, cell);
+        assert_eq!(stuck.state(), state);
     }
 
     #[test]

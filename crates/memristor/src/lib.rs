@@ -52,7 +52,7 @@ pub mod quantize;
 pub mod write;
 
 pub use bank::MemristorBank;
-pub use device::{DeviceLimits, Memristor, ReadNoise};
+pub use device::{DeviceLimits, DeviceState, Memristor, ReadNoise};
 pub use drift::DriftModel;
 pub use pulse::PulseWriteModel;
 pub use quantize::LevelMap;
