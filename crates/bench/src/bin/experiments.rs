@@ -5,7 +5,7 @@
 //!             [fig3a|fig3b|fig5b|fig5c|fig7a|fig8b|fig9a|fig9b|
 //!              fig13a|fig13b|table1|table2|hierarchy|ablations|settling|
 //!              drift|write-precision|disturb|noise|yield|conformance|
-//!              capacity|serve|lifetime|all]
+//!              capacity|lifetime|all]
 //! ```
 //!
 //! Without arguments, runs `all` at full (paper) scale. `--quick` runs the
@@ -59,7 +59,7 @@ fn main() -> ExitCode {
     let scale = if quick { Scale::quick() } else { Scale::full() };
 
     // Report order; the JSON report lists studies in this order too.
-    let sections: [(&str, &dyn Fn() -> Rendered); 24] = [
+    let sections: [(&str, &dyn Fn() -> Rendered); 23] = [
         ("table2", &render_table2),
         ("fig3a", &|| render_fig3a(&scale)),
         ("fig3b", &|| render_fig3b(&scale)),
@@ -82,7 +82,6 @@ fn main() -> ExitCode {
         ("yield", &|| render_yield(&scale)),
         ("conformance", &|| render_conformance(&scale)),
         ("capacity", &|| render_capacity(&scale)),
-        ("serve", &|| render_serve(&scale)),
         ("lifetime", &|| render_lifetime(&scale)),
     ];
     if let Some(unknown) = wanted
@@ -164,19 +163,29 @@ fn main() -> ExitCode {
 /// the plan study's f32-tier fields; v12 drops the `engine-scale`,
 /// `profile` and `plan` studies and the wall-clock fields, since the
 /// repository benchmark (`perfbench/`) times the simulator; v13 drops the
-/// capacity study's `wall_seconds`, `throughput_qps` and `host_cpus`, so
-/// that outside the serve study and the telemetry spans a report is a
-/// function of the commit and scale alone (`ci/regression_gate.py`
-/// compares it exactly).
+/// capacity study's `wall_seconds`, `throughput_qps` and `host_cpus`; v14
+/// drops the `serve` study and the telemetry `spans`, the report's last
+/// wall times, so a report is a function of the commit and scale alone
+/// (`ci/regression_gate.py` compares every value).
 fn write_json_report(
     path: &str,
     scale: &Scale,
     quick: bool,
     studies: Vec<(&str, JsonValue)>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let snapshot = experiments::telemetry_capture(scale)?;
+    // Span series are wall times: the report keeps the counters, gauges,
+    // histograms and events, which repeat exactly.
+    let telemetry = match experiments::telemetry_capture(scale)?.to_json_value() {
+        JsonValue::Object(fields) => JsonValue::Object(
+            fields
+                .into_iter()
+                .filter(|(key, _)| key != "spans")
+                .collect(),
+        ),
+        other => other,
+    };
     let document = JsonValue::object([
-        ("schema_version", JsonValue::Uint(13)),
+        ("schema_version", JsonValue::Uint(14)),
         (
             "scale",
             JsonValue::Str(if quick { "quick" } else { "full" }.to_string()),
@@ -195,7 +204,7 @@ fn write_json_report(
                     .collect(),
             ),
         ),
-        ("telemetry", snapshot.to_json_value()),
+        ("telemetry", telemetry),
     ]);
     let rendered = document.render();
     json::validate(&rendered)?;
@@ -808,103 +817,6 @@ fn render_capacity(scale: &Scale) -> Rendered {
                             ),
                             ("top1_matches_wta", JsonValue::Bool(r.top1_matches_wta)),
                             ("engine_identical", JsonValue::Bool(r.engine_identical)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    Ok(section)
-}
-
-fn render_serve(scale: &Scale) -> Rendered {
-    let study = experiments::serve_study(scale)?;
-    let mut t = Table::new(
-        "E19: multi-tenant serving (open-loop load replay)",
-        &[
-            "tenant",
-            "kind",
-            "quota",
-            "saturation",
-            "offered",
-            "served",
-            "429",
-            "503",
-            "p50",
-            "p99",
-            "p999",
-            "qwait p99",
-            "identical",
-        ],
-    );
-    for r in &study.rows {
-        t.row(&[
-            r.tenant.clone(),
-            r.kind.clone(),
-            if r.quota_qps == 0.0 {
-                "unlimited".to_string()
-            } else {
-                format!("{:.0} q/s", r.quota_qps)
-            },
-            format!("{:.0} q/s", r.saturation_qps),
-            format!("{} @ {:.0} q/s", r.offered, r.offered_qps),
-            format!("{}", r.served),
-            format!("{}", r.rejected_over_quota),
-            format!("{}", r.rejected_saturated),
-            format!("{:.1} us", r.p50_us),
-            format!("{:.1} us", r.p99_us),
-            format!("{:.1} us", r.p999_us),
-            format!("{:.1} us", r.queue_wait_p99_us),
-            if r.served_identical { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    let mut section = Section::table(&t);
-    section.text.push_str(&format!(
-        "loader threads: {} | total queries: {} | wall: {:.1}s | host cpus: {}\n",
-        study.loader_threads, study.total_queries, study.wall_seconds, study.host_cpus
-    ));
-    // Numeric JSON twin so check_serve can gate on the admission split,
-    // percentile ordering and the bit-identity verdicts without parsing
-    // table cells.
-    section.json = JsonValue::object([
-        (
-            "title",
-            JsonValue::Str("E19: multi-tenant serving (open-loop load replay)".to_string()),
-        ),
-        ("host_cpus", JsonValue::Uint(study.host_cpus as u64)),
-        (
-            "loader_threads",
-            JsonValue::Uint(study.loader_threads as u64),
-        ),
-        ("total_queries", JsonValue::Uint(study.total_queries)),
-        ("wall_seconds", JsonValue::Num(study.wall_seconds)),
-        (
-            "rows",
-            JsonValue::Array(
-                study
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        JsonValue::object([
-                            ("tenant", JsonValue::Str(r.tenant.clone())),
-                            ("kind", JsonValue::Str(r.kind.clone())),
-                            ("quota_qps", JsonValue::Num(r.quota_qps)),
-                            ("saturation_qps", JsonValue::Num(r.saturation_qps)),
-                            ("offered_qps", JsonValue::Num(r.offered_qps)),
-                            ("offered", JsonValue::Uint(r.offered)),
-                            ("served", JsonValue::Uint(r.served)),
-                            (
-                                "rejected_over_quota",
-                                JsonValue::Uint(r.rejected_over_quota),
-                            ),
-                            ("rejected_saturated", JsonValue::Uint(r.rejected_saturated)),
-                            ("p50_us", JsonValue::Num(r.p50_us)),
-                            ("p99_us", JsonValue::Num(r.p99_us)),
-                            ("p999_us", JsonValue::Num(r.p999_us)),
-                            ("mean_us", JsonValue::Num(r.mean_us)),
-                            ("queue_wait_p99_us", JsonValue::Num(r.queue_wait_p99_us)),
-                            ("mean_energy_j", JsonValue::Num(r.mean_energy_j)),
-                            ("served_identical", JsonValue::Bool(r.served_identical)),
                         ])
                     })
                     .collect(),

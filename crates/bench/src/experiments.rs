@@ -1452,352 +1452,6 @@ pub fn capacity_study(scale: &Scale) -> Result<CapacityStudy, CoreError> {
     })
 }
 
-/// One tenant of the E19 serving study: its mix position, measured
-/// saturation, open-loop latency percentiles and admission accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeTenantRow {
-    /// Registry name of the tenant.
-    pub tenant: String,
-    /// Deployment organization ("flat"/"partitioned"/"hierarchical"/"tiled").
-    pub kind: String,
-    /// Provisioned admission quota, queries per second (0 = unlimited).
-    pub quota_qps: f64,
-    /// Closed-loop served throughput with loaders firing back-to-back.
-    pub saturation_qps: f64,
-    /// Open-loop scheduled arrival rate driven in the latency phase.
-    pub offered_qps: f64,
-    /// Queries scheduled in the open-loop phase.
-    pub offered: u64,
-    /// Queries served with a 200-class response in the open-loop phase.
-    pub served: u64,
-    /// Queries rejected by the tenant's token bucket (429).
-    pub rejected_over_quota: u64,
-    /// Queries rejected by the global gate or engine queue (503).
-    pub rejected_saturated: u64,
-    /// Open-loop latency percentiles, µs, measured from each query's
-    /// *scheduled* arrival (coordinated-omission corrected).
-    pub p50_us: f64,
-    /// 99th percentile latency, µs.
-    pub p99_us: f64,
-    /// 99.9th percentile latency, µs.
-    pub p999_us: f64,
-    /// Mean latency, µs.
-    pub mean_us: f64,
-    /// p99 of the tenant's own `engine.queue_wait_ns` histogram, µs —
-    /// per-tenant queue-wait attribution from its dedicated recorder.
-    pub queue_wait_p99_us: f64,
-    /// Mean recognition energy across served queries, J.
-    pub mean_energy_j: f64,
-    /// Whether a sequential prefix served through the service tier was
-    /// bit-identical to direct engine submission of the same spec. CI
-    /// gates on this.
-    pub served_identical: bool,
-}
-
-/// The E19 load-replay study: the tenant mix plus run-level context.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeStudy {
-    /// `std::thread::available_parallelism()` on the measuring host.
-    pub host_cpus: usize,
-    /// Closed/open-loop loader threads per tenant.
-    pub loader_threads: usize,
-    /// Queries driven across every phase and tenant.
-    pub total_queries: u64,
-    /// Wall time of the whole study.
-    pub wall_seconds: f64,
-    /// One row per tenant in the mix.
-    pub rows: Vec<ServeTenantRow>,
-}
-
-/// E19: seeded open-loop load replay through the full serving tier.
-///
-/// Builds a three-tenant mix on one [`spinamm_server::RecallService`] —
-/// `bulk` (flat, unlimited), `ranked` (tiled top-k, unlimited) and
-/// `throttled` (flat behind a token bucket provisioned at a quarter of
-/// the measured flat saturation) — then, per tenant:
-///
-/// 1. proves a sequential served prefix bit-identical to direct engine
-///    submission of the same spec (`served_identical`);
-/// 2. measures closed-loop saturation with loaders firing back-to-back;
-/// 3. replays a seeded open-loop schedule at half the saturation rate,
-///    measuring every latency from the query's *scheduled* arrival so
-///    queueing delay is charged, not hidden (coordinated omission).
-///
-/// Full scale drives ≥10⁶ queries; quick keeps the same shape at a few
-/// thousand. Latencies and rates vary with the host, so CI gates only on
-/// invariants: accounting, percentile ordering, positive saturation, the
-/// admission split and the bit-identity verdicts.
-///
-/// # Errors
-///
-/// Propagates workload, registry-build and serving errors.
-pub fn serve_study(scale: &Scale) -> Result<ServeStudy, CoreError> {
-    use spinamm_data::workload::{PatternWorkload, WorkloadConfig};
-    use spinamm_engine::{EngineConfig, RecallEngine};
-    use spinamm_server::api::{ApiRecallRequest, ApiRecallResponse};
-    use spinamm_server::registry::{DeploymentSpec, ModuleRegistry, TenantOptions};
-    use spinamm_server::service::{RecallService, ServeError, ServerConfig};
-    use spinamm_trace::LatencyHistogram;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex};
-    use std::time::{Duration, Instant};
-
-    const LOADER_THREADS: usize = 4;
-    const CONFORMANCE_PREFIX: usize = 8;
-    let full = scale.queries >= 100;
-    // Per tenant, per phase. Full: 3 tenants × 2 phases × 180k ≥ 10⁶.
-    let phase_queries: u64 = if full { 180_000 } else { 250 };
-
-    let tenant_err = |what: &'static str| CoreError::InvalidParameter { what };
-
-    // Distinct query pools per tenant so the mix isn't three copies of
-    // one workload.
-    let workload = |seed: u64, patterns: usize| {
-        PatternWorkload::generate(&WorkloadConfig {
-            pattern_count: patterns,
-            vector_len: 16,
-            bits: 5,
-            query_count: 64,
-            query_noise: 0.3,
-            noise_magnitude: 2,
-            similarity: 0.0,
-            seed,
-        })
-    };
-    let flat_w = workload(0x0e19_0001, 8)?;
-    let ranked_w = workload(0x0e19_0002, 48)?;
-    let throttled_w = workload(0x0e19_0003, 8)?;
-
-    let flat_spec = |w: &PatternWorkload| DeploymentSpec::Flat {
-        patterns: w.patterns.clone(),
-        config: AmmConfig::default(),
-    };
-    let engine = EngineConfig::builder()
-        .workers(2)
-        .queue_capacity(32)
-        .build();
-    let started = Instant::now();
-    let registry = Arc::new(ModuleRegistry::new());
-    let service = Arc::new(RecallService::new(
-        Arc::clone(&registry),
-        &ServerConfig::builder().global_concurrency(256).build(),
-    ));
-    let total_queries = AtomicU64::new(0);
-
-    // Sequential served prefix vs direct engine submission, run before
-    // any other traffic touches the tenant (recalls advance the module
-    // RNG, so the comparison must be the tenant's first traffic).
-    let conformance_prefix = |name: &str,
-                              spec: &DeploymentSpec,
-                              queries: &[(usize, Vec<u32>)]|
-     -> Result<bool, CoreError> {
-        let reference = spec.build(&spinamm_telemetry::MemoryRecorder::default())?;
-        let direct = RecallEngine::new(reference, &engine);
-        let mut identical = true;
-        for (_, q) in queries.iter().cycle().take(CONFORMANCE_PREFIX) {
-            let served = service
-                .handle(&ApiRecallRequest {
-                    tenant: name.to_owned(),
-                    input: q.clone(),
-                })
-                .map_err(|_| tenant_err("serve study conformance prefix rejected"))?;
-            let response = direct
-                .submit(q)
-                .and_then(|t| t.wait())
-                .map_err(|_| tenant_err("serve study direct submission failed"))?;
-            let want = ApiRecallResponse::from_engine(name, &response);
-            if served != want || served.energy_j.to_bits() != want.energy_j.to_bits() {
-                identical = false;
-            }
-        }
-        total_queries.fetch_add(CONFORMANCE_PREFIX as u64, Ordering::Relaxed);
-        Ok(identical)
-    };
-
-    // Closed loop: loaders fire back-to-back; saturation = served / wall.
-    let closed_loop = |name: &str, queries: &[(usize, Vec<u32>)]| -> (f64, u64) {
-        let served = AtomicU64::new(0);
-        let wall = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..LOADER_THREADS {
-                let served = &served;
-                let service = &service;
-                s.spawn(move || {
-                    let mut i = t;
-                    for _ in 0..phase_queries / LOADER_THREADS as u64 {
-                        let (_, q) = &queries[i % queries.len()];
-                        if service
-                            .handle(&ApiRecallRequest {
-                                tenant: name.to_owned(),
-                                input: q.clone(),
-                            })
-                            .is_ok()
-                        {
-                            served.fetch_add(1, Ordering::Relaxed);
-                        }
-                        i += LOADER_THREADS;
-                    }
-                });
-            }
-        });
-        let wall = wall.elapsed().as_secs_f64().max(f64::EPSILON);
-        let fired = (phase_queries / LOADER_THREADS as u64) * LOADER_THREADS as u64;
-        total_queries.fetch_add(fired, Ordering::Relaxed);
-        (served.load(Ordering::Relaxed) as f64 / wall, fired)
-    };
-
-    // Open loop: seeded arrival schedule at `rate`; latency is measured
-    // from the scheduled arrival, so time spent queued behind a slow
-    // server is charged to the percentiles.
-    struct OpenLoopOutcome {
-        served: u64,
-        rejected_over_quota: u64,
-        rejected_saturated: u64,
-        energy_sum: f64,
-        histogram: LatencyHistogram,
-        offered: u64,
-    }
-    let open_loop = |name: &str, queries: &[(usize, Vec<u32>)], rate: f64| -> OpenLoopOutcome {
-        let offered = phase_queries / LOADER_THREADS as u64 * LOADER_THREADS as u64;
-        let served = AtomicU64::new(0);
-        let over_quota = AtomicU64::new(0);
-        let saturated = AtomicU64::new(0);
-        let energy = Mutex::new(0.0f64);
-        let histogram = Mutex::new(LatencyHistogram::new());
-        let anchor = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..LOADER_THREADS {
-                let (served, over_quota, saturated) = (&served, &over_quota, &saturated);
-                let (energy, histogram) = (&energy, &histogram);
-                let service = &service;
-                s.spawn(move || {
-                    let mut local = LatencyHistogram::new();
-                    let mut local_energy = 0.0f64;
-                    let mut i = t as u64;
-                    while i < offered {
-                        let arrival_ns = (i as f64 / rate * 1e9) as u64;
-                        loop {
-                            let now = anchor.elapsed().as_nanos() as u64;
-                            if now >= arrival_ns {
-                                break;
-                            }
-                            let ahead = arrival_ns - now;
-                            if ahead > 3_000_000 {
-                                std::thread::sleep(Duration::from_nanos(ahead - 2_000_000));
-                            } else {
-                                std::hint::spin_loop();
-                            }
-                        }
-                        let (_, q) = &queries[(i as usize) % queries.len()];
-                        let outcome = service.handle(&ApiRecallRequest {
-                            tenant: name.to_owned(),
-                            input: q.clone(),
-                        });
-                        let done_ns = anchor.elapsed().as_nanos() as u64;
-                        match outcome {
-                            Ok(response) => {
-                                served.fetch_add(1, Ordering::Relaxed);
-                                local_energy += response.energy_j;
-                                local.record(done_ns.saturating_sub(arrival_ns));
-                            }
-                            Err(ServeError::OverQuota { .. }) => {
-                                over_quota.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(_) => {
-                                saturated.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        i += LOADER_THREADS as u64;
-                    }
-                    let mut merged = histogram.lock().expect("histogram lock");
-                    merged.merge(&local);
-                    *energy.lock().expect("energy lock") += local_energy;
-                });
-            }
-        });
-        total_queries.fetch_add(offered, Ordering::Relaxed);
-        let energy_sum = *energy.lock().expect("energy lock");
-        let histogram = histogram.into_inner().expect("histogram lock");
-        OpenLoopOutcome {
-            served: served.load(Ordering::Relaxed),
-            rejected_over_quota: over_quota.load(Ordering::Relaxed),
-            rejected_saturated: saturated.load(Ordering::Relaxed),
-            energy_sum,
-            histogram,
-            offered,
-        }
-    };
-
-    let mut rows = Vec::new();
-    let mut run_tenant = |name: &str,
-                          spec: DeploymentSpec,
-                          quota: Option<(f64, f64)>,
-                          queries: &[(usize, Vec<u32>)],
-                          rate_hint: Option<f64>|
-     -> Result<f64, CoreError> {
-        let tenant = registry
-            .register(name, &spec, &TenantOptions { quota, engine })
-            .map_err(|_| tenant_err("serve study tenant registration failed"))?;
-        let served_identical = conformance_prefix(name, &spec, queries)?;
-        let (saturation_qps, _) = closed_loop(name, queries);
-        // Half the measured (or hinted) saturation keeps the open loop
-        // stable while still exercising real queueing.
-        let rate = (rate_hint.unwrap_or(saturation_qps) * 0.5).max(50.0);
-        let outcome = open_loop(name, queries, rate);
-        let snapshot = tenant.recorder().snapshot();
-        rows.push(ServeTenantRow {
-            tenant: name.to_owned(),
-            kind: tenant.kind().as_str().to_owned(),
-            quota_qps: quota.map_or(0.0, |(qps, _)| qps),
-            saturation_qps,
-            offered_qps: rate,
-            offered: outcome.offered,
-            served: outcome.served,
-            rejected_over_quota: outcome.rejected_over_quota,
-            rejected_saturated: outcome.rejected_saturated,
-            p50_us: outcome.histogram.percentile(0.50) / 1e3,
-            p99_us: outcome.histogram.percentile(0.99) / 1e3,
-            p999_us: outcome.histogram.percentile(0.999) / 1e3,
-            mean_us: outcome.histogram.mean_ns() / 1e3,
-            queue_wait_p99_us: snapshot.percentile("engine.queue_wait_ns", 0.99) / 1e3,
-            mean_energy_j: outcome.energy_sum / outcome.served.max(1) as f64,
-            served_identical,
-        });
-        Ok(saturation_qps)
-    };
-
-    let flat_saturation = run_tenant("bulk", flat_spec(&flat_w), None, &flat_w.queries, None)?;
-    run_tenant(
-        "ranked",
-        DeploymentSpec::Tiled {
-            patterns: ranked_w.patterns.clone(),
-            tile_capacity: 16,
-            top_k: 5,
-            config: AmmConfig::default(),
-        },
-        None,
-        &ranked_w.queries,
-        None,
-    )?;
-    // Provisioned at a quarter of flat saturation and offered at half:
-    // roughly half its open-loop schedule must see typed 429s.
-    run_tenant(
-        "throttled",
-        flat_spec(&throttled_w),
-        Some(((flat_saturation * 0.25).max(25.0), 8.0)),
-        &throttled_w.queries,
-        Some(flat_saturation),
-    )?;
-
-    Ok(ServeStudy {
-        host_cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        loader_threads: LOADER_THREADS,
-        total_queries: total_queries.load(Ordering::Relaxed),
-        wall_seconds: started.elapsed().as_secs_f64(),
-        rows,
-    })
-}
-
 /// One checkpoint of one lifetime arm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifetimePoint {
@@ -2311,39 +1965,6 @@ mod tests {
             assert_eq!(r.tiles, r.templates.div_ceil(study.tile_capacity));
             assert!(r.compiled_tiles <= r.tiles);
         }
-    }
-
-    #[test]
-    fn serve_study_quick_invariants() {
-        let study = serve_study(&quick()).unwrap();
-        assert_eq!(study.rows.len(), 3);
-        assert!(study.host_cpus >= 1);
-        assert!(study.total_queries > 1_000);
-        assert!(study.wall_seconds > 0.0);
-        for r in &study.rows {
-            assert!(r.served_identical, "{}: served != direct engine", r.tenant);
-            assert!(r.saturation_qps > 0.0, "{}: no saturation", r.tenant);
-            assert!(r.served > 0, "{}: nothing served open-loop", r.tenant);
-            assert_eq!(
-                r.served + r.rejected_over_quota + r.rejected_saturated,
-                r.offered,
-                "{}: admission accounting must add up",
-                r.tenant
-            );
-            assert!(
-                r.p50_us <= r.p99_us && r.p99_us <= r.p999_us,
-                "{}: percentiles out of order",
-                r.tenant
-            );
-            assert!(r.mean_energy_j > 0.0, "{}: no energy", r.tenant);
-            if r.quota_qps == 0.0 {
-                assert_eq!(r.rejected_over_quota, 0, "{}: spurious 429s", r.tenant);
-            } else {
-                assert!(r.rejected_over_quota > 0, "{}: quota never bit", r.tenant);
-            }
-        }
-        let kinds: Vec<&str> = study.rows.iter().map(|r| r.kind.as_str()).collect();
-        assert!(kinds.contains(&"flat") && kinds.contains(&"tiled"));
     }
 
     #[test]

@@ -39,6 +39,15 @@ use std::thread;
 const MAX_HEADER_BYTES: usize = 64 * 1024;
 /// Largest accepted request body, bytes.
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+/// Most engine workers a tenant registration may ask for. Each worker is
+/// an OS thread holding its own clone of the deployment, so an unbounded
+/// count lets one request use up the host's threads.
+const MAX_WORKERS: usize = 64;
+/// Most crossbar cells (rows × columns) in one tile of a registered tiled
+/// deployment. `tile_capacity` sets a tile's width whatever the bank holds,
+/// and every cell keeps ≈ 40 B of device state, so this caps a tile at
+/// ≈ 10 MiB, the cells of sixteen 128 × 128 tiles.
+const MAX_TILE_CELLS: usize = 1 << 18;
 
 /// A running TCP server; dropping it (or calling
 /// [`SpinServer::shutdown`]) stops the accept loop.
@@ -398,7 +407,9 @@ fn error_body(status: u16, kind: &str, message: &str) -> String {
 ///
 /// `tenant`, `kind` and `patterns` are required; everything else
 /// defaults (`segments`/`clusters`/`tile_capacity` only apply to their
-/// kinds).
+/// kinds). A present field of the wrong type is an error, not the default,
+/// and so are `workers` above [`MAX_WORKERS`] and a tile of more than
+/// [`MAX_TILE_CELLS`] cells.
 fn parse_tenant_registration(
     body: &str,
 ) -> Result<(String, DeploymentSpec, TenantOptions), String> {
@@ -431,58 +442,83 @@ fn parse_tenant_registration(
         })
         .collect::<Result<Vec<Vec<u32>>, &str>>()?;
     let mut config = AmmConfig::default();
-    if let Some(fidelity) = doc.get("fidelity").and_then(JsonValue::as_str) {
-        config.fidelity = match fidelity {
-            "ideal" => Fidelity::Ideal,
-            "driven" => Fidelity::Driven,
-            "parasitic" => Fidelity::Parasitic,
-            _ => return Err("`fidelity` must be ideal|driven|parasitic".to_owned()),
-        };
+    let parse_fidelity = |v: &JsonValue| match v.as_str()? {
+        "ideal" => Some(Fidelity::Ideal),
+        "driven" => Some(Fidelity::Driven),
+        "parasitic" => Some(Fidelity::Parasitic),
+        _ => None,
+    };
+    if let Some(fidelity) = optional(&doc, "fidelity", parse_fidelity, "ideal|driven|parasitic")? {
+        config.fidelity = fidelity;
     }
-    if let Some(seed) = doc.get("seed").and_then(JsonValue::as_u64) {
+    if let Some(seed) = optional(&doc, "seed", JsonValue::as_u64, "a non-negative integer")? {
         config.seed = seed;
     }
-    let usize_field = |key: &str, default: usize| -> usize {
-        doc.get(key)
-            .and_then(JsonValue::as_u64)
-            .and_then(|v| usize::try_from(v).ok())
-            .unwrap_or(default)
+    let usize_field = |key: &str, default: usize| -> Result<usize, String> {
+        let read = |v: &JsonValue| v.as_u64().and_then(|u| usize::try_from(u).ok());
+        Ok(optional(&doc, key, read, "a non-negative integer")?.unwrap_or(default))
     };
     let spec = match kind {
         DeploymentKind::Flat => DeploymentSpec::Flat { patterns, config },
         DeploymentKind::Partitioned => DeploymentSpec::Partitioned {
             patterns,
-            segments: usize_field("segments", 2),
+            segments: usize_field("segments", 2)?,
             config,
         },
         DeploymentKind::Hierarchical => DeploymentSpec::Hierarchical {
             patterns,
-            clusters: usize_field("clusters", 2),
+            clusters: usize_field("clusters", 2)?,
             config,
         },
-        DeploymentKind::Tiled => DeploymentSpec::Tiled {
-            patterns,
-            tile_capacity: usize_field("tile_capacity", 64),
-            top_k: usize_field("top_k", 1),
-            config,
-        },
+        DeploymentKind::Tiled => {
+            let tile_capacity = usize_field("tile_capacity", 64)?;
+            let rows = patterns.first().map_or(0, Vec::len);
+            let cells = rows.saturating_mul(tile_capacity.saturating_add(config.spare_columns));
+            if cells > MAX_TILE_CELLS {
+                return Err(format!(
+                    "a tile of {rows} rows and {tile_capacity} templates has {cells} cells; \
+                     at most {MAX_TILE_CELLS} are allowed"
+                ));
+            }
+            DeploymentSpec::Tiled {
+                patterns,
+                tile_capacity,
+                top_k: usize_field("top_k", 1)?,
+                config,
+            }
+        }
     };
-    let quota = doc.get("quota_qps").and_then(JsonValue::as_f64).map(|qps| {
-        let burst = doc
-            .get("quota_burst")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or_else(|| qps.max(1.0));
-        (qps, burst)
-    });
+    let burst = optional(&doc, "quota_burst", JsonValue::as_f64, "a number")?;
+    let quota = optional(&doc, "quota_qps", JsonValue::as_f64, "a number")?
+        .map(|qps| (qps, burst.unwrap_or_else(|| qps.max(1.0))));
     let defaults = TenantOptions::default();
+    let workers = usize_field("workers", defaults.engine.workers)?;
+    if workers > MAX_WORKERS {
+        return Err(format!(
+            "`workers` is {workers}; at most {MAX_WORKERS} are allowed"
+        ));
+    }
     let engine = EngineConfig::builder()
-        .workers(usize_field("workers", defaults.engine.workers))
+        .workers(workers)
         .queue_capacity(usize_field(
             "queue_capacity",
             defaults.engine.queue_capacity,
-        ))
+        )?)
         .build();
     Ok((name, spec, TenantOptions { quota, engine }))
+}
+
+/// Reads the optional field `key` of `doc` with `read`: `None` when it is
+/// absent, an error naming `expected` when it is present but unreadable.
+fn optional<'a, T>(
+    doc: &'a JsonValue,
+    key: &str,
+    read: impl Fn(&'a JsonValue) -> Option<T>,
+    expected: &str,
+) -> Result<Option<T>, String> {
+    doc.get(key)
+        .map(|v| read(v).ok_or_else(|| format!("`{key}` must be {expected}")))
+        .transpose()
 }
 
 fn write_http(
@@ -539,6 +575,73 @@ mod tests {
 
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
+        }
+    }
+
+    /// A registration document for tenant `t` of `kind` storing `bank`,
+    /// with `extra` spliced in after the patterns.
+    fn registration(kind: &str, bank: &[Vec<u32>], extra: &str) -> String {
+        let rows: Vec<String> = bank.iter().map(|p| format!("{p:?}")).collect();
+        format!(
+            r#"{{"tenant":"t","kind":"{kind}","patterns":[{}]{extra}}}"#,
+            rows.join(",")
+        )
+    }
+
+    #[test]
+    fn registration_bounds_the_worker_count() {
+        let bank = [vec![0, 31], vec![31, 0]];
+        let most = registration("flat", &bank, &format!(r#","workers":{MAX_WORKERS}"#));
+        let (_, _, options) = parse_tenant_registration(&most).unwrap();
+        assert_eq!(options.engine.workers, MAX_WORKERS);
+        for workers in [MAX_WORKERS as u64 + 1, 1 << 40] {
+            let body = registration("flat", &bank, &format!(r#","workers":{workers}"#));
+            let message = parse_tenant_registration(&body).unwrap_err();
+            assert!(message.contains("`workers`"), "{message}");
+        }
+    }
+
+    #[test]
+    fn registration_bounds_the_cells_of_a_tile() {
+        // The default 64-template tile at 128 rows and the README example.
+        let faces = [vec![15; 128]];
+        let readme = [vec![0, 31, 0, 31], vec![31, 0, 31, 0], vec![15, 15, 15, 15]];
+        for body in [
+            registration("tiled", &faces, ""),
+            registration("tiled", &readme, r#","tile_capacity":2,"top_k":2"#),
+        ] {
+            parse_tenant_registration(&body).unwrap();
+        }
+        let widest = MAX_TILE_CELLS / 128;
+        let fits = registration("tiled", &faces, &format!(r#","tile_capacity":{widest}"#));
+        parse_tenant_registration(&fits).unwrap();
+        for capacity in [widest as u64 + 1, u64::MAX] {
+            let body = registration("tiled", &faces, &format!(r#","tile_capacity":{capacity}"#));
+            let message = parse_tenant_registration(&body).unwrap_err();
+            assert!(message.contains("cells"), "{message}");
+        }
+    }
+
+    #[test]
+    fn registration_rejects_present_fields_of_the_wrong_type() {
+        let bank = [vec![0, 31], vec![31, 0]];
+        for (kind, field) in [
+            ("flat", r#""workers":-1"#),
+            ("flat", r#""queue_capacity":"16""#),
+            ("flat", r#""seed":1.5"#),
+            ("flat", r#""fidelity":3"#),
+            ("flat", r#""fidelity":"exact""#),
+            ("flat", r#""quota_qps":"fast""#),
+            ("flat", r#""quota_burst":[8]"#),
+            ("partitioned", r#""segments":2.5"#),
+            ("hierarchical", r#""clusters":-2"#),
+            ("tiled", r#""tile_capacity":"64""#),
+            ("tiled", r#""top_k":true"#),
+        ] {
+            let body = registration(kind, &bank, &format!(",{field}"));
+            let message = parse_tenant_registration(&body).unwrap_err();
+            let key = field.split('"').nth(1).unwrap();
+            assert!(message.contains(&format!("`{key}`")), "{field}: {message}");
         }
     }
 

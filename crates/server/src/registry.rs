@@ -16,7 +16,7 @@
 
 use crate::admission::TokenBucket;
 use crate::api::DeploymentKind;
-use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule, Fidelity};
+use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule};
 use spinamm_core::capacity::TiledAmm;
 use spinamm_core::hierarchy::HierarchicalAmm;
 use spinamm_core::partition::PartitionedAmm;
@@ -113,20 +113,6 @@ impl DeploymentSpec {
                     .with_top_k(*top_k)?,
             ),
         })
-    }
-
-    /// Convenience: a spec with `config.fidelity`/`config.seed` overridden.
-    #[must_use]
-    pub fn with_fidelity_seed(mut self, fidelity: Fidelity, seed: u64) -> Self {
-        let config = match &mut self {
-            DeploymentSpec::Flat { config, .. }
-            | DeploymentSpec::Partitioned { config, .. }
-            | DeploymentSpec::Hierarchical { config, .. }
-            | DeploymentSpec::Tiled { config, .. } => config,
-        };
-        config.fidelity = fidelity;
-        config.seed = seed;
-        self
     }
 }
 

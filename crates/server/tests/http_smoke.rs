@@ -1,8 +1,7 @@
 //! End-to-end smoke over real TCP on loopback: registers tenants over
 //! HTTP, fires a mixed-tenant query burst, asserts the 200/429 split and
 //! the `/metrics` document schema, exercises the binary framing on the
-//! same port, and evicts a tenant. This is the test CI's serve smoke step
-//! runs.
+//! same port, and evicts a tenant. CI's test step runs it.
 
 use spinamm_core::amm::AmmConfig;
 use spinamm_server::api::{ApiRecallRequest, ApiRecallResponse, RESPONSE_MAGIC, WIRE_VERSION};

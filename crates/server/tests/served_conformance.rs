@@ -8,9 +8,9 @@ use spinamm_core::amm::{AmmConfig, Fidelity};
 use spinamm_engine::{EngineConfig, RecallEngine};
 use spinamm_server::api::{ApiRecallRequest, ApiRecallResponse};
 use spinamm_server::registry::{DeploymentSpec, ModuleRegistry, TenantOptions};
-use spinamm_server::service::{RecallService, ServerConfig};
+use spinamm_server::service::{RecallService, ServeError, ServerConfig};
 use spinamm_telemetry::MemoryRecorder;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn patterns() -> Vec<Vec<u32>> {
     vec![
@@ -176,6 +176,85 @@ fn service_rejections_are_typed_and_leave_other_tenants_serving() {
     assert_eq!(snapshot.counter("server.rejected.over_quota"), 1);
     assert_eq!(snapshot.counter("server.rejected.unknown_tenant"), 1);
     assert_eq!(snapshot.counter("server.rejected.bad_request"), 1);
+}
+
+#[test]
+fn concurrent_callers_are_each_counted_exactly_once() {
+    const THREADS: usize = 4;
+    const PER_TENANT: usize = 25;
+    let (_, flat_spec) = specs().remove(0);
+    let registry = Arc::new(ModuleRegistry::new());
+    registry
+        .register("open", &flat_spec, &TenantOptions::default())
+        .expect("register open");
+    registry
+        .register(
+            "throttled",
+            &flat_spec,
+            &TenantOptions {
+                // Two burst tokens, glacial refill: exactly two are served.
+                quota: Some((1e-3, 2.0)),
+                ..TenantOptions::default()
+            },
+        )
+        .expect("register throttled");
+    let service = RecallService::new(registry, &ServerConfig::default());
+    let query = patterns().remove(0);
+
+    // Per tenant: [served, 429, 503], tallied by each calling thread. The
+    // barrier releases every caller at once.
+    let start = Barrier::new(THREADS);
+    let tallies: Vec<[[usize; 3]; 2]> = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut tally = [[0; 3]; 2];
+                    start.wait();
+                    for _ in 0..PER_TENANT {
+                        for (t, tenant) in ["open", "throttled"].into_iter().enumerate() {
+                            let outcome = service.handle(&ApiRecallRequest {
+                                tenant: tenant.to_owned(),
+                                input: query.clone(),
+                            });
+                            let slot = match outcome.as_ref().map_err(ServeError::status) {
+                                Ok(_) => 0,
+                                Err(429) => 1,
+                                Err(503) => 2,
+                                Err(status) => panic!("{tenant}: unexpected status {status}"),
+                            };
+                            tally[t][slot] += 1;
+                        }
+                    }
+                    tally
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .map(|c| c.join().expect("caller"))
+            .collect()
+    });
+    let total = |t: usize, slot: usize| tallies.iter().map(|tally| tally[t][slot]).sum::<usize>();
+    let offered = THREADS * PER_TENANT;
+    for (t, tenant) in ["open", "throttled"].into_iter().enumerate() {
+        assert_eq!(
+            total(t, 0) + total(t, 1) + total(t, 2),
+            offered,
+            "{tenant}: served + 429 + 503 must equal offered"
+        );
+    }
+    assert_eq!(total(0, 0), offered, "the open tenant serves everything");
+    assert_eq!(total(1, 0), 2, "the throttled tenant serves its burst");
+    let snapshot = service.recorder().snapshot();
+    assert_eq!(snapshot.counter("server.requests"), 2 * offered as u64);
+    assert_eq!(
+        snapshot.counter("server.served"),
+        (total(0, 0) + total(1, 0)) as u64
+    );
+    assert_eq!(
+        snapshot.counter("server.rejected.over_quota"),
+        (total(0, 1) + total(1, 1)) as u64
+    );
 }
 
 #[test]
