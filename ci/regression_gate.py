@@ -6,9 +6,10 @@ baseline exactly.
 
 The quick-scale baseline is BENCH_baseline.json (``experiments --quick
 --json``); the full-scale one is BENCH_full.json (``experiments --json``).
-Both documents are walked together in full: every key, list length, string,
-boolean and number must be equal, ``scale`` included. Every differing path
-is printed with both values.
+Both documents are walked together in full: every key, list element,
+string, boolean and number must be equal, ``scale`` included, and list
+elements that carry a ``name`` are paired by it. Every differing path is
+printed with both values.
 
 The fresh report must also keep three contracts: conformance (E15),
 capacity (E18) and lifetime (E20), and the paper's headline shapes
@@ -62,10 +63,30 @@ LIFETIME_ACCURACY_DROP = 0.02
 LIFETIME_OVERHEAD_LIMIT = 0.10
 
 
+def keyed(items):
+    """A list's elements by key. An element that carries a ``name`` is keyed
+    by it and by how often the name came before; any other element by its
+    index among those."""
+    seen, out = {}, {}
+    for item in items:
+        name = item.get("name") if isinstance(item, dict) else None
+        k = seen[name] = seen.get(name, -1) + 1
+        out[name, k] = item
+    return out
+
+
+def label(key):
+    """``fig3b`` for a named element, ``name#1`` for its first repeat, the
+    index for an unnamed one."""
+    name, k = key
+    return str(k) if name is None else name if k == 0 else f"{name}#{k}"
+
+
 def differences(base, fresh, path=""):
     """Yields (path, baseline value, fresh value) for every place the two
-    documents differ. A list element that carries a ``name`` is labelled by
-    it, so studies read as ``studies[fig3b]``."""
+    documents differ. List elements are paired by ``keyed``, so studies
+    read as ``studies[fig3b]``: a missing or an extra element is reported
+    once, and so is a change of order."""
     if isinstance(base, dict) and isinstance(fresh, dict):
         for key in sorted(base.keys() | fresh.keys()):
             here = f"{path}.{key}" if path else key
@@ -76,14 +97,20 @@ def differences(base, fresh, path=""):
             else:
                 yield from differences(base[key], fresh[key], here)
     elif isinstance(base, list) and isinstance(fresh, list):
-        if len(base) != len(fresh):
-            yield f"{path} length", len(base), len(fresh)
-        for k, (b, f) in enumerate(zip(base, fresh)):
-            label = b.get("name") if isinstance(b, dict) else None
-            if label is not None and isinstance(f, dict) and f.get("name") != label:
-                yield f"{path}[{k}].name", label, f.get("name")
-                continue
-            yield from differences(b, f, f"{path}[{label if label else k}]")
+        ours, theirs = keyed(base), keyed(fresh)
+        for key, b in ours.items():
+            here = f"{path}[{label(key)}]"
+            if key in theirs:
+                yield from differences(b, theirs[key], here)
+            else:
+                yield here, b, "<missing>"
+        for key, f in theirs.items():
+            if key not in ours:
+                yield f"{path}[{label(key)}]", "<missing>", f
+        before = [label(key) for key in ours if key in theirs]
+        after = [label(key) for key in theirs if key in ours]
+        if before != after:
+            yield f"{path} order", before, after
     # bool is an int in Python; a flipped type must not compare equal.
     elif type(base) is not type(fresh) or base != fresh:
         yield path, base, fresh

@@ -4,8 +4,8 @@
     python3 ci/test_regression_gate.py
 
 Each committed baseline must pass against itself. A planted copy that
-changes one value in its last digit or drops one study must fail the exact
-comparison and name the path. A planted copy that breaks one contract or
+changes one value in its last digit, drops one study or reorders the
+studies must fail the exact comparison and name the path. A planted copy that breaks one contract or
 one of the paper's shapes must fail that check by name even when it is
 compared with itself, so the check, not the comparison, catches it.
 """
@@ -241,11 +241,28 @@ class RegressionGateTest(unittest.TestCase):
                 self.assertNotEqual(holder(fresh)[key], number)
                 self.assert_fails_naming(doc, fresh, path)
 
-    def test_a_removed_study_fails(self):
+    def test_a_removed_study_and_a_changed_cell_are_each_named(self):
+        # Studies pair by name: dropping one from the middle of the list
+        # reports it once and still names the cell changed after it.
         for doc in self.baselines():
             fresh = copy.deepcopy(doc)
             fresh["studies"] = [s for s in fresh["studies"] if s["name"] != "fig13a"]
-            self.assert_fails_naming(doc, fresh, "studies length", '"fig13a"')
+            set_cell(fresh, "table1", "5-bit", "[18]",
+                     bump_last_digit(get_cell(fresh, "table1", "5-bit", "[18]")))
+            self.assert_fails_naming(
+                doc,
+                fresh,
+                'studies[fig13a]: baseline {"name": "fig13a"',
+                'fresh "<missing>"',
+                "studies[table1].report.rows[0][2]: baseline",
+                "2 differing paths, 0 broken",
+            )
+
+    def test_a_reordered_study_list_fails(self):
+        for doc in self.baselines():
+            fresh = copy.deepcopy(doc)
+            fresh["studies"][:2] = fresh["studies"][1::-1]
+            self.assert_fails_naming(doc, fresh, "studies order", "1 differing paths")
 
     def test_each_broken_check_fails_by_name(self):
         for doc in self.baselines():

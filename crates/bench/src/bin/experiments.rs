@@ -783,14 +783,11 @@ fn render_capacity(scale: &Scale) -> Rendered {
         ]);
     }
     let mut section = Section::table(&t);
-    section.text.push_str(&format!(
-        "tile capacity: {} | host cpus: {}\n",
-        study.tile_capacity, study.host_cpus
-    ));
+    section
+        .text
+        .push_str(&format!("tile capacity: {}\n", study.tile_capacity));
     // The JSON twin keeps numbers numeric so check_capacity can assert the
-    // oracle/WTA/engine verdicts without parsing table cells. The host's
-    // CPU count stays in the printed text only: the JSON report is compared
-    // exactly across hosts.
+    // oracle/WTA/engine verdicts without parsing table cells.
     section.json = JsonValue::object([
         (
             "title",

@@ -1306,12 +1306,9 @@ pub struct CapacityRow {
     pub engine_identical: bool,
 }
 
-/// The E18 capacity study: the sweep plus its measurement context.
+/// The E18 capacity study: the sweep and its tile capacity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CapacityStudy {
-    /// `std::thread::available_parallelism()` on the measuring host
-    /// (printed for context, kept out of the JSON report).
-    pub host_cpus: usize,
     /// Template slots per tile (uniform across the sweep).
     pub tile_capacity: usize,
     /// One row per (templates, k) cell.
@@ -1446,7 +1443,6 @@ pub fn capacity_study(scale: &Scale) -> Result<CapacityStudy, CoreError> {
         }
     }
     Ok(CapacityStudy {
-        host_cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         tile_capacity: TILE_CAPACITY,
         rows,
     })
@@ -1943,7 +1939,6 @@ mod tests {
         let study = capacity_study(&quick()).unwrap();
         // quick sweep: templates {1e3, 1e4} × k {1, 5, 10}.
         assert_eq!(study.rows.len(), 6);
-        assert!(study.host_cpus >= 1);
         assert_eq!(study.tile_capacity, 128);
         for r in &study.rows {
             assert!(

@@ -1003,7 +1003,7 @@ impl AssociativeMemoryModule {
             let best = if err > policy.error_budget {
                 spares
                     .iter()
-                    .map(|&s| Ok((self.predicted_error(t, s, &map, &level_map)?, s)))
+                    .map(|&s| Ok((self.placement_forecast(t, s)?.error, s)))
                     .collect::<Result<Vec<_>, CoreError>>()?
                     .into_iter()
                     .min_by(|(a, _), (b, _)| a.total_cmp(b))
@@ -1095,36 +1095,6 @@ impl AssociativeMemoryModule {
             total += target;
         }
         Ok((abs / total, pos / total))
-    }
-
-    /// Predicted relative placement error of template `t` if it were
-    /// programmed into (currently unprogrammed) column `col`: stuck cells
-    /// read their pinned extreme, healthy cells their target, both through
-    /// the column's gain spread.
-    fn predicted_error(
-        &self,
-        t: usize,
-        col: usize,
-        map: &FaultMap,
-        level_map: &LevelMap,
-    ) -> Result<f64, CoreError> {
-        if map.col_disconnected(col) {
-            return Ok(f64::INFINITY);
-        }
-        let limits = self.array.limits();
-        let mut abs = 0.0;
-        let mut total = 0.0;
-        for (row, &level) in self.templates[t].iter().enumerate() {
-            let target = level_map.conductance(level)?.0;
-            let device = match map.stuck_at(row, col) {
-                Some(StuckKind::Lrs) => limits.g_max().0,
-                Some(StuckKind::Hrs) => limits.g_min().0,
-                None => target,
-            };
-            abs += (device * map.cell_gain(row, col) - target).abs();
-            total += target;
-        }
-        Ok(abs / total)
     }
 
     /// Predicts the placement error and positive conductance excess of

@@ -355,7 +355,7 @@ fn span_trees_and_series_names_are_pinned() {
     let series: Vec<(&str, u64)> = snap
         .spans
         .iter()
-        .map(|(name, stats)| (name.as_str(), stats.count))
+        .map(|(name, series)| (name.as_str(), series.count()))
         .collect();
     assert_eq!(
         series,

@@ -8,6 +8,12 @@
 //! span timings and structured events into a queryable
 //! [`TelemetrySnapshot`] with JSON and table rendering.
 //!
+//! Every distribution — each histogram and span series, and the tracer's
+//! request latency — is one [`LatencyHistogram`]: log-bucketed, mergeable
+//! and bounded in size, with exact count, sum, min and max, and
+//! percentiles over the last 65,536 to 131,071 samples that read their
+//! bucket's lower bound (within 1/32, clamped to the exact min and max).
+//!
 //! Each instrumented stage is one [`Layer`] — the table where every span
 //! name lives — and one call, `recorder.span(Layer::SETTLE)`, which times
 //! the layer's series and, while the recorder traces a request
@@ -33,12 +39,14 @@
 //! assert_eq!(snapshot.span_stats("recall.total").unwrap().count, 1);
 //! ```
 
+mod histogram;
 pub mod json;
 mod layer;
 mod memory;
 mod recorder;
 mod snapshot;
 
+pub use histogram::LatencyHistogram;
 pub use layer::Layer;
 pub use memory::MemoryRecorder;
 pub use recorder::{NoopRecorder, Recorder, Span, TraceSink};

@@ -1,86 +1,12 @@
 //! [`MemoryRecorder`]: an in-process aggregating recorder.
 
 use crate::recorder::Recorder;
-use crate::snapshot::{HistStats, TelemetryEvent, TelemetrySnapshot};
+use crate::snapshot::{TelemetryEvent, TelemetrySnapshot};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Retained samples per histogram/span; `count`/`sum`/`min`/`max` stay
-/// exact beyond the cap, percentiles come from the most recent
-/// `SAMPLE_CAP` samples (each new sample overwrites the oldest).
-const SAMPLE_CAP: usize = 65_536;
-
 /// Retained structured events; later events are counted but dropped.
 const EVENT_CAP: usize = 4_096;
-
-#[derive(Debug, Default, Clone)]
-struct Series {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    samples: Vec<f64>,
-}
-
-impl Series {
-    fn push(&mut self, value: f64) {
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum += value;
-        if self.samples.len() < SAMPLE_CAP {
-            self.samples.push(value);
-        } else {
-            self.samples[((self.count - 1) % SAMPLE_CAP as u64) as usize] = value;
-        }
-    }
-
-    /// Sorts the most recent samples once and derives the stats from that
-    /// sort; returns both.
-    fn summarize(mut self) -> (HistStats, Vec<f64>) {
-        self.samples.sort_by(f64::total_cmp);
-        let sorted = self.samples;
-        let stats = HistStats {
-            count: self.count,
-            sum: self.sum,
-            min: self.min,
-            max: self.max,
-            p50: percentile(&sorted, 0.50),
-            p90: percentile(&sorted, 0.90),
-            p95: percentile(&sorted, 0.95),
-            p99: percentile(&sorted, 0.99),
-            p999: percentile(&sorted, 0.999),
-        };
-        (stats, sorted)
-    }
-}
-
-/// Per-name stats and ascending-sorted samples of a set of series.
-type Summaries = (BTreeMap<String, HistStats>, BTreeMap<String, Vec<f64>>);
-
-fn summarize_all(series: BTreeMap<String, Series>) -> Summaries {
-    series
-        .into_iter()
-        .map(|(name, s)| {
-            let (stats, sorted) = s.summarize();
-            ((name.clone(), stats), (name, sorted))
-        })
-        .unzip()
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
 
 /// Applies `f` to the value of series `name`, looked up by `&str`: the key
 /// is allocated only the first time `name` is seen.
@@ -91,21 +17,17 @@ fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(
     }
 }
 
-#[derive(Debug, Default, Clone)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Series>,
-    spans: BTreeMap<String, Series>,
-    events: Vec<TelemetryEvent>,
-    dropped_events: u64,
-}
-
 /// A recorder that aggregates everything in memory behind a mutex, for
 /// later inspection via [`MemoryRecorder::snapshot`].
+///
+/// Each histogram and span series is one
+/// [`LatencyHistogram`](crate::LatencyHistogram): its count, sum, min and
+/// max are exact over the recorder's lifetime, its percentiles cover the
+/// series' last 65,536 to 131,071 samples, and its size is set by the
+/// buckets it touches, not by how many samples arrive.
 #[derive(Debug, Default)]
 pub struct MemoryRecorder {
-    inner: Mutex<Inner>,
+    inner: Mutex<TelemetrySnapshot>,
 }
 
 impl MemoryRecorder {
@@ -117,24 +39,10 @@ impl MemoryRecorder {
     /// (poisoned mutex).
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        // Copy under the lock, sort after releasing it: a snapshot must not
-        // stall the recording hot path.
-        let inner = self.with(|inner| inner.clone());
-        let (histograms, histogram_samples) = summarize_all(inner.histograms);
-        let (spans, span_samples) = summarize_all(inner.spans);
-        TelemetrySnapshot {
-            counters: inner.counters,
-            gauges: inner.gauges,
-            histograms,
-            spans,
-            events: inner.events,
-            dropped_events: inner.dropped_events,
-            histogram_samples,
-            span_samples,
-        }
+        self.with(|inner| inner.clone())
     }
 
-    fn with<T>(&self, f: impl FnOnce(&mut Inner) -> T) -> T {
+    fn with<T>(&self, f: impl FnOnce(&mut TelemetrySnapshot) -> T) -> T {
         f(&mut self.inner.lock().expect("telemetry mutex poisoned"))
     }
 }
@@ -153,11 +61,11 @@ impl Recorder for MemoryRecorder {
     }
 
     fn observe(&self, name: &str, value: f64) {
-        self.with(|inner| update(&mut inner.histograms, name, |s| s.push(value)));
+        self.with(|inner| update(&mut inner.histograms, name, |h| h.record(value)));
     }
 
     fn record_span(&self, name: &str, seconds: f64) {
-        self.with(|inner| update(&mut inner.spans, name, |s| s.push(seconds)));
+        self.with(|inner| update(&mut inner.spans, name, |h| h.record(seconds)));
     }
 
     fn event(&self, name: &str, fields: &[(&str, f64)]) {
@@ -177,6 +85,7 @@ impl Recorder for MemoryRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::SAMPLE_CAP;
 
     #[test]
     fn counters_accumulate_monotonically() {
@@ -215,15 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn percentile_nearest_rank_basics() {
-        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 0.50), 50.0);
-        assert_eq!(percentile(&sorted, 0.95), 95.0);
-        assert_eq!(percentile(&[7.0], 0.5), 7.0);
-        assert!(percentile(&[], 0.5).is_nan());
-    }
-
-    #[test]
     fn percentiles_follow_samples_past_the_cap() {
         let r = MemoryRecorder::default();
         for _ in 0..SAMPLE_CAP {
@@ -234,10 +134,24 @@ mod tests {
         }
         let s = r.snapshot();
         let h = s.histogram_stats("h").unwrap();
-        assert_eq!(h.count, SAMPLE_CAP as u64 + 10_000);
+        assert_eq!(h.count, SAMPLE_CAP + 10_000);
         assert_eq!((h.min, h.max), (1.0, 100.0));
         assert_eq!(h.p50, 1.0);
         assert_eq!(h.p99, 100.0);
+    }
+
+    #[test]
+    fn windowed_p99_follows_a_distribution_shift() {
+        let r = MemoryRecorder::default();
+        for _ in 0..500_000 {
+            r.record_span("s", 1e-3);
+        }
+        for _ in 0..500_000 {
+            r.record_span("s", 1e-5);
+        }
+        // Over the lifetime, 1 ms is the p99; the window holds only 10 µs.
+        let p99 = r.snapshot().percentile("s", 0.99);
+        assert!((p99 - 1e-5).abs() <= 1e-5 / 32.0, "p99 {p99}");
     }
 
     #[test]

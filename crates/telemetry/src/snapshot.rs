@@ -1,29 +1,31 @@
 //! Immutable aggregation results: [`TelemetrySnapshot`] and its pieces.
 
 use crate::json::JsonValue;
+use crate::LatencyHistogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Summary statistics of one histogram or span series.
+/// Summary statistics of one [`LatencyHistogram`], whose docs give the
+/// percentile window and bucket error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistStats {
-    /// Total samples recorded (exact, beyond any retention cap).
+    /// Total samples recorded (exact, beyond the percentile window).
     pub count: u64,
-    /// Sum of all samples (exact).
+    /// Sum of all samples.
     pub sum: f64,
-    /// Smallest sample.
+    /// Smallest sample (exact).
     pub min: f64,
-    /// Largest sample.
+    /// Largest sample (exact).
     pub max: f64,
-    /// Median (nearest rank over the most recent samples).
+    /// Median over the window.
     pub p50: f64,
-    /// 90th percentile (nearest rank over the most recent samples).
+    /// 90th percentile over the window.
     pub p90: f64,
-    /// 95th percentile (nearest rank over the most recent samples).
+    /// 95th percentile over the window.
     pub p95: f64,
-    /// 99th percentile (nearest rank over the most recent samples).
+    /// 99th percentile over the window.
     pub p99: f64,
-    /// 99.9th percentile (nearest rank over the most recent samples).
+    /// 99.9th percentile over the window.
     pub p999: f64,
 }
 
@@ -71,18 +73,13 @@ pub struct TelemetrySnapshot {
     /// Last-value gauges (engine queue depth, worker utilization, ...).
     pub gauges: BTreeMap<String, f64>,
     /// Value distributions (DOM margins, iteration counts, ...).
-    pub histograms: BTreeMap<String, HistStats>,
+    pub histograms: BTreeMap<String, LatencyHistogram>,
     /// Wall-time distributions per span name, in seconds.
-    pub spans: BTreeMap<String, HistStats>,
+    pub spans: BTreeMap<String, LatencyHistogram>,
     /// Retained structured events.
     pub events: Vec<TelemetryEvent>,
     /// Events dropped once the retention cap was hit.
     pub dropped_events: u64,
-    /// The most recent histogram samples, ascending-sorted per name — the
-    /// basis of [`TelemetrySnapshot::percentile`] at arbitrary quantiles.
-    pub histogram_samples: BTreeMap<String, Vec<f64>>,
-    /// The most recent span samples (seconds), ascending-sorted per name.
-    pub span_samples: BTreeMap<String, Vec<f64>>,
 }
 
 impl TelemetrySnapshot {
@@ -94,42 +91,37 @@ impl TelemetrySnapshot {
 
     /// Statistics of a span series, if it was recorded.
     #[must_use]
-    pub fn span_stats(&self, name: &str) -> Option<&HistStats> {
-        self.spans.get(name)
+    pub fn span_stats(&self, name: &str) -> Option<HistStats> {
+        self.spans.get(name).map(LatencyHistogram::stats)
     }
 
     /// Statistics of a histogram, if it was recorded.
     #[must_use]
-    pub fn histogram_stats(&self, name: &str) -> Option<&HistStats> {
-        self.histograms.get(name)
+    pub fn histogram_stats(&self, name: &str) -> Option<HistStats> {
+        self.histograms.get(name).map(LatencyHistogram::stats)
     }
 
-    /// Nearest-rank percentile of a histogram (or, when no histogram has
-    /// the name, a span series) at an arbitrary quantile `q ∈ [0, 1]`,
-    /// computed over the most recent samples. Returns `NaN` for an unknown
-    /// name or an empty series; a single-sample series answers that sample
-    /// for every `q`.
+    /// [`LatencyHistogram::percentile`] of a histogram (or, when no
+    /// histogram has the name, a span series) at an arbitrary quantile
+    /// `q ∈ [0, 1]`. Returns `NaN` for an unknown name or an empty series;
+    /// a single-sample series answers that sample for every `q`.
     #[must_use]
     pub fn percentile(&self, name: &str, q: f64) -> f64 {
-        let sorted = self
-            .histogram_samples
+        self.histograms
             .get(name)
-            .or_else(|| self.span_samples.get(name));
-        let Some(sorted) = sorted else {
-            return f64::NAN;
-        };
-        if sorted.is_empty() {
-            return f64::NAN;
-        }
-        let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+            .or_else(|| self.spans.get(name))
+            .map_or(f64::NAN, |h| h.percentile(q))
     }
 
     /// Structured JSON value of the whole snapshot (stable, sorted keys).
     #[must_use]
     pub fn to_json_value(&self) -> JsonValue {
-        let stats_map = |m: &BTreeMap<String, HistStats>| {
-            JsonValue::Object(m.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+        let stats_map = |m: &BTreeMap<String, LatencyHistogram>| {
+            JsonValue::Object(
+                m.iter()
+                    .map(|(k, h)| (k.clone(), h.stats().to_json()))
+                    .collect(),
+            )
         };
         JsonValue::object([
             (
@@ -218,7 +210,8 @@ impl TelemetrySnapshot {
                 format!("p95{unit}"),
                 format!("max{unit}"),
             );
-            for (name, s) in series {
+            for (name, h) in series {
+                let s = h.stats();
                 let _ = writeln!(
                     out,
                     "  {name:<40} {:>10} {:>12.3} {:>12.3} {:>12.3} {:>12.3}",
@@ -303,10 +296,11 @@ mod tests {
             r.observe("h", f64::from(v));
         }
         let s = r.snapshot();
-        // Nearest rank over 100 ascending samples: p(q) = ceil(100q)-th.
+        // Nearest rank over 100 ascending samples: p(q) = ceil(100q)-th,
+        // read as its bucket's lower bound (exact below 64).
         assert_eq!(s.percentile("h", 0.50), 50.0);
         assert_eq!(s.percentile("h", 0.90), 90.0);
-        assert_eq!(s.percentile("h", 0.99), 99.0);
+        assert_eq!(s.percentile("h", 0.99), 98.0);
         assert_eq!(s.percentile("h", 0.999), 100.0);
         assert_eq!(s.percentile("h", 0.0), 1.0);
         assert_eq!(s.percentile("h", 1.0), 100.0);
@@ -315,7 +309,7 @@ mod tests {
         let h = s.histogram_stats("h").unwrap();
         assert_eq!(
             (h.p50, h.p90, h.p95, h.p99, h.p999),
-            (50.0, 90.0, 95.0, 99.0, 100.0)
+            (50.0, 90.0, 94.0, 98.0, 100.0)
         );
     }
 
@@ -337,7 +331,8 @@ mod tests {
         let s = TelemetrySnapshot::default();
         assert!(s.percentile("absent", 0.5).is_nan());
         let mut s = TelemetrySnapshot::default();
-        s.histogram_samples.insert("empty".to_owned(), Vec::new());
+        s.histograms
+            .insert("empty".to_owned(), LatencyHistogram::new());
         assert!(s.percentile("empty", 0.5).is_nan());
     }
 

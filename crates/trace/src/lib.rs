@@ -1,7 +1,7 @@
 //! Per-request tracing and profiling for the spinamm recall pipeline.
 //!
 //! [`spinamm_telemetry`] aggregates *across* requests (counters, gauges,
-//! coarse histograms); this crate explains *individual* requests. A
+//! log-bucketed histograms); this crate explains *individual* requests. A
 //! [`Tracer`] samples recalls deterministically (seeded hash of the
 //! request index — never the pipeline RNG, so enabling tracing cannot
 //! change a numeric result) and captures a **span tree** per sampled
@@ -10,8 +10,9 @@
 //!
 //! Completed traces feed three sinks:
 //!
-//! * a log-bucketed [`LatencyHistogram`] with p50/p90/p99/p999 accessors
-//!   — fed by **every** finished request, sampled or not;
+//! * an end-to-end latency [`LatencyHistogram`] in nanoseconds, the same
+//!   type the telemetry recorder keeps per series — fed by **every**
+//!   finished request, sampled or not;
 //! * a slow-request **exemplar** buffer (top-N by total latency, full
 //!   span tree retained);
 //! * a Chrome trace-event JSON export ([`Tracer::chrome_trace_json`],
@@ -43,12 +44,8 @@
 //! assert_eq!(traces[0].structure(), vec![(0, "drive"), (0, "settle")]);
 //! ```
 
-mod histogram;
-
-pub use histogram::LatencyHistogram;
-
 use spinamm_telemetry::json::JsonValue;
-use spinamm_telemetry::{Layer, Recorder, TraceSink};
+use spinamm_telemetry::{LatencyHistogram, Layer, Recorder, TraceSink};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -220,7 +217,6 @@ struct PhaseAgg {
 struct TracerState {
     next_id: u64,
     pending: HashMap<u64, Pending>,
-    requests: u64,
     sampled: u64,
     latency: LatencyHistogram,
     phases: BTreeMap<&'static str, PhaseAgg>,
@@ -258,7 +254,6 @@ impl Tracer {
             state: Mutex::new(TracerState {
                 next_id: 0,
                 pending: HashMap::new(),
-                requests: 0,
                 sampled: 0,
                 latency: LatencyHistogram::new(),
                 phases: BTreeMap::new(),
@@ -319,8 +314,7 @@ impl Tracer {
     pub fn finish(&self, h: ReqHandle) {
         let total = duration_ns(h.t0.elapsed());
         let mut state = self.lock();
-        state.requests += 1;
-        state.latency.record(total);
+        state.latency.record(total as f64);
         if !h.sampled {
             return;
         }
@@ -387,7 +381,7 @@ impl Tracer {
     /// Requests finished (sampled or not).
     #[must_use]
     pub fn request_count(&self) -> u64 {
-        self.lock().requests
+        self.lock().latency.count()
     }
 
     /// Sampled traces completed.
@@ -396,8 +390,9 @@ impl Tracer {
         self.lock().sampled
     }
 
-    /// Snapshot of the end-to-end latency histogram over every finished
-    /// request.
+    /// Snapshot of the end-to-end latency histogram in nanoseconds: count,
+    /// sum, min and max over every finished request, percentiles over the
+    /// last 65,536 to 131,071.
     #[must_use]
     pub fn latency(&self) -> LatencyHistogram {
         self.lock().latency.clone()
@@ -484,7 +479,7 @@ impl Tracer {
                 "otherData",
                 JsonValue::object([
                     ("dropped_traces", JsonValue::Uint(state.dropped_traces)),
-                    ("requests", JsonValue::Uint(state.requests)),
+                    ("requests", JsonValue::Uint(state.latency.count())),
                 ]),
             ),
         ])
@@ -979,7 +974,7 @@ mod tests {
         let series: Vec<(&str, u64)> = snap
             .spans
             .iter()
-            .map(|(name, stats)| (name.as_str(), stats.count))
+            .map(|(name, series)| (name.as_str(), series.count()))
             .collect();
         assert_eq!(
             series,
