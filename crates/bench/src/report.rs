@@ -146,6 +146,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "row has 1 cells for 2 columns")]
     fn short_row_panics_in_debug() {
         let mut t = Table::new("demo", &["name", "value"]);

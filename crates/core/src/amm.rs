@@ -99,6 +99,20 @@ impl Default for AmmConfig {
     }
 }
 
+/// The vector length of a non-empty bank whose patterns all share it — the
+/// check every deployment's build makes before it programs anything.
+pub(crate) fn bank_width(patterns: &[Vec<u32>]) -> Result<usize, CoreError> {
+    let first = patterns.first().ok_or(CoreError::InvalidParameter {
+        what: "at least one pattern must be stored",
+    })?;
+    if patterns.iter().any(|p| p.len() != first.len()) {
+        return Err(CoreError::InvalidParameter {
+            what: "all patterns must share one length",
+        });
+    }
+    Ok(first.len())
+}
+
 /// The RNG-free first phase of one recognition: the analog column currents
 /// out of the crossbar plus the RCM static power, before fault
 /// conditioning, digitization and winner selection.
@@ -232,18 +246,10 @@ impl AssociativeMemoryModule {
         req: &RecallRequest<'_, R>,
     ) -> Result<Self, CoreError> {
         let recorder = req.recorder();
-        let first = patterns.first().ok_or(CoreError::InvalidParameter {
-            what: "at least one pattern must be stored",
-        })?;
-        let rows = first.len();
+        let rows = bank_width(patterns)?;
         if rows == 0 {
             return Err(CoreError::InvalidParameter {
                 what: "patterns must have at least one element",
-            });
-        }
-        if patterns.iter().any(|p| p.len() != rows) {
-            return Err(CoreError::InvalidParameter {
-                what: "all patterns must share one length",
             });
         }
         let p = &config.params;
@@ -357,6 +363,10 @@ impl AssociativeMemoryModule {
     /// from the drive's input voltage against the row's total load — the
     /// numbers `CrossbarArray::driven_column_currents` computes for that
     /// column — so the gain is the same as from the full current vector.
+    /// Each pass tabulates the input voltage once per `(row, level)` and
+    /// reads every pattern's column from that table, so a probe costs one
+    /// multiply-add. `patterns` must be rectangular, `array.rows()` long,
+    /// with levels below `2^template_bits` (as `build_request` checks).
     fn calibrated_gain(
         array: &CrossbarArray,
         patterns: &[Vec<u32>],
@@ -369,26 +379,36 @@ impl AssociativeMemoryModule {
         let loads = (0..array.rows())
             .map(|i| array.row_total_conductance(i))
             .collect::<Result<Vec<_>, _>>()?;
+        let (cols, g) = (array.cols(), array.conductances());
         let mut gain = 1.0_f64;
         let calibration_passes = if config.gain_calibration { 2 } else { 0 };
         for _ in 0..calibration_passes {
             let probe =
                 DtcsDac::design(p.template_bits, Amps(dac_fs.0 * gain), p.delta_v, tech)?.nominal();
-            let mut max_self: f64 = 0.0;
-            for (j, pattern) in patterns.iter().enumerate() {
-                let mut current = 0.0;
-                for (i, (&l, &load)) in pattern.iter().zip(&loads).enumerate() {
-                    let drive = match config.fidelity {
+            let drives = (0..1u32 << p.template_bits)
+                .map(|l| {
+                    Ok(match config.fidelity {
                         Fidelity::Ideal => RowDrive::Current(probe.clamped_current(l)?),
                         Fidelity::Driven | Fidelity::Parasitic => RowDrive::SourceConductance {
                             g: probe.conductance(l)?,
                             supply: p.delta_v,
                         },
-                    };
-                    current += drive.input_voltage(load).0 * array.conductance(i, j)?.0;
-                }
-                if array.column_disconnected(j) {
-                    current = 0.0;
+                    })
+                })
+                .collect::<Result<Vec<_>, CoreError>>()?;
+            // Row `i`'s input voltage at level `l`, at `i · levels + l`.
+            let levels = drives.len();
+            let voltage: Vec<f64> = loads
+                .iter()
+                .flat_map(|&load| drives.iter().map(move |d| d.input_voltage(load).0))
+                .collect();
+            let mut max_self: f64 = 0.0;
+            for (j, pattern) in patterns.iter().enumerate() {
+                let mut current = 0.0;
+                if !array.column_disconnected(j) {
+                    for (i, &l) in pattern.iter().enumerate() {
+                        current += voltage[i * levels + l as usize] * g[i * cols + j].0;
+                    }
                 }
                 max_self = max_self.max(current);
             }
@@ -2267,6 +2287,105 @@ mod tests {
                     )
                     .unwrap();
                     let want = full_vector_gain(array, &patterns, &cfg, i_fs_col, dac_fs);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{rows}x{count} {fidelity:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gain_calibration_drive_table_repeats_the_per_probe_sum() {
+        // The previous calibration: a DAC drive and a checked cell read
+        // for every (row, pattern) probe.
+        fn per_probe_gain(
+            array: &CrossbarArray,
+            patterns: &[Vec<u32>],
+            config: &AmmConfig,
+            i_fs_col: Amps,
+            dac_fs: Amps,
+        ) -> f64 {
+            let p = &config.params;
+            let loads: Vec<_> = (0..array.rows())
+                .map(|i| array.row_total_conductance(i).unwrap())
+                .collect();
+            let mut gain = 1.0_f64;
+            for _ in 0..2 {
+                let probe = DtcsDac::design(
+                    p.template_bits,
+                    Amps(dac_fs.0 * gain),
+                    p.delta_v,
+                    &Tech45::DEFAULT,
+                )
+                .unwrap()
+                .nominal();
+                let mut max_self: f64 = 0.0;
+                for (j, pattern) in patterns.iter().enumerate() {
+                    let mut current = 0.0;
+                    for (i, (&l, &load)) in pattern.iter().zip(&loads).enumerate() {
+                        let drive = match config.fidelity {
+                            Fidelity::Ideal => RowDrive::Current(probe.clamped_current(l).unwrap()),
+                            Fidelity::Driven | Fidelity::Parasitic => RowDrive::SourceConductance {
+                                g: probe.conductance(l).unwrap(),
+                                supply: p.delta_v,
+                            },
+                        };
+                        current += drive.input_voltage(load).0 * array.conductance(i, j).unwrap().0;
+                    }
+                    if array.column_disconnected(j) {
+                        current = 0.0;
+                    }
+                    max_self = max_self.max(current);
+                }
+                if max_self > 0.0 {
+                    gain *= AssociativeMemoryModule::FULL_SCALE_HEADROOM * i_fs_col.0 / max_self;
+                }
+            }
+            gain
+        }
+
+        for (rows, count) in [(16usize, 4usize), (128, 40)] {
+            // Pattern 2 is the strongest, so opening its column moves the
+            // calibration maximum.
+            let patterns: Vec<Vec<u32>> = (0..count)
+                .map(|p| {
+                    (0..rows)
+                        .map(|i| {
+                            if p == 2 {
+                                31
+                            } else {
+                                ((i * 5 + p * 11) % 32) as u32
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let module = AssociativeMemoryModule::build(&patterns, &AmmConfig::default()).unwrap();
+            let i_fs_col = module.wta.adcs()[0].nominal_full_scale();
+            let dac_fs = Amps(i_fs_col.0 * count as f64 / rows as f64);
+            // An open column unloads its rows and reads zero.
+            let mut opened = module.array.clone();
+            let map = FaultMap::pristine(rows, count, 0)
+                .unwrap()
+                .with_col_defect(2, LineDefect::Open)
+                .unwrap();
+            opened.set_fault_map(map).unwrap();
+            assert!(opened.column_disconnected(2));
+            for array in [&module.array, &opened] {
+                for fidelity in [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic] {
+                    let cfg = AmmConfig {
+                        fidelity,
+                        ..AmmConfig::default()
+                    };
+                    let got = AssociativeMemoryModule::calibrated_gain(
+                        array,
+                        &patterns,
+                        &cfg,
+                        i_fs_col,
+                        dac_fs,
+                        &Tech45::DEFAULT,
+                    )
+                    .unwrap();
+                    let want = per_probe_gain(array, &patterns, &cfg, i_fs_col, dac_fs);
                     assert_eq!(got.to_bits(), want.to_bits(), "{rows}x{count} {fidelity:?}");
                 }
             }

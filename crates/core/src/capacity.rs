@@ -51,7 +51,7 @@
 //! (conductances, row loads and the RNG schedule are untouched). Both drop
 //! the tile's kernel tables, which the tile's next recall rebuilds.
 
-use crate::amm::{AmmConfig, AssociativeMemoryModule, QueryEvaluation, RecallResult};
+use crate::amm::{bank_width, AmmConfig, AssociativeMemoryModule, QueryEvaluation, RecallResult};
 use crate::energy::EnergyBreakdown;
 use crate::request::RecallRequest;
 use crate::CoreError;
@@ -207,38 +207,68 @@ impl TiledAmm {
     /// is padded with additional spares so all tiles share one geometry.
     /// The default ranking depth is `k = 1`; see [`TiledAmm::with_top_k`].
     ///
+    /// Tiles build on scoped threads, as many as the request's worker
+    /// count ([`RecallRequest::with_workers`], else the machine's available
+    /// parallelism) capped at the tile count, each programming a contiguous
+    /// range of tiles. A tile depends only on its chunk, its derived seed
+    /// and the config, so the pool is bit-identical at every worker count;
+    /// a pool of one tile, or a request for one worker, builds inline.
+    ///
     /// Emits `capacity.tiles` (tiles built) on the request's recorder.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] for an empty pattern set or
-    /// a zero tile capacity; propagates module build errors (ragged
-    /// patterns, out-of-range levels, device failures).
-    pub fn build_request<R: Recorder>(
+    /// Returns [`CoreError::InvalidParameter`] for an empty or ragged
+    /// pattern set or a zero tile capacity, before any tile is built;
+    /// propagates module build errors (out-of-range levels, device
+    /// failures), the lowest-index tile's first, as a sequential build
+    /// would.
+    pub fn build_request<R: Recorder + Sync>(
         patterns: &[Vec<u32>],
         tile_capacity: usize,
         config: &AmmConfig,
         req: &RecallRequest<'_, R>,
     ) -> Result<Self, CoreError> {
-        if patterns.is_empty() {
-            return Err(CoreError::InvalidParameter {
-                what: "at least one pattern must be stored",
-            });
-        }
+        let vector_len = bank_width(patterns)?;
         if tile_capacity == 0 {
             return Err(CoreError::InvalidParameter {
                 what: "tile capacity must be at least one template",
             });
         }
-        let vector_len = patterns[0].len();
         let tile_columns = tile_capacity + config.spare_columns;
-        let mut tiles = Vec::with_capacity(patterns.len().div_ceil(tile_capacity));
-        for (index, chunk) in patterns.chunks(tile_capacity).enumerate() {
-            let mut cfg = *config;
-            cfg.seed = tile_seed(config.seed, index);
-            cfg.spare_columns = tile_columns - chunk.len();
-            tiles.push(AssociativeMemoryModule::build_request(chunk, &cfg, req)?);
-        }
+        let chunks: Vec<&[Vec<u32>]> = patterns.chunks(tile_capacity).collect();
+        // Builds the tiles of `group`, the first of which is tile `first`.
+        let build_tiles = |first: usize, group: &[&[Vec<u32>]]| {
+            group
+                .iter()
+                .enumerate()
+                .map(|(k, chunk)| {
+                    let mut cfg = *config;
+                    cfg.seed = tile_seed(config.seed, first + k);
+                    cfg.spare_columns = tile_columns - chunk.len();
+                    AssociativeMemoryModule::build_request(chunk, &cfg, req)
+                })
+                .collect::<Result<Vec<_>, CoreError>>()
+        };
+        let workers = req.batch_workers().min(chunks.len());
+        let tiles = if workers <= 1 {
+            build_tiles(0, &chunks)?
+        } else {
+            let per_worker = chunks.len().div_ceil(workers);
+            let groups = std::thread::scope(|s| {
+                let handles: Vec<_> = chunks
+                    .chunks(per_worker)
+                    .enumerate()
+                    .map(|(w, group)| s.spawn(move || build_tiles(w * per_worker, group)))
+                    .collect();
+                // In tile order, so the first error is the lowest tile's.
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("tile build worker panicked"))
+                    .collect::<Result<Vec<_>, CoreError>>()
+            })?;
+            groups.into_iter().flatten().collect()
+        };
         req.recorder().counter("capacity.tiles", tiles.len() as u64);
         Ok(Self {
             open: tiles.iter().map(has_free_column).collect(),
@@ -635,6 +665,7 @@ fn has_free_column(tile: &AssociativeMemoryModule) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amm::Fidelity;
     use crate::wta::argmax_lowest_index;
     use spinamm_data::workload::{PatternWorkload, WorkloadConfig};
     use spinamm_telemetry::MemoryRecorder;
@@ -666,6 +697,110 @@ mod tests {
         assert_eq!(pool.live_template_count(), 6);
         assert_eq!(pool.compiled_tiles(), 2);
         assert!(pool.clone().with_top_k(0).is_err());
+    }
+
+    #[test]
+    fn ragged_patterns_are_rejected_before_any_tile_builds() {
+        // Each chunk is rectangular on its own, so tile-by-tile checks
+        // would build a pool no 4-long query could ever read.
+        let patterns = vec![vec![31; 8], vec![0; 8], vec![31; 4], vec![0; 4]];
+        let recorder = MemoryRecorder::default();
+        let req = RecallRequest::recorded(&recorder);
+        let built = TiledAmm::build_request(&patterns, 2, &AmmConfig::default(), &req);
+        assert!(matches!(built, Err(CoreError::InvalidParameter { .. })));
+        assert_eq!(recorder.snapshot().counter("memristor.write_pulses"), 0);
+    }
+
+    /// Eight queries on six tiles (the last a partial chunk) of two
+    /// templates plus a spare.
+    fn six_tile_bank() -> (PatternWorkload, AmmConfig) {
+        let cfg = AmmConfig {
+            spare_columns: 1,
+            ..AmmConfig::default()
+        };
+        (workload(11, 8), cfg)
+    }
+
+    #[test]
+    fn pools_are_bit_identical_at_every_worker_count() {
+        let (w, base) = six_tile_bank();
+        let (patterns, queries) = (&w.patterns, &w.queries);
+        for fidelity in [Fidelity::Driven, Fidelity::Parasitic] {
+            let cfg = AmmConfig { fidelity, ..base };
+            let build = |workers: Option<usize>| {
+                let recorder = MemoryRecorder::default();
+                let req = RecallRequest::recorded(&recorder);
+                let req = workers.map_or(req, |w| req.with_workers(w));
+                let pool = TiledAmm::build_request(patterns, 2, &cfg, &req)
+                    .unwrap()
+                    .with_top_k(3)
+                    .unwrap();
+                (pool, recorder.snapshot())
+            };
+            let (mut want, want_telemetry) = build(Some(1));
+            assert_eq!(want.tile_count(), 6);
+            let tables = |pool: &TiledAmm| -> Vec<Vec<u64>> {
+                pool.tiles
+                    .iter()
+                    .map(|t| {
+                        t.array()
+                            .conductances()
+                            .iter()
+                            .map(|g| g.0.to_bits())
+                            .collect()
+                    })
+                    .collect()
+            };
+            let counts = |snapshot: &spinamm_telemetry::TelemetrySnapshot| {
+                (
+                    snapshot.counter("memristor.write_pulses"),
+                    snapshot.counter("memristor.verify_checks"),
+                    snapshot.counter("capacity.tiles"),
+                    snapshot.span_stats("build.program").map(|s| s.count),
+                )
+            };
+            let want_recalls: Vec<TiledRecall> = queries
+                .iter()
+                .map(|(_, q)| want.recall(q).unwrap())
+                .collect();
+            for workers in [Some(2), Some(3), None] {
+                let (mut pool, telemetry) = build(workers);
+                assert_eq!(tables(&pool), tables(&want), "{fidelity:?} {workers:?}");
+                assert_eq!(pool.handles(), want.handles());
+                assert_eq!(counts(&telemetry), counts(&want_telemetry));
+                assert_eq!(counts(&telemetry).3, Some(6));
+                for ((_, q), want) in queries.iter().zip(&want_recalls) {
+                    let got = pool.recall(q).unwrap();
+                    assert_eq!(got.scores, want.scores, "{fidelity:?} {workers:?}");
+                    assert_eq!(got.matches, want.matches);
+                    assert_eq!(
+                        got.energy.total().0.to_bits(),
+                        want.energy.total().0.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_middle_tile_fails_as_the_sequential_build_does() {
+        let (w, cfg) = six_tile_bank();
+        let mut patterns = w.patterns;
+        // Pattern 5 is tile 2's second template.
+        patterns[5][3] = 32;
+        let build = |req: &RecallRequest<'_>| TiledAmm::build_request(&patterns, 2, &cfg, req);
+        let sequential = build(&RecallRequest::DEFAULT.with_workers(1)).unwrap_err();
+        assert_eq!(
+            sequential,
+            CoreError::InvalidParameter {
+                what: "pattern level exceeds template bit width"
+            }
+        );
+        for workers in [2, 3, 8] {
+            let got = build(&RecallRequest::DEFAULT.with_workers(workers)).unwrap_err();
+            assert_eq!(got, sequential, "{workers} workers");
+        }
+        assert_eq!(build(&RecallRequest::DEFAULT).unwrap_err(), sequential);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! that cluster — turning one `N`-column evaluation into one
 //! `k`-column plus one `N/k`-column evaluation.
 
-use crate::amm::{AmmConfig, AssociativeMemoryModule, QueryEvaluation, RecallResult};
+use crate::amm::{bank_width, AmmConfig, AssociativeMemoryModule, QueryEvaluation, RecallResult};
 use crate::energy::EnergyBreakdown;
 use crate::request::RecallRequest;
 use crate::CoreError;
@@ -136,20 +136,16 @@ impl HierarchicalAmm {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for fewer than two clusters,
-    /// more clusters than patterns, or empty inputs; propagates module
-    /// build errors. Empty clusters (possible in degenerate k-means runs)
-    /// are dropped.
+    /// more clusters than patterns, or empty or ragged inputs; propagates
+    /// module build errors. Empty clusters (possible in degenerate k-means
+    /// runs) are dropped.
     #[allow(clippy::needless_range_loop)] // `c` indexes assignments and centroids together
     pub fn build(
         patterns: &[Vec<u32>],
         cluster_count: usize,
         config: &AmmConfig,
     ) -> Result<Self, CoreError> {
-        if patterns.is_empty() {
-            return Err(CoreError::InvalidParameter {
-                what: "at least one pattern must be stored",
-            });
-        }
+        bank_width(patterns)?;
         if cluster_count < 2 || cluster_count > patterns.len() {
             return Err(CoreError::InvalidParameter {
                 what: "cluster count must be in 2..=pattern_count",
@@ -412,6 +408,15 @@ mod tests {
         let h = HierarchicalAmm::build(&patterns, 2, &cfg).unwrap();
         assert_eq!(h.cluster_count(), 2);
         assert_eq!(h.pattern_count(), 8);
+        // k-means would index past a short pattern, or cut a long one.
+        for odd in [vec![31; 4], vec![31; 20]] {
+            let mut ragged = patterns.clone();
+            ragged.push(odd);
+            assert!(matches!(
+                HierarchicalAmm::build(&ragged, 2, &cfg),
+                Err(CoreError::InvalidParameter { .. })
+            ));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! single crossbar's bars — keeping wire parasitics and `G_TS` loading at
 //! the small-module operating point the paper characterizes.
 
-use crate::amm::{AmmConfig, AssociativeMemoryModule, QueryEvaluation, RecallResult};
+use crate::amm::{bank_width, AmmConfig, AssociativeMemoryModule, QueryEvaluation, RecallResult};
 use crate::energy::EnergyBreakdown;
 use crate::request::RecallRequest;
 use crate::CoreError;
@@ -73,18 +73,15 @@ impl PartitionedAmm {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] for an empty pattern set, a
-    /// zero segment count, or more segments than rows; propagates module
-    /// build errors.
+    /// Returns [`CoreError::InvalidParameter`] for an empty or ragged
+    /// pattern set, a zero segment count, or more segments than rows;
+    /// propagates module build errors.
     pub fn build(
         patterns: &[Vec<u32>],
         segment_count: usize,
         config: &AmmConfig,
     ) -> Result<Self, CoreError> {
-        let first = patterns.first().ok_or(CoreError::InvalidParameter {
-            what: "at least one pattern must be stored",
-        })?;
-        let rows = first.len();
+        let rows = bank_width(patterns)?;
         if segment_count == 0 || segment_count > rows {
             return Err(CoreError::InvalidParameter {
                 what: "segment count must be in 1..=vector_len",
@@ -309,6 +306,16 @@ mod tests {
         assert_eq!(p.segment_count(), 3);
         assert_eq!(p.pattern_count(), 8);
         assert_eq!(p.vector_len(), 48);
+        // A pattern shorter than the first would overrun its segment's
+        // slice, and a longer one would be cut to the first's length.
+        for odd in [vec![31; 4], vec![31; 60]] {
+            let mut ragged = w.patterns.clone();
+            ragged.push(odd);
+            assert!(matches!(
+                PartitionedAmm::build(&ragged, 3, &cfg),
+                Err(CoreError::InvalidParameter { .. })
+            ));
+        }
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Every module entry point is a single `*_request` method taking a
 //! [`RecallRequest`], which bundles the telemetry sink with execution
-//! options (worker-count override for batched phases, trace binding). The
-//! plain names (`build`, `recall`, `recall_batch`, `inject_faults`) stay
-//! as conveniences forwarding [`RecallRequest::DEFAULT`]; the historical
-//! `*_with` recorder shims were removed once every caller migrated.
+//! options (worker-count override for batched phases and pool builds,
+//! trace binding). The plain names (`build`, `recall`, `recall_batch`,
+//! `inject_faults`) stay as conveniences forwarding
+//! [`RecallRequest::DEFAULT`]; the historical `*_with` recorder shims were
+//! removed once every caller migrated.
 //!
 //! ```
 //! use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule};
@@ -65,9 +66,11 @@ impl<'r, R: Recorder> RecallRequest<'r, R> {
     }
 
     /// Overrides the worker-thread count used by the parallel (RNG-free)
-    /// phase of batched operations. Zero is treated as one. When unset, the
-    /// machine's available parallelism decides. Results are worker-count
-    /// independent.
+    /// phase of batched operations, and the number of threads a tiled
+    /// pool's tiles build on ([`crate::capacity::TiledAmm::build_request`]).
+    /// Zero is treated as one. When unset, the machine's available
+    /// parallelism decides. Results are worker-count independent; single
+    /// recalls always run on the calling thread.
     #[must_use]
     pub const fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
@@ -86,8 +89,9 @@ impl<'r, R: Recorder> RecallRequest<'r, R> {
         self.workers
     }
 
-    /// Worker threads for the parallel phase of a batch: the override
-    /// (at least one), else the machine's available parallelism.
+    /// Worker threads for the parallel phase of a batch or a pool build:
+    /// the override (at least one), else the machine's available
+    /// parallelism. Callers cap it at their number of work items.
     pub(crate) fn batch_workers(&self) -> usize {
         self.workers.map_or_else(
             || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),

@@ -248,6 +248,47 @@ fn tenants_register_and_evict_over_http() {
 }
 
 #[test]
+fn ragged_banks_get_bad_spec_and_the_server_serves_on() {
+    let (server, _service) = start_server();
+    let addr = server.addr();
+    // Partitioned and hierarchical banks whose third pattern is short of
+    // the first's 8 levels, and a tiled bank whose second tile would hold
+    // 4-long ones.
+    for spec in [
+        r#"{"tenant":"ragged","kind":"partitioned","segments":2,
+            "patterns":[[0,31,0,31,0,31,0,31],[31,0,31,0,31,0,31,0],[15,15,15,15]]}"#,
+        r#"{"tenant":"ragged","kind":"hierarchical","clusters":2,
+            "patterns":[[0,31,0,31,0,31,0,31],[31,0,31,0,31,0,31,0],[15,15,15,15]]}"#,
+        r#"{"tenant":"ragged","kind":"tiled","tile_capacity":2,
+            "patterns":[[0,31,0,31,0,31,0,31],[31,0,31,0,31,0,31,0],[15,15,15,15],[0,0,0,0]]}"#,
+    ] {
+        let (status, body) = http(addr, "POST", "/v1/tenants", spec);
+        assert_eq!(status, 400, "{body}");
+        let doc = json::parse(&body).expect("error body");
+        assert_eq!(
+            doc.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(JsonValue::as_str),
+            Some("bad_spec")
+        );
+        // No tenant was registered, and the next request is served.
+        let query = ApiRecallRequest {
+            tenant: "ragged".to_owned(),
+            input: vec![0, 31, 0, 31, 0, 31, 0, 31],
+        };
+        let (status, _) = http(addr, "POST", "/v1/recall", &query.to_json());
+        assert_eq!(status, 404);
+        let query = ApiRecallRequest {
+            tenant: "bulk".to_owned(),
+            input: vec![0, 31, 0, 31],
+        };
+        let (status, body) = http(addr, "POST", "/v1/recall", &query.to_json());
+        assert_eq!(status, 200, "{body}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn unknown_routes_and_malformed_bodies_are_typed_errors() {
     let (server, _service) = start_server();
     let addr = server.addr();
