@@ -27,7 +27,6 @@ use spinamm_crossbar::{CachedParasiticCrossbar, CrossbarArray, PatternRetryRepor
 use spinamm_faults::{FaultMap, LineDefect, StuckKind};
 use spinamm_memristor::{LevelMap, RetryPolicy, WriteScheme};
 use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
-use spinamm_trace::Probe;
 use std::sync::{Arc, OnceLock};
 
 /// How faithfully the crossbar is evaluated.
@@ -592,21 +591,19 @@ impl AssociativeMemoryModule {
         kernel: &Kernel,
         inputs: &[&[u32]],
         workers_hint: usize,
-        probe: &Probe<'_, R>,
+        recorder: &R,
     ) -> Result<Vec<QueryEvaluation>, CoreError> {
         let Some((first, rest)) = inputs.split_first() else {
             return Ok(Vec::new());
         };
         let array = &self.array;
-        // Only the first query carries restamp/solve sub-spans.
         let mut out = Vec::with_capacity(inputs.len());
-        out.push(kernel.evaluate(&mut self.parasitic, array, first, probe)?);
-        let mut workers = 1;
-        if kernel.solves() {
-            workers = workers_hint.min(rest.len());
-            probe.trace_attr("workers", workers as f64);
-        }
-        let recorder = &probe.without_trace();
+        out.push(kernel.evaluate(&mut self.parasitic, array, first, recorder)?);
+        let workers = if kernel.solves() {
+            workers_hint.min(rest.len())
+        } else {
+            1
+        };
         if workers <= 1 {
             for q in rest {
                 out.push(kernel.evaluate(&mut self.parasitic, array, q, recorder)?);
@@ -670,9 +667,9 @@ impl AssociativeMemoryModule {
         levels: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<RecallResult, CoreError> {
-        let probe = req.begin(Layer::RECALL);
-        let eval = self.evaluate_query_inner(levels, &probe)?;
-        self.select_winner_inner(eval, &probe)
+        let _total = req.recorder().span(Layer::RECALL);
+        let eval = self.evaluate_query_request(levels, req)?;
+        self.select_winner_request(eval, req)
     }
 
     /// Runs the RNG-free first phase of one recognition: input validation
@@ -692,17 +689,7 @@ impl AssociativeMemoryModule {
         levels: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<QueryEvaluation, CoreError> {
-        self.evaluate_query_inner(levels, &req.probe())
-    }
-
-    /// [`AssociativeMemoryModule::evaluate_query_request`] reporting to
-    /// `recorder` directly, so a composite recall's probe carries the
-    /// module's spans.
-    pub(crate) fn evaluate_query_inner<T: Recorder>(
-        &mut self,
-        levels: &[u32],
-        recorder: &T,
-    ) -> Result<QueryEvaluation, CoreError> {
+        let recorder = req.recorder();
         let kernel = {
             let _drive = recorder.span(Layer::DRIVE);
             let kernel = self.kernel(recorder)?;
@@ -728,16 +715,7 @@ impl AssociativeMemoryModule {
         eval: QueryEvaluation,
         req: &RecallRequest<'_, R>,
     ) -> Result<RecallResult, CoreError> {
-        self.select_winner_inner(eval, &req.probe())
-    }
-
-    /// [`AssociativeMemoryModule::select_winner_request`] reporting to
-    /// `recorder` directly.
-    pub(crate) fn select_winner_inner<T: Recorder>(
-        &mut self,
-        eval: QueryEvaluation,
-        recorder: &T,
-    ) -> Result<RecallResult, CoreError> {
+        let recorder = req.recorder();
         self.kernel(recorder)?
             .select(&self.wta, &mut self.rng, eval, recorder)
     }
@@ -860,30 +838,23 @@ impl AssociativeMemoryModule {
         inputs: &[S],
         req: &RecallRequest<'_, R>,
     ) -> Result<Vec<RecallResult>, CoreError> {
-        // One trace covers the whole batch: phase-level spans plus
-        // restamp/solve detail for the master query, so the span count is
-        // bounded no matter how many queries ride along.
-        let probe = req.begin(Layer::RECALL_BATCH);
-        probe.trace_attr("queries", inputs.len() as f64);
+        let recorder = req.recorder();
+        let _batch = recorder.span(Layer::RECALL_BATCH);
         let inputs: Vec<&[u32]> = inputs.iter().map(AsRef::as_ref).collect();
         // Validate every input before any query runs.
         let kernel = {
-            let _drive = probe.span(Layer::DRIVE);
-            let kernel = self.kernel(&probe)?;
+            let _drive = recorder.span(Layer::DRIVE);
+            let kernel = self.kernel(recorder)?;
             for levels in &inputs {
                 kernel.check(levels)?;
             }
             kernel
         };
         let evaluated = {
-            let _settle = probe.span(Layer::SETTLE);
-            self.evaluate_batch(&kernel, &inputs, req.batch_workers(), &probe)?
+            let _settle = recorder.span(Layer::SETTLE);
+            self.evaluate_batch(&kernel, &inputs, req.batch_workers(), recorder)?
         };
-        // Sequential select, consuming the RNG in query order. Per-query
-        // convert/select spans stay out of the trace for the same
-        // bounded-size reason; one "select" span covers the whole loop.
-        let _select = probe.span(Layer::BATCH_SELECT);
-        let recorder = &probe.without_trace();
+        // Sequential select, consuming the RNG in query order.
         evaluated
             .into_iter()
             .map(|eval| kernel.select(&self.wta, &mut self.rng, eval, recorder))

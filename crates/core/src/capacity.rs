@@ -400,10 +400,10 @@ impl TiledAmm {
         self.recall_request(input, &RecallRequest::DEFAULT)
     }
 
-    /// [`TiledAmm::recall`] with options: one traced `recall` request
-    /// (one `recall.total` sample) running phase 1 on every tile, then the
-    /// in-order select phase and the top-k merge. Each tile is a module
-    /// that selects, so `recall.count` rises once per tile.
+    /// [`TiledAmm::recall`] with options: one `recall.total` sample
+    /// around phase 1 on every tile, then the in-order select phase and
+    /// the top-k merge. Each tile is a module that selects, so
+    /// `recall.count` rises once per tile.
     ///
     /// # Errors
     ///
@@ -415,9 +415,9 @@ impl TiledAmm {
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<TiledRecall, CoreError> {
-        let probe = req.begin(Layer::RECALL);
-        let evals = self.evaluate_tiles(input, &probe)?;
-        self.select_tiles(evals, &probe)
+        let _total = req.recorder().span(Layer::RECALL);
+        let evals = self.evaluate_query_request(input, req)?;
+        self.select_winner_request(evals, req)
     }
 
     /// Runs the RNG-free first phase on every tile. Safe on a clone of
@@ -434,15 +434,6 @@ impl TiledAmm {
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<Vec<QueryEvaluation>, CoreError> {
-        self.evaluate_tiles(input, &req.probe())
-    }
-
-    /// The evaluate phase, every tile reporting to `probe`.
-    fn evaluate_tiles<T: Recorder>(
-        &mut self,
-        input: &[u32],
-        probe: &T,
-    ) -> Result<Vec<QueryEvaluation>, CoreError> {
         if input.len() != self.vector_len {
             return Err(CoreError::InputLengthMismatch {
                 expected: self.vector_len,
@@ -451,7 +442,7 @@ impl TiledAmm {
         }
         self.tiles
             .iter_mut()
-            .map(|tile| tile.evaluate_query_inner(input, probe))
+            .map(|tile| tile.evaluate_query_request(input, req))
             .collect()
     }
 
@@ -468,15 +459,6 @@ impl TiledAmm {
         evals: Vec<QueryEvaluation>,
         req: &RecallRequest<'_, R>,
     ) -> Result<TiledRecall, CoreError> {
-        self.select_tiles(evals, &req.probe())
-    }
-
-    /// The select phase, every tile reporting to `probe`.
-    fn select_tiles<T: Recorder>(
-        &mut self,
-        evals: Vec<QueryEvaluation>,
-        probe: &T,
-    ) -> Result<TiledRecall, CoreError> {
         if evals.len() != self.tiles.len() {
             return Err(CoreError::InvalidParameter {
                 what: "one evaluation per tile is required",
@@ -484,7 +466,7 @@ impl TiledAmm {
         }
         let mut results: Vec<RecallResult> = Vec::with_capacity(self.tiles.len());
         for (tile, eval) in self.tiles.iter_mut().zip(evals) {
-            results.push(tile.select_winner_inner(eval, probe)?);
+            results.push(tile.select_winner_request(eval, req)?);
         }
         Ok(self.combine(&results))
     }

@@ -204,10 +204,10 @@ impl HierarchicalAmm {
         self.recall_request(input, &RecallRequest::DEFAULT)
     }
 
-    /// [`HierarchicalAmm::recall`] with options: one traced `recall`
-    /// request running [`HierarchicalAmm::evaluate_top_request`] and then
-    /// [`HierarchicalAmm::select_winner_request`], so its spans are the
-    /// engine's for this kind.
+    /// [`HierarchicalAmm::recall`] with options: one `recall.total` sample
+    /// around [`HierarchicalAmm::evaluate_top_request`] and then
+    /// [`HierarchicalAmm::select_winner_request`], so its stage series are
+    /// the engine's for this kind.
     ///
     /// # Errors
     ///
@@ -217,9 +217,9 @@ impl HierarchicalAmm {
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<HierarchicalRecall, CoreError> {
-        let probe = req.begin(Layer::RECALL);
-        let top = self.top.evaluate_query_inner(input, &probe)?;
-        self.select_winner_inner(top, input, &probe)
+        let _total = req.recorder().span(Layer::RECALL);
+        let top = self.evaluate_top_request(input, req)?;
+        self.select_winner_request(top, input, req)
     }
 
     /// Engine-facing RNG-free phase of stage A: evaluates the top
@@ -238,12 +238,10 @@ impl HierarchicalAmm {
 
     /// Engine-facing RNG-consuming phase: selects the cluster from the top
     /// module's evaluation, then evaluates `input` on that cluster's
-    /// member module — only the chosen cluster runs (paper §5) — under an
-    /// `evaluate.member` span, and selects the member under a
-    /// `select.member` span (both with a `cluster` attribute). Feeding
-    /// evaluations of [`HierarchicalAmm::evaluate_top_request`] back in
-    /// submission order reproduces [`HierarchicalAmm::recall`] bit for
-    /// bit.
+    /// member module — only the chosen cluster runs (paper §5) — and
+    /// selects the member. Feeding evaluations of
+    /// [`HierarchicalAmm::evaluate_top_request`] back in submission order
+    /// reproduces [`HierarchicalAmm::recall`] bit for bit.
     ///
     /// # Errors
     ///
@@ -255,26 +253,11 @@ impl HierarchicalAmm {
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<HierarchicalRecall, CoreError> {
-        self.select_winner_inner(top, input, &req.probe())
-    }
-
-    fn select_winner_inner<T: Recorder>(
-        &mut self,
-        top: QueryEvaluation,
-        input: &[u32],
-        recorder: &T,
-    ) -> Result<HierarchicalRecall, CoreError> {
-        let top = self.top.select_winner_inner(top, recorder)?;
+        let top = self.top.select_winner_request(top, req)?;
         let cluster = top.raw_winner;
         let c = self.cluster_mut(cluster)?;
-        let member = {
-            let span = recorder.span(Layer::MEMBER_EVALUATE);
-            span.attr("cluster", cluster as f64);
-            c.module.evaluate_query_inner(input, recorder)?
-        };
-        let span = recorder.span(Layer::MEMBER_SELECT);
-        span.attr("cluster", cluster as f64);
-        let member = c.module.select_winner_inner(member, recorder)?;
+        let member = c.module.evaluate_query_request(input, req)?;
+        let member = c.module.select_winner_request(member, req)?;
         Ok(c.result(cluster, &member, &top))
     }
 

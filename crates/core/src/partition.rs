@@ -142,11 +142,10 @@ impl PartitionedAmm {
         self.recall_request(input, &RecallRequest::DEFAULT)
     }
 
-    /// [`PartitionedAmm::recall`] with options. The recall is one traced
-    /// `recall` request: the segment modules run with tracing stripped and
-    /// contribute one `shard.settle` and one `shard.select` span apiece,
-    /// exactly as [`PartitionedAmm::evaluate_query_request`] and
-    /// [`PartitionedAmm::select_winner_request`] do inside an engine job.
+    /// [`PartitionedAmm::recall`] with options: one `recall.total` sample
+    /// around [`PartitionedAmm::evaluate_query_request`] and
+    /// [`PartitionedAmm::select_winner_request`], the two halves an engine
+    /// job runs.
     ///
     /// # Errors
     ///
@@ -156,9 +155,9 @@ impl PartitionedAmm {
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<PartitionedRecall, CoreError> {
-        let probe = req.begin(Layer::RECALL);
-        let evals = self.evaluate_shards(input, req, &probe)?;
-        self.select_shards(evals, req, &probe)
+        let _total = req.recorder().span(Layer::RECALL);
+        let evals = self.evaluate_query_request(input, req)?;
+        self.select_winner_request(evals, req)
     }
 
     /// Engine-facing RNG-free phase: evaluates every segment's crossbar
@@ -175,14 +174,26 @@ impl PartitionedAmm {
         input: &[u32],
         req: &RecallRequest<'_, R>,
     ) -> Result<Vec<QueryEvaluation>, CoreError> {
-        self.evaluate_shards(input, req, &req.probe())
+        if input.len() != self.vector_len {
+            return Err(CoreError::InputLengthMismatch {
+                expected: self.vector_len,
+                found: input.len(),
+            });
+        }
+        self.segments
+            .iter_mut()
+            .map(|seg| {
+                seg.module
+                    .evaluate_query_request(&input[seg.start..seg.end], req)
+            })
+            .collect()
     }
 
     /// Engine-facing RNG-consuming phase: selects per-segment winners from
-    /// the evaluations of [`PartitionedAmm::evaluate_query_request`] and
-    /// sums the segment codes into the global score. Feeding evaluations
-    /// back in submission order reproduces [`PartitionedAmm::recall`] bit
-    /// for bit.
+    /// the evaluations of [`PartitionedAmm::evaluate_query_request`] in
+    /// segment order and sums the segment codes into the global score
+    /// (the adder tree). Feeding evaluations back in submission order
+    /// reproduces [`PartitionedAmm::recall`] bit for bit.
     ///
     /// # Errors
     ///
@@ -193,62 +204,16 @@ impl PartitionedAmm {
         evals: Vec<QueryEvaluation>,
         req: &RecallRequest<'_, R>,
     ) -> Result<PartitionedRecall, CoreError> {
-        self.select_shards(evals, req, &req.probe())
-    }
-
-    /// The evaluate phase. Segment modules run untraced and each
-    /// contributes one `shard.settle` span on `probe` instead of generic
-    /// drive/settle spans per shard.
-    fn evaluate_shards<R: Recorder, T: Recorder>(
-        &mut self,
-        input: &[u32],
-        req: &RecallRequest<'_, R>,
-        probe: &T,
-    ) -> Result<Vec<QueryEvaluation>, CoreError> {
-        if input.len() != self.vector_len {
-            return Err(CoreError::InputLengthMismatch {
-                expected: self.vector_len,
-                found: input.len(),
-            });
-        }
-        let inner = req.untraced();
-        self.segments
-            .iter_mut()
-            .enumerate()
-            .map(|(k, seg)| {
-                let shard = probe.span(Layer::SHARD_SETTLE);
-                shard.attr("shard", k as f64);
-                shard.attr("rows", (seg.end - seg.start) as f64);
-                seg.module
-                    .evaluate_query_request(&input[seg.start..seg.end], &inner)
-            })
-            .collect()
-    }
-
-    /// The select phase: segments select in segment order, each under one
-    /// `shard.select` span on `probe`, then the adder tree combines them.
-    fn select_shards<R: Recorder, T: Recorder>(
-        &mut self,
-        evals: Vec<QueryEvaluation>,
-        req: &RecallRequest<'_, R>,
-        probe: &T,
-    ) -> Result<PartitionedRecall, CoreError> {
         if evals.len() != self.segments.len() {
             return Err(CoreError::InvalidParameter {
                 what: "one evaluation per segment is required",
             });
         }
-        let inner = req.untraced();
         let results: Vec<RecallResult> = self
             .segments
             .iter_mut()
             .zip(evals)
-            .enumerate()
-            .map(|(k, (seg, eval))| {
-                let shard = probe.span(Layer::SHARD_SELECT);
-                shard.attr("shard", k as f64);
-                seg.module.select_winner_request(eval, &inner)
-            })
+            .map(|(seg, eval)| seg.module.select_winner_request(eval, req))
             .collect::<Result<_, _>>()?;
         Ok(self.combine(&results))
     }

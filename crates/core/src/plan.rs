@@ -117,9 +117,6 @@ pub(crate) struct Kernel {
     gated: Vec<bool>,
     /// Input-referred latch offsets, when a fault map is installed.
     latch_offset: Option<Vec<f64>>,
-    /// Trace annotations: masked columns, spare-remapped templates.
-    masked_columns: usize,
-    remapped_columns: usize,
 
     // --- convert --------------------------------------------------------
     bits: u32,
@@ -220,12 +217,6 @@ impl Kernel {
                 .map(|j| owner[j].is_none() || module.masked[j])
                 .collect(),
             latch_offset: fault_map.map(|m| (0..cols).map(|j| m.latch_offset(j)).collect()),
-            masked_columns: module.masked.iter().filter(|&&m| m).count(),
-            remapped_columns: owner
-                .iter()
-                .enumerate()
-                .filter(|&(j, o)| o.is_some_and(|t| t != j))
-                .count(),
             bits,
             i_dac,
             ceiling,
@@ -352,12 +343,6 @@ impl Kernel {
                 }
             }
         }
-        if self.masked_columns > 0 {
-            recorder.trace_attr("masked_columns", self.masked_columns as f64);
-        }
-        if self.remapped_columns > 0 {
-            recorder.trace_attr("remapped_columns", self.remapped_columns as f64);
-        }
 
         // Convert: per column, clamp → SAR cycle → neuron write → latch
         // sense → DAC energy, as `SpinSarAdc::convert_with` does, with the
@@ -434,7 +419,6 @@ impl Kernel {
             energy.latch_sense += latch_energy;
             energy.dac_static += dac_energy;
         }
-        convert.attr("columns", self.cols as f64);
         drop(convert);
 
         // Select: the lowest-index argmax and result assembly. The winner

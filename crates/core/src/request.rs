@@ -1,12 +1,15 @@
 //! The unified recall-request options struct.
 //!
 //! Every module entry point is a single `*_request` method taking a
-//! [`RecallRequest`], which bundles the telemetry sink with execution
-//! options (worker-count override for batched phases and pool builds,
-//! trace binding). The plain names (`build`, `recall`, `recall_batch`,
-//! `inject_faults`) stay as conveniences forwarding
-//! [`RecallRequest::DEFAULT`]; the historical `*_with` recorder shims were
-//! removed once every caller migrated.
+//! [`RecallRequest`], which bundles the telemetry sink with one execution
+//! option, the worker-count override for batched phases and pool builds.
+//! The plain names (`build`, `recall`, `recall_batch`, `inject_faults`)
+//! stay as conveniences forwarding [`RecallRequest::DEFAULT`].
+//!
+//! A top-level operation times its own series with
+//! `req.recorder().span(Layer::…)` (for a recall, `recall.total`) and hands
+//! the request down; its evaluate and select halves time theirs the same
+//! way, so a direct recall and an engine job record the same stage series.
 //!
 //! ```
 //! use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule};
@@ -25,27 +28,24 @@
 //! # }
 //! ```
 
-use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
-use spinamm_trace::{Probe, ReqHandle, TraceBinding, Tracer};
+use spinamm_telemetry::{NoopRecorder, Recorder};
 
 /// Options for one recall-pipeline operation: the telemetry sink plus
 /// execution knobs. Construct with [`RecallRequest::DEFAULT`] (silent) or
 /// [`RecallRequest::recorded`], then chain builder methods.
 ///
-/// Options are observational or scheduling-only: for any recorder, any
-/// tracer and any worker count the numerical results are bit-identical.
+/// Options are observational or scheduling-only: for any recorder and any
+/// worker count the numerical results are bit-identical.
 pub struct RecallRequest<'r, R: Recorder = NoopRecorder> {
     recorder: &'r R,
     workers: Option<usize>,
-    trace: TraceBinding<'r>,
 }
 
 impl RecallRequest<'static, NoopRecorder> {
-    /// The silent request: no telemetry, no tracing, automatic workers.
+    /// The silent request: no telemetry, automatic workers.
     pub const DEFAULT: Self = Self {
         recorder: &NoopRecorder,
         workers: None,
-        trace: TraceBinding::Off,
     };
 }
 
@@ -61,7 +61,6 @@ impl<'r, R: Recorder> RecallRequest<'r, R> {
         Self {
             recorder,
             workers: None,
-            trace: TraceBinding::Off,
         }
     }
 
@@ -97,53 +96,6 @@ impl<'r, R: Recorder> RecallRequest<'r, R> {
             || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             |w| w.max(1),
         )
-    }
-
-    /// Attaches a [`Tracer`] that samples each top-level recall (or batch)
-    /// through this request as its own traced request. Tracing is purely
-    /// observational: the sampling decision hashes a tracer-internal
-    /// request index and never touches the pipeline RNG, so results are
-    /// bit-identical with tracing on or off.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: &'r Tracer) -> Self {
-        self.trace = TraceBinding::Sampled(tracer);
-        self
-    }
-
-    /// Runs this request *inside* an already-open traced request (an
-    /// engine job): spans attach to `handle`, and the caller — not this
-    /// request — finishes it.
-    #[must_use]
-    pub fn with_trace_handle(mut self, tracer: &'r Tracer, handle: ReqHandle) -> Self {
-        self.trace = TraceBinding::Joined(tracer, handle);
-        self
-    }
-
-    /// Strips any tracer binding, keeping recorder and workers. A
-    /// partitioned recall runs its segment modules through this, so each
-    /// segment contributes one shard span instead of its own module spans.
-    #[must_use]
-    pub fn untraced(mut self) -> Self {
-        self.trace = TraceBinding::Off;
-        self
-    }
-
-    /// The tracing binding.
-    #[must_use]
-    pub fn trace_binding(&self) -> TraceBinding<'r> {
-        self.trace
-    }
-
-    /// Scopes one top-level operation of `layer`. See [`Probe::begin`].
-    pub(crate) fn begin(&self, layer: Layer) -> Probe<'r, R> {
-        Probe::begin(self.recorder, self.trace, layer)
-    }
-
-    /// The recorder an evaluate or select half reports into, joined to the
-    /// enclosing engine request's trace. See [`Probe::joined`].
-    #[must_use]
-    pub fn probe(&self) -> Probe<'r, R> {
-        Probe::joined(self.recorder, self.trace)
     }
 }
 
@@ -186,19 +138,5 @@ mod tests {
         let copy = req;
         assert_eq!(copy.workers(), Some(3));
         assert!(format!("{req:?}").contains("workers"));
-    }
-
-    #[test]
-    fn trace_binding_modes_round_trip() {
-        use spinamm_trace::{TraceConfig, Tracer};
-        assert!(RecallRequest::DEFAULT.trace_binding().is_off());
-        let tracer = Tracer::new(&TraceConfig::default());
-        let req = RecallRequest::DEFAULT.with_tracer(&tracer);
-        assert!(!req.trace_binding().is_off());
-        assert!(req.untraced().trace_binding().is_off());
-        let handle = tracer.begin("engine.recall");
-        let joined = RecallRequest::DEFAULT.with_trace_handle(&tracer, handle);
-        assert!(joined.probe().trace_sink().is_some());
-        tracer.finish(handle);
     }
 }

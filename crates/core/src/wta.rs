@@ -166,10 +166,9 @@ impl SpinWta {
     }
 
     /// Like [`SpinWta::evaluate`], recording telemetry on `recorder`: the
-    /// [`Layer::CONVERT`] and [`Layer::SELECT`] spans (traced too when the
-    /// recorder traces a request), the per-device counters from the column
-    /// ADCs, and `wta.dl_transitions` — one count per cycle in which the
-    /// detection line actually discharged. The outcome and RNG stream are
+    /// [`Layer::CONVERT`] and [`Layer::SELECT`] spans, the per-device
+    /// counters from the column ADCs, and `wta.dl_transitions` — one count
+    /// per cycle in which the detection line actually discharged. The outcome and RNG stream are
     /// those of [`SpinWta::evaluate`].
     ///
     /// # Errors
@@ -194,7 +193,6 @@ impl SpinWta {
             .zip(currents)
             .map(|(adc, &i)| adc.convert_with(i, rng, recorder))
             .collect::<Result<_, _>>()?;
-        convert.attr("columns", self.adcs.len() as f64);
         drop(convert);
         let _select = recorder.span(Layer::SELECT);
 

@@ -335,8 +335,11 @@ impl CrossbarArray {
         self.program_pattern_with(col, levels, map, scheme, rng, &NoopRecorder)
     }
 
-    /// Like [`CrossbarArray::program_pattern`], forwarding the per-cell
-    /// write-pulse and verify-read telemetry to `recorder`.
+    /// Like [`CrossbarArray::program_pattern`], reporting the column's
+    /// write pulses and verify reads to `recorder` once each
+    /// ([`WriteReport::record`]), with the totals per-cell reporting would
+    /// give. When a cell fails, the cells written before it are still
+    /// reported.
     ///
     /// # Errors
     ///
@@ -359,21 +362,25 @@ impl CrossbarArray {
         let top = self.check(0, col)?;
         let cols = self.cols;
         let mut cells = self.writer();
-        let mut pulses = 0;
-        let mut energy = Joules::ZERO;
-        for (row, &level) in levels.iter().enumerate() {
-            let target = map.conductance(level)?;
-            let rep = cells.update(top + row * cols, |cell| {
-                cell.program_with(target, scheme, rng, recorder)
-            })?;
-            pulses += rep.pulses;
-            energy += rep.energy;
-        }
-        Ok(WriteReport {
-            pulses,
-            energy,
+        let mut column = WriteReport {
+            pulses: 0,
+            verify_checks: 0,
+            energy: Joules::ZERO,
             relative_error: 0.0,
-        })
+        };
+        let written = levels.iter().enumerate().try_for_each(|(row, &level)| {
+            let target = map.conductance(level)?;
+            let rep = cells.update(top + row * cols, |cell| cell.program(target, scheme, rng))?;
+            column.pulses += rep.pulses;
+            column.verify_checks += rep.verify_checks;
+            column.energy += rep.energy;
+            Ok::<_, CrossbarError>(())
+        });
+        // Every programmed cell takes at least one verify read.
+        if column.verify_checks > 0 {
+            column.record(recorder);
+        }
+        written.map(|()| column)
     }
 
     /// Programs a column with amplitude-escalating retries per cell
@@ -842,6 +849,101 @@ mod tests {
             a.program_pattern(1, &[1, 2], &map, &scheme, &mut rng),
             Err(CrossbarError::InputLengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn column_write_reports_each_counter_once_with_per_cell_totals() {
+        use spinamm_telemetry::{MemoryRecorder, TelemetrySnapshot};
+        use std::cell::RefCell;
+        use std::collections::BTreeMap;
+
+        /// Counts `counter()` calls by name and forwards them to a
+        /// [`MemoryRecorder`].
+        #[derive(Default)]
+        struct CallCounting {
+            calls: RefCell<BTreeMap<String, u64>>,
+            inner: MemoryRecorder,
+        }
+
+        impl Recorder for CallCounting {
+            fn is_enabled(&self) -> bool {
+                true
+            }
+
+            fn counter(&self, name: &str, delta: u64) {
+                *self.calls.borrow_mut().entry(name.to_owned()).or_default() += 1;
+                self.inner.counter(name, delta);
+            }
+
+            fn gauge(&self, _name: &str, _value: f64) {}
+
+            fn observe(&self, _name: &str, _value: f64) {}
+
+            fn record_span(&self, _name: &str, _seconds: f64) {}
+
+            fn event(&self, _name: &str, _fields: &[(&str, f64)]) {}
+        }
+
+        const COUNTERS: [&str; 2] = ["memristor.write_pulses", "memristor.verify_checks"];
+        let map = LevelMap::new(DeviceLimits::PAPER, 5).unwrap();
+        let scheme = WriteScheme::paper();
+        let columns: Vec<Vec<u32>> = (0..3u32)
+            .map(|j| (0..16u32).map(|i| (i * 7 + j * 11) % 32).collect())
+            .collect();
+        // The reference: the same writes a cell at a time, through the
+        // single-cell path, on one RNG stream.
+        let per_cell = |writes: &[(usize, &[u32])], a: &mut CrossbarArray, seed: u64| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let rec = MemoryRecorder::default();
+            for &(col, levels) in writes {
+                for (row, &level) in levels.iter().enumerate() {
+                    let target = map.conductance(level).unwrap();
+                    a.program_conductance_with(row, col, target, &scheme, &mut rng, &rec)
+                        .unwrap();
+                }
+            }
+            rec.snapshot()
+        };
+        let check = |counting: &CallCounting, want: &TelemetrySnapshot, writes| {
+            let got = counting.inner.snapshot();
+            for name in COUNTERS {
+                assert_eq!(counting.calls.borrow().get(name), Some(&writes), "{name}");
+                assert_eq!(got.counter(name), want.counter(name), "{name}");
+                assert!(got.counter(name) > 0, "{name}");
+            }
+        };
+
+        let mut by_column = CrossbarArray::new(16, 3, DeviceLimits::PAPER).unwrap();
+        let mut by_cell = by_column.clone();
+        let counting = CallCounting::default();
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        for (col, levels) in columns.iter().enumerate() {
+            by_column
+                .program_pattern_with(col, levels, &map, &scheme, &mut rng, &counting)
+                .unwrap();
+        }
+        let writes: Vec<(usize, &[u32])> = columns
+            .iter()
+            .enumerate()
+            .map(|(col, l)| (col, &l[..]))
+            .collect();
+        let want = per_cell(&writes, &mut by_cell, 23);
+        assert_eq!(by_column.conductances(), by_cell.conductances());
+        check(&counting, &want, 3);
+
+        // Column 1's levels into column 0, with one out of range in row 5:
+        // rows 0–4 are written, and their totals still reach the recorder,
+        // in one call per counter.
+        let mut bad = columns[1].clone();
+        bad[5] = 32;
+        let counting = CallCounting::default();
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        assert!(by_column
+            .program_pattern_with(0, &bad, &map, &scheme, &mut rng, &counting)
+            .is_err());
+        let want = per_cell(&[(0, &bad[..5])], &mut by_cell, 29);
+        assert_eq!(by_column.conductances(), by_cell.conductances());
+        check(&counting, &want, 1);
     }
 
     #[test]

@@ -142,9 +142,7 @@ impl CachedParasiticCrossbar {
     /// for the dense backend — a proxy for settling work), the
     /// `crossbar.unknowns` histogram, the reuse counters
     /// `crossbar.netlist_cache_hits`, `circuit.factorization_reuses` and
-    /// `circuit.warm_start_iterations_saved`, and [`Layer::RESTAMP`] and
-    /// [`Layer::SOLVE`] spans; the traced solve span carries
-    /// `cg_iterations`, `residual` and `factorization_reused` attributes.
+    /// `circuit.warm_start_iterations_saved`, and [`Layer::RESTAMP`] spans.
     /// The readout is that of [`CachedParasiticCrossbar::evaluate`].
     ///
     /// # Errors
@@ -204,19 +202,7 @@ impl CachedParasiticCrossbar {
         }
         drop(restamp);
 
-        let solve = recorder.span(Layer::SOLVE);
         let (sol, report) = session.prepared.solve_report()?;
-        solve.attr("cg_iterations", report.stats.iterations as f64);
-        solve.attr("residual", report.stats.residual);
-        solve.attr(
-            "factorization_reused",
-            if report.factorization_reused {
-                1.0
-            } else {
-                0.0
-            },
-        );
-        drop(solve);
         recorder.counter("crossbar.solves", 1);
         recorder.counter("crossbar.settle_iterations", report.stats.iterations as u64);
         recorder.observe("crossbar.unknowns", report.stats.unknowns as f64);

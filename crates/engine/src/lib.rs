@@ -68,7 +68,6 @@ use spinamm_core::partition::{PartitionedAmm, PartitionedRecall};
 use spinamm_core::request::RecallRequest;
 use spinamm_core::CoreError;
 use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
-use spinamm_trace::{ReqHandle, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -340,7 +339,6 @@ struct Job {
     input: Vec<u32>,
     /// When the query entered the queue (queue-wait and latency reference).
     submitted: Instant,
-    trace: Option<ReqHandle>,
     reply: mpsc::Sender<Result<EngineResponse, EngineError>>,
 }
 
@@ -368,10 +366,9 @@ impl Master {
         while let Some((job, evaluation)) = self.pending.remove(&self.next) {
             self.next += 1;
             let response = evaluation.and_then(|evaluation| {
-                let req = shared.request(job.trace);
-                let probe = req.probe();
-                let _select = probe.span(Layer::ENGINE_SELECT);
-                self.deployment.select(evaluation, &job.input, &req)
+                let _select = shared.recorder.span(Layer::ENGINE_SELECT);
+                self.deployment
+                    .select(evaluation, &job.input, &shared.request())
             });
             respond(shared, job, response.map_err(EngineError::from));
         }
@@ -393,18 +390,12 @@ struct Shared {
     space_ready: Condvar,
     capacity: usize,
     recorder: SharedRecorder,
-    tracer: Option<Arc<Tracer>>,
 }
 
 impl Shared {
-    /// The request one job's phases run under: the shared recorder, joined
-    /// to the job's trace when a tracer is attached.
-    fn request(&self, handle: Option<ReqHandle>) -> Req<'_> {
-        let req = RecallRequest::recorded(&self.recorder);
-        match (&self.tracer, handle) {
-            (Some(tracer), Some(h)) => req.with_trace_handle(tracer, h),
-            _ => req,
-        }
+    /// The request one job's phases run under: the shared recorder.
+    fn request(&self) -> Req<'_> {
+        RecallRequest::recorded(&self.recorder)
     }
 
     /// Blocks for the next queued job. Returns `None` only once the engine
@@ -518,33 +509,15 @@ impl RecallEngine {
     /// `engine.latency_seconds` submit-to-response histogram (p50/p95 in
     /// the snapshot), and per-worker `engine.worker.<i>.jobs` /
     /// `.utilization` series (utilization counts evaluate time only).
+    /// The deployment's own stage series (`recall.drive`,
+    /// `recall.settle`, `recall.convert`, `recall.select`, …) land in the
+    /// same recorder. Telemetry is observation-only: responses are
+    /// bit-identical with any recorder.
     #[must_use]
     pub fn with_recorder(
         deployment: Deployment,
         config: &EngineConfig,
         recorder: SharedRecorder,
-    ) -> Self {
-        Self::with_observability(deployment, config, recorder, None)
-    }
-
-    /// Starts an engine with full observability: the recorder telemetry of
-    /// [`RecallEngine::with_recorder`] plus, when `tracer` is given,
-    /// per-request span trees. Each submission becomes one
-    /// `"engine.recall"` request; its trace carries one `"queue_wait"`
-    /// span, an `"evaluate"` span for the worker phase (with `worker` as
-    /// an attribute) wrapping the core drive/settle/solve spans, and a
-    /// `"select"` span for the RNG phase on the master, run by whichever
-    /// worker holds the master when the query's turn comes. A hierarchical
-    /// query's `"select"` nests an `"evaluate.member"` and a
-    /// `"select.member"` span, both with `cluster` as an attribute.
-    /// Tracing is observation-only: responses are bit-identical with or
-    /// without it.
-    #[must_use]
-    pub fn with_observability(
-        deployment: Deployment,
-        config: &EngineConfig,
-        recorder: SharedRecorder,
-        tracer: Option<Arc<Tracer>>,
     ) -> Self {
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
@@ -558,7 +531,6 @@ impl RecallEngine {
             space_ready: Condvar::new(),
             capacity: config.queue_capacity.max(1),
             recorder,
-            tracer,
         });
         // Each worker owns a full clone of the deployment; clones share the
         // canonically warmed solver sessions and the kernel tables, so their
@@ -625,11 +597,6 @@ impl RecallEngine {
             seq,
             input: input.to_vec(),
             submitted: Instant::now(),
-            trace: self
-                .shared
-                .tracer
-                .as_deref()
-                .map(|t| t.begin("engine.recall")),
             reply,
         });
         self.shared.depth.store(state.jobs.len(), Ordering::Relaxed);
@@ -721,14 +688,10 @@ fn worker_loop(idx: usize, shared: &Shared, master: &Mutex<Master>, mut deployme
             let wait = job.submitted.elapsed();
             recorder.observe("engine.queue_wait_ns", wait.as_secs_f64() * 1e9);
         }
-        let req = shared.request(job.trace);
-        let probe = req.probe();
-        probe.span_since(Layer::QUEUE_WAIT, job.submitted, &[("worker", idx as f64)]);
         let t0 = Instant::now();
         let evaluation = {
-            let span = probe.span(Layer::ENGINE_EVALUATE);
-            span.attr("worker", idx as f64);
-            deployment.evaluate(&job.input, &req)
+            let _evaluate = recorder.span(Layer::ENGINE_EVALUATE);
+            deployment.evaluate(&job.input, &shared.request())
         };
         if recorder.is_enabled() {
             busy += t0.elapsed().as_secs_f64();
@@ -772,9 +735,6 @@ fn respond(shared: &Shared, job: Job, response: Result<EngineResponse, EngineErr
         },
         1,
     );
-    if let (Some(tracer), Some(h)) = (&shared.tracer, job.trace) {
-        tracer.finish(h);
-    }
     // The caller may have dropped its ticket unwaited; nothing to tell.
     let _ = job.reply.send(response);
 }

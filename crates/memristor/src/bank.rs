@@ -109,15 +109,18 @@ impl MemristorBank {
     ) -> Result<WriteReport, MemristorError> {
         let per_device = Siemens(target.0 / self.cells.len() as f64);
         let mut pulses = 0;
+        let mut verify_checks = 0;
         let mut energy = Joules::ZERO;
         for cell in &mut self.cells {
             let report = cell.program(per_device, scheme, rng)?;
             pulses += report.pulses;
+            verify_checks += report.verify_checks;
             energy += report.energy;
         }
         let relative_error = (self.conductance().0 - target.0) / target.0;
         Ok(WriteReport {
             pulses,
+            verify_checks,
             energy,
             relative_error,
         })

@@ -14,7 +14,7 @@ use crate::MemristorError;
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
 use spinamm_circuit::units::{Joules, Siemens};
-use spinamm_telemetry::{NoopRecorder, Recorder};
+use spinamm_telemetry::Recorder;
 
 /// Program-and-verify write configuration.
 ///
@@ -48,10 +48,21 @@ pub struct WriteScheme {
 pub struct WriteReport {
     /// Number of write pulses applied.
     pub pulses: u32,
+    /// Number of verify reads the loop took.
+    pub verify_checks: u64,
     /// Total write energy (`pulses × pulse_energy`).
     pub energy: Joules,
     /// Relative error of the final state with respect to the target.
     pub relative_error: f64,
+}
+
+impl WriteReport {
+    /// Reports this write on `recorder`: `memristor.write_pulses` by its
+    /// pulses and `memristor.verify_checks` by its verify reads.
+    pub fn record<T: Recorder>(&self, recorder: &T) {
+        recorder.counter("memristor.write_pulses", u64::from(self.pulses));
+        recorder.counter("memristor.verify_checks", self.verify_checks);
+    }
 }
 
 impl WriteScheme {
@@ -243,7 +254,11 @@ impl Memristor {
         scheme: &WriteScheme,
         rng: &mut R,
     ) -> Result<WriteReport, MemristorError> {
-        self.program_with(target, scheme, rng, &NoopRecorder)
+        self.check_target(target)?;
+        // Cap pulse count: tolerance ∈ (0,1) means ≤ ~60 ideal halvings; noise
+        // can add a few more. A hard cap keeps the loop total.
+        let cap = nominal_cap(scheme);
+        Ok(self.program_impl(target, scheme, 1.0, cap, rng))
     }
 
     /// Like [`Memristor::program`], recording device-event telemetry on
@@ -261,11 +276,9 @@ impl Memristor {
         rng: &mut R,
         recorder: &T,
     ) -> Result<WriteReport, MemristorError> {
-        self.check_target(target)?;
-        // Cap pulse count: tolerance ∈ (0,1) means ≤ ~60 ideal halvings; noise
-        // can add a few more. A hard cap keeps the loop total.
-        let cap = nominal_cap(scheme);
-        Ok(self.program_impl(target, scheme, 1.0, cap, rng, recorder))
+        let report = self.program(target, scheme, rng)?;
+        report.record(recorder);
+        Ok(report)
     }
 
     /// Programs the cell with amplitude escalation on failure: each verify
@@ -307,7 +320,8 @@ impl Memristor {
             // Each attempt gets at most the remaining budget, so the total
             // can never exceed `policy.pulse_budget`.
             let cap = nominal_cap(scheme).min(policy.pulse_budget - pulses);
-            let report = self.program_impl(target, scheme, amplitude, cap, rng, recorder);
+            let report = self.program_impl(target, scheme, amplitude, cap, rng);
+            report.record(recorder);
             pulses += report.pulses;
             energy = Joules(energy.0 + report.energy.0);
             relative_error = report.relative_error;
@@ -342,14 +356,13 @@ impl Memristor {
     /// `amplitude²` energy each (I²R scaling); verify reads always observe
     /// the cell's effective conductance, so a pinned (stuck-at) cell never
     /// verifies in band and exhausts `cap`.
-    fn program_impl<R: Rng + ?Sized, T: Recorder>(
+    fn program_impl<R: Rng + ?Sized>(
         &mut self,
         target: Siemens,
         scheme: &WriteScheme,
         amplitude: f64,
         cap: u32,
         rng: &mut R,
-        recorder: &T,
     ) -> WriteReport {
         let noise = Normal::new(0.0, scheme.pulse_sigma.max(f64::MIN_POSITIVE))
             .expect("sigma validated at construction");
@@ -392,11 +405,10 @@ impl Memristor {
             pulses += 1;
         }
 
-        recorder.counter("memristor.write_pulses", u64::from(pulses));
-        recorder.counter("memristor.verify_checks", verifies);
         let relative_error = (self.conductance().0 - target.0) / target.0;
         WriteReport {
             pulses,
+            verify_checks: verifies,
             energy: scheme.pulse_energy * (f64::from(pulses) * amplitude * amplitude),
             relative_error,
         }
@@ -414,6 +426,7 @@ mod tests {
     use crate::device::DeviceLimits;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use spinamm_telemetry::NoopRecorder;
 
     #[test]
     fn paper_scheme_is_five_bits() {

@@ -183,28 +183,6 @@ impl LatencyHistogram {
             p999: self.percentile(0.999),
         }
     }
-
-    /// Folds another histogram's samples into this one, generation by
-    /// generation — the reduction step when per-thread histograms are
-    /// combined. Exact: merging then querying equals recording every
-    /// sample into one histogram, as long as neither has started a second
-    /// generation.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        for theirs in &other.buckets {
-            let mine = self.bucket(theirs.key);
-            mine.previous += theirs.previous;
-            mine.current += theirs.current;
-        }
-        self.previous += other.previous;
-        self.current += other.current;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -256,28 +234,6 @@ mod tests {
             assert_eq!(h.percentile(q), 42.0);
         }
         assert_eq!(h.stats().mean(), 42.0);
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let mut left = LatencyHistogram::new();
-        let mut right = LatencyHistogram::new();
-        let mut whole = LatencyHistogram::new();
-        for v in 1..=200u64 {
-            let sample = (v * 37 % 10_000) as f64;
-            if v % 2 == 0 {
-                left.record(sample);
-            } else {
-                right.record(sample);
-            }
-            whole.record(sample);
-        }
-        left.merge(&right);
-        left.merge(&LatencyHistogram::new()); // empty merge is a no-op
-        assert_eq!(left, whole);
-        for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(left.percentile(q), whole.percentile(q));
-        }
     }
 
     #[test]

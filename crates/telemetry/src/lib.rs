@@ -8,16 +8,15 @@
 //! span timings and structured events into a queryable
 //! [`TelemetrySnapshot`] with JSON and table rendering.
 //!
-//! Every distribution — each histogram and span series, and the tracer's
-//! request latency — is one [`LatencyHistogram`]: log-bucketed, mergeable
-//! and bounded in size, with exact count, sum, min and max, and
-//! percentiles over the last 65,536 to 131,071 samples that read their
-//! bucket's lower bound (within 1/32, clamped to the exact min and max).
+//! Every distribution — each histogram and span series — is one
+//! [`LatencyHistogram`]: log-bucketed and bounded in size, with exact
+//! count, sum, min and max, and percentiles over the last 65,536 to
+//! 131,071 samples that read their bucket's lower bound (within 1/32,
+//! clamped to the exact min and max).
 //!
 //! Each instrumented stage is one [`Layer`] — the table where every span
 //! name lives — and one call, `recorder.span(Layer::SETTLE)`, which times
-//! the layer's series and, while the recorder traces a request
-//! ([`Recorder::trace_sink`]), keeps the layer's trace span open.
+//! the layer's series.
 //!
 //! Telemetry is strictly observation-only: recorders receive copies of
 //! values the pipeline already computed and can never feed anything back,
@@ -49,5 +48,5 @@ mod snapshot;
 pub use histogram::LatencyHistogram;
 pub use layer::Layer;
 pub use memory::MemoryRecorder;
-pub use recorder::{NoopRecorder, Recorder, Span, TraceSink};
+pub use recorder::{NoopRecorder, Recorder, Span};
 pub use snapshot::{HistStats, TelemetryEvent, TelemetrySnapshot};

@@ -1,22 +1,8 @@
-//! The [`Recorder`] and [`TraceSink`] traits, the zero-cost
-//! [`NoopRecorder`], and the scoped [`Span`] guard that feeds both sinks.
+//! The [`Recorder`] trait, the zero-cost [`NoopRecorder`], and the
+//! scoped [`Span`] guard that times one [`Layer`].
 
 use crate::Layer;
 use std::time::Instant;
-
-/// The span tree of the one request traced through a recorder. [`Span`]
-/// guards drive it; instrumented code never calls it directly.
-pub trait TraceSink {
-    /// Opens a span nested in whatever span is open.
-    fn open(&self, name: &'static str);
-
-    /// Closes the innermost open span.
-    fn close(&self);
-
-    /// Attaches an attribute to the innermost open span, or to the request
-    /// when none is open.
-    fn attr(&self, key: &'static str, value: f64);
-}
 
 /// A sink for instrumentation data.
 ///
@@ -47,39 +33,17 @@ pub trait Recorder {
     /// with its DOM margin).
     fn event(&self, name: &str, fields: &[(&str, f64)]);
 
-    /// The span tree this recorder also reports into: `Some` only while a
-    /// sampled request is traced through it.
-    fn trace_sink(&self) -> Option<&dyn TraceSink> {
-        None
-    }
-
-    /// Attaches a trace attribute to the open span (or the request), if any.
-    fn trace_attr(&self, key: &'static str, value: f64) {
-        if let Some(sink) = self.trace_sink() {
-            sink.attr(key, value);
-        }
-    }
-
     /// Starts the scoped guard of one `layer`: it times the layer's series
-    /// when this recorder is enabled and, while a request is traced, keeps
-    /// the layer's trace span open until it drops.
+    /// when this recorder is enabled.
     fn span(&self, layer: Layer) -> Span<'_, Self>
     where
         Self: Sized,
     {
-        let timed = layer
-            .series()
-            .filter(|_| self.is_enabled())
-            .map(|series| (series, Instant::now()));
-        let trace = layer.trace_name().and_then(|name| {
-            let sink = self.trace_sink()?;
-            sink.open(name);
-            Some(sink)
-        });
+        let start = self.is_enabled().then(Instant::now);
         Span {
             recorder: self,
-            timed,
-            trace,
+            series: layer.series(),
+            start,
         }
     }
 }
@@ -144,11 +108,6 @@ impl<R: Recorder + ?Sized> Recorder for &R {
     fn event(&self, name: &str, fields: &[(&str, f64)]) {
         (**self).event(name, fields);
     }
-
-    #[inline]
-    fn trace_sink(&self) -> Option<&dyn TraceSink> {
-        (**self).trace_sink()
-    }
 }
 
 /// Forwarding impl so long-lived services (e.g. a recall engine) can share
@@ -184,41 +143,23 @@ impl<R: Recorder + ?Sized> Recorder for std::sync::Arc<R> {
     fn event(&self, name: &str, fields: &[(&str, f64)]) {
         (**self).event(name, fields);
     }
-
-    #[inline]
-    fn trace_sink(&self) -> Option<&dyn TraceSink> {
-        (**self).trace_sink()
-    }
 }
 
-/// RAII guard of one [`Layer`], from [`Recorder::span`]: on drop it closes
-/// the trace span it opened, if any, and reports its wall time via
-/// [`Recorder::record_span`]. A disabled recorder reads no clock at all.
+/// RAII guard of one [`Layer`], from [`Recorder::span`]: on drop it
+/// reports its wall time via [`Recorder::record_span`]. A disabled
+/// recorder reads no clock at all.
 #[must_use = "a span reports its timing when dropped; binding it to _ ends it immediately"]
 pub struct Span<'a, R: Recorder> {
     recorder: &'a R,
-    timed: Option<(&'static str, Instant)>,
-    trace: Option<&'a dyn TraceSink>,
-}
-
-impl<R: Recorder> Span<'_, R> {
-    /// Attaches an attribute to this guard's trace span; a no-op when the
-    /// span is not traced.
-    pub fn attr(&self, key: &'static str, value: f64) {
-        if let Some(sink) = self.trace {
-            sink.attr(key, value);
-        }
-    }
+    series: &'static str,
+    start: Option<Instant>,
 }
 
 impl<R: Recorder> Drop for Span<'_, R> {
     fn drop(&mut self) {
-        if let Some(sink) = self.trace {
-            sink.close();
-        }
-        if let Some((series, start)) = self.timed {
+        if let Some(start) = self.start {
             self.recorder
-                .record_span(series, start.elapsed().as_secs_f64());
+                .record_span(self.series, start.elapsed().as_secs_f64());
         }
     }
 }
