@@ -7,8 +7,10 @@
 //!   at any worker count, requests served over the network tier, and every
 //!   deployment driven through the engine must reproduce the sequential
 //!   reference **exactly** — same winner, same codes, same energy floats.
-//!   These paths share one RNG schedule by construction (PRs 2–4), so any
-//!   difference at all is a bug. Their budget in this ledger is implicitly
+//!   A recall is a pure function of the deployment and the input (it
+//!   draws no randomness, and the evaluate phase is order-independent),
+//!   so these paths compute the same function and any difference at all
+//!   is a bug. Their budget in this ledger is implicitly
 //!   zero and not configurable.
 //! * **Bounded divergence.** Different fidelities (ideal correlation vs
 //!   driven crossbar vs parasitic solve) and different decompositions

@@ -54,10 +54,6 @@ pub struct AmmConfig {
     pub fidelity: Fidelity,
     /// Sample input-DAC mismatch ("variations in input source").
     pub input_mismatch: bool,
-    /// Enable Néel–Brown thermal switching in the DWNs.
-    pub thermal: bool,
-    /// Enable latch offset sampling.
-    pub latch_noise: bool,
     /// Minimum DOM for a winner to be *accepted*; below it the input is
     /// reported as not in the stored set (paper §4B: "if the DOM is lower
     /// than a predetermined threshold, the winner is discarded").
@@ -76,8 +72,8 @@ pub struct AmmConfig {
     /// [`AssociativeMemoryModule::inject_faults`]). Zero (the default)
     /// leaves the module bit-identical to earlier releases.
     pub spare_columns: usize,
-    /// Master seed for all stochastic elements (programming, mismatch,
-    /// thermal).
+    /// Master seed for all stochastic elements (programming noise and
+    /// mismatch). A recall draws no randomness.
     pub seed: u64,
 }
 
@@ -87,8 +83,6 @@ impl Default for AmmConfig {
             params: DesignParams::PAPER,
             fidelity: Fidelity::Driven,
             input_mismatch: true,
-            thermal: false,
-            latch_noise: false,
             dom_threshold: 0,
             equalize_rows: true,
             gain_calibration: true,
@@ -112,17 +106,16 @@ pub(crate) fn bank_width(patterns: &[Vec<u32>]) -> Result<usize, CoreError> {
     Ok(first.len())
 }
 
-/// The RNG-free first phase of one recognition: the analog column currents
-/// out of the crossbar plus the RCM static power, before fault
-/// conditioning, digitization and winner selection.
+/// The first phase of one recognition: the analog column currents out of
+/// the crossbar plus the RCM static power, before fault conditioning,
+/// digitization and winner selection.
 ///
 /// Produced by [`AssociativeMemoryModule::evaluate_query_request`] — on the
 /// module itself or on any clone of it (the phase mutates only cached
-/// solver state, never the RNG) — and consumed, in submission order, by
-/// [`AssociativeMemoryModule::select_winner_request`]. This split is what
-/// lets a serving engine fan the solver work across worker threads while
-/// keeping the stochastic ADC/WTA phase bit-identical to sequential
-/// [`AssociativeMemoryModule::recall`].
+/// solver state) — and consumed by
+/// [`AssociativeMemoryModule::select_winner_request`]. The two calls in
+/// sequence are [`AssociativeMemoryModule::recall`]; benchmarks time them
+/// apart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryEvaluation {
     pub(crate) currents: Vec<Amps>,
@@ -188,7 +181,7 @@ pub struct AssociativeMemoryModule {
 
 impl Clone for AssociativeMemoryModule {
     /// Builds the kernel first (when missing), so the clone and the
-    /// original share one copy of its tables — an engine's master and
+    /// original share one copy of its tables — an engine's deployment and
     /// worker clones hold the tables once. A build error resurfaces on the
     /// first recall of either module.
     fn clone(&self) -> Self {
@@ -283,17 +276,14 @@ impl AssociativeMemoryModule {
         let clock = Seconds(1.0 / p.input_rate.0);
         let adcs: Vec<SpinSarAdc> = (0..total_cols)
             .map(|_| {
-                let mut adc = SpinSarAdc::build(
+                SpinSarAdc::build(
                     p.comparator_bits,
                     p.dwn_threshold,
                     p.delta_v,
                     clock,
                     &tech,
                     &mut rng,
-                )?;
-                adc.thermal = config.thermal;
-                adc.latch_noise = config.latch_noise;
-                Ok(adc)
+                )
             })
             .collect::<Result<_, CoreError>>()?;
 
@@ -672,13 +662,12 @@ impl AssociativeMemoryModule {
         self.select_winner_request(eval, req)
     }
 
-    /// Runs the RNG-free first phase of one recognition: input validation
-    /// and crossbar evaluation, producing the analog column currents.
-    /// Consumes no randomness and touches only cached solver state, so it
-    /// may run on a clone of the module (e.g. an engine worker) and still
-    /// yield exactly what the original would have produced. Pair with
-    /// [`AssociativeMemoryModule::select_winner_request`] in submission
-    /// order to reproduce [`AssociativeMemoryModule::recall`] bit for bit.
+    /// Runs the first phase of one recognition: input validation and
+    /// crossbar evaluation, producing the analog column currents. Touches
+    /// only cached solver state, so it may run on a clone of the module
+    /// and still yield exactly what the original would have produced.
+    /// Followed by [`AssociativeMemoryModule::select_winner_request`], it
+    /// reproduces [`AssociativeMemoryModule::recall`] bit for bit.
     ///
     /// # Errors
     ///
@@ -700,33 +689,33 @@ impl AssociativeMemoryModule {
         kernel.evaluate(&mut self.parasitic, &self.array, levels, recorder)
     }
 
-    /// Runs the RNG-consuming second phase of one recognition: fault
-    /// conditioning, spin ADC conversion and winner tracking. Advances the
-    /// module RNG exactly as [`AssociativeMemoryModule::recall`] would, so
-    /// feeding evaluations back in submission order reproduces the
-    /// sequential results bit for bit.
+    /// Runs the second phase of one recognition: fault conditioning, spin
+    /// ADC conversion and winner tracking. It draws no randomness and
+    /// changes nothing, so the select of an evaluation gives what
+    /// [`AssociativeMemoryModule::recall`] would, on this module or any
+    /// clone, in any order.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InputLengthMismatch`] for an evaluation of
     /// another width; propagates spin/WTA errors.
     pub fn select_winner_request<R: Recorder>(
-        &mut self,
+        &self,
         eval: QueryEvaluation,
         req: &RecallRequest<'_, R>,
     ) -> Result<RecallResult, CoreError> {
         let recorder = req.recorder();
-        self.kernel(recorder)?
-            .select(&self.wta, &mut self.rng, eval, recorder)
+        self.kernel(recorder)?.select(&self.wta, eval, recorder)
     }
 
     /// The interpreted reference implementation of
     /// [`AssociativeMemoryModule::recall_request`]: per-query drive
     /// construction, cell-by-cell correlation, fault conditioning and the
-    /// [`SpinWta`]-driven select, with no compiled tables. It consumes the
-    /// module RNG and reports `recall.count` and the device counters as
-    /// `recall` does, so core tests and the conformance harness compare the
-    /// kernel against it bit for bit. Not a serving path.
+    /// [`SpinWta`]-driven select, with no compiled tables. It reports
+    /// `recall.count` and the device counters as `recall` does, so core
+    /// tests and the conformance harness compare the kernel against it bit
+    /// for bit. The module's converters are noise-free, so the WTA draws
+    /// nothing from the module RNG it is handed. Not a serving path.
     ///
     /// # Errors
     ///
@@ -807,16 +796,14 @@ impl AssociativeMemoryModule {
     ///
     /// Results are **bit-identical** to calling
     /// [`AssociativeMemoryModule::recall`] once per input in order: the
-    /// evaluate phase is RNG-free and order-independent, so at parasitic
-    /// fidelity it runs on scoped worker threads, while the stochastic
-    /// select phase consumes the session RNG sequentially in query order
-    /// afterwards.
+    /// evaluate phase is order-independent, so at parasitic fidelity it
+    /// runs on scoped worker threads, and the select phase follows in
+    /// query order.
     ///
     /// # Errors
     ///
     /// See [`AssociativeMemoryModule::recall`]. Input validation happens up
-    /// front: if any input is invalid, no recognition runs and the session
-    /// RNG is untouched.
+    /// front: if any input is invalid, no recognition runs.
     pub fn recall_batch<S: AsRef<[u32]>>(
         &mut self,
         inputs: &[S],
@@ -854,10 +841,9 @@ impl AssociativeMemoryModule {
             let _settle = recorder.span(Layer::SETTLE);
             self.evaluate_batch(&kernel, &inputs, req.batch_workers(), recorder)?
         };
-        // Sequential select, consuming the RNG in query order.
         evaluated
             .into_iter()
-            .map(|eval| kernel.select(&self.wta, &mut self.rng, eval, recorder))
+            .map(|eval| kernel.select(&self.wta, eval, recorder))
             .collect()
     }
 
@@ -1796,7 +1782,7 @@ mod tests {
     #[test]
     fn batch_recall_leaves_rng_in_sequential_state() {
         // After a batch, a further sequential recall must match the
-        // all-sequential run bit for bit (the RNG advanced identically).
+        // all-sequential run bit for bit.
         let patterns = orthogonal_patterns();
         let cfg = config(Fidelity::Parasitic);
         let mut seq = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
@@ -1821,7 +1807,7 @@ mod tests {
             amm.recall_batch(&bad),
             Err(CoreError::InputLengthMismatch { .. })
         ));
-        // The failed batch consumed no randomness.
+        // The failed batch left the module as it was.
         assert_eq!(
             amm.recall(&patterns[1]).unwrap(),
             reference.recall(&patterns[1]).unwrap()
@@ -1857,19 +1843,6 @@ mod tests {
         amm.recall(&patterns[0]).unwrap();
         let (reuses, _) = amm.solver_reuse_counters();
         assert!(reuses >= 1, "factorization reuses {reuses}");
-    }
-
-    #[test]
-    fn thermal_and_latch_noise_modes_run() {
-        let patterns = orthogonal_patterns();
-        let cfg = AmmConfig {
-            thermal: true,
-            latch_noise: true,
-            ..AmmConfig::default()
-        };
-        let mut amm = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
-        let r = amm.recall(&patterns[2]).unwrap();
-        assert_eq!(r.raw_winner, 2, "wide margins survive noise");
     }
 
     #[test]
@@ -2055,20 +2028,19 @@ mod tests {
     #[test]
     fn two_phase_split_matches_recall() {
         // evaluate_query_request on a *clone* + select_winner_request on
-        // the master — the engine's execution shape — must equal plain
-        // sequential recall bit for bit.
+        // the original must equal plain sequential recall bit for bit.
         let patterns = orthogonal_patterns();
         let inputs: Vec<Vec<u32>> = patterns.iter().cycle().take(5).cloned().collect();
         for fidelity in [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic] {
             let cfg = config(fidelity);
             let mut seq = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
-            let mut master = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
-            let mut worker = master.clone();
+            let original = AssociativeMemoryModule::build(&patterns, &cfg).unwrap();
+            let mut worker = original.clone();
             let req = RecallRequest::DEFAULT;
             for input in &inputs {
                 let expected = seq.recall(input).unwrap();
                 let eval = worker.evaluate_query_request(input, &req).unwrap();
-                let got = master.select_winner_request(eval, &req).unwrap();
+                let got = original.select_winner_request(eval, &req).unwrap();
                 assert_eq!(expected, got, "{fidelity:?}");
             }
         }

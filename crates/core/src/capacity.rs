@@ -15,15 +15,13 @@
 //!
 //! A pool recall runs the same two phases as every other deployment:
 //!
-//! 1. **Evaluate** (RNG-free): each tile produces its analog column
-//!    currents through its module's compiled kernel ([`crate::plan`]).
-//!    Tiles are independent, so this phase may run anywhere — on any
-//!    engine worker, on a clone of the pool — without affecting any bit of
-//!    the result.
-//! 2. **Select** (RNG-consuming): each tile's converters digitize in
-//!    **fixed tile order**, advancing each tile module's own RNG exactly
-//!    as a sequential loop would. Responses are therefore bit-identical
-//!    whatever executed phase 1.
+//! 1. **Evaluate**: each tile produces its analog column currents through
+//!    its module's compiled kernel ([`crate::plan`]). Tiles are
+//!    independent, so this phase may run anywhere — on any engine worker,
+//!    on a clone of the pool — without affecting any bit of the result.
+//! 2. **Select**: each tile's converters digitize its currents, in tile
+//!    order. A select draws no randomness and changes no tile, so
+//!    responses are bit-identical whatever ran either phase.
 //!
 //! The merge is the pure function [`top_k_merge`] over the concatenated
 //! per-tile code vectors: candidates are ordered by `(code descending,
@@ -143,7 +141,7 @@ pub fn top_k_merge(per_tile: &[&[u32]], k: usize) -> Vec<(usize, u32)> {
 /// Derives tile `index`'s RNG seed from the pool seed. Tile 0 keeps the
 /// pool seed unchanged, so a single-tile pool is device-for-device the
 /// flat module (the k=1 identity proof); later tiles decorrelate their
-/// programming noise, mismatch and thermal streams.
+/// programming noise and mismatch.
 fn tile_seed(base: u64, index: usize) -> u64 {
     base ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
@@ -401,8 +399,8 @@ impl TiledAmm {
     }
 
     /// [`TiledAmm::recall`] with options: one `recall.total` sample
-    /// around phase 1 on every tile, then the in-order select phase and
-    /// the top-k merge. Each tile is a module that selects, so
+    /// around phase 1 on every tile, then the select phase and the top-k
+    /// merge. Each tile is a module that selects, so
     /// `recall.count` rises once per tile.
     ///
     /// # Errors
@@ -420,10 +418,10 @@ impl TiledAmm {
         self.select_winner_request(evals, req)
     }
 
-    /// Runs the RNG-free first phase on every tile. Safe on a clone of
-    /// the pool (mutates only cached solver state) — the engine-worker
-    /// entry point. Pair with [`TiledAmm::select_winner_request`] in submission
-    /// order to reproduce [`TiledAmm::recall`] bit for bit.
+    /// Runs the first phase on every tile. Safe on a clone of the pool
+    /// (mutates only cached solver state). Followed by
+    /// [`TiledAmm::select_winner_request`], it reproduces
+    /// [`TiledAmm::recall`] bit for bit.
     ///
     /// # Errors
     ///
@@ -446,16 +444,15 @@ impl TiledAmm {
             .collect()
     }
 
-    /// Runs the RNG-consuming second phase: every tile digitizes in fixed
-    /// tile order (advancing its module RNG exactly as sequential recall
-    /// would), then the top-k merge ranks the concatenated codes.
+    /// Runs the second phase: every tile digitizes its evaluation, in tile
+    /// order, then the top-k merge ranks the concatenated codes.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for an evaluation-count
     /// mismatch; propagates spin/WTA errors.
     pub fn select_winner_request<R: Recorder>(
-        &mut self,
+        &self,
         evals: Vec<QueryEvaluation>,
         req: &RecallRequest<'_, R>,
     ) -> Result<TiledRecall, CoreError> {
@@ -465,7 +462,7 @@ impl TiledAmm {
             });
         }
         let mut results: Vec<RecallResult> = Vec::with_capacity(self.tiles.len());
-        for (tile, eval) in self.tiles.iter_mut().zip(evals) {
+        for (tile, eval) in self.tiles.iter().zip(evals) {
             results.push(tile.select_winner_request(eval, req)?);
         }
         Ok(self.combine(&results))
@@ -789,7 +786,7 @@ mod tests {
     fn single_tile_pool_is_the_flat_module_bit_for_bit() {
         // Tile 0 keeps the pool seed, so a pool of one tile with no spares
         // is device-for-device the flat module; k=1 ranking must reproduce
-        // its winner, dom and codes across an RNG-advancing sequence.
+        // its winner, dom and codes across a sequence of queries.
         let w = workload(5, 6);
         let cfg = AmmConfig::default();
         let mut flat = AssociativeMemoryModule::build(&w.patterns, &cfg).unwrap();

@@ -14,6 +14,11 @@ use crate::request::RecallRequest;
 use crate::CoreError;
 use spinamm_telemetry::{Layer, Recorder};
 
+/// The stage methods' error for a cluster index past the last cluster.
+const CLUSTER_OUT_OF_RANGE: CoreError = CoreError::InvalidParameter {
+    what: "cluster index out of range",
+};
+
 /// A two-level clustered associative memory.
 ///
 /// # Example
@@ -222,8 +227,8 @@ impl HierarchicalAmm {
         self.select_winner_request(top, input, req)
     }
 
-    /// Engine-facing RNG-free phase of stage A: evaluates the top
-    /// (centroid) module for one input. Safe to run on a clone.
+    /// The evaluate phase of stage A: evaluates the top (centroid) module
+    /// for one input. Safe to run on a clone.
     ///
     /// # Errors
     ///
@@ -236,12 +241,11 @@ impl HierarchicalAmm {
         self.top.evaluate_query_request(input, req)
     }
 
-    /// Engine-facing RNG-consuming phase: selects the cluster from the top
-    /// module's evaluation, then evaluates `input` on that cluster's
-    /// member module — only the chosen cluster runs (paper §5) — and
-    /// selects the member. Feeding evaluations of
-    /// [`HierarchicalAmm::evaluate_top_request`] back in submission order
-    /// reproduces [`HierarchicalAmm::recall`] bit for bit.
+    /// The rest of a recall after [`HierarchicalAmm::evaluate_top_request`]:
+    /// selects the cluster from the top module's evaluation, then
+    /// evaluates `input` on that cluster's member module — only the chosen
+    /// cluster runs (paper §5) — and selects the member. The two calls in
+    /// sequence are [`HierarchicalAmm::recall`].
     ///
     /// # Errors
     ///
@@ -268,7 +272,7 @@ impl HierarchicalAmm {
     ///
     /// See [`AssociativeMemoryModule::select_winner_request`].
     pub fn select_top_request<R: Recorder>(
-        &mut self,
+        &self,
         eval: QueryEvaluation,
         req: &RecallRequest<'_, R>,
     ) -> Result<RecallResult, CoreError> {
@@ -303,23 +307,19 @@ impl HierarchicalAmm {
     /// Returns [`CoreError::InvalidParameter`] for an out-of-range cluster
     /// index; see [`AssociativeMemoryModule::select_winner_request`].
     pub fn select_member_request<R: Recorder>(
-        &mut self,
+        &self,
         cluster: usize,
         eval: QueryEvaluation,
         top: &RecallResult,
         req: &RecallRequest<'_, R>,
     ) -> Result<HierarchicalRecall, CoreError> {
-        let c = self.cluster_mut(cluster)?;
+        let c = self.clusters.get(cluster).ok_or(CLUSTER_OUT_OF_RANGE)?;
         let member = c.module.select_winner_request(eval, req)?;
         Ok(c.result(cluster, &member, top))
     }
 
     fn cluster_mut(&mut self, cluster: usize) -> Result<&mut ClusterModule, CoreError> {
-        self.clusters
-            .get_mut(cluster)
-            .ok_or(CoreError::InvalidParameter {
-                what: "cluster index out of range",
-            })
+        self.clusters.get_mut(cluster).ok_or(CLUSTER_OUT_OF_RANGE)
     }
 }
 

@@ -160,9 +160,9 @@ impl PartitionedAmm {
         self.select_winner_request(evals, req)
     }
 
-    /// Engine-facing RNG-free phase: evaluates every segment's crossbar
-    /// for one input, returning one [`QueryEvaluation`] per segment. Safe
-    /// to run on a clone of the partition (see
+    /// The evaluate phase: evaluates every segment's crossbar for one
+    /// input, returning one [`QueryEvaluation`] per segment. Safe to run on
+    /// a clone of the partition (see
     /// [`AssociativeMemoryModule::evaluate_query_request`]).
     ///
     /// # Errors
@@ -189,18 +189,17 @@ impl PartitionedAmm {
             .collect()
     }
 
-    /// Engine-facing RNG-consuming phase: selects per-segment winners from
-    /// the evaluations of [`PartitionedAmm::evaluate_query_request`] in
-    /// segment order and sums the segment codes into the global score
-    /// (the adder tree). Feeding evaluations back in submission order
-    /// reproduces [`PartitionedAmm::recall`] bit for bit.
+    /// The select phase: selects per-segment winners from the evaluations
+    /// of [`PartitionedAmm::evaluate_query_request`] and sums the segment
+    /// codes into the global score (the adder tree). The two phases in
+    /// sequence reproduce [`PartitionedAmm::recall`] bit for bit.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] unless exactly one
     /// evaluation per segment is supplied; propagates spin/WTA errors.
     pub fn select_winner_request<R: Recorder>(
-        &mut self,
+        &self,
         evals: Vec<QueryEvaluation>,
         req: &RecallRequest<'_, R>,
     ) -> Result<PartitionedRecall, CoreError> {
@@ -211,7 +210,7 @@ impl PartitionedAmm {
         }
         let results: Vec<RecallResult> = self
             .segments
-            .iter_mut()
+            .iter()
             .zip(evals)
             .map(|(seg, eval)| seg.module.select_winner_request(eval, req))
             .collect::<Result<_, _>>()?;

@@ -17,12 +17,10 @@
 //! * **SAR DAC table** — per-column trial currents for every code,
 //!   replacing the DAC model in the conversion loop; each cycle's DAC rail
 //!   energy is computed from it with the converter's own expression.
-//! * **Switching cutoffs** — a column whose devices draw no randomness (no
-//!   thermal switching, no latch noise) is lowered to one number: the
-//!   smallest net current that switches its domain-wall neuron within the
-//!   write pulse, so each SAR cycle is one compare. Noisy devices stay
-//!   live models on the module: they carry the stochastic physics and the
-//!   RNG stream.
+//! * **Switching cutoffs** — each column's comparator, a deterministic
+//!   domain-wall neuron, is lowered to one number: the smallest net
+//!   current that switches it within the write pulse, so each SAR cycle is
+//!   one compare.
 //! * **Condition/select maps** — column gating, latch offsets, template
 //!   ownership and the DOM threshold as dense per-column tables.
 //!
@@ -36,25 +34,23 @@
 //! install/retire/refresh/migrate, `array_maintenance` and
 //! `commit_maintenance`. The kernel sits behind an `Arc`, and cloning a
 //! module builds the kernel first, so an unmutated module and all its
-//! clones (an engine's master and workers) share one copy. A parasitic
-//! kernel holds no netlist of its own: it stages drives for the module's
-//! cached parasitic session.
+//! clones (an engine's deployment and its workers' copies) share one copy.
+//! A parasitic kernel holds no netlist of its own: it stages drives for
+//! the module's cached parasitic session.
 //!
 //! # Bit-identity contract
 //!
 //! Every number the kernel consumes comes from the code path the
 //! interpreted reference runs (drive lowering, DAC currents, the array's
-//! conductance table), the floating-point accumulation order is the same,
-//! and the RNG-consuming devices are the same live models called in the
-//! same order. A deterministic comparator is lowered to its cutoff, which
-//! gives the device's own decision for every net current (see
-//! `switch_cutoff`), and the winner tracker's outcome is read off the
-//! final codes, which fix every decision it would replay. Module recalls
-//! therefore reproduce the interpreted reference
-//! (`AssociativeMemoryModule::oracle_recall_request`) bit for bit:
-//! results, energy floats, RNG stream and device counters. `plan::tests`,
-//! the mutation proptest and the conformance `bit_identity.plan.*` checks
-//! pin this.
+//! conductance table), and the floating-point accumulation order is the
+//! same. A comparator is lowered to its cutoff, which gives the device's
+//! own decision for every finite net current (see `switch_cutoff`), and
+//! the winner tracker's outcome is read off the final codes, which fix
+//! every decision it would replay. Module recalls therefore reproduce the
+//! interpreted reference (`AssociativeMemoryModule::oracle_recall_request`)
+//! bit for bit: results, energy floats and device counters. A recall
+//! draws no randomness. `plan::tests`, the mutation proptest and the
+//! conformance `bit_identity.plan.*` checks pin this.
 //!
 //! # Example
 //!
@@ -77,7 +73,6 @@ use crate::amm::{AssociativeMemoryModule, Fidelity, QueryEvaluation, RecallResul
 use crate::energy::EnergyBreakdown;
 use crate::wta::{argmax_lowest_index, SpinWta};
 use crate::CoreError;
-use rand_chacha::ChaCha8Rng;
 use spinamm_circuit::units::{Amps, Joules, Seconds, Watts};
 use spinamm_crossbar::{CachedParasiticCrossbar, CrossbarArray, RowDrive};
 use spinamm_spin::{DomainWallNeuron, NeuronConfig, Polarity};
@@ -125,9 +120,8 @@ pub(crate) struct Kernel {
     /// Input saturation ceiling per column.
     ceiling: Vec<f64>,
     /// Per column, the net current at and above which its comparator
-    /// switches (see [`switch_cutoff`]); `None` for a column whose devices
-    /// draw randomness, which runs the live models.
-    cutoff: Vec<Option<f64>>,
+    /// switches (see [`switch_cutoff`]).
+    cutoff: Vec<f64>,
 
     // --- select ---------------------------------------------------------
     owner: Vec<Option<usize>>,
@@ -184,23 +178,19 @@ impl Kernel {
         let mut cutoff = Vec::with_capacity(cols);
         // Fault-free columns share one comparator, so reuse the previous
         // column's cutoff while its neuron and pulse are unchanged.
-        let mut last: Option<(NeuronConfig, f64, Option<f64>)> = None;
+        let mut last: Option<(NeuronConfig, f64, f64)> = None;
         for adc in wta.adcs() {
             ceiling.push(adc.saturation_ceiling()?.0);
             for code in 0..codes {
                 i_dac.push(adc.dac.clamped_current(code)?.0);
             }
-            cutoff.push(if adc.thermal || adc.latch_noise {
-                None
-            } else {
-                let pulse = adc.clock_period.0 * SpinSarAdc::PULSE_FRACTION;
-                match last {
-                    Some((neuron, p, c)) if neuron == adc.neuron && p == pulse => c,
-                    _ => {
-                        let c = switch_cutoff(adc.neuron, Seconds(pulse));
-                        last = Some((adc.neuron, pulse, c));
-                        c
-                    }
+            let pulse = adc.clock_period.0 * SpinSarAdc::PULSE_FRACTION;
+            cutoff.push(match last {
+                Some((neuron, p, c)) if neuron == adc.neuron && p == pulse => c,
+                _ => {
+                    let c = switch_cutoff(adc.neuron, Seconds(pulse));
+                    last = Some((adc.neuron, pulse, c));
+                    c
                 }
             });
         }
@@ -307,16 +297,13 @@ impl Kernel {
         }
     }
 
-    /// The select phase: condition → convert → select. Consumes `rng`
-    /// through the live spin devices of `wta`'s noisy columns exactly as
-    /// the reference's `SpinWta` evaluation does, with the same spans and
-    /// counter totals; a deterministic column compares against its cutoff.
-    /// The device counters are tallied locally and reported once per
-    /// select, not once per cycle.
+    /// The select phase: condition → convert → select, with the
+    /// reference's spans and counter totals. Each SAR cycle compares the
+    /// column's net current against its cutoff. The device counters are
+    /// tallied locally and reported once per select, not once per cycle.
     pub(crate) fn select<T: Recorder>(
         &self,
         wta: &SpinWta,
-        rng: &mut ChaCha8Rng,
         eval: QueryEvaluation,
         recorder: &T,
     ) -> Result<RecallResult, CoreError> {
@@ -371,48 +358,22 @@ impl Kernel {
             let mut dwn_energy = Joules::ZERO;
             let mut latch_energy = Joules::ZERO;
             let mut dac_energy = Joules::ZERO;
+            let cutoff = self.cutoff[j];
             let (mut code, mut bit) = (msb, msb);
-            if let Some(cutoff) = self.cutoff[j] {
-                while bit != 0 {
-                    let i = i_dac[code as usize];
-                    let net = Amps(input - i);
-                    let up = net.0 >= cutoff;
-                    dwn_energy += adc.neuron.write_energy(net, pulse);
-                    latch_energy += sense_energy;
-                    dac_energy += Joules(i * 2.0 * supply * clock);
-                    code ^= bit * u32::from(!up);
-                    bit >>= 1;
-                    code |= bit;
-                }
-                // Each cycle starts Down and keeps its bit only if the
-                // wall switched, so the switches are the code's set bits.
-                dwn_switches += u64::from(code.count_ones());
-            } else {
-                let mut neuron = DomainWallNeuron::new(adc.neuron);
-                while bit != 0 {
-                    let i = i_dac[code as usize];
-                    let net = Amps(input - i);
-                    neuron.set_state(Polarity::Down);
-                    let state = if adc.thermal {
-                        neuron.apply_thermal_with(net, pulse, rng, &NoopRecorder)
-                    } else {
-                        neuron.apply_with(net, pulse, &NoopRecorder)
-                    };
-                    // Each cycle starts Down, so the wall switched iff it reads Up.
-                    dwn_switches += u64::from(state == Polarity::Up);
-                    dwn_energy += adc.neuron.write_energy(net, pulse);
-                    let sensed = if adc.latch_noise {
-                        adc.latch.sense_with(&adc.mtj, state, rng, &NoopRecorder)
-                    } else {
-                        state
-                    };
-                    latch_energy += sense_energy;
-                    dac_energy += Joules(i * 2.0 * supply * clock);
-                    code ^= bit * u32::from(sensed != Polarity::Up);
-                    bit >>= 1;
-                    code |= bit;
-                }
+            while bit != 0 {
+                let i = i_dac[code as usize];
+                let net = Amps(input - i);
+                let up = net.0 >= cutoff;
+                dwn_energy += adc.neuron.write_energy(net, pulse);
+                latch_energy += sense_energy;
+                dac_energy += Joules(i * 2.0 * supply * clock);
+                code ^= bit * u32::from(!up);
+                bit >>= 1;
+                code |= bit;
             }
+            // Each cycle starts Down and keeps its bit only if the wall
+            // switched, so the switches are the code's set bits.
+            dwn_switches += u64::from(code.count_ones());
             sar_cycles += u64::from(self.bits);
             codes[j] = code;
             energy.dwn_write += dwn_energy;
@@ -485,11 +446,12 @@ fn report_device_counters<T: Recorder>(
 }
 
 /// The smallest net current at which a fresh (`Down`) comparator of
-/// `neuron` ends `Up` after a write `pulse`, or `None` when no net current
+/// `neuron` ends `Up` after a write `pulse`, or `+∞` when no net current
 /// switches it.
 ///
 /// The decision is monotone in the net current, so `net >= cutoff` is the
-/// device's own answer for every `f64` net. A net at or below zero drives
+/// device's own answer for every finite `f64` net (the select's nets are
+/// finite: its inputs are checked finite and clamped to the ceiling). A net at or below zero drives
 /// the wall toward `Down`, which it already holds. Above zero,
 /// [`DomainWallNeuron::apply_with`] switches iff the overdrive
 /// `net − threshold` is positive and the transit time
@@ -500,7 +462,7 @@ fn report_device_counters<T: Recorder>(
 /// like their bit patterns, so a bisection over the patterns of
 /// `[0, +∞]`, calling the device itself, finds the cutoff exactly in at
 /// most 64 calls.
-fn switch_cutoff(neuron: NeuronConfig, pulse: Seconds) -> Option<f64> {
+fn switch_cutoff(neuron: NeuronConfig, pulse: Seconds) -> f64 {
     let switches = |bits: u64| {
         DomainWallNeuron::new(neuron).apply_with(Amps(f64::from_bits(bits)), pulse, &NoopRecorder)
             == Polarity::Up
@@ -508,7 +470,7 @@ fn switch_cutoff(neuron: NeuronConfig, pulse: Seconds) -> Option<f64> {
     // Invariant: `lo` stays Down (zero net never switches), `hi` ends Up.
     let (mut lo, mut hi) = (0.0f64.to_bits(), f64::INFINITY.to_bits());
     if !switches(hi) {
-        return None;
+        return f64::INFINITY;
     }
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
@@ -518,7 +480,7 @@ fn switch_cutoff(neuron: NeuronConfig, pulse: Seconds) -> Option<f64> {
             lo = mid;
         }
     }
-    Some(f64::from_bits(hi))
+    f64::from_bits(hi)
 }
 
 #[cfg(test)]
@@ -611,22 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn f64_plan_advances_rng_identically() {
-        // Thermal + latch noise make every conversion consume randomness;
-        // if the kernel's stream diverged anywhere, later queries would too.
-        let cfg = AmmConfig {
-            thermal: true,
-            latch_noise: true,
-            ..config(Fidelity::Driven)
-        };
-        let mut module = AssociativeMemoryModule::build(&patterns(), &cfg).unwrap();
-        let mut reference = AssociativeMemoryModule::build(&patterns(), &cfg).unwrap();
-        for q in queries() {
-            assert_results_identical(&module.recall(&q).unwrap(), &oracle(&mut reference, &q));
-        }
-    }
-
-    #[test]
     fn plan_batch_matches_interpreted_batch() {
         for fidelity in [Fidelity::Driven, Fidelity::Parasitic] {
             let cfg = config(fidelity);
@@ -684,13 +630,13 @@ mod tests {
 
     #[test]
     fn plan_evaluate_matches_module_evaluate() {
-        // An engine-style split — evaluate on a clone, select on the
-        // master — against the reference, whose currents (no faults, no
-        // spares) are the unconditioned evaluation.
+        // Evaluate on a clone, select on the original — against the
+        // reference, whose currents (no faults, no spares) are the
+        // unconditioned evaluation.
         for fidelity in [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic] {
             let cfg = config(fidelity);
-            let mut master = AssociativeMemoryModule::build(&patterns(), &cfg).unwrap();
-            let mut worker = master.clone();
+            let original = AssociativeMemoryModule::build(&patterns(), &cfg).unwrap();
+            let mut worker = original.clone();
             let mut reference = AssociativeMemoryModule::build(&patterns(), &cfg).unwrap();
             for q in queries() {
                 let want = oracle(&mut reference, &q);
@@ -698,7 +644,7 @@ mod tests {
                     .evaluate_query_request(&q, &RecallRequest::DEFAULT)
                     .unwrap();
                 assert_eq!(eval.column_currents(), want.column_currents.as_slice());
-                let got = master
+                let got = original
                     .select_winner_request(eval, &RecallRequest::DEFAULT)
                     .unwrap();
                 assert_results_identical(&got, &want);
@@ -721,7 +667,7 @@ mod tests {
             Err(CoreError::InvalidParameter { .. })
         ));
         // A batch with a late invalid input must fail before any query
-        // consumes randomness — the module then still tracks the reference.
+        // runs — the module then still tracks the reference.
         let bad: Vec<Vec<u32>> = vec![queries()[0].clone(), vec![99; 16]];
         assert!(module.recall_batch(&bad).is_err());
         // A foreign evaluation of the wrong width is rejected, not panicked.
@@ -762,9 +708,8 @@ mod tests {
 
     #[test]
     fn hierarchical_plan_matches_interpreted_two_phase() {
-        // Engine-style split: a worker clone runs both RNG-free phases,
-        // the master runs both selects — bit-identical to the reference
-        // stage A and stage B. A direct recall on a third copy must agree
+        // Stage by stage: a clone runs both evaluates, another runs both
+        // selects — bit-identical to the reference stage A and stage B. A direct recall on a third copy must agree
         // with the same reference.
         let cfg = config(Fidelity::Driven);
         let pats: Vec<Vec<u32>> = (0..6)
@@ -781,7 +726,7 @@ mod tests {
             })
             .collect();
         let mut reference = HierarchicalAmm::build(&pats, 2, &cfg).unwrap();
-        let mut master = reference.clone();
+        let selector = reference.clone();
         let mut worker = reference.clone();
         let mut direct = reference.clone();
         let req = RecallRequest::DEFAULT;
@@ -791,10 +736,10 @@ mod tests {
             let want_member = oracle(&mut reference.clusters[cluster].module, &q);
 
             let top_eval = worker.evaluate_top_request(&q, &req).unwrap();
-            let top = master.select_top_request(top_eval, &req).unwrap();
+            let top = selector.select_top_request(top_eval, &req).unwrap();
             assert_results_identical(&top, &want_top);
             let member_eval = worker.evaluate_member_request(cluster, &q, &req).unwrap();
-            let staged = master
+            let staged = selector
                 .select_member_request(cluster, member_eval, &top, &req)
                 .unwrap();
             for got in [staged, direct.recall(&q).unwrap()] {
@@ -838,6 +783,7 @@ mod tests {
     #[test]
     fn switch_cutoff_reproduces_the_device() {
         use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
         let nominal = AmmConfig::default().params.dwn_threshold;
         let mut rng = ChaCha8Rng::seed_from_u64(17);
         // Fault injection scales thresholds per column; a module's pulse is
@@ -847,7 +793,8 @@ mod tests {
                 .with_threshold(Amps(nominal.0 * factor))
                 .unwrap();
             for pulse in [0.9e-9, 9e-9, 90e-9].map(Seconds) {
-                let cutoff = switch_cutoff(neuron, pulse).expect("a finite drive switches");
+                let cutoff = switch_cutoff(neuron, pulse);
+                assert!(cutoff.is_finite(), "a finite drive switches");
                 let below = f64::from_bits(cutoff.to_bits() - 1);
                 assert!(device_switches(neuron, cutoff, pulse), "{factor} {pulse:?}");
                 assert!(!device_switches(neuron, below, pulse), "{factor} {pulse:?}");
@@ -931,7 +878,7 @@ mod tests {
                 .unwrap();
         }
         let cutoffs = Kernel::build(&module).unwrap().cutoff;
-        let mut distinct: Vec<f64> = cutoffs.iter().map(|c| c.unwrap()).collect();
+        let mut distinct = cutoffs.clone();
         distinct.sort_by(f64::total_cmp);
         distinct.dedup();
         assert_eq!(distinct.len(), 4, "{cutoffs:?}");

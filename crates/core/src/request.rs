@@ -64,7 +64,7 @@ impl<'r, R: Recorder> RecallRequest<'r, R> {
         }
     }
 
-    /// Overrides the worker-thread count used by the parallel (RNG-free)
+    /// Overrides the worker-thread count used by the parallel (evaluate)
     /// phase of batched operations, and the number of threads a tiled
     /// pool's tiles build on ([`crate::capacity::TiledAmm::build_request`]).
     /// Zero is treated as one. When unset, the machine's available

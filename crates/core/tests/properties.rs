@@ -215,8 +215,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Under any sampled fault map, `recall_batch` stays bit-identical to
-    /// sequential `recall` — faults perturb the physics, never the RNG
-    /// scheduling the batch path relies on.
+    /// sequential `recall` — faults perturb the physics, never the
+    /// order-independence the batch path relies on.
     #[test]
     fn batch_recall_is_bit_identical_under_faults(
         map_seed in any::<u64>(),
@@ -312,13 +312,12 @@ proptest! {
     /// Any sequence of mutations interleaved with recalls keeps the
     /// kernel bit-identical to the interpreted oracle on an identically
     /// mutated twin, at every fidelity: results, energy bits, the RNG
-    /// stream (noisy devices consume it every conversion, and a final
-    /// recall pins its position) and the simulated counters.
+    /// stream the writes draw from (a final recall after the last write
+    /// pins its position) and the simulated counters.
     #[test]
     fn mutations_interleaved_with_recalls_match_the_oracle(
         amm_seed in any::<u64>(),
         fidelity_kind in 0usize..3,
-        noisy in any::<bool>(),
         steps in proptest::collection::vec(step(), 1..10),
     ) {
         use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule, Fidelity, RecallResult};
@@ -344,8 +343,6 @@ proptest! {
         let cfg = AmmConfig {
             seed: amm_seed,
             spare_columns: 2,
-            thermal: noisy,
-            latch_noise: noisy,
             fidelity: [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic][fidelity_kind],
             ..AmmConfig::default()
         };

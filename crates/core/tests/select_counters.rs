@@ -71,12 +71,8 @@ fn select_reports_each_device_counter_once() {
         similarity: 0.0,
     })
     .unwrap();
-    // Thermal switching and latch noise make every cycle draw from the
-    // RNG, so a diverging stream would show in the results.
     let cfg = AmmConfig {
         fidelity: Fidelity::Driven,
-        thermal: true,
-        latch_noise: true,
         ..AmmConfig::default()
     };
     let mut module = AssociativeMemoryModule::build(&w.patterns, &cfg).unwrap();

@@ -339,7 +339,8 @@ impl CrossbarArray {
     /// write pulses and verify reads to `recorder` once each
     /// ([`WriteReport::record`]), with the totals per-cell reporting would
     /// give. When a cell fails, the cells written before it are still
-    /// reported.
+    /// reported. The returned report's `relative_error` is the cell error
+    /// of largest magnitude.
     ///
     /// # Errors
     ///
@@ -374,6 +375,9 @@ impl CrossbarArray {
             column.pulses += rep.pulses;
             column.verify_checks += rep.verify_checks;
             column.energy += rep.energy;
+            if rep.relative_error.abs() > column.relative_error.abs() {
+                column.relative_error = rep.relative_error;
+            }
             Ok::<_, CrossbarError>(())
         });
         // Every programmed cell takes at least one verify read.
@@ -387,6 +391,12 @@ impl CrossbarArray {
     /// ([`spinamm_memristor::RetryPolicy`]): the write controller's response
     /// to cells that refuse to verify, reporting how many needed retries
     /// and how many are unrecoverable (stuck-at defects).
+    ///
+    /// Each cell's retry loop runs silently; the column then reports each
+    /// of [`spinamm_memristor::Memristor::program_with_retry`]'s counters
+    /// to `recorder` at most once, with the totals per-cell reporting
+    /// would give. When a cell fails, the cells written before it are
+    /// still reported.
     ///
     /// # Errors
     ///
@@ -418,21 +428,37 @@ impl CrossbarArray {
             retried: 0,
             unrecoverable: 0,
         };
-        for (row, &level) in levels.iter().enumerate() {
+        let (mut verify_checks, mut retries) = (0u64, 0u64);
+        let written = levels.iter().enumerate().try_for_each(|(row, &level)| {
             let target = map.conductance(level)?;
             let cell = cells.update(top + row * cols, |cell| {
-                cell.program_with_retry(target, scheme, policy, rng, recorder)
+                cell.program_with_retry(target, scheme, policy, rng, &NoopRecorder)
             })?;
             report.pulses += cell.pulses;
             report.energy += cell.energy;
-            if cell.attempts > 1 {
-                report.retried += 1;
-            }
-            if !cell.recovered {
-                report.unrecoverable += 1;
+            verify_checks += cell.verify_checks;
+            retries += u64::from(cell.attempts.saturating_sub(1));
+            report.retried += u32::from(cell.attempts > 1);
+            report.unrecoverable += u32::from(!cell.recovered);
+            Ok::<_, CrossbarError>(())
+        });
+        for (name, total) in [
+            ("memristor.write_pulses", u64::from(report.pulses)),
+            ("memristor.verify_checks", verify_checks),
+            ("memristor.write_retries", retries),
+            (
+                "memristor.unrecoverable_cells",
+                u64::from(report.unrecoverable),
+            ),
+        ] {
+            // A cell reports a counter only when it is non-zero (every
+            // attempt applies a pulse and a verify read), so zero totals
+            // send nothing.
+            if total > 0 {
+                recorder.counter(name, total);
             }
         }
-        Ok(report)
+        written.map(|()| report)
     }
 
     /// Total memristor conductance hanging on row `i` (stored cells only,
@@ -884,66 +910,124 @@ mod tests {
             fn event(&self, _name: &str, _fields: &[(&str, f64)]) {}
         }
 
-        const COUNTERS: [&str; 2] = ["memristor.write_pulses", "memristor.verify_checks"];
+        const COUNTERS: [&str; 4] = [
+            "memristor.write_pulses",
+            "memristor.verify_checks",
+            "memristor.write_retries",
+            "memristor.unrecoverable_cells",
+        ];
         let map = LevelMap::new(DeviceLimits::PAPER, 5).unwrap();
         let scheme = WriteScheme::paper();
+        let policy = RetryPolicy::default();
         let columns: Vec<Vec<u32>> = (0..3u32)
             .map(|j| (0..16u32).map(|i| (i * 7 + j * 11) % 32).collect())
             .collect();
-        // The reference: the same writes a cell at a time, through the
-        // single-cell path, on one RNG stream.
-        let per_cell = |writes: &[(usize, &[u32])], a: &mut CrossbarArray, seed: u64| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let rec = MemoryRecorder::default();
-            for &(col, levels) in writes {
-                for (row, &level) in levels.iter().enumerate() {
-                    let target = map.conductance(level).unwrap();
-                    a.program_conductance_with(row, col, target, &scheme, &mut rng, &rec)
-                        .unwrap();
-                }
-            }
-            rec.snapshot()
-        };
-        let check = |counting: &CallCounting, want: &TelemetrySnapshot, writes| {
-            let got = counting.inner.snapshot();
-            for name in COUNTERS {
-                assert_eq!(counting.calls.borrow().get(name), Some(&writes), "{name}");
-                assert_eq!(got.counter(name), want.counter(name), "{name}");
-                assert!(got.counter(name) > 0, "{name}");
-            }
-        };
-
-        let mut by_column = CrossbarArray::new(16, 3, DeviceLimits::PAPER).unwrap();
-        let mut by_cell = by_column.clone();
-        let counting = CallCounting::default();
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        for (col, levels) in columns.iter().enumerate() {
-            by_column
-                .program_pattern_with(col, levels, &map, &scheme, &mut rng, &counting)
-                .unwrap();
-        }
         let writes: Vec<(usize, &[u32])> = columns
             .iter()
             .enumerate()
             .map(|(col, l)| (col, &l[..]))
             .collect();
-        let want = per_cell(&writes, &mut by_cell, 23);
-        assert_eq!(by_column.conductances(), by_cell.conductances());
-        check(&counting, &want, 3);
-
         // Column 1's levels into column 0, with one out of range in row 5:
-        // rows 0–4 are written, and their totals still reach the recorder,
-        // in one call per counter.
+        // rows 0–4 are written, and their totals still reach the recorder.
         let mut bad = columns[1].clone();
         bad[5] = 32;
-        let counting = CallCounting::default();
-        let mut rng = ChaCha8Rng::seed_from_u64(29);
-        assert!(by_column
-            .program_pattern_with(0, &bad, &map, &scheme, &mut rng, &counting)
-            .is_err());
-        let want = per_cell(&[(0, &bad[..5])], &mut by_cell, 29);
-        assert_eq!(by_column.conductances(), by_cell.conductances());
-        check(&counting, &want, 1);
+        // Row 7 of column 1 (level 28) is pinned off, so it never
+        // verifies: the retry writer escalates and then gives it up.
+        let faults = FaultMap::pristine(16, 3, 0)
+            .and_then(|m| m.with_stuck_cell(7, 1, StuckKind::Hrs))
+            .unwrap();
+
+        for retry in [false, true] {
+            // One column write through the writer under test; the plain
+            // writer also returns its column error.
+            let column_write = |a: &mut CrossbarArray,
+                                col: usize,
+                                levels: &[u32],
+                                rng: &mut ChaCha8Rng,
+                                rec: &CallCounting| {
+                if retry {
+                    a.program_pattern_retry_with(col, levels, &map, &scheme, &policy, rng, rec)
+                        .map(|_| None)
+                } else {
+                    a.program_pattern_with(col, levels, &map, &scheme, rng, rec)
+                        .map(|report| Some(report.relative_error))
+                }
+            };
+            // The reference: the same writes a cell at a time, through the
+            // single-cell path, on one RNG stream, with each column's cell
+            // error of largest magnitude.
+            let per_cell = |writes: &[(usize, &[u32])], a: &mut CrossbarArray, seed: u64| {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let rec = MemoryRecorder::default();
+                let mut worst = Vec::new();
+                for &(col, levels) in writes {
+                    let mut column = 0.0f64;
+                    for (row, &level) in levels.iter().enumerate() {
+                        let target = map.conductance(level).unwrap();
+                        let idx = a.check(row, col).unwrap();
+                        let error = a.writer().update(idx, |cell| {
+                            if retry {
+                                cell.program_with_retry(target, &scheme, &policy, &mut rng, &rec)
+                                    .map(|r| r.relative_error)
+                            } else {
+                                cell.program_with(target, &scheme, &mut rng, &rec)
+                                    .map(|r| r.relative_error)
+                            }
+                        });
+                        let error = error.unwrap();
+                        if error.abs() > column.abs() {
+                            column = error;
+                        }
+                    }
+                    worst.push(column);
+                }
+                (rec.snapshot(), worst)
+            };
+            // At most one call per counter per column write, with the
+            // reference's totals.
+            let check = |counting: &CallCounting, want: &TelemetrySnapshot, writes: u64| {
+                let got = counting.inner.snapshot();
+                for name in COUNTERS {
+                    let calls = counting.calls.borrow().get(name).copied().unwrap_or(0);
+                    assert!(
+                        calls <= writes,
+                        "retry {retry}: {name} called {calls} times"
+                    );
+                    assert_eq!(
+                        got.counter(name),
+                        want.counter(name),
+                        "retry {retry}: {name}"
+                    );
+                }
+            };
+
+            let mut by_column = CrossbarArray::new(16, 3, DeviceLimits::PAPER).unwrap();
+            by_column.set_fault_map(faults.clone()).unwrap();
+            let mut by_cell = by_column.clone();
+            let counting = CallCounting::default();
+            let mut rng = ChaCha8Rng::seed_from_u64(23);
+            let errors: Vec<Option<f64>> = writes
+                .iter()
+                .map(|&(col, levels)| {
+                    column_write(&mut by_column, col, levels, &mut rng, &counting).unwrap()
+                })
+                .collect();
+            let (want, worst) = per_cell(&writes, &mut by_cell, 23);
+            assert_eq!(by_column.conductances(), by_cell.conductances());
+            check(&counting, &want, 3);
+            let counted = if retry { &COUNTERS[..] } else { &COUNTERS[..2] };
+            assert!(counted.iter().all(|name| want.counter(name) > 0));
+            if !retry {
+                assert_eq!(errors, worst.into_iter().map(Some).collect::<Vec<_>>());
+            }
+
+            let counting = CallCounting::default();
+            let mut rng = ChaCha8Rng::seed_from_u64(29);
+            assert!(column_write(&mut by_column, 0, &bad, &mut rng, &counting).is_err());
+            let (want, _) = per_cell(&[(0, &bad[..5])], &mut by_cell, 29);
+            assert_eq!(by_column.conductances(), by_cell.conductances());
+            check(&counting, &want, 1);
+        }
     }
 
     #[test]

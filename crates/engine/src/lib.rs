@@ -10,34 +10,31 @@
 //!   blocks for space, [`RecallEngine::try_submit`] reports
 //!   [`EngineError::QueueFull`] — backpressure instead of unbounded memory);
 //! * **worker threads** — each owning a clone of the deployment with its
-//!   canonically warmed solver sessions — run the RNG-free
-//!   drive/settle/solve phase of whichever query is next;
-//! * the **master deployment** sits behind one lock, with the evaluations
-//!   waiting for their turn. After its evaluation, a worker takes that
-//!   lock and applies the RNG-consuming ADC/WTA selection phase of every
-//!   query whose turn has come — its own and any that were waiting for
-//!   it — strictly in submission order. A query crosses one engine thread.
+//!   canonically warmed solver sessions — take whichever query is next
+//!   and run all of it: the drive/settle/solve (evaluate) phase, then the
+//!   ADC/WTA (select) phase, then the answer. A query crosses one engine
+//!   thread, and the workers share nothing but the queue.
 //!
-//! Because the evaluation phase is deterministic and order-independent
-//! (fixed warm-start reference pinned at build time) and the stochastic
-//! phase consumes each module's RNG in exactly the sequential order, every
-//! response is **bit-identical** to calling the deployment's `recall` once
-//! per query in submission order — at any worker count, queue capacity, or
-//! thread interleaving. Every deployment kind is one evaluate phase plus
-//! one select phase through the same queue. A hierarchical deployment's
-//! worker evaluates its top (centroid) module; the select on the master
-//! picks the cluster, evaluates that cluster's member module — only the
-//! chosen cluster runs, as in the paper's §5 hierarchy — and picks the
-//! member. Tiled capacity pools ([`Deployment::Tiled`]) evaluate every
-//! tile of a query in one worker phase and the in-order select phase
-//! digitizes tiles in fixed tile order, so ranked top-k responses carry
-//! the same bit-identity guarantee. Every phase runs through the modules'
-//! compiled kernels (`spinamm_core::plan`), which clones share, so the
-//! engine has no execution path of its own to choose.
+//! A recall is a pure function of the deployment and the input: the
+//! evaluate phase is deterministic and order-independent (fixed
+//! warm-start reference pinned at build time), and the select phase draws
+//! no randomness and changes nothing. So every response is
+//! **bit-identical** to calling the deployment's `recall` once per query in
+//! submission order — at any worker count, queue capacity, or thread
+//! interleaving. A hierarchical deployment's worker evaluates its top
+//! (centroid) module, picks the cluster, evaluates that cluster's member
+//! module — only the chosen cluster runs, as in the paper's §5 hierarchy —
+//! and picks the member. Tiled capacity pools ([`Deployment::Tiled`])
+//! evaluate and digitize every tile of a query, and the top-k merge ranks
+//! them. Every phase runs through the modules' compiled kernels
+//! (`spinamm_core::plan`), which clones share, so the engine has no
+//! execution path of its own to choose.
 //!
 //! Stopping the engine — [`RecallEngine::shutdown`],
 //! [`RecallEngine::into_deployment`] or a drop — drains the queue first:
-//! every accepted query is answered.
+//! every accepted query is answered. A worker that panics drops the one
+//! job it holds, whose ticket reads [`EngineError::ShutDown`]; the other
+//! workers keep serving.
 //!
 //! ```
 //! use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule};
@@ -61,17 +58,16 @@
 //! # }
 //! ```
 
-use spinamm_core::amm::{AssociativeMemoryModule, QueryEvaluation, RecallResult};
+use spinamm_core::amm::{AssociativeMemoryModule, RecallResult};
 use spinamm_core::capacity::{TiledAmm, TiledRecall};
 use spinamm_core::hierarchy::{HierarchicalAmm, HierarchicalRecall};
 use spinamm_core::partition::{PartitionedAmm, PartitionedRecall};
 use spinamm_core::request::RecallRequest;
 use spinamm_core::CoreError;
 use spinamm_telemetry::{Layer, NoopRecorder, Recorder};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -109,8 +105,6 @@ pub mod prelude {
     pub use spinamm_core::request::RecallRequest;
     pub use spinamm_telemetry::{MemoryRecorder, NoopRecorder, Recorder};
 }
-
-type Req<'r> = RecallRequest<'r, SharedRecorder>;
 
 /// What the engine serves: one of the core memory organizations.
 #[derive(Debug, Clone)]
@@ -230,8 +224,8 @@ impl From<CoreError> for EngineError {
 /// Engine sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for the RNG-free evaluation phase (minimum one).
-    /// Results are worker-count independent.
+    /// Worker threads, each running whole queries (minimum one). Results
+    /// are worker-count independent.
     pub workers: usize,
     /// Bound of the external submission queue (minimum one). [`RecallEngine::submit`]
     /// blocks and [`RecallEngine::try_submit`] rejects once this many
@@ -278,8 +272,8 @@ pub struct EngineConfigBuilder {
 }
 
 impl EngineConfigBuilder {
-    /// Worker threads for the RNG-free evaluation phase (minimum one,
-    /// clamped at engine start).
+    /// Worker threads, each running whole queries (minimum one, clamped at
+    /// engine start).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
@@ -303,24 +297,16 @@ impl EngineConfigBuilder {
 /// A pending response handle returned by [`RecallEngine::submit`].
 #[derive(Debug)]
 pub struct Ticket {
-    seq: u64,
     rx: mpsc::Receiver<Result<EngineResponse, EngineError>>,
 }
 
 impl Ticket {
-    /// The query's submission sequence number (responses are selected in
-    /// this order).
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Blocks until the engine answers this query.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::ShutDown`] when the engine dropped the query
-    /// unanswered (only after one of its threads panicked — stopping the
+    /// unanswered (only when the worker running it panicked — stopping the
     /// engine answers every accepted query first), or the query's own
     /// recall error.
     pub fn wait(self) -> Result<EngineResponse, EngineError> {
@@ -335,57 +321,19 @@ impl Ticket {
 /// its answer goes back on. Dropping a job unanswered drops that sender,
 /// which turns its ticket's `wait` into [`EngineError::ShutDown`].
 struct Job {
-    seq: u64,
     input: Vec<u32>,
     /// When the query entered the queue (queue-wait and latency reference).
     submitted: Instant,
     reply: mpsc::Sender<Result<EngineResponse, EngineError>>,
 }
 
-/// A worker's output: the job plus its RNG-free evaluation.
-type Evaluated = (Job, Result<Evaluation, CoreError>);
-
-/// The master deployment and the evaluations waiting for their turn to
-/// select. The workers share it behind one lock; whichever worker holds
-/// the lock runs the selects whose turn has come.
-struct Master {
-    deployment: Deployment,
-    /// Evaluations that finished ahead of sequence number `next`.
-    pending: BTreeMap<u64, Evaluated>,
-    /// The sequence number of the next select.
-    next: u64,
-}
-
-impl Master {
-    /// Files one evaluation, then runs every select whose sequence number
-    /// is next — its own and any that were waiting for it — on the master,
-    /// answering each ticket. Jobs leave the queue in sequence order, so
-    /// the evaluation that completes a prefix drains it.
-    fn complete(&mut self, shared: &Shared, evaluated: Evaluated) {
-        self.pending.insert(evaluated.0.seq, evaluated);
-        while let Some((job, evaluation)) = self.pending.remove(&self.next) {
-            self.next += 1;
-            let response = evaluation.and_then(|evaluation| {
-                let _select = shared.recorder.span(Layer::ENGINE_SELECT);
-                self.deployment
-                    .select(evaluation, &job.input, &shared.request())
-            });
-            respond(shared, job, response.map_err(EngineError::from));
-        }
-    }
-}
-
 struct QueueState {
     jobs: VecDeque<Job>,
     closed: bool,
-    next_seq: u64,
 }
 
 struct Shared {
     state: Mutex<QueueState>,
-    /// The queue's length, written under the queue lock at every push and
-    /// pop, so the depth gauge can read it without that lock.
-    depth: AtomicUsize,
     job_ready: Condvar,
     space_ready: Condvar,
     capacity: usize,
@@ -393,9 +341,10 @@ struct Shared {
 }
 
 impl Shared {
-    /// The request one job's phases run under: the shared recorder.
-    fn request(&self) -> Req<'_> {
-        RecallRequest::recorded(&self.recorder)
+    /// Runs `phase` under a span of `layer`.
+    fn timed<T>(&self, layer: Layer, phase: impl FnOnce() -> T) -> T {
+        let _span = self.recorder.span(layer);
+        phase()
     }
 
     /// Blocks for the next queued job. Returns `None` only once the engine
@@ -405,7 +354,10 @@ impl Shared {
         let mut state = self.state.lock().expect("queue lock");
         loop {
             if let Some(job) = state.jobs.pop_front() {
-                self.depth.store(state.jobs.len(), Ordering::Relaxed);
+                // Sampled under the queue lock, as at every push, so the
+                // gauge's last value is the queue's length.
+                self.recorder
+                    .gauge("engine.queue_depth", state.jobs.len() as f64);
                 self.space_ready.notify_one();
                 return Some(job);
             }
@@ -415,70 +367,42 @@ impl Shared {
             state = self.job_ready.wait(state).expect("queue lock");
         }
     }
-
-    /// Samples the `engine.queue_depth` gauge.
-    fn gauge_depth(&self) {
-        let depth = self.depth.load(Ordering::Relaxed);
-        self.recorder.gauge("engine.queue_depth", depth as f64);
-    }
-}
-
-/// A worker's RNG-free phase output: everything the master's select needs
-/// besides the query itself.
-enum Evaluation {
-    Flat(QueryEvaluation),
-    Partitioned(Vec<QueryEvaluation>),
-    /// The top (centroid) module's evaluation; the chosen cluster's member
-    /// module evaluates inside the select phase, on the master.
-    Hierarchical(QueryEvaluation),
-    Tiled(Vec<QueryEvaluation>),
 }
 
 /// The engine's only per-kind dispatch.
 impl Deployment {
-    /// The RNG-free phase, run on a worker's clone. Order-independent: the
-    /// canonical warm start makes an evaluation independent of the
-    /// module's history.
-    fn evaluate(&mut self, input: &[u32], req: &Req<'_>) -> Result<Evaluation, CoreError> {
+    /// Runs one query on a worker's clone: the evaluate phase under an
+    /// `engine.settle` span, then the select phase under `engine.select`.
+    /// A hierarchical select evaluates the chosen cluster's member module
+    /// too ([`HierarchicalAmm::select_winner_request`]).
+    fn serve(&mut self, input: &[u32], shared: &Shared) -> Result<EngineResponse, CoreError> {
+        let req = &RecallRequest::recorded(&shared.recorder);
+        let (settle, select) = (Layer::ENGINE_EVALUATE, Layer::ENGINE_SELECT);
         match self {
-            Deployment::Flat(m) => m.evaluate_query_request(input, req).map(Evaluation::Flat),
-            Deployment::Partitioned(p) => p
-                .evaluate_query_request(input, req)
-                .map(Evaluation::Partitioned),
-            Deployment::Hierarchical(h) => h
-                .evaluate_top_request(input, req)
-                .map(Evaluation::Hierarchical),
-            Deployment::Tiled(t) => t.evaluate_query_request(input, req).map(Evaluation::Tiled),
-        }
-    }
-
-    /// The RNG-consuming phase, run on the master in submission order: it
-    /// advances every module's RNG exactly as a sequential recall of
-    /// `input` would. A hierarchical select
-    /// ([`HierarchicalAmm::select_winner_request`]) also evaluates the
-    /// chosen cluster's member module here on the master.
-    fn select(
-        &mut self,
-        evaluation: Evaluation,
-        input: &[u32],
-        req: &Req<'_>,
-    ) -> Result<EngineResponse, CoreError> {
-        match (self, evaluation) {
-            (Deployment::Flat(m), Evaluation::Flat(eval)) => {
-                m.select_winner_request(eval, req).map(EngineResponse::Flat)
+            Deployment::Flat(m) => {
+                let eval = shared.timed(settle, || m.evaluate_query_request(input, req))?;
+                shared
+                    .timed(select, || m.select_winner_request(eval, req))
+                    .map(EngineResponse::Flat)
             }
-            (Deployment::Partitioned(p), Evaluation::Partitioned(evals)) => p
-                .select_winner_request(evals, req)
-                .map(EngineResponse::Partitioned),
-            (Deployment::Hierarchical(h), Evaluation::Hierarchical(eval)) => h
-                .select_winner_request(eval, input, req)
-                .map(EngineResponse::Hierarchical),
-            (Deployment::Tiled(t), Evaluation::Tiled(evals)) => t
-                .select_winner_request(evals, req)
-                .map(EngineResponse::Tiled),
-            _ => Err(CoreError::InvalidParameter {
-                what: "evaluation does not match the deployment",
-            }),
+            Deployment::Partitioned(p) => {
+                let evals = shared.timed(settle, || p.evaluate_query_request(input, req))?;
+                shared
+                    .timed(select, || p.select_winner_request(evals, req))
+                    .map(EngineResponse::Partitioned)
+            }
+            Deployment::Hierarchical(h) => {
+                let top = shared.timed(settle, || h.evaluate_top_request(input, req))?;
+                shared
+                    .timed(select, || h.select_winner_request(top, input, req))
+                    .map(EngineResponse::Hierarchical)
+            }
+            Deployment::Tiled(t) => {
+                let evals = shared.timed(settle, || t.evaluate_query_request(input, req))?;
+                shared
+                    .timed(select, || t.select_winner_request(evals, req))
+                    .map(EngineResponse::Tiled)
+            }
         }
     }
 }
@@ -488,8 +412,9 @@ impl Deployment {
 pub struct RecallEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// `None` once [`RecallEngine::stop`] has taken the master back.
-    master: Option<Arc<Mutex<Master>>>,
+    /// The deployment the engine was given, which no query touches;
+    /// `None` once [`RecallEngine::into_deployment`] has handed it back.
+    deployment: Option<Deployment>,
 }
 
 impl RecallEngine {
@@ -502,13 +427,13 @@ impl RecallEngine {
     /// Starts an engine reporting `engine.*` telemetry into `recorder`:
     /// `engine.submitted` / `engine.rejected` / `engine.completed` /
     /// `engine.errors` counters, the `engine.queue_depth` gauge, the
-    /// `engine.queue_wait_ns` histogram, the `engine.settle` (worker
-    /// evaluate phase) and `engine.select` (in-order select phase on the
-    /// master, which includes a hierarchical query's member evaluation)
-    /// span timers — one sample of each per query — the
-    /// `engine.latency_seconds` submit-to-response histogram (p50/p95 in
-    /// the snapshot), and per-worker `engine.worker.<i>.jobs` /
-    /// `.utilization` series (utilization counts evaluate time only).
+    /// `engine.queue_wait_ns` histogram, the `engine.settle` (evaluate
+    /// phase) and `engine.select` (select phase, which includes a
+    /// hierarchical query's member evaluation) span timers — one sample of
+    /// each per query — the `engine.latency_seconds` submit-to-response
+    /// histogram (p50/p95 in the snapshot), and per-worker
+    /// `engine.worker.<i>.jobs` / `.utilization` series (utilization is the
+    /// share of the worker's lifetime spent running queries).
     /// The deployment's own stage series (`recall.drive`,
     /// `recall.settle`, `recall.convert`, `recall.select`, …) land in the
     /// same recorder. Telemetry is observation-only: responses are
@@ -524,9 +449,7 @@ impl RecallEngine {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 closed: false,
-                next_seq: 0,
             }),
-            depth: AtomicUsize::new(0),
             job_ready: Condvar::new(),
             space_ready: Condvar::new(),
             capacity: config.queue_capacity.max(1),
@@ -534,26 +457,18 @@ impl RecallEngine {
         });
         // Each worker owns a full clone of the deployment; clones share the
         // canonically warmed solver sessions and the kernel tables, so their
-        // evaluations are bit-identical to the master's.
-        let clones: Vec<Deployment> = (0..worker_count).map(|_| deployment.clone()).collect();
-        let master = Arc::new(Mutex::new(Master {
-            deployment,
-            pending: BTreeMap::new(),
-            next: 0,
-        }));
-        let workers = clones
-            .into_iter()
-            .enumerate()
-            .map(|(idx, clone)| {
+        // recalls are bit-identical to the original's.
+        let workers = (0..worker_count)
+            .map(|idx| {
                 let shared = Arc::clone(&shared);
-                let master = Arc::clone(&master);
-                std::thread::spawn(move || worker_loop(idx, &shared, &master, clone))
+                let clone = deployment.clone();
+                std::thread::spawn(move || worker_loop(idx, &shared, clone))
             })
             .collect();
         Self {
             shared,
             workers,
-            master: Some(master),
+            deployment: Some(deployment),
         }
     }
 
@@ -590,21 +505,17 @@ impl RecallEngine {
         if state.closed {
             return Err(EngineError::ShutDown);
         }
-        let seq = state.next_seq;
-        state.next_seq += 1;
         let (reply, rx) = mpsc::channel();
         state.jobs.push_back(Job {
-            seq,
             input: input.to_vec(),
             submitted: Instant::now(),
             reply,
         });
-        self.shared.depth.store(state.jobs.len(), Ordering::Relaxed);
         recorder.counter("engine.submitted", 1);
         recorder.gauge("engine.queue_depth", state.jobs.len() as f64);
         drop(state);
         self.shared.job_ready.notify_one();
-        Ok(Ticket { seq, rx })
+        Ok(Ticket { rx })
     }
 
     /// Submits a whole batch (blocking for queue space) and waits for all
@@ -632,26 +543,24 @@ impl RecallEngine {
     }
 
     /// Stops the engine like [`RecallEngine::shutdown`] — every accepted
-    /// query answered — and hands back the master deployment the selects
-    /// ran on, with all RNG and solver state exactly where that answered
-    /// traffic left it: its next recall equals the next recall of a
-    /// sequential twin that recalled the same queries. This is how a
-    /// lifetime maintenance window works: drain the engine, run background
-    /// refresh on the recovered module, then start a new engine over it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a select panicked (the master deployment is unrecoverable
-    /// in that case).
+    /// query answered — and hands back the deployment the engine was
+    /// given, untouched: queries run on the workers' clones, and a recall
+    /// changes nothing a later recall reads, so its next recall equals the
+    /// next recall of a sequential twin that recalled the same queries.
+    /// This is how a lifetime maintenance window works: drain the engine,
+    /// run background refresh on the recovered module, then start a new
+    /// engine over it.
     #[must_use]
     pub fn into_deployment(mut self) -> Deployment {
-        self.stop().expect("a select panicked on the master")
+        self.stop();
+        self.deployment
+            .take()
+            .expect("only into_deployment takes the deployment")
     }
 
     /// The one stop path: close the queue and join the workers once they
-    /// have drained it and answered everything they evaluated. Returns the
-    /// master deployment on the first call, unless a select panicked.
-    fn stop(&mut self) -> Option<Deployment> {
+    /// have drained it and answered every job.
+    fn stop(&mut self) {
         // Closing is valid on any queue state, and this runs in `Drop`,
         // which must not panic: recover a lock poisoned by a panicked
         // thread instead of failing on it.
@@ -665,9 +574,6 @@ impl RecallEngine {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // The workers are gone, so this is the last handle on the master.
-        let master = Arc::try_unwrap(self.master.take()?).ok()?;
-        master.into_inner().ok().map(|master| master.deployment)
     }
 }
 
@@ -677,22 +583,23 @@ impl Drop for RecallEngine {
     }
 }
 
-fn worker_loop(idx: usize, shared: &Shared, master: &Mutex<Master>, mut deployment: Deployment) {
+fn worker_loop(idx: usize, shared: &Shared, mut deployment: Deployment) {
     let recorder = &shared.recorder;
     let jobs_series = format!("engine.worker.{idx}.jobs");
     let utilization_series = format!("engine.worker.{idx}.utilization");
     let started = Instant::now();
     let mut busy = 0.0f64;
     while let Some(job) = shared.next_job() {
+        #[cfg(test)]
+        if job.input.first() == Some(&tests::PANIC_MARK) {
+            panic!("a marked job panics its worker");
+        }
         if recorder.is_enabled() {
             let wait = job.submitted.elapsed();
             recorder.observe("engine.queue_wait_ns", wait.as_secs_f64() * 1e9);
         }
         let t0 = Instant::now();
-        let evaluation = {
-            let _evaluate = recorder.span(Layer::ENGINE_EVALUATE);
-            deployment.evaluate(&job.input, &shared.request())
-        };
+        let response = deployment.serve(&job.input, shared);
         if recorder.is_enabled() {
             busy += t0.elapsed().as_secs_f64();
             recorder.counter(&jobs_series, 1);
@@ -700,50 +607,36 @@ fn worker_loop(idx: usize, shared: &Shared, master: &Mutex<Master>, mut deployme
             if total > 0.0 {
                 recorder.gauge(&utilization_series, busy / total);
             }
-            shared.gauge_depth();
+            recorder.observe(
+                "engine.latency_seconds",
+                job.submitted.elapsed().as_secs_f64(),
+            );
         }
-        match master.lock() {
-            Ok(mut master) => master.complete(shared, (job, evaluation)),
-            Err(poisoned) => {
-                // A select panicked, leaving the master's RNG position
-                // unknown: answer nothing more. Dropping a job unanswered
-                // fails its ticket with `ShutDown`.
-                poisoned.into_inner().pending.clear();
-                return;
-            }
-        }
-    }
-}
-
-fn respond(shared: &Shared, job: Job, response: Result<EngineResponse, EngineError>) {
-    let recorder = &shared.recorder;
-    if recorder.is_enabled() {
-        recorder.observe(
-            "engine.latency_seconds",
-            job.submitted.elapsed().as_secs_f64(),
+        recorder.counter(
+            if response.is_ok() {
+                "engine.completed"
+            } else {
+                "engine.errors"
+            },
+            1,
         );
-        // Re-sample the depth gauge at completion: submissions and
-        // dequeues alone leave it stuck at its high-water mark once the
-        // queue drains.
-        shared.gauge_depth();
+        // The caller may have dropped its ticket unwaited; nothing to tell.
+        let _ = job.reply.send(response.map_err(EngineError::from));
     }
-    recorder.counter(
-        if response.is_ok() {
-            "engine.completed"
-        } else {
-            "engine.errors"
-        },
-        1,
-    );
-    // The caller may have dropped its ticket unwaited; nothing to tell.
-    let _ = job.reply.send(response);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinamm_core::amm::AmmConfig;
+    use spinamm_core::amm::{AmmConfig, Fidelity};
+    use spinamm_core::degrade::DegradationPolicy;
+    use spinamm_faults::{FaultMap, StuckKind};
     use spinamm_telemetry::MemoryRecorder;
+    use std::time::Duration;
+
+    /// A job whose input starts with this level panics the worker that
+    /// pops it (the trigger in `worker_loop` exists only in tests).
+    pub(super) const PANIC_MARK: u32 = u32::MAX;
 
     fn patterns() -> Vec<Vec<u32>> {
         vec![
@@ -772,6 +665,106 @@ mod tests {
             assert_eq!(response, &sequential.recall(q).unwrap());
         }
         engine.shutdown();
+    }
+
+    #[test]
+    fn a_worker_panic_fails_one_ticket_not_the_tenant() {
+        let mut sequential = flat_deployment();
+        let engine = RecallEngine::new(
+            flat_deployment(),
+            &EngineConfig::builder()
+                .workers(2)
+                .queue_capacity(16)
+                .build(),
+        );
+        let mut marked = patterns()[0].clone();
+        marked[0] = PANIC_MARK;
+        let marked = engine.submit(&marked).unwrap();
+        let queries: Vec<Vec<u32>> = patterns().into_iter().cycle().take(6).collect();
+        let tickets: Vec<Ticket> = queries.iter().map(|q| engine.submit(q).unwrap()).collect();
+        // Wait on a helper thread, so a ticket nobody answers fails the
+        // test instead of hanging it.
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let answers: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+            let _ = tx.send((marked.wait(), answers));
+        });
+        let (marked, answers) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a ticket after the panic was never answered");
+        helper.join().unwrap();
+        assert_eq!(marked.unwrap_err(), EngineError::ShutDown);
+        for (q, answer) in queries.iter().zip(answers) {
+            assert_eq!(answer.unwrap(), sequential.recall(q).unwrap());
+        }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn recalls_leave_the_write_stream_untouched() {
+        // A recall draws nothing from a module's RNG, the stream template
+        // writes draw their programming noise from. So after one twin
+        // serves traffic through every entry point, the same write on both
+        // twins programs the same conductances and gives the same recall.
+        let req = RecallRequest::DEFAULT;
+        let queries: Vec<Vec<u32>> = patterns().into_iter().cycle().take(6).collect();
+        let template: Vec<u32> = (0..12).map(|i| (i * 13 + 5) % 32).collect();
+        // Direct recalls, then an engine window.
+        let serve = |mut busy: Deployment| {
+            for q in &queries {
+                busy.recall(q).unwrap();
+            }
+            let config = EngineConfig::builder().workers(2).queue_capacity(4).build();
+            let engine = RecallEngine::new(busy, &config);
+            engine.recall_many(&queries).unwrap();
+            engine.into_deployment()
+        };
+        let faults = FaultMap::pristine(12, 6, 9)
+            .and_then(|m| m.with_stuck_cell(2, 1, StuckKind::Lrs))
+            .and_then(|m| m.with_threshold_factor(0, 1.3))
+            .unwrap();
+        for fidelity in [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic] {
+            let cfg = AmmConfig {
+                fidelity,
+                spare_columns: 3,
+                ..AmmConfig::default()
+            };
+            let module = || {
+                let mut m = AssociativeMemoryModule::build(&patterns(), &cfg).unwrap();
+                m.inject_faults(faults.clone(), &DegradationPolicy::default())
+                    .unwrap();
+                m
+            };
+            let (mut busy, mut idle) = (module(), module());
+            busy.recall_batch(&queries).unwrap();
+            let eval = busy.clone().evaluate_query_request(&queries[0], &req);
+            busy.select_winner_request(eval.unwrap(), &req).unwrap();
+            let Deployment::Flat(mut busy) = serve(Deployment::Flat(busy)) else {
+                unreachable!("the engine hands back the deployment it was given")
+            };
+            let installed = busy.install_template(&template).unwrap();
+            assert_eq!(installed, idle.install_template(&template).unwrap());
+            let conductances = busy.array().conductances();
+            assert_eq!(conductances, idle.array().conductances(), "{fidelity:?}");
+            let recall = busy.recall(&template).unwrap();
+            assert_eq!(recall, idle.recall(&template).unwrap(), "{fidelity:?}");
+
+            let pool = || TiledAmm::build(&patterns(), 2, &cfg).unwrap();
+            let (busy, mut idle) = (pool(), pool());
+            let evals = busy.clone().evaluate_query_request(&queries[0], &req);
+            busy.select_winner_request(evals.unwrap(), &req).unwrap();
+            let Deployment::Tiled(mut busy) = serve(Deployment::Tiled(busy)) else {
+                unreachable!("the engine hands back the deployment it was given")
+            };
+            let inserted = busy.insert_template(&template).unwrap();
+            assert_eq!(inserted, idle.insert_template(&template).unwrap());
+            // Every tile's column currents, a function of its conductances.
+            let currents =
+                |pool: &mut TiledAmm| pool.evaluate_query_request(&template, &req).unwrap();
+            assert_eq!(currents(&mut busy), currents(&mut idle), "{fidelity:?}");
+            let recall = busy.recall(&template).unwrap();
+            assert_eq!(recall, idle.recall(&template).unwrap(), "{fidelity:?}");
+        }
     }
 
     #[test]

@@ -45,8 +45,10 @@
 //! to serve live traffic — e.g. wrapped in a
 //! `spinamm_engine::RecallEngine` — and restored
 //! ([`MaintenanceScheduler::restore_module`]) for the next background
-//! window; `RecallEngine::into_deployment` hands the module back without
-//! losing its RNG stream or programmed state.
+//! window; `RecallEngine::into_deployment` hands back the module it was
+//! given, untouched: a recall draws no randomness and programs nothing, so
+//! the module's RNG stream and programmed state are where the last window
+//! left them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

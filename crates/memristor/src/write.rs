@@ -225,6 +225,8 @@ pub struct RetryReport {
     pub attempts: u32,
     /// Total pulses across every attempt (≤ the policy's budget).
     pub pulses: u32,
+    /// Verify reads across every attempt.
+    pub verify_checks: u64,
     /// Total write energy (escalated pulses cost `amplitude²` each).
     pub energy: Joules,
     /// Relative error of the final verify read with respect to the target.
@@ -305,6 +307,7 @@ impl Memristor {
         self.check_target(target)?;
         let mut attempts = 0u32;
         let mut pulses = 0u32;
+        let mut verify_checks = 0u64;
         let mut energy = Joules::ZERO;
         let mut relative_error = (self.conductance().0 - target.0) / target.0;
         let mut recovered = relative_error.abs() <= scheme.tolerance;
@@ -323,6 +326,7 @@ impl Memristor {
             let report = self.program_impl(target, scheme, amplitude, cap, rng);
             report.record(recorder);
             pulses += report.pulses;
+            verify_checks += report.verify_checks;
             energy = Joules(energy.0 + report.energy.0);
             relative_error = report.relative_error;
             recovered = relative_error.abs() <= scheme.tolerance;
@@ -333,6 +337,7 @@ impl Memristor {
         Ok(RetryReport {
             attempts,
             pulses,
+            verify_checks,
             energy,
             relative_error,
             recovered,

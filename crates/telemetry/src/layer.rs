@@ -27,10 +27,10 @@ impl Layer {
     pub const CONVERT: Self = Self::new("recall.convert");
     /// Winner tracking and result assembly.
     pub const SELECT: Self = Self::new("recall.select");
-    /// An engine worker's RNG-free evaluate phase.
+    /// An engine worker's evaluate phase of one query.
     pub const ENGINE_EVALUATE: Self = Self::new("engine.settle");
-    /// The engine's RNG-consuming select phase, run in submission order on
-    /// the master deployment by a worker holding its lock.
+    /// An engine worker's select phase of one query, on the same worker's
+    /// clone (a hierarchical one includes the member evaluation).
     pub const ENGINE_SELECT: Self = Self::new("engine.select");
 
     const fn new(series: &'static str) -> Self {

@@ -263,8 +263,6 @@ fn telemetry_observation_changes_no_result() {
     for fidelity in [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic] {
         let cfg = AmmConfig {
             fidelity,
-            thermal: true,
-            latch_noise: true,
             ..AmmConfig::default()
         };
         let recorder = MemoryRecorder::default();
