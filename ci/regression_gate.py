@@ -13,7 +13,8 @@ printed with both values.
 
 The fresh report must also keep three contracts: conformance (E15),
 capacity (E18) and lifetime (E20), and the paper's headline shapes
-(``check_shapes``: Fig 3a, Fig 9a, Fig 9b, Fig 13a, Fig 13b and Table 1).
+(``check_shapes``: Fig 3a, Fig 9a, Fig 9b, Fig 13a, Fig 13b, Table 1 and
+the crossbar's RC settling).
 They keep a regenerated baseline honest: a change that moves a number on
 purpose regenerates the baseline, and these must still hold.
 
@@ -54,6 +55,10 @@ FIG9A_PAPER_WINDOW = "1.00"
 
 # Fig 9b: the margin at 30 mV keeps at least this share of the 60 mV one.
 FIG9B_30MV_SHARE = 0.9
+
+# Settling: the paper's 100 MHz operation gives each SAR cycle 10 ns, and
+# every crossbar settling row must fit inside one.
+SAR_CYCLE_S = 10e-9
 
 # E20 contract: maintained arms hold accuracy to within two points of fresh
 # at the end of the traffic horizon while spending at most 10 % of the
@@ -208,7 +213,8 @@ def check_shapes(studies, failures):
     """The paper's headline claims (arXiv:1304.2281), as named checks of
     who wins and which way a curve runs on the fresh report. They turn
     EXPERIMENTS.md's "Reproduced" verdicts into gates. Only Fig 9a and
-    Fig 9b read parasitic-fidelity cells.
+    Fig 9b read parasitic-fidelity cells, and only the settling check reads
+    a transient solve.
 
     - spin_lowest_power (Table 1): spin-CMOS draws the least power at
       every resolution.
@@ -227,6 +233,8 @@ def check_shapes(studies, failures):
       grows as the bias voltage falls.
     - margin_holds_to_30mv (Fig 9b): the 30 mV margin is at least
       FIG9B_30MV_SHARE of the 60 mV one.
+    - settles_within_cycle (settling): every row, the transient solve and
+      the Elmore bounds, settles in under SAR_CYCLE_S and reads "yes".
     """
     if "table1" in studies:
         for row in table_rows(studies["table1"]):
@@ -293,6 +301,20 @@ def check_shapes(studies, failures):
             failures.append(
                 ("fig9b[30 mV] margin_holds_to_30mv", f">= {floor:.3f}", margins["30.000 mV"])
             )
+
+    if "settling" in studies:
+        for row in table_rows(studies["settling"]):
+            # A run that never settles prints its time as "n/a s".
+            time = row["time"]
+            settled = not time.startswith("n/a") and value(time) < SAR_CYCLE_S
+            if not (settled and row["within cycle"] == "yes"):
+                failures.append(
+                    (
+                        f"settling[{row['analysis']}] settles_within_cycle",
+                        f"< {SAR_CYCLE_S:g} s and yes",
+                        [time, row["within cycle"]],
+                    )
+                )
 
 
 def main(baseline_path, fresh_path):

@@ -62,6 +62,9 @@ def fig9b_sag(doc):
         set_cell(doc, "fig9b", bias, "margin (LSB)", "0.50")
 
 
+# The settling study's transient row, at both scales.
+SETTLING_TRANSIENT = "transient, 12x6 array (0.1 % band)"
+
 # (what the planted copy breaks, how, the path the gate must print). Each is
 # compared with itself, so only its check can fail it.
 BROKEN_CHECKS = [
@@ -174,6 +177,21 @@ BROKEN_CHECKS = [
         "fig9b margin_does_not_rise_as_bias_shrinks",
     ),
     ("Fig 9b 30 mV", fig9b_sag, "fig9b[30 mV] margin_holds_to_30mv"),
+    (
+        "settling past the SAR cycle",
+        lambda d: set_cell(d, "settling", SETTLING_TRANSIENT, "time", "12.000 ns"),
+        f"settling[{SETTLING_TRANSIENT}] settles_within_cycle",
+    ),
+    (
+        "settling flagged outside the cycle",
+        lambda d: set_cell(d, "settling", SETTLING_TRANSIENT, "within cycle", "NO"),
+        f"settling[{SETTLING_TRANSIENT}] settles_within_cycle",
+    ),
+    (
+        "settling never",
+        lambda d: set_cell(d, "settling", SETTLING_TRANSIENT, "time", "n/a s"),
+        f"settling[{SETTLING_TRANSIENT}] settles_within_cycle",
+    ),
 ]
 
 

@@ -1,15 +1,15 @@
-//! Dense linear algebra: a row-major matrix with LU and Cholesky solves.
+//! Dense linear algebra: a row-major matrix with a Cholesky solve.
 //!
-//! The full modified-nodal-analysis system of a crossbar netlist is
-//! asymmetric once voltage-source branch equations are appended, so the
-//! general path is LU with partial pivoting. When the network is reduced to
-//! its interior (Dirichlet-eliminated) conductance matrix the system is
-//! symmetric positive definite and [`DenseMatrix::cholesky`] is both faster
-//! and a good cross-check for the sparse conjugate-gradient path.
+//! Every netlist is solved on its Dirichlet-reduced (clamped nodes
+//! eliminated) conductance matrix, which is symmetric positive definite, so
+//! [`DenseMatrix::cholesky`] is the one dense factorization: the cold
+//! reference solve, the prepared system's small-network backend and the
+//! transient analysis all use it, and it cross-checks the sparse
+//! conjugate-gradient path.
 //!
-//! Matrices of the sizes used by `spinamm` (up to a few thousand unknowns for
-//! direct solves) fit comfortably in dense storage; larger parasitic networks
-//! go through [`crate::sparse`].
+//! Matrices of the sizes solved directly (up to several hundred unknowns)
+//! fit comfortably in dense storage; larger parasitic networks go through
+//! [`crate::sparse`].
 
 use crate::CircuitError;
 use std::fmt;
@@ -28,7 +28,7 @@ use std::ops::{Index, IndexMut};
 /// a[(0, 1)] = 1.0;
 /// a[(1, 0)] = 1.0;
 /// a[(1, 1)] = 3.0;
-/// let x = a.solve(&[3.0, 5.0])?;
+/// let x = a.cholesky()?.solve(&[3.0, 5.0])?;
 /// assert!((x[0] - 0.8).abs() < 1e-12);
 /// assert!((x[1] - 1.4).abs() < 1e-12);
 /// # Ok(())
@@ -145,88 +145,6 @@ impl DenseMatrix {
         Ok(y)
     }
 
-    /// Solves `A·x = b` by LU factorization with partial pivoting.
-    ///
-    /// The matrix is copied; repeated solves against the same matrix should
-    /// use [`DenseMatrix::lu`] once and [`LuFactors::solve`] per right-hand
-    /// side.
-    ///
-    /// # Errors
-    ///
-    /// * [`CircuitError::DimensionMismatch`] if the matrix is not square or
-    ///   `b.len() != rows`.
-    /// * [`CircuitError::SingularSystem`] if a pivot underflows.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, CircuitError> {
-        self.lu()?.solve(b)
-    }
-
-    /// Computes the LU factorization with partial pivoting.
-    ///
-    /// # Errors
-    ///
-    /// * [`CircuitError::DimensionMismatch`] if the matrix is not square.
-    /// * [`CircuitError::SingularSystem`] if a pivot underflows.
-    pub fn lu(&self) -> Result<LuFactors, CircuitError> {
-        if !self.is_square() {
-            return Err(CircuitError::DimensionMismatch {
-                expected: self.rows,
-                found: self.cols,
-            });
-        }
-        let n = self.rows;
-        let mut lu = self.data.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-
-        // Scale factors for implicit scaled partial pivoting: row equilibration
-        // matters because crossbar MNA rows mix µS memristor conductances with
-        // unit voltage-source entries.
-        let mut scale = vec![0.0_f64; n];
-        for i in 0..n {
-            let big = lu[i * n..(i + 1) * n]
-                .iter()
-                .fold(0.0_f64, |m, v| m.max(v.abs()));
-            if big == 0.0 {
-                return Err(CircuitError::SingularSystem { pivot: i });
-            }
-            scale[i] = 1.0 / big;
-        }
-
-        for k in 0..n {
-            // Pivot search over rows k..n.
-            let mut best = k;
-            let mut best_val = scale[k] * lu[k * n + k].abs();
-            for i in (k + 1)..n {
-                let v = scale[i] * lu[i * n + k].abs();
-                if v > best_val {
-                    best_val = v;
-                    best = i;
-                }
-            }
-            if best != k {
-                for j in 0..n {
-                    lu.swap(k * n + j, best * n + j);
-                }
-                perm.swap(k, best);
-                scale.swap(k, best);
-            }
-            let pivot = lu[k * n + k];
-            if pivot.abs() < f64::MIN_POSITIVE * 1e4 {
-                return Err(CircuitError::SingularSystem { pivot: k });
-            }
-            for i in (k + 1)..n {
-                let factor = lu[i * n + k] / pivot;
-                lu[i * n + k] = factor;
-                if factor != 0.0 {
-                    for j in (k + 1)..n {
-                        lu[i * n + j] -= factor * lu[k * n + j];
-                    }
-                }
-            }
-        }
-
-        Ok(LuFactors { n, lu, perm })
-    }
-
     /// Computes the Cholesky factor `L` (lower triangular, `A = L·Lᵀ`) of a
     /// symmetric positive definite matrix. Only the lower triangle of `self`
     /// is read.
@@ -294,58 +212,6 @@ impl fmt::Display for DenseMatrix {
             writeln!(f)?;
         }
         Ok(())
-    }
-}
-
-/// LU factorization produced by [`DenseMatrix::lu`].
-#[derive(Debug, Clone)]
-pub struct LuFactors {
-    n: usize,
-    /// Packed L (unit diagonal, below) and U (on/above diagonal).
-    lu: Vec<f64>,
-    /// `perm[k]` is the original row now in position `k`.
-    perm: Vec<usize>,
-}
-
-impl LuFactors {
-    /// Dimension of the factored matrix.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Solves `A·x = b` using the stored factors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::DimensionMismatch`] if `b.len()` differs from
-    /// the factored dimension.
-    #[allow(clippy::needless_range_loop)] // indexed triangular solves read clearer
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, CircuitError> {
-        let n = self.n;
-        if b.len() != n {
-            return Err(CircuitError::DimensionMismatch {
-                expected: n,
-                found: b.len(),
-            });
-        }
-        // Apply permutation, then forward- and back-substitute.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-        for i in 1..n {
-            let mut s = x[i];
-            for j in 0..i {
-                s -= self.lu[i * n + j] * x[j];
-            }
-            x[i] = s;
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in (i + 1)..n {
-                s -= self.lu[i * n + j] * x[j];
-            }
-            x[i] = s / self.lu[i * n + i];
-        }
-        Ok(x)
     }
 }
 
@@ -437,77 +303,24 @@ mod tests {
     fn identity_solve_is_identity() {
         let a = DenseMatrix::identity(4);
         let b = [1.0, -2.0, 3.5, 0.0];
-        let x = a.solve(&b).unwrap();
+        let x = a.cholesky().unwrap().solve(&b).unwrap();
         assert_eq!(x, b.to_vec());
     }
 
     #[test]
-    fn lu_solves_general_system() {
-        let a = DenseMatrix::from_rows(3, 3, &[2.0, 1.0, -1.0, -3.0, -1.0, 2.0, -2.0, 1.0, 2.0])
-            .unwrap();
-        let b = [8.0, -11.0, -3.0];
-        let x = a.solve(&b).unwrap();
-        assert!((x[0] - 2.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
-        assert!((x[2] + 1.0).abs() < 1e-12);
-        assert!(residual(&a, &x, &b) < 1e-12);
-    }
-
-    #[test]
-    fn lu_handles_zero_leading_pivot() {
-        // Requires pivoting: a11 = 0.
-        let a = DenseMatrix::from_rows(2, 2, &[0.0, 1.0, 1.0, 0.0]).unwrap();
-        let x = a.solve(&[3.0, 7.0]).unwrap();
-        assert_eq!(x, vec![7.0, 3.0]);
-    }
-
-    #[test]
-    fn lu_detects_singular() {
-        let a = DenseMatrix::from_rows(2, 2, &[1.0, 2.0, 2.0, 4.0]).unwrap();
-        match a.solve(&[1.0, 2.0]) {
-            Err(CircuitError::SingularSystem { .. }) => {}
-            other => panic!("expected singular, got {other:?}"),
-        }
-        let zero = DenseMatrix::zeros(3, 3);
-        assert!(matches!(
-            zero.solve(&[0.0; 3]),
-            Err(CircuitError::SingularSystem { .. })
-        ));
-    }
-
-    #[test]
-    fn lu_badly_scaled_rows() {
-        // Rows differing by 9 orders of magnitude — scaled pivoting must cope,
-        // as MNA matrices mix µS conductances with unit source stamps.
-        let a = DenseMatrix::from_rows(2, 2, &[1e-9, 2e-9, 1.0, -1.0]).unwrap();
-        let b = [3e-9, 0.0];
-        let x = a.solve(&b).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-9);
-        assert!((x[1] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lu_factors_reusable_across_rhs() {
-        let a = DenseMatrix::from_rows(2, 2, &[4.0, 1.0, 1.0, 3.0]).unwrap();
-        let lu = a.lu().unwrap();
-        assert_eq!(lu.dim(), 2);
-        for b in [[1.0, 0.0], [0.0, 1.0], [5.0, -2.0]] {
-            let x = lu.solve(&b).unwrap();
-            assert!(residual(&a, &x, &b) < 1e-12);
-        }
-    }
-
-    #[test]
     fn cholesky_matches_lu_on_spd() {
+        // Solves to a known solution: b = A·x for x = (1, −2, 0.5).
         let a =
             DenseMatrix::from_rows(3, 3, &[4.0, 1.0, 0.5, 1.0, 5.0, 1.5, 0.5, 1.5, 6.0]).unwrap();
         assert_eq!(a.asymmetry(), 0.0);
-        let b = [1.0, 2.0, 3.0];
-        let x_lu = a.solve(&b).unwrap();
-        let x_ch = a.cholesky().unwrap().solve(&b).unwrap();
-        for (u, v) in x_lu.iter().zip(&x_ch) {
+        let want = [1.0, -2.0, 0.5];
+        let b = a.matvec(&want).unwrap();
+        assert_eq!(b, vec![2.25, -8.25, 0.5]);
+        let x = a.cholesky().unwrap().solve(&b).unwrap();
+        for (u, v) in x.iter().zip(&want) {
             assert!((u - v).abs() < 1e-12);
         }
+        assert!(residual(&a, &x, &b) < 1e-12);
     }
 
     #[test]
@@ -545,7 +358,7 @@ mod tests {
     fn dimension_errors() {
         let a = DenseMatrix::zeros(2, 3);
         assert!(matches!(
-            a.solve(&[1.0, 2.0]),
+            a.cholesky(),
             Err(CircuitError::DimensionMismatch { .. })
         ));
         assert!(matches!(

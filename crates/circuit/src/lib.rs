@@ -3,25 +3,31 @@
 //! The DAC 2013 paper this workspace reproduces ("Ultra Low Power Associative
 //! Computing with Spin Neurons and Resistive Crossbar Memory", Sharad, Fan and
 //! Roy) evaluates its resistive-crossbar designs with SPICE. This crate is the
-//! SPICE substitute: a modified-nodal-analysis (MNA) solver for linear DC
-//! networks of resistors, independent current sources and independent voltage
-//! sources, together with the dense and sparse linear algebra it needs.
+//! SPICE substitute: a nodal-analysis solver for linear networks of
+//! resistors, independent current sources, ground-referenced voltage sources
+//! (clamps) and capacitors, together with the dense and sparse linear algebra
+//! it needs. Every voltage in such a network is referenced to ground, so
+//! every solve eliminates the clamped nodes (a Dirichlet reduction) and works
+//! on a symmetric positive definite conductance matrix.
 //!
 //! The crate is deliberately scoped to what the crossbar study requires:
 //!
 //! * [`units`] — strongly typed electrical quantities ([`Volts`], [`Amps`],
 //!   [`Ohms`], [`Siemens`], …) so that device models in the other crates
 //!   cannot confuse, say, a conductance with a resistance.
-//! * [`dense`] — a small dense matrix type with LU (partial pivoting) and
-//!   Cholesky factorizations, used for full MNA systems.
-//! * [`sparse`] — a CSR sparse matrix with a Jacobi-preconditioned conjugate
-//!   gradient solver, used for the large (10⁴-node) parasitic crossbar
-//!   networks where the reduced conductance matrix is symmetric positive
-//!   definite.
-//! * [`netlist`] — netlist construction: nodes, resistors, current sources
-//!   and node-to-ground voltage sources (DC supplies / clamps).
-//! * [`solve`] — DC operating-point solution: node voltages and source branch
-//!   currents, via either dense MNA/LU or Dirichlet-eliminated CG.
+//! * [`dense`] — a small dense matrix type with a Cholesky factorization.
+//! * [`sparse`] — a CSR sparse matrix with a preconditioned (Jacobi or
+//!   IC(0)) conjugate gradient solver, used for the large (10⁴-node)
+//!   parasitic crossbar networks.
+//! * [`netlist`] — netlist construction: nodes, resistors, current sources,
+//!   node-to-ground voltage sources (DC supplies / clamps) and capacitors.
+//! * [`solve`] — the DC operating point: node voltages and branch currents.
+//!   [`Netlist::solve_dc`] is the cold reference, a dense Cholesky solve of
+//!   the reduced system at every size.
+//! * [`prepared`] — [`PreparedSystem`], the solver for repeated and large
+//!   solves of one topology: dense Cholesky up to 400 non-ground nodes,
+//!   IC(0)-preconditioned CG above, with factorizations and warm starts
+//!   reused across solves.
 //! * [`transient`] — backward-Euler linear transient analysis for RC
 //!   settling studies (the crossbar's 0.4 fF/µm wire loading).
 //!
@@ -57,7 +63,7 @@ pub mod units;
 pub use dense::DenseMatrix;
 pub use netlist::{ElementId, Netlist, NodeId};
 pub use prepared::{PreparedSolveReport, PreparedSystem};
-pub use solve::{DcSolution, SolveMethod, SolveStats};
+pub use solve::{DcSolution, SolveStats};
 pub use sparse::{
     CgRun, CgSolution, CgWorkspace, ConjugateGradient, CsrMatrix, IncompleteCholesky, SparseBuilder,
 };
@@ -146,7 +152,7 @@ impl Error for CircuitError {}
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
     pub use crate::netlist::{Netlist, NodeId};
-    pub use crate::solve::{DcSolution, SolveMethod, SolveStats};
+    pub use crate::solve::{DcSolution, SolveStats};
     pub use crate::units::*;
     pub use crate::CircuitError;
 }

@@ -1,17 +1,18 @@
 //! Netlist construction for linear DC networks.
 //!
-//! A [`Netlist`] is a bag of nodes plus three element kinds, which is all the
+//! A [`Netlist`] is a bag of nodes plus four element kinds, which is all the
 //! crossbar study needs:
 //!
 //! * **resistors** (stored as conductances) between any two nodes,
 //! * **independent current sources** between any two nodes,
-//! * **independent voltage sources**, either *clamps* from a node to ground
-//!   (DC supplies such as the paper's `V` and `V + ΔV` rails, and the
+//! * **clamps**: independent voltage sources from a node to ground (DC
+//!   supplies such as the paper's `V` and `V + ΔV` rails, and the
 //!   spin-neuron input nodes that are "effectively clamped at a DC supply
-//!   V"), or *floating* sources between two arbitrary nodes.
+//!   V"),
+//! * **capacitors** between any two nodes, open at DC.
 //!
-//! Node `0` is always ground ([`Netlist::GROUND`]); every solve references
-//! voltages to it.
+//! Node `0` is always ground ([`Netlist::GROUND`]); every voltage is
+//! referenced to it, so every source is either a clamp or a current source.
 
 use crate::units::{Amps, Farads, Ohms, Siemens, Volts};
 use crate::CircuitError;
@@ -77,15 +78,6 @@ pub enum Element {
         /// Potential of `node` relative to ground.
         volts: Volts,
     },
-    /// Floating voltage source: `v(plus) − v(minus) = volts`.
-    FloatingSource {
-        /// Positive terminal.
-        plus: NodeId,
-        /// Negative terminal.
-        minus: NodeId,
-        /// Source magnitude.
-        volts: Volts,
-    },
     /// Capacitor between two nodes. Ignored by DC solves (open circuit);
     /// integrated by [`crate::transient`].
     Capacitor {
@@ -106,7 +98,6 @@ pub struct Netlist {
     /// `names[i]` is the label of node `i`; `names[0] == "gnd"`.
     names: Vec<String>,
     elements: Vec<Element>,
-    floating_sources: usize,
 }
 
 impl Netlist {
@@ -119,7 +110,6 @@ impl Netlist {
         Self {
             names: vec!["gnd".to_string()],
             elements: Vec::new(),
-            floating_sources: 0,
         }
     }
 
@@ -167,13 +157,6 @@ impl Netlist {
     #[must_use]
     pub fn element_id(&self, index: usize) -> Option<ElementId> {
         (index < self.elements.len()).then_some(ElementId(index))
-    }
-
-    /// `true` if any floating (non-ground-referenced) voltage source exists;
-    /// such netlists require the full-MNA dense solve path.
-    #[must_use]
-    pub fn has_floating_sources(&self) -> bool {
-        self.floating_sources > 0
     }
 
     fn check_node(&self, node: NodeId) -> Result<(), CircuitError> {
@@ -251,33 +234,6 @@ impl Netlist {
         ElementId(self.elements.len() - 1)
     }
 
-    /// Adds a floating voltage source enforcing `v(plus) − v(minus) = volts`.
-    ///
-    /// Netlists containing floating sources are solved by full MNA (dense
-    /// LU); prefer [`Netlist::voltage_source`] clamps where the source is
-    /// ground-referenced, which keeps the fast symmetric solve path
-    /// available.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is foreign or the value is non-finite.
-    pub fn floating_voltage_source(
-        &mut self,
-        plus: NodeId,
-        minus: NodeId,
-        volts: Volts,
-    ) -> ElementId {
-        self.check_node(plus)
-            .expect("node `plus` not in this netlist");
-        self.check_node(minus)
-            .expect("node `minus` not in this netlist");
-        assert!(volts.0.is_finite(), "source voltage must be finite");
-        self.elements
-            .push(Element::FloatingSource { plus, minus, volts });
-        self.floating_sources += 1;
-        ElementId(self.elements.len() - 1)
-    }
-
     /// Adds a capacitor between two nodes. DC solves treat it as an open
     /// circuit; [`crate::transient`] integrates it.
     ///
@@ -347,16 +303,6 @@ mod tests {
             net.elements()[0],
             Element::Resistor { g, .. } if (g.0 - 0.01).abs() < 1e-15
         ));
-    }
-
-    #[test]
-    fn floating_source_flag() {
-        let mut net = Netlist::new();
-        let a = net.node("a");
-        let b = net.node("b");
-        assert!(!net.has_floating_sources());
-        net.floating_voltage_source(a, b, Volts(0.5));
-        assert!(net.has_floating_sources());
     }
 
     #[test]

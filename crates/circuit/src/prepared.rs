@@ -3,14 +3,18 @@
 //! The paper's sweeps (Fig. 3, Fig. 9, Table 1) evaluate the same crossbar
 //! netlist hundreds of times with only element *values* changing — drive
 //! conductances, source currents, clamp levels. A cold
-//! [`Netlist::solve_dc_stats`] re-derives the clamp map, re-sorts the CSR
-//! pattern and factors (or iterates from zero) every time. A
-//! [`PreparedSystem`] does that structural work once and then reuses it:
+//! [`Netlist::solve_dc`] re-derives the Dirichlet reduction and factors the
+//! reduced matrix every time. A [`PreparedSystem`] does that structural work
+//! once and then reuses it:
 //!
-//! * the clamp map, reduced-index mapping and CSR sparsity pattern are
-//!   cached at construction;
+//! * the Dirichlet reduction (clamp map and unknown numbering) and the CSR
+//!   sparsity pattern are cached at construction;
 //! * element values are restamped in place (a deterministic full restamp in
 //!   element order, so repeated restamps cannot drift);
+//! * one rule picks the backend by size: a netlist of at most
+//!   [`AUTO_DENSE_LIMIT`] non-ground nodes takes dense Cholesky, a larger one
+//!   IC(0)-preconditioned conjugate gradient at
+//!   [`ConjugateGradient::default`]'s tolerance;
 //! * on the dense path, the Cholesky factorization is kept and reused as
 //!   long as no conductance changed — RHS-only solves for `Current` /
 //!   `Clamp` updates are a pair of triangular substitutions;
@@ -18,7 +22,8 @@
 //!   solution with preallocated scratch vectors, and an IC(0) incomplete
 //!   Cholesky factor is cached as the preconditioner and reused while
 //!   conductance changes stay small (convergence is judged on the true
-//!   residual, so a stale factor costs iterations, never accuracy).
+//!   residual, so a stale factor costs iterations, never accuracy). If
+//!   IC(0) breaks down, the system falls back to Jacobi for good.
 //!
 //! The warm-start reference is deliberately the *first* solution of the
 //! session rather than the previous one: every subsequent solve then
@@ -28,12 +33,16 @@
 
 use crate::dense::{CholeskyFactor, DenseMatrix};
 use crate::netlist::{Element, ElementId, Netlist};
-use crate::solve::{
-    branch_currents, collect_clamps, DcSolution, SolveMethod, SolveStats, AUTO_DENSE_LIMIT,
-};
+use crate::solve::{branch_currents, DcSolution, Reduction, SolveStats, CLAMPED};
 use crate::sparse::{CgWorkspace, ConjugateGradient, CsrMatrix, IncompleteCholesky, SparseBuilder};
 use crate::units::{Amps, Siemens, Volts, Watts};
 use crate::CircuitError;
+
+/// Non-ground node count up to which a prepared system solves by dense
+/// Cholesky; above it, by IC(0)-preconditioned CG. The rule counts nodes,
+/// not unknowns, so a netlist's backend does not depend on how many of its
+/// nodes are clamped.
+pub const AUTO_DENSE_LIMIT: usize = 400;
 
 /// Relative diagonal perturbation above which the cached IC(0)
 /// preconditioner is considered stale and refactored on the next solve.
@@ -41,13 +50,10 @@ use crate::CircuitError;
 /// per-query DAC deltas are orders of magnitude under this bar.
 const PRECOND_STALE_THRESHOLD: f64 = 0.05;
 
-/// Sentinel for "this stamp endpoint is clamped — no matrix slot".
-const NO_SLOT: usize = usize::MAX;
-
 /// What one prepared solve did, for observability layers above this crate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreparedSolveReport {
-    /// Backend stats in the same shape as a cold solve.
+    /// Which backend ran and how much work the solve took.
     pub stats: SolveStats,
     /// Whether a cached factorization (dense Cholesky or IC(0)) was reused.
     pub factorization_reused: bool,
@@ -57,13 +63,13 @@ pub struct PreparedSolveReport {
     pub iterations_saved: usize,
 }
 
+#[derive(Clone)]
 #[allow(clippy::large_enum_variant)] // one instance per system; boxing buys nothing
 enum Backend {
     Dense {
         factor: Option<CholeskyFactor>,
     },
     Cg {
-        cg: ConjugateGradient,
         ws: CgWorkspace,
         /// Fixed warm-start reference: the first solution of the session.
         reference: Option<Vec<f64>>,
@@ -75,19 +81,30 @@ enum Backend {
     },
 }
 
+impl Backend {
+    fn name(&self) -> &'static str {
+        match self {
+            Backend::Dense { .. } => "dense_cholesky",
+            Backend::Cg { .. } => "sparse_cg",
+        }
+    }
+}
+
 /// Cached solver state for one netlist topology. See the module docs.
+///
+/// Cloning a prepared system clones the cached pattern, values,
+/// factorizations and warm-start reference — batch workers clone a warmed
+/// session and immediately inherit its reuse state.
+#[derive(Clone)]
 pub struct PreparedSystem {
     node_count: usize,
     elements: Vec<Element>,
-    clamp: Vec<Option<f64>>,
+    reduction: Reduction,
     clamps_dirty: bool,
-    reduced_index: Vec<usize>,
-    free_nodes: Vec<usize>,
-    m: usize,
     /// Reduced conductance matrix with a frozen pattern (explicit zeros for
     /// slots whose value is currently zero).
     matrix: CsrMatrix,
-    /// Per-resistor value slots `[aa, bb, ab, ba]` (`NO_SLOT` = clamped).
+    /// Per-resistor value slots `[aa, bb, ab, ba]` (`CLAMPED` = no slot).
     stamps: Vec<(usize, [usize; 4])>,
     values_dirty: bool,
     precond_stale: bool,
@@ -98,87 +115,42 @@ pub struct PreparedSystem {
 }
 
 impl PreparedSystem {
-    /// Prepares `net` for repeated solving with [`SolveMethod::Auto`]
-    /// backend selection (same dense/CG threshold as a cold solve).
+    /// Prepares `net` for repeated solving, on the backend the size rule
+    /// picks (see the module docs).
     ///
     /// # Errors
     ///
-    /// See [`PreparedSystem::with_method`].
+    /// [`CircuitError::ConflictingClamp`] if one node is clamped to two
+    /// different voltages.
     pub fn new(net: &Netlist) -> Result<Self, CircuitError> {
-        Self::with_method(net, SolveMethod::Auto)
-    }
-
-    /// Prepares `net` with an explicit reduced method.
-    ///
-    /// # Errors
-    ///
-    /// * [`CircuitError::InvalidParameter`] if the netlist has floating
-    ///   voltage sources or `method` is [`SolveMethod::DenseLu`] — prepared
-    ///   systems support Dirichlet-reduced solves only.
-    /// * [`CircuitError::ConflictingClamp`] if one node is clamped to two
-    ///   different voltages.
-    pub fn with_method(net: &Netlist, method: SolveMethod) -> Result<Self, CircuitError> {
-        if net.has_floating_sources() {
-            return Err(CircuitError::InvalidParameter {
-                what: "prepared systems do not support floating voltage sources",
-            });
-        }
         let node_count = net.node_count();
-        let unknowns = node_count.saturating_sub(1);
-        let backend = match method {
-            SolveMethod::Auto => {
-                if unknowns <= AUTO_DENSE_LIMIT {
-                    Backend::Dense { factor: None }
-                } else {
-                    Backend::Cg {
-                        cg: ConjugateGradient::default(),
-                        ws: CgWorkspace::new(),
-                        reference: None,
-                        cold_iterations: None,
-                        precond: None,
-                        precond_failed: false,
-                    }
-                }
-            }
-            SolveMethod::DenseCholesky => Backend::Dense { factor: None },
-            SolveMethod::SparseCg(cg) => Backend::Cg {
-                cg,
+        let backend = if node_count.saturating_sub(1) <= AUTO_DENSE_LIMIT {
+            Backend::Dense { factor: None }
+        } else {
+            Backend::Cg {
                 ws: CgWorkspace::new(),
                 reference: None,
                 cold_iterations: None,
                 precond: None,
                 precond_failed: false,
-            },
-            SolveMethod::DenseLu => {
-                return Err(CircuitError::InvalidParameter {
-                    what: "prepared systems support reduced (Dirichlet) solves only",
-                })
             }
         };
 
         let elements = net.elements().to_vec();
-        let clamp = collect_clamps(&elements, node_count)?;
-        let mut reduced_index = vec![NO_SLOT; node_count];
-        let mut free_nodes = Vec::new();
-        for (i, c) in clamp.iter().enumerate() {
-            if c.is_none() {
-                reduced_index[i] = free_nodes.len();
-                free_nodes.push(i);
-            }
-        }
-        let m = free_nodes.len();
+        let reduction = Reduction::new(&elements, node_count)?;
+        let m = reduction.unknowns();
 
         let mut builder = SparseBuilder::new(m, m);
         for e in &elements {
             if let Element::Resistor { a, b, .. } = e {
-                let (ia, ib) = (reduced_index[a.index()], reduced_index[b.index()]);
-                if ia != NO_SLOT {
+                let (ia, ib) = (reduction.index(*a), reduction.index(*b));
+                if ia != CLAMPED {
                     builder.reserve(ia, ia);
                 }
-                if ib != NO_SLOT {
+                if ib != CLAMPED {
                     builder.reserve(ib, ib);
                 }
-                if ia != NO_SLOT && ib != NO_SLOT {
+                if ia != CLAMPED && ib != CLAMPED {
                     builder.reserve(ia, ib);
                     builder.reserve(ib, ia);
                 }
@@ -186,16 +158,16 @@ impl PreparedSystem {
         }
         let matrix = builder.build_pattern();
         let slot = |r: usize, c: usize| {
-            if r != NO_SLOT && c != NO_SLOT {
+            if r != CLAMPED && c != CLAMPED {
                 matrix.position(r, c).expect("slot reserved above")
             } else {
-                NO_SLOT
+                CLAMPED
             }
         };
         let mut stamps = Vec::new();
         for (idx, e) in elements.iter().enumerate() {
             if let Element::Resistor { a, b, .. } = e {
-                let (ia, ib) = (reduced_index[a.index()], reduced_index[b.index()]);
+                let (ia, ib) = (reduction.index(*a), reduction.index(*b));
                 stamps.push((
                     idx,
                     [slot(ia, ia), slot(ib, ib), slot(ia, ib), slot(ib, ia)],
@@ -206,11 +178,8 @@ impl PreparedSystem {
         Ok(Self {
             node_count,
             elements,
-            clamp,
+            reduction,
             clamps_dirty: false,
-            reduced_index,
-            free_nodes,
-            m,
             matrix,
             stamps,
             values_dirty: true,
@@ -220,12 +189,6 @@ impl PreparedSystem {
             factorization_reuses: 0,
             warm_start_iterations_saved: 0,
         })
-    }
-
-    /// Number of reduced unknowns.
-    #[must_use]
-    pub fn unknowns(&self) -> usize {
-        self.m
     }
 
     /// Number of nodes in the prepared topology (ground included).
@@ -282,8 +245,8 @@ impl PreparedSystem {
             {
                 let dg = (g.0 - old.0).abs();
                 for node in [a, b] {
-                    let ri = self.reduced_index[node.index()];
-                    if ri != NO_SLOT {
+                    let ri = self.reduction.index(node);
+                    if ri != CLAMPED {
                         let d = self.matrix.get(ri, ri);
                         if d <= 0.0 || dg / d > PRECOND_STALE_THRESHOLD {
                             self.precond_stale = true;
@@ -361,47 +324,33 @@ impl PreparedSystem {
         Watts(p)
     }
 
-    /// Solves the DC operating point with whatever state can be reused.
+    /// Solves the DC operating point with whatever state can be reused,
+    /// reporting what was reused.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Netlist::solve_dc_stats`] for the reduced
-    /// backends.
-    pub fn solve(&mut self) -> Result<(DcSolution, SolveStats), CircuitError> {
-        self.solve_report().map(|(sol, r)| (sol, r.stats))
-    }
-
-    /// Like [`PreparedSystem::solve`], additionally reporting what was
-    /// reused.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PreparedSystem::solve`].
+    /// * [`CircuitError::SingularSystem`] for floating nodes or otherwise
+    ///   singular systems (dense backend).
+    /// * [`CircuitError::NotConverged`] if CG misses its tolerance.
+    /// * [`CircuitError::ConflictingClamp`] if a clamp update left one node
+    ///   clamped to two different voltages.
     pub fn solve_report(&mut self) -> Result<(DcSolution, PreparedSolveReport), CircuitError> {
         if self.clamps_dirty {
-            self.clamp = collect_clamps(&self.elements, self.node_count)?;
+            self.reduction.reclamp(&self.elements)?;
             self.clamps_dirty = false;
         }
         let was_dirty = self.values_dirty;
         if was_dirty {
             self.restamp_values();
         }
-        self.build_rhs();
+        self.reduction.load_rhs(&self.elements, &mut self.rhs);
 
-        let mut voltages = vec![0.0; self.node_count];
-        for (i, c) in self.clamp.iter().enumerate() {
-            if let Some(v) = c {
-                voltages[i] = *v;
-            }
-        }
-
+        let m = self.reduction.unknowns();
+        let mut voltages = self.reduction.voltages(&[]);
         let mut report = PreparedSolveReport {
             stats: SolveStats {
-                method: match self.backend {
-                    Backend::Dense { .. } => "dense_cholesky",
-                    Backend::Cg { .. } => "sparse_cg",
-                },
-                unknowns: self.m,
+                method: self.backend.name(),
+                unknowns: m,
                 iterations: 0,
                 residual: 0.0,
             },
@@ -410,19 +359,17 @@ impl PreparedSystem {
             iterations_saved: 0,
         };
 
-        if self.m > 0 {
+        if m > 0 {
             let Self {
-                m,
                 matrix,
                 rhs,
-                free_nodes,
+                reduction,
                 backend,
                 factorization_reuses,
                 warm_start_iterations_saved,
                 precond_stale,
                 ..
             } = self;
-            let m = *m;
             match backend {
                 Backend::Dense { factor } => {
                     if was_dirty {
@@ -442,14 +389,10 @@ impl PreparedSystem {
                             factor.insert(a.cholesky()?)
                         }
                     };
-                    let x = f.solve(rhs)?;
-                    for (k, &node) in free_nodes.iter().enumerate() {
-                        voltages[node] = x[k];
-                    }
+                    reduction.scatter(&f.solve(rhs)?, &mut voltages);
                     report.stats.iterations = m;
                 }
                 Backend::Cg {
-                    cg,
                     ws,
                     reference,
                     cold_iterations,
@@ -472,7 +415,13 @@ impl PreparedSystem {
                     }
                     let x0 = reference.as_deref();
                     report.warm_started = x0.is_some();
-                    let run = cg.solve_into(matrix, rhs, x0, precond.as_ref(), ws)?;
+                    let run = ConjugateGradient::default().solve_into(
+                        matrix,
+                        rhs,
+                        x0,
+                        precond.as_ref(),
+                        ws,
+                    )?;
                     if precond.is_some() && !refreshed {
                         *factorization_reuses += 1;
                         report.factorization_reused = true;
@@ -486,9 +435,7 @@ impl PreparedSystem {
                         *reference = Some(ws.solution().to_vec());
                         *cold_iterations = Some(run.iterations);
                     }
-                    for (k, &node) in free_nodes.iter().enumerate() {
-                        voltages[node] = ws.solution()[k];
-                    }
+                    reduction.scatter(ws.solution(), &mut voltages);
                     report.stats.iterations = run.iterations;
                     report.stats.residual = run.residual;
                 }
@@ -515,98 +462,20 @@ impl PreparedSystem {
                 unreachable!("stamps reference resistors only");
             };
             let g = g.0;
-            if slots[0] != NO_SLOT {
+            if slots[0] != CLAMPED {
                 vals[slots[0]] += g;
             }
-            if slots[1] != NO_SLOT {
+            if slots[1] != CLAMPED {
                 vals[slots[1]] += g;
             }
-            if slots[2] != NO_SLOT {
+            if slots[2] != CLAMPED {
                 vals[slots[2]] -= g;
             }
-            if slots[3] != NO_SLOT {
+            if slots[3] != CLAMPED {
                 vals[slots[3]] -= g;
             }
         }
         self.values_dirty = false;
-    }
-
-    /// Rebuilds the right-hand side in the same two-pass order as a cold
-    /// solve (current sources, then resistor boundary terms in element
-    /// order), so dense-path results match cold solves bitwise.
-    fn build_rhs(&mut self) {
-        self.rhs.iter_mut().for_each(|v| *v = 0.0);
-        for e in &self.elements {
-            if let Element::CurrentSource { from, to, amps } = e {
-                let rt = self.reduced_index[to.index()];
-                if rt != NO_SLOT {
-                    self.rhs[rt] += amps.0;
-                }
-                let rf = self.reduced_index[from.index()];
-                if rf != NO_SLOT {
-                    self.rhs[rf] -= amps.0;
-                }
-            }
-        }
-        for e in &self.elements {
-            if let Element::Resistor { a, b, g } = e {
-                let (ia, ib) = (self.reduced_index[a.index()], self.reduced_index[b.index()]);
-                if ia != NO_SLOT {
-                    if let Some(vb) = self.clamp[b.index()] {
-                        self.rhs[ia] += g.0 * vb;
-                    }
-                }
-                if ib != NO_SLOT {
-                    if let Some(va) = self.clamp[a.index()] {
-                        self.rhs[ib] += g.0 * va;
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Clone for PreparedSystem {
-    /// Cloning a prepared system clones the cached pattern, values,
-    /// factorizations and warm-start reference — batch workers clone a
-    /// warmed session and immediately inherit its reuse state.
-    fn clone(&self) -> Self {
-        Self {
-            node_count: self.node_count,
-            elements: self.elements.clone(),
-            clamp: self.clamp.clone(),
-            clamps_dirty: self.clamps_dirty,
-            reduced_index: self.reduced_index.clone(),
-            free_nodes: self.free_nodes.clone(),
-            m: self.m,
-            matrix: self.matrix.clone(),
-            stamps: self.stamps.clone(),
-            values_dirty: self.values_dirty,
-            precond_stale: self.precond_stale,
-            rhs: self.rhs.clone(),
-            backend: match &self.backend {
-                Backend::Dense { factor } => Backend::Dense {
-                    factor: factor.clone(),
-                },
-                Backend::Cg {
-                    cg,
-                    ws,
-                    reference,
-                    cold_iterations,
-                    precond,
-                    precond_failed,
-                } => Backend::Cg {
-                    cg: *cg,
-                    ws: ws.clone(),
-                    reference: reference.clone(),
-                    cold_iterations: *cold_iterations,
-                    precond: precond.clone(),
-                    precond_failed: *precond_failed,
-                },
-            },
-            factorization_reuses: self.factorization_reuses,
-            warm_start_iterations_saved: self.warm_start_iterations_saved,
-        }
     }
 }
 
@@ -614,14 +483,8 @@ impl std::fmt::Debug for PreparedSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedSystem")
             .field("node_count", &self.node_count)
-            .field("unknowns", &self.m)
-            .field(
-                "backend",
-                &match self.backend {
-                    Backend::Dense { .. } => "dense_cholesky",
-                    Backend::Cg { .. } => "sparse_cg",
-                },
-            )
+            .field("unknowns", &self.reduction.unknowns())
+            .field("backend", &self.backend.name())
             .field("factorization_reuses", &self.factorization_reuses)
             .field(
                 "warm_start_iterations_saved",
@@ -636,27 +499,58 @@ mod tests {
     use super::*;
     use crate::units::Ohms;
 
-    /// A ladder with one clamp, one current source and a DAC-like source
-    /// conductance structure — every `RowDrive` analogue in one netlist.
-    fn ladder() -> (Netlist, Vec<ElementId>) {
+    /// A ladder of `len` nodes with one clamp, one current source and a
+    /// DAC-like source conductance — every `RowDrive` analogue in one
+    /// netlist. The ids are the clamp, the `len − 1` series resistors, the
+    /// tail shunt, the current source and the DAC leg.
+    fn ladder_of(
+        len: usize,
+        clamp: Volts,
+        source: Amps,
+        dac: Siemens,
+    ) -> (Netlist, Vec<ElementId>) {
         let mut net = Netlist::new();
-        let nodes = net.nodes(5);
+        let nodes = net.nodes(len);
         let mut ids = Vec::new();
-        ids.push(net.voltage_source(nodes[0], Volts(0.5)));
+        ids.push(net.voltage_source(nodes[0], clamp));
         for w in nodes.windows(2) {
             ids.push(net.resistor(w[0], w[1], Ohms(100.0)));
         }
-        ids.push(net.resistor(nodes[4], Netlist::GROUND, Ohms(220.0)));
-        ids.push(net.current_source(Netlist::GROUND, nodes[2], Amps(1e-3)));
-        ids.push(net.conductance(nodes[3], Netlist::GROUND, Siemens(2e-3)));
+        ids.push(net.resistor(nodes[len - 1], Netlist::GROUND, Ohms(220.0)));
+        ids.push(net.current_source(Netlist::GROUND, nodes[2], source));
+        ids.push(net.conductance(nodes[3], Netlist::GROUND, dac));
         (net, ids)
+    }
+
+    /// The five-node ladder: small enough for the dense backend.
+    fn ladder() -> (Netlist, Vec<ElementId>) {
+        ladder_of(5, Volts(0.5), Amps(1e-3), Siemens(2e-3))
+    }
+
+    /// Length of a ladder one node past the dense limit: it solves by CG.
+    const CG_LEN: usize = AUTO_DENSE_LIMIT + 1;
+
+    #[test]
+    fn backend_rule_switches_past_the_dense_limit() {
+        // `node_count − 1` is the ladder length: 400 nodes stay dense, 401
+        // take CG.
+        for (len, method) in [(AUTO_DENSE_LIMIT, "dense_cholesky"), (CG_LEN, "sparse_cg")] {
+            let (net, _) = ladder_of(len, Volts(0.5), Amps(1e-3), Siemens(2e-3));
+            assert_eq!(net.node_count() - 1, len);
+            let (sol, report) = PreparedSystem::new(&net).unwrap().solve_report().unwrap();
+            assert_eq!(report.stats.method, method, "length {len}");
+            let cold = net.solve_dc().unwrap();
+            for (u, v) in sol.voltages().iter().zip(cold.voltages()) {
+                assert!((u - v).abs() < 1e-10, "length {len}: {u} vs {v}");
+            }
+        }
     }
 
     #[test]
     fn prepared_dense_matches_cold_bitwise() {
         let (net, _) = ladder();
-        let cold = net.solve_dc_with(SolveMethod::DenseCholesky).unwrap();
-        let mut prep = PreparedSystem::with_method(&net, SolveMethod::DenseCholesky).unwrap();
+        let cold = net.solve_dc().unwrap();
+        let mut prep = PreparedSystem::new(&net).unwrap();
         for _ in 0..3 {
             let (sol, _) = prep.solve_report().unwrap();
             assert_eq!(sol.voltages(), cold.voltages());
@@ -680,16 +574,8 @@ mod tests {
         assert!(second.factorization_reused);
         assert_eq!(prep.factorization_reuses(), 1);
         // Against a cold netlist with the same values.
-        let mut net2 = Netlist::new();
-        let nodes = net2.nodes(5);
-        net2.voltage_source(nodes[0], Volts(0.25));
-        for w in nodes.windows(2) {
-            net2.resistor(w[0], w[1], Ohms(100.0));
-        }
-        net2.resistor(nodes[4], Netlist::GROUND, Ohms(220.0));
-        net2.current_source(Netlist::GROUND, nodes[2], Amps(2e-3));
-        net2.conductance(nodes[3], Netlist::GROUND, Siemens(2e-3));
-        let cold = net2.solve_dc_with(SolveMethod::DenseCholesky).unwrap();
+        let (net2, _) = ladder_of(5, Volts(0.25), Amps(2e-3), Siemens(2e-3));
+        let cold = net2.solve_dc().unwrap();
         assert_eq!(sol.voltages(), cold.voltages());
     }
 
@@ -701,16 +587,8 @@ mod tests {
         prep.set_conductance(ids[7], Siemens(5e-3)).unwrap();
         let (sol, report) = prep.solve_report().unwrap();
         assert!(!report.factorization_reused);
-        let mut net2 = Netlist::new();
-        let nodes = net2.nodes(5);
-        net2.voltage_source(nodes[0], Volts(0.5));
-        for w in nodes.windows(2) {
-            net2.resistor(w[0], w[1], Ohms(100.0));
-        }
-        net2.resistor(nodes[4], Netlist::GROUND, Ohms(220.0));
-        net2.current_source(Netlist::GROUND, nodes[2], Amps(1e-3));
-        net2.conductance(nodes[3], Netlist::GROUND, Siemens(5e-3));
-        let cold = net2.solve_dc_with(SolveMethod::DenseCholesky).unwrap();
+        let (net2, _) = ladder_of(5, Volts(0.5), Amps(1e-3), Siemens(5e-3));
+        let cold = net2.solve_dc().unwrap();
         assert_eq!(sol.voltages(), cold.voltages());
     }
 
@@ -726,25 +604,6 @@ mod tests {
         assert!(prep.set_conductance(ids[1], Siemens(f64::NAN)).is_err());
         assert!(prep.set_current(ids[6], Amps(f64::INFINITY)).is_err());
         assert!(prep.set_clamp(ids[0], Volts(f64::NAN)).is_err());
-    }
-
-    #[test]
-    fn rejects_floating_sources_and_lu() {
-        let mut net = Netlist::new();
-        let a = net.node("a");
-        let b = net.node("b");
-        net.resistor(a, Netlist::GROUND, Ohms(1e3));
-        net.resistor(b, Netlist::GROUND, Ohms(1e3));
-        net.floating_voltage_source(a, b, Volts(0.5));
-        assert!(matches!(
-            PreparedSystem::new(&net),
-            Err(CircuitError::InvalidParameter { .. })
-        ));
-        let (good, _) = ladder();
-        assert!(matches!(
-            PreparedSystem::with_method(&good, SolveMethod::DenseLu),
-            Err(CircuitError::InvalidParameter { .. })
-        ));
     }
 
     #[test]
@@ -771,13 +630,13 @@ mod tests {
 
     #[test]
     fn cg_path_warm_starts_and_reuses_preconditioner() {
-        // Force CG at small scale with a tight tolerance.
-        let (net, ids) = ladder();
-        let cg = ConjugateGradient::new(1e-13);
-        let mut prep = PreparedSystem::with_method(&net, SolveMethod::SparseCg(cg)).unwrap();
+        // One node past the dense limit: the CG backend.
+        let (net, ids) = ladder_of(CG_LEN, Volts(0.5), Amps(1e-3), Siemens(2e-3));
+        let source = ids[CG_LEN + 1];
+        let mut prep = PreparedSystem::new(&net).unwrap();
         let (_, first) = prep.solve_report().unwrap();
         assert!(!first.warm_started);
-        prep.set_current(ids[6], Amps(1.1e-3)).unwrap();
+        prep.set_current(source, Amps(1.1e-3)).unwrap();
         let (sol, second) = prep.solve_report().unwrap();
         assert!(second.warm_started);
         assert!(second.factorization_reused, "IC(0) factor should be kept");
@@ -789,17 +648,9 @@ mod tests {
             second.iterations_saved as u64
         );
         assert!(second.stats.iterations <= first.stats.iterations);
-        // Agreement with a cold CG solve of the same values.
-        let mut net2 = Netlist::new();
-        let nodes = net2.nodes(5);
-        net2.voltage_source(nodes[0], Volts(0.5));
-        for w in nodes.windows(2) {
-            net2.resistor(w[0], w[1], Ohms(100.0));
-        }
-        net2.resistor(nodes[4], Netlist::GROUND, Ohms(220.0));
-        net2.current_source(Netlist::GROUND, nodes[2], Amps(1.1e-3));
-        net2.conductance(nodes[3], Netlist::GROUND, Siemens(2e-3));
-        let cold = net2.solve_dc_with(SolveMethod::SparseCg(cg)).unwrap();
+        // Agreement with a cold solve of the same values.
+        let (net2, _) = ladder_of(CG_LEN, Volts(0.5), Amps(1.1e-3), Siemens(2e-3));
+        let cold = net2.solve_dc().unwrap();
         for (u, v) in sol.voltages().iter().zip(cold.voltages()) {
             assert!((u - v).abs() < 1e-10, "{u} vs {v}");
         }
@@ -807,27 +658,19 @@ mod tests {
 
     #[test]
     fn large_conductance_change_refactors_preconditioner() {
-        let (net, ids) = ladder();
-        let cg = ConjugateGradient::new(1e-12);
-        let mut prep = PreparedSystem::with_method(&net, SolveMethod::SparseCg(cg)).unwrap();
+        let (net, ids) = ladder_of(CG_LEN, Volts(0.5), Amps(1e-3), Siemens(2e-3));
+        let dac = ids[CG_LEN + 2];
+        let mut prep = PreparedSystem::new(&net).unwrap();
         prep.solve_report().unwrap();
         // 10× the DAC leg: far past the staleness threshold.
-        prep.set_conductance(ids[7], Siemens(2e-2)).unwrap();
+        prep.set_conductance(dac, Siemens(2e-2)).unwrap();
         let (sol, report) = prep.solve_report().unwrap();
         assert!(
             !report.factorization_reused,
             "stale IC(0) must be refactored"
         );
-        let mut net2 = Netlist::new();
-        let nodes = net2.nodes(5);
-        net2.voltage_source(nodes[0], Volts(0.5));
-        for w in nodes.windows(2) {
-            net2.resistor(w[0], w[1], Ohms(100.0));
-        }
-        net2.resistor(nodes[4], Netlist::GROUND, Ohms(220.0));
-        net2.current_source(Netlist::GROUND, nodes[2], Amps(1e-3));
-        net2.conductance(nodes[3], Netlist::GROUND, Siemens(2e-2));
-        let cold = net2.solve_dc_with(SolveMethod::SparseCg(cg)).unwrap();
+        let (net2, _) = ladder_of(CG_LEN, Volts(0.5), Amps(1e-3), Siemens(2e-2));
+        let cold = net2.solve_dc().unwrap();
         for (u, v) in sol.voltages().iter().zip(cold.voltages()) {
             assert!((u - v).abs() < 1e-10, "{u} vs {v}");
         }
@@ -857,15 +700,7 @@ mod tests {
         let dissipated = prep.dissipated_power(&sol).0;
         let supplied = {
             // Rebuild the updated netlist to use DcSolution::source_power.
-            let mut net2 = Netlist::new();
-            let nodes = net2.nodes(5);
-            net2.voltage_source(nodes[0], Volts(0.5));
-            for w in nodes.windows(2) {
-                net2.resistor(w[0], w[1], Ohms(100.0));
-            }
-            net2.resistor(nodes[4], Netlist::GROUND, Ohms(220.0));
-            net2.current_source(Netlist::GROUND, nodes[2], Amps(1e-3));
-            net2.conductance(nodes[3], Netlist::GROUND, Siemens(5e-3));
+            let (net2, _) = ladder_of(5, Volts(0.5), Amps(1e-3), Siemens(5e-3));
             let cold = net2.solve_dc().unwrap();
             cold.source_power(&net2).0
         };

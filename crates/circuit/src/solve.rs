@@ -1,63 +1,36 @@
-//! DC operating-point solution of a [`Netlist`].
+//! DC operating point of a [`Netlist`].
 //!
-//! Two solution paths are provided:
+//! Every voltage source in a netlist is a clamp from a node to ground, so
+//! every solve takes the same Dirichlet reduction: the clamped nodes (ground
+//! included) are boundary values, the free nodes are the unknowns, and the
+//! conductance matrix on the free nodes is symmetric positive definite. The
+//! reduction is computed in one place and shared by the cold solve here, the
+//! [`crate::prepared::PreparedSystem`] and the [`crate::transient`] analysis.
 //!
-//! * **Reduced (Dirichlet) path** — when every voltage source is a
-//!   ground-referenced clamp, the clamped nodes are eliminated as boundary
-//!   conditions and the remaining conductance matrix is symmetric positive
-//!   definite. Small systems go through dense Cholesky, large ones through
-//!   sparse conjugate gradient. This is the fast path used for parasitic
-//!   crossbar networks.
-//! * **Full MNA path** — general netlists (including floating voltage
-//!   sources) build the classical asymmetric MNA matrix with branch-current
-//!   unknowns and solve it by dense LU.
-//!
-//! Both paths produce the same [`DcSolution`], and the test suite checks them
-//! against each other.
+//! [`Netlist::solve_dc`] is the cold reference: it factors the reduced
+//! matrix by dense Cholesky at every size. Repeated and large solves go
+//! through the prepared system, which picks its backend by size and reuses
+//! its factorization across solves.
 
 use crate::dense::DenseMatrix;
 use crate::netlist::{Element, ElementId, Netlist, NodeId};
-use crate::sparse::{ConjugateGradient, SparseBuilder};
 use crate::units::{Amps, Volts, Watts};
 use crate::CircuitError;
 
-/// Which algorithm [`Netlist::solve_dc_with`] should use.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum SolveMethod {
-    /// Choose automatically: full MNA when floating sources are present,
-    /// otherwise dense Cholesky below [`AUTO_DENSE_LIMIT`] unknowns and
-    /// sparse CG above it.
-    #[default]
-    Auto,
-    /// Full modified nodal analysis with dense LU.
-    DenseLu,
-    /// Dirichlet-reduced system with dense Cholesky. Fails on floating
-    /// sources.
-    DenseCholesky,
-    /// Dirichlet-reduced system with Jacobi-preconditioned CG. Fails on
-    /// floating sources.
-    SparseCg(ConjugateGradient),
-}
-
-/// Unknown-count threshold at which [`SolveMethod::Auto`] switches from dense
-/// Cholesky to sparse CG.
-pub const AUTO_DENSE_LIMIT: usize = 400;
-
-/// What a DC solve actually did, for observability layers above this crate.
+/// What a prepared solve did, for observability layers above this crate.
 ///
-/// Direct methods report the factored dimension as `iterations` (a proxy for
-/// settling work) with zero residual; the CG path reports its true iteration
-/// count and final relative residual.
+/// The dense backend reports the factored dimension as `iterations` (a proxy
+/// for settling work) with zero residual; the CG backend reports its true
+/// iteration count and final relative residual.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveStats {
-    /// Which backend ran, after `Auto` resolution: `"dense_lu"`,
-    /// `"dense_cholesky"` or `"sparse_cg"`.
+    /// Which backend ran: `"dense_cholesky"` or `"sparse_cg"`.
     pub method: &'static str,
     /// Number of unknowns in the solved system.
     pub unknowns: usize,
-    /// Iterations taken (CG), or the system dimension (direct backends).
+    /// Iterations taken (CG), or the system dimension (dense backend).
     pub iterations: usize,
-    /// Final relative residual (CG), 0.0 for direct backends.
+    /// Final relative residual (CG), 0.0 for the dense backend.
     pub residual: f64,
 }
 
@@ -105,8 +78,6 @@ impl DcSolution {
     /// * `CurrentSource { .. }` — the source value itself.
     /// * `Clamp { node, .. }` — current delivered *by the source into the
     ///   node* (positive when the rail sources current into the network).
-    /// * `FloatingSource { plus, .. }` — current delivered out of the `plus`
-    ///   terminal into the network.
     ///
     /// # Panics
     ///
@@ -143,8 +114,8 @@ impl DcSolution {
         Watts(p)
     }
 
-    /// Total power delivered by sources (current sources, clamps, floating
-    /// sources) into the network.
+    /// Total power delivered by sources (current sources and clamps) into
+    /// the network.
     #[must_use]
     pub fn source_power(&self, net: &Netlist) -> Watts {
         let mut p = 0.0;
@@ -159,10 +130,6 @@ impl DcSolution {
                 Element::Clamp { node, .. } => {
                     p += self.currents[idx] * self.voltages[node.index()];
                 }
-                Element::FloatingSource { plus, minus, .. } => {
-                    p += self.currents[idx]
-                        * (self.voltages[plus.index()] - self.voltages[minus.index()]);
-                }
                 Element::Capacitor { .. } => {}
             }
         }
@@ -171,16 +138,11 @@ impl DcSolution {
 }
 
 impl Netlist {
-    /// Solves the DC operating point with [`SolveMethod::Auto`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Netlist::solve_dc_with`].
-    pub fn solve_dc(&self) -> Result<DcSolution, CircuitError> {
-        self.solve_dc_with(SolveMethod::Auto)
-    }
-
-    /// Solves the DC operating point with an explicit method.
+    /// Solves the DC operating point from scratch: the Dirichlet reduction,
+    /// then a dense Cholesky factorization of the reduced conductance matrix,
+    /// at every network size. This is the cold reference that prepared and
+    /// transient solves are checked against; repeated or large solves belong
+    /// in a [`crate::prepared::PreparedSystem`].
     ///
     /// # Errors
     ///
@@ -188,282 +150,173 @@ impl Netlist {
     ///   singular systems.
     /// * [`CircuitError::ConflictingClamp`] if one node is clamped to two
     ///   different voltages.
-    /// * [`CircuitError::NotConverged`] if the CG path fails to converge.
-    /// * [`CircuitError::InvalidParameter`] if a reduced method is requested
-    ///   for a netlist with floating sources.
-    pub fn solve_dc_with(&self, method: SolveMethod) -> Result<DcSolution, CircuitError> {
-        self.solve_dc_stats(method).map(|(sol, _)| sol)
-    }
-
-    /// Like [`Netlist::solve_dc_with`], additionally reporting a
-    /// [`SolveStats`] describing the backend that ran and how much work the
-    /// solve took.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Netlist::solve_dc_with`].
-    pub fn solve_dc_stats(
-        &self,
-        method: SolveMethod,
-    ) -> Result<(DcSolution, SolveStats), CircuitError> {
-        let method = match method {
-            SolveMethod::Auto => {
-                if self.has_floating_sources() {
-                    SolveMethod::DenseLu
-                } else {
-                    let unknowns = self.node_count().saturating_sub(1);
-                    if unknowns <= AUTO_DENSE_LIMIT {
-                        SolveMethod::DenseCholesky
-                    } else {
-                        SolveMethod::SparseCg(ConjugateGradient::default())
-                    }
-                }
-            }
-            m => m,
-        };
-        let (voltages, stats) = match method {
-            SolveMethod::DenseLu => {
-                let voltages = self.solve_full_mna()?;
-                let unknowns = self.node_count().saturating_sub(1);
-                (
-                    voltages,
-                    SolveStats {
-                        method: "dense_lu",
-                        unknowns,
-                        iterations: unknowns,
-                        residual: 0.0,
-                    },
-                )
-            }
-            SolveMethod::DenseCholesky => self.solve_reduced(ReducedBackend::Cholesky)?,
-            SolveMethod::SparseCg(cg) => self.solve_reduced(ReducedBackend::Cg(cg))?,
-            SolveMethod::Auto => unreachable!("Auto resolved above"),
-        };
-        Ok((self.finish(voltages), stats))
-    }
-
-    /// Collects clamps as `(node index, volts)`, checking consistency.
-    fn clamps(&self) -> Result<Vec<Option<f64>>, CircuitError> {
-        collect_clamps(self.elements(), self.node_count())
-    }
-
-    /// Dirichlet-eliminated solve: unknowns are the unclamped, non-ground
-    /// nodes.
-    fn solve_reduced(
-        &self,
-        backend: ReducedBackend,
-    ) -> Result<(Vec<f64>, SolveStats), CircuitError> {
-        if self.has_floating_sources() {
-            return Err(CircuitError::InvalidParameter {
-                what: "reduced solve methods do not support floating voltage sources",
-            });
-        }
-        let n = self.node_count();
-        let clamp = self.clamps()?;
-
-        // Map node index → reduced index.
-        let mut reduced_index = vec![usize::MAX; n];
-        let mut free_nodes = Vec::new();
-        for (i, c) in clamp.iter().enumerate() {
-            if c.is_none() {
-                reduced_index[i] = free_nodes.len();
-                free_nodes.push(i);
-            }
-        }
-        let m = free_nodes.len();
-
-        // Right-hand side: injected currents plus boundary contributions.
+    pub fn solve_dc(&self) -> Result<DcSolution, CircuitError> {
+        let elements = self.elements();
+        let reduction = Reduction::new(elements, self.node_count())?;
+        let m = reduction.unknowns();
         let mut rhs = vec![0.0; m];
-        for e in self.elements() {
-            if let Element::CurrentSource { from, to, amps } = e {
-                if let Some(&ri) = reduced_index.get(to.index()) {
-                    if ri != usize::MAX {
-                        rhs[ri] += amps.0;
-                    }
-                }
-                if let Some(&ri) = reduced_index.get(from.index()) {
-                    if ri != usize::MAX {
-                        rhs[ri] -= amps.0;
-                    }
-                }
+        reduction.load_rhs(elements, &mut rhs);
+        let mut a = DenseMatrix::zeros(m, m);
+        for e in elements {
+            if let Element::Resistor { a: na, b: nb, g } = e {
+                reduction.stamp(&mut a, *na, *nb, g.0);
             }
         }
-
-        let mut voltages = vec![0.0; n];
-        for (i, c) in clamp.iter().enumerate() {
-            if let Some(v) = c {
-                voltages[i] = *v;
-            }
-        }
-
-        if m == 0 {
-            let stats = SolveStats {
-                method: match backend {
-                    ReducedBackend::Cholesky => "dense_cholesky",
-                    ReducedBackend::Cg(_) => "sparse_cg",
-                },
-                unknowns: 0,
-                iterations: 0,
-                residual: 0.0,
-            };
-            return Ok((voltages, stats));
-        }
-
-        let (solution, stats) = match backend {
-            ReducedBackend::Cholesky => {
-                let mut a = DenseMatrix::zeros(m, m);
-                for e in self.elements() {
-                    if let Element::Resistor { a: na, b: nb, g } = e {
-                        stamp_reduced_dense(
-                            &mut a,
-                            &mut rhs,
-                            &reduced_index,
-                            &clamp,
-                            na.index(),
-                            nb.index(),
-                            g.0,
-                        );
-                    }
-                }
-                let x = a.cholesky()?.solve(&rhs)?;
-                (
-                    x,
-                    SolveStats {
-                        method: "dense_cholesky",
-                        unknowns: m,
-                        iterations: m,
-                        residual: 0.0,
-                    },
-                )
-            }
-            ReducedBackend::Cg(cg) => {
-                let mut b = SparseBuilder::new(m, m);
-                for e in self.elements() {
-                    if let Element::Resistor { a: na, b: nb, g } = e {
-                        stamp_reduced_sparse(
-                            &mut b,
-                            &mut rhs,
-                            &reduced_index,
-                            &clamp,
-                            na.index(),
-                            nb.index(),
-                            g.0,
-                        );
-                    }
-                }
-                let cg_sol = cg.solve_stats(&b.build(), &rhs)?;
-                let stats = SolveStats {
-                    method: "sparse_cg",
-                    unknowns: m,
-                    iterations: cg_sol.iterations,
-                    residual: cg_sol.residual,
-                };
-                (cg_sol.x, stats)
-            }
-        };
-
-        for (k, &node) in free_nodes.iter().enumerate() {
-            voltages[node] = solution[k];
-        }
-        Ok((voltages, stats))
-    }
-
-    /// Classical MNA: node voltages plus one branch-current unknown per
-    /// voltage source (clamps included).
-    fn solve_full_mna(&self) -> Result<Vec<f64>, CircuitError> {
-        // Check clamp consistency up front for a better error than
-        // "singular".
-        let _ = self.clamps()?;
-        let n = self.node_count() - 1; // unknowns exclude ground
-        let sources: Vec<(usize, &Element)> = self
-            .elements()
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e, Element::Clamp { .. } | Element::FloatingSource { .. }))
-            .collect();
-        let dim = n + sources.len();
-        if dim == 0 {
-            return Ok(vec![0.0; 1]);
-        }
-        let mut a = DenseMatrix::zeros(dim, dim);
-        let mut rhs = vec![0.0; dim];
-
-        // Node index → matrix row (ground excluded).
-        let row = |node: usize| -> Option<usize> { node.checked_sub(1) };
-
-        for e in self.elements() {
-            match e {
-                Element::Resistor { a: na, b: nb, g } => {
-                    let (i, j) = (row(na.index()), row(nb.index()));
-                    if let Some(i) = i {
-                        a[(i, i)] += g.0;
-                    }
-                    if let Some(j) = j {
-                        a[(j, j)] += g.0;
-                    }
-                    if let (Some(i), Some(j)) = (i, j) {
-                        a[(i, j)] -= g.0;
-                        a[(j, i)] -= g.0;
-                    }
-                }
-                Element::CurrentSource { from, to, amps } => {
-                    if let Some(i) = row(to.index()) {
-                        rhs[i] += amps.0;
-                    }
-                    if let Some(i) = row(from.index()) {
-                        rhs[i] -= amps.0;
-                    }
-                }
-                Element::Clamp { .. }
-                | Element::FloatingSource { .. }
-                | Element::Capacitor { .. } => {}
-            }
-        }
-
-        for (k, (_, e)) in sources.iter().enumerate() {
-            let branch = n + k;
-            match e {
-                Element::Clamp { node, volts } => {
-                    let i = row(node.index()).expect("clamp on ground rejected at build");
-                    // Branch current flows *into* the node (source convention
-                    // documented on DcSolution::current).
-                    a[(i, branch)] -= 1.0;
-                    a[(branch, i)] += 1.0;
-                    rhs[branch] = volts.0;
-                }
-                Element::FloatingSource { plus, minus, volts } => {
-                    if let Some(i) = row(plus.index()) {
-                        a[(i, branch)] -= 1.0;
-                        a[(branch, i)] += 1.0;
-                    }
-                    if let Some(j) = row(minus.index()) {
-                        a[(j, branch)] += 1.0;
-                        a[(branch, j)] -= 1.0;
-                    }
-                    rhs[branch] = volts.0;
-                }
-                Element::Resistor { .. }
-                | Element::CurrentSource { .. }
-                | Element::Capacitor { .. } => unreachable!(),
-            }
-        }
-
-        let x = a.solve(&rhs)?;
-        let mut voltages = vec![0.0; self.node_count()];
-        voltages[1..].copy_from_slice(&x[..n]);
-        Ok(voltages)
-    }
-
-    /// Computes per-element branch currents from the node voltages.
-    fn finish(&self, voltages: Vec<f64>) -> DcSolution {
-        let currents = branch_currents(self.elements(), self.node_count(), &voltages);
-        DcSolution { voltages, currents }
+        let x = a.cholesky()?.solve(&rhs)?;
+        let voltages = reduction.voltages(&x);
+        let currents = branch_currents(elements, self.node_count(), &voltages);
+        Ok(DcSolution { voltages, currents })
     }
 }
 
-/// Clamp map shared by the netlist solver and the prepared-system layer:
-/// `Some(volts)` per clamped node (ground included), `None` for free nodes.
-pub(crate) fn collect_clamps(
+/// Sentinel [`Reduction::index`] entry of a clamped node: it is no unknown.
+pub(crate) const CLAMPED: usize = usize::MAX;
+
+/// The Dirichlet reduction of a netlist: every clamped node (ground
+/// included) is a boundary value and every other node an unknown. The cold
+/// solve, the prepared system and the transient analysis all take their
+/// clamp map, unknown numbering and right-hand-side terms from here, and the
+/// two dense solves their matrix stamps.
+#[derive(Debug, Clone)]
+pub(crate) struct Reduction {
+    /// `Some(volts)` per clamped node (ground included), `None` per free
+    /// node.
+    clamp: Vec<Option<f64>>,
+    /// Node index → unknown index, [`CLAMPED`] for a clamped node.
+    index: Vec<usize>,
+    /// Unknown index → node index.
+    free_nodes: Vec<usize>,
+}
+
+impl Reduction {
+    /// Reduces a netlist's elements over `node_count` nodes.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::ConflictingClamp`] if one node is clamped to two
+    /// different voltages.
+    pub(crate) fn new(elements: &[Element], node_count: usize) -> Result<Self, CircuitError> {
+        let clamp = collect_clamps(elements, node_count)?;
+        let mut index = vec![CLAMPED; node_count];
+        let mut free_nodes = Vec::new();
+        for (i, c) in clamp.iter().enumerate() {
+            if c.is_none() {
+                index[i] = free_nodes.len();
+                free_nodes.push(i);
+            }
+        }
+        Ok(Self {
+            clamp,
+            index,
+            free_nodes,
+        })
+    }
+
+    /// Re-reads the clamp voltages after a clamp's value changed. The set of
+    /// clamped nodes, and so the unknown numbering, stays fixed.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::ConflictingClamp`] as in [`Reduction::new`].
+    pub(crate) fn reclamp(&mut self, elements: &[Element]) -> Result<(), CircuitError> {
+        self.clamp = collect_clamps(elements, self.clamp.len())?;
+        Ok(())
+    }
+
+    /// Number of unknowns.
+    pub(crate) fn unknowns(&self) -> usize {
+        self.free_nodes.len()
+    }
+
+    /// Unknown index of `node`, or [`CLAMPED`].
+    pub(crate) fn index(&self, node: NodeId) -> usize {
+        self.index[node.index()]
+    }
+
+    /// Voltage of a clamped node, `None` for a free one.
+    pub(crate) fn clamp(&self, node: NodeId) -> Option<f64> {
+        self.clamp[node.index()]
+    }
+
+    /// Full node-voltage vector: the clamp voltages, and `x[k]` at the `k`-th
+    /// free node.
+    pub(crate) fn voltages(&self, x: &[f64]) -> Vec<f64> {
+        let mut voltages: Vec<f64> = self.clamp.iter().map(|c| c.unwrap_or(0.0)).collect();
+        self.scatter(x, &mut voltages);
+        voltages
+    }
+
+    /// Writes `x[k]` into the `k`-th free node of `voltages`.
+    pub(crate) fn scatter(&self, x: &[f64], voltages: &mut [f64]) {
+        for (&node, &v) in self.free_nodes.iter().zip(x) {
+            voltages[node] = v;
+        }
+    }
+
+    /// Right-hand side of the reduced system in its fixed order: every
+    /// current source's injection, then every resistor's coupling to a
+    /// clamped terminal, each pass in element order.
+    pub(crate) fn load_rhs(&self, elements: &[Element], rhs: &mut [f64]) {
+        rhs.fill(0.0);
+        for e in elements {
+            if let Element::CurrentSource { from, to, amps } = e {
+                self.inject(rhs, *from, *to, amps.0);
+            }
+        }
+        for e in elements {
+            if let Element::Resistor { a, b, g } = e {
+                self.couple(rhs, *a, *b, g.0);
+            }
+        }
+    }
+
+    /// Adds a current source driving `amps` from `from` into `to`.
+    pub(crate) fn inject(&self, rhs: &mut [f64], from: NodeId, to: NodeId, amps: f64) {
+        let (it, ifr) = (self.index(to), self.index(from));
+        if it != CLAMPED {
+            rhs[it] += amps;
+        }
+        if ifr != CLAMPED {
+            rhs[ifr] -= amps;
+        }
+    }
+
+    /// Adds the boundary current that a conductance `g` between `a` and `b`
+    /// draws from a clamped terminal into a free one.
+    pub(crate) fn couple(&self, rhs: &mut [f64], a: NodeId, b: NodeId, g: f64) {
+        let (ia, ib) = (self.index(a), self.index(b));
+        if ia != CLAMPED {
+            if let Some(vb) = self.clamp(b) {
+                rhs[ia] += g * vb;
+            }
+        }
+        if ib != CLAMPED {
+            if let Some(va) = self.clamp(a) {
+                rhs[ib] += g * va;
+            }
+        }
+    }
+
+    /// Stamps a conductance `g` between `a` and `b` into the dense reduced
+    /// matrix (its free-node entries only).
+    pub(crate) fn stamp(&self, m: &mut DenseMatrix, a: NodeId, b: NodeId, g: f64) {
+        let (ia, ib) = (self.index(a), self.index(b));
+        if ia != CLAMPED {
+            m[(ia, ia)] += g;
+        }
+        if ib != CLAMPED {
+            m[(ib, ib)] += g;
+        }
+        if ia != CLAMPED && ib != CLAMPED {
+            m[(ia, ib)] -= g;
+            m[(ib, ia)] -= g;
+        }
+    }
+}
+
+/// Clamp map: `Some(volts)` per clamped node (ground included), `None` for
+/// free nodes.
+fn collect_clamps(
     elements: &[Element],
     node_count: usize,
 ) -> Result<Vec<Option<f64>>, CircuitError> {
@@ -506,7 +359,7 @@ pub(crate) fn branch_currents(
                 node_outflow[from.index()] += amps.0;
                 node_outflow[to.index()] -= amps.0;
             }
-            Element::Clamp { .. } | Element::FloatingSource { .. } | Element::Capacitor { .. } => {}
+            Element::Clamp { .. } | Element::Capacitor { .. } => {}
         }
     }
     // A source must supply whatever flows out of its positive node
@@ -516,98 +369,29 @@ pub(crate) fn branch_currents(
     // *first* source on that node and zero to duplicates.
     let mut claimed = vec![false; node_count];
     for (idx, e) in elements.iter().enumerate() {
-        match e {
-            Element::Clamp { node, .. } if !claimed[node.index()] => {
+        if let Element::Clamp { node, .. } = e {
+            if !claimed[node.index()] {
                 currents[idx] = node_outflow[node.index()];
                 claimed[node.index()] = true;
             }
-            Element::FloatingSource { plus, .. } if !claimed[plus.index()] => {
-                currents[idx] = node_outflow[plus.index()];
-                claimed[plus.index()] = true;
-            }
-            _ => {}
         }
     }
     currents
 }
 
-enum ReducedBackend {
-    Cholesky,
-    Cg(ConjugateGradient),
-}
-
-#[allow(clippy::too_many_arguments)]
-fn stamp_reduced_dense(
-    a: &mut DenseMatrix,
-    rhs: &mut [f64],
-    reduced_index: &[usize],
-    clamp: &[Option<f64>],
-    na: usize,
-    nb: usize,
-    g: f64,
-) {
-    let (ia, ib) = (reduced_index[na], reduced_index[nb]);
-    if ia != usize::MAX {
-        a[(ia, ia)] += g;
-        if let Some(vb) = clamp[nb] {
-            rhs[ia] += g * vb
-        }
-    }
-    if ib != usize::MAX {
-        a[(ib, ib)] += g;
-        if let Some(va) = clamp[na] {
-            rhs[ib] += g * va
-        }
-    }
-    if ia != usize::MAX && ib != usize::MAX {
-        a[(ia, ib)] -= g;
-        a[(ib, ia)] -= g;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn stamp_reduced_sparse(
-    b: &mut SparseBuilder,
-    rhs: &mut [f64],
-    reduced_index: &[usize],
-    clamp: &[Option<f64>],
-    na: usize,
-    nb: usize,
-    g: f64,
-) {
-    let (ia, ib) = (reduced_index[na], reduced_index[nb]);
-    if ia != usize::MAX {
-        b.add(ia, ia, g);
-        if let Some(vb) = clamp[nb] {
-            rhs[ia] += g * vb;
-        }
-    }
-    if ib != usize::MAX {
-        b.add(ib, ib, g);
-        if let Some(va) = clamp[na] {
-            rhs[ib] += g * va;
-        }
-    }
-    if ia != usize::MAX && ib != usize::MAX {
-        b.add(ia, ib, -g);
-        b.add(ib, ia, -g);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepared::PreparedSystem;
     use crate::units::Ohms;
 
-    const METHODS: [SolveMethod; 4] = [
-        SolveMethod::Auto,
-        SolveMethod::DenseLu,
-        SolveMethod::DenseCholesky,
-        SolveMethod::SparseCg(ConjugateGradient {
-            tolerance: 1e-12,
-            max_iterations: None,
-        }),
-    ];
+    /// The cold solve, then a fresh prepared solve of the same netlist: the
+    /// two ways a netlist is solved.
+    fn both_solves(net: &Netlist) -> [DcSolution; 2] {
+        let cold = net.solve_dc().unwrap();
+        let (prepared, _) = PreparedSystem::new(net).unwrap().solve_report().unwrap();
+        [cold, prepared]
+    }
 
     fn divider() -> (Netlist, NodeId, NodeId) {
         let mut net = Netlist::new();
@@ -622,10 +406,9 @@ mod tests {
     #[test]
     fn divider_all_methods_agree() {
         let (net, top, mid) = divider();
-        for m in METHODS {
-            let sol = net.solve_dc_with(m).unwrap();
-            assert!((sol.voltage(mid).0 - 0.75).abs() < 1e-9, "{m:?}");
-            assert!((sol.voltage(top).0 - 1.0).abs() < 1e-12, "{m:?}");
+        for sol in both_solves(&net) {
+            assert!((sol.voltage(mid).0 - 0.75).abs() < 1e-9);
+            assert!((sol.voltage(top).0 - 1.0).abs() < 1e-12);
         }
     }
 
@@ -644,30 +427,9 @@ mod tests {
         let a = net.node("a");
         net.current_source(Netlist::GROUND, a, Amps(2e-3));
         net.resistor(a, Netlist::GROUND, Ohms(500.0));
-        for m in METHODS {
-            let sol = net.solve_dc_with(m).unwrap();
-            assert!((sol.voltage(a).0 - 1.0).abs() < 1e-9, "{m:?}");
+        for sol in both_solves(&net) {
+            assert!((sol.voltage(a).0 - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn floating_source_needs_mna() {
-        let mut net = Netlist::new();
-        let a = net.node("a");
-        let b = net.node("b");
-        net.resistor(a, Netlist::GROUND, Ohms(1e3));
-        net.resistor(b, Netlist::GROUND, Ohms(1e3));
-        net.floating_voltage_source(a, b, Volts(0.5));
-        let sol = net.solve_dc().unwrap();
-        assert!((sol.voltage_between(a, b).0 - 0.5).abs() < 1e-9);
-        // Symmetric network: potentials are ±0.25 V.
-        assert!((sol.voltage(a).0 - 0.25).abs() < 1e-9);
-        assert!((sol.voltage(b).0 + 0.25).abs() < 1e-9);
-        // Reduced methods refuse.
-        assert!(matches!(
-            net.solve_dc_with(SolveMethod::DenseCholesky),
-            Err(CircuitError::InvalidParameter { .. })
-        ));
     }
 
     #[test]
@@ -682,7 +444,7 @@ mod tests {
             Err(CircuitError::ConflictingClamp { .. })
         ));
         assert!(matches!(
-            net.solve_dc_with(SolveMethod::DenseLu),
+            PreparedSystem::new(&net),
             Err(CircuitError::ConflictingClamp { .. })
         ));
     }
@@ -723,13 +485,12 @@ mod tests {
         net.resistor(b, c, Ohms(2e3));
         net.resistor(b, Netlist::GROUND, Ohms(4e3));
         net.resistor(c, Netlist::GROUND, Ohms(1e3));
-        for m in METHODS {
-            let sol = net.solve_dc_with(m).unwrap();
+        for sol in both_solves(&net) {
             let dissipated = sol.dissipated_power(&net);
             let supplied = sol.source_power(&net);
             assert!(
                 (dissipated.0 - supplied.0).abs() < 1e-12,
-                "{m:?}: {dissipated} vs {supplied}"
+                "{dissipated} vs {supplied}"
             );
         }
     }
@@ -770,9 +531,10 @@ mod tests {
 
     #[test]
     fn large_grid_cg_matches_cholesky() {
-        // A 12×12 resistor grid with one corner clamped and one corner
-        // driven by a current source — both reduced backends must agree.
-        let n = 12;
+        // A 21×21 resistor grid with one corner clamped and one corner
+        // driven by a current source: 441 nodes put the prepared solve on
+        // CG, and it must agree with the cold dense Cholesky solve.
+        let n = 21;
         let mut net = Netlist::new();
         let mut ids = Vec::new();
         for r in 0..n {
@@ -795,15 +557,12 @@ mod tests {
         net.resistor(at(n - 1, n - 1), Netlist::GROUND, Ohms(1e3));
         net.current_source(Netlist::GROUND, at(n - 1, 0), Amps(10e-6));
 
-        let chol = net.solve_dc_with(SolveMethod::DenseCholesky).unwrap();
-        let cg = net
-            .solve_dc_with(SolveMethod::SparseCg(ConjugateGradient::new(1e-13)))
-            .unwrap();
-        let lu = net.solve_dc_with(SolveMethod::DenseLu).unwrap();
+        let chol = net.solve_dc().unwrap();
+        let (cg, report) = PreparedSystem::new(&net).unwrap().solve_report().unwrap();
+        assert_eq!(report.stats.method, "sparse_cg");
         for i in 0..net.node_count() {
             let node = NodeId(i);
             assert!((chol.voltage(node).0 - cg.voltage(node).0).abs() < 1e-9);
-            assert!((chol.voltage(node).0 - lu.voltage(node).0).abs() < 1e-9);
         }
     }
 

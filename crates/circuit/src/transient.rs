@@ -5,17 +5,18 @@
 //! (0.4 fF/µm Cu wires, Table 2) *settle* within a SAR cycle? This module
 //! answers it: capacitors become backward-Euler companion models
 //! (a conductance `C/Δt` in parallel with a history current source), the
-//! resulting resistive network is solved per step by the same reduced
-//! Dirichlet machinery as the DC path — with the matrix factored once and
-//! reused across all steps — and the caller reads node waveforms and
-//! settling times.
+//! resulting resistive network is solved per step on the same Dirichlet
+//! reduction as the DC path — with the matrix factored once and reused
+//! across all steps — and the caller reads node waveforms and settling
+//! times.
 //!
-//! Scope: clamps, resistors, current sources and capacitors (no floating
-//! voltage sources), with sources held constant over the run — i.e. step
-//! responses, which is exactly the settling question.
+//! Scope: every element kind of a [`Netlist`], with sources held constant
+//! over the run — i.e. step responses, which is exactly the settling
+//! question.
 
-use crate::dense::{CholeskyFactor, DenseMatrix};
+use crate::dense::DenseMatrix;
 use crate::netlist::{Element, Netlist, NodeId};
+use crate::solve::{Reduction, CLAMPED};
 use crate::units::{Farads, Seconds, Volts};
 use crate::CircuitError;
 
@@ -58,49 +59,17 @@ impl TransientAnalysis {
     ///
     /// # Errors
     ///
-    /// * [`CircuitError::InvalidParameter`] if the netlist contains floating
-    ///   voltage sources.
-    /// * [`CircuitError::ConflictingClamp`] /
-    ///   [`CircuitError::SingularSystem`] as in the DC path.
+    /// [`CircuitError::ConflictingClamp`] / [`CircuitError::SingularSystem`]
+    /// as in the DC path.
     pub fn run(&self, net: &Netlist) -> Result<TransientResult, CircuitError> {
-        if net.has_floating_sources() {
-            return Err(CircuitError::InvalidParameter {
-                what: "transient analysis does not support floating voltage sources",
-            });
-        }
-        let n = net.node_count();
         let dt = self.time_step.0;
         let steps = (self.duration.0 / dt).round().max(1.0) as usize;
-
-        // Dirichlet data.
-        let mut clamp: Vec<Option<f64>> = vec![None; n];
-        clamp[0] = Some(0.0);
-        for e in net.elements() {
-            if let Element::Clamp { node, volts } = e {
-                match clamp[node.index()] {
-                    None => clamp[node.index()] = Some(volts.0),
-                    Some(v) if v == volts.0 => {}
-                    Some(_) => return Err(CircuitError::ConflictingClamp { node: node.index() }),
-                }
-            }
-        }
-        let mut reduced_index = vec![usize::MAX; n];
-        let mut free_nodes = Vec::new();
-        for (i, c) in clamp.iter().enumerate() {
-            if c.is_none() {
-                reduced_index[i] = free_nodes.len();
-                free_nodes.push(i);
-            }
-        }
-        let m = free_nodes.len();
+        let reduction = Reduction::new(net.elements(), net.node_count())?;
+        let m = reduction.unknowns();
+        // State: full node-voltage vector; free nodes start at 0.
+        let mut voltages = reduction.voltages(&[]);
         if m == 0 {
             // Nothing to integrate: everything is pinned.
-            let mut voltages = vec![0.0; n];
-            for (i, c) in clamp.iter().enumerate() {
-                if let Some(v) = c {
-                    voltages[i] = *v;
-                }
-            }
             return Ok(TransientResult {
                 times: vec![self.duration.0],
                 waveforms: vec![voltages],
@@ -109,109 +78,58 @@ impl TransientAnalysis {
 
         // Assemble (G + C/dt) on the free nodes, plus the constant part of
         // the right-hand side (current sources and conductive coupling to
-        // clamped nodes).
+        // clamped nodes), both in element order.
         let mut a = DenseMatrix::zeros(m, m);
         let mut rhs_const = vec![0.0; m];
-        // Capacitor bookkeeping for the history term: (free_a, free_b, c/dt)
-        // with usize::MAX marking a clamped/ground terminal.
-        let mut caps: Vec<(usize, usize, f64, usize, usize)> = Vec::new();
-
-        let stamp = |a: &mut DenseMatrix, rhs: &mut [f64], na: usize, nb: usize, g: f64| {
-            let (ia, ib) = (reduced_index[na], reduced_index[nb]);
-            if ia != usize::MAX {
-                a[(ia, ia)] += g;
-                if let Some(vb) = clamp[nb] {
-                    rhs[ia] += g * vb;
-                }
-            }
-            if ib != usize::MAX {
-                a[(ib, ib)] += g;
-                if let Some(va) = clamp[na] {
-                    rhs[ib] += g * va;
-                }
-            }
-            if ia != usize::MAX && ib != usize::MAX {
-                a[(ia, ib)] -= g;
-                a[(ib, ia)] -= g;
-            }
-        };
-
+        // Capacitor bookkeeping for the history term: the terminals and the
+        // companion conductance C/dt.
+        let mut caps: Vec<(NodeId, NodeId, f64)> = Vec::new();
         for e in net.elements() {
-            match e {
+            match *e {
                 Element::Resistor { a: na, b: nb, g } => {
-                    stamp(&mut a, &mut rhs_const, na.index(), nb.index(), g.0);
+                    reduction.stamp(&mut a, na, nb, g.0);
+                    reduction.couple(&mut rhs_const, na, nb, g.0);
                 }
                 Element::Capacitor {
                     a: na,
                     b: nb,
                     farads,
                 } => {
-                    let g_c = farads.0 / dt;
                     // The companion conductance enters the matrix, but its
                     // clamp coupling belongs to the *history* term, not the
                     // constant RHS — handle it per step below.
-                    let (ia, ib) = (reduced_index[na.index()], reduced_index[nb.index()]);
-                    if ia != usize::MAX {
-                        a[(ia, ia)] += g_c;
-                    }
-                    if ib != usize::MAX {
-                        a[(ib, ib)] += g_c;
-                    }
-                    if ia != usize::MAX && ib != usize::MAX {
-                        a[(ia, ib)] -= g_c;
-                        a[(ib, ia)] -= g_c;
-                    }
-                    caps.push((ia, ib, g_c, na.index(), nb.index()));
+                    let g_c = farads.0 / dt;
+                    reduction.stamp(&mut a, na, nb, g_c);
+                    caps.push((na, nb, g_c));
                 }
                 Element::CurrentSource { from, to, amps } => {
-                    if let Some(&ri) = reduced_index.get(to.index()) {
-                        if ri != usize::MAX {
-                            rhs_const[ri] += amps.0;
-                        }
-                    }
-                    if let Some(&ri) = reduced_index.get(from.index()) {
-                        if ri != usize::MAX {
-                            rhs_const[ri] -= amps.0;
-                        }
-                    }
+                    reduction.inject(&mut rhs_const, from, to, amps.0);
                 }
                 Element::Clamp { .. } => {}
-                Element::FloatingSource { .. } => unreachable!("rejected above"),
             }
         }
 
-        let factor: CholeskyFactor = a.cholesky()?;
-
-        // State: full node-voltage vector; free nodes start at 0.
-        let mut voltages = vec![0.0; n];
-        for (i, c) in clamp.iter().enumerate() {
-            if let Some(v) = c {
-                voltages[i] = *v;
-            }
-        }
-
+        let factor = a.cholesky()?;
         let mut times = Vec::with_capacity(steps);
         let mut waveforms = Vec::with_capacity(steps);
         let mut rhs = vec![0.0; m];
         for step in 1..=steps {
             rhs.copy_from_slice(&rhs_const);
             // History currents: I_eq = (C/dt)·v_ab_old injected into a.
-            for &(ia, ib, g_c, na, nb) in &caps {
-                let v_ab = voltages[na] - voltages[nb];
-                if ia != usize::MAX {
+            for &(na, nb, g_c) in &caps {
+                let v_ab = voltages[na.index()] - voltages[nb.index()];
+                let (ia, ib) = (reduction.index(na), reduction.index(nb));
+                if ia != CLAMPED {
                     // History current plus the clamp coupling of the
                     // companion conductance (g_c·v_b moves to the RHS when
                     // b is pinned; ground contributes 0).
-                    rhs[ia] += g_c * v_ab + g_c * clamp[nb].unwrap_or(0.0);
+                    rhs[ia] += g_c * v_ab + g_c * reduction.clamp(nb).unwrap_or(0.0);
                 }
-                if ib != usize::MAX {
-                    rhs[ib] += -g_c * v_ab + g_c * clamp[na].unwrap_or(0.0);
+                if ib != CLAMPED {
+                    rhs[ib] += -g_c * v_ab + g_c * reduction.clamp(na).unwrap_or(0.0);
                 }
             }
-            let x = factor.solve(&rhs)?;
-            for (k, &node) in free_nodes.iter().enumerate() {
-                voltages[node] = x[k];
-            }
+            reduction.scatter(&factor.solve(&rhs)?, &mut voltages);
             times.push(step as f64 * dt);
             waveforms.push(voltages.clone());
         }
@@ -434,18 +352,6 @@ mod tests {
         assert!(TransientAnalysis::new(Seconds(0.0), Seconds(1e-9)).is_err());
         assert!(TransientAnalysis::new(Seconds(1e-9), Seconds(1e-10)).is_err());
         assert!(TransientAnalysis::new(Seconds(f64::NAN), Seconds(1e-9)).is_err());
-
-        let mut net = Netlist::new();
-        let a = net.node("a");
-        let b = net.node("b");
-        net.resistor(a, Netlist::GROUND, Ohms(1e3));
-        net.resistor(b, Netlist::GROUND, Ohms(1e3));
-        net.floating_voltage_source(a, b, Volts(0.1));
-        let analysis = TransientAnalysis::new(Seconds(1e-12), Seconds(1e-9)).unwrap();
-        assert!(matches!(
-            analysis.run(&net),
-            Err(CircuitError::InvalidParameter { .. })
-        ));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use spinamm_circuit::prelude::*;
-use spinamm_circuit::sparse::ConjugateGradient;
-use spinamm_circuit::ElementId;
+use spinamm_circuit::prepared::AUTO_DENSE_LIMIT;
+use spinamm_circuit::{ElementId, PreparedSystem};
 
 /// A randomly generated, always-solvable ladder-with-rungs network.
 #[derive(Debug, Clone)]
@@ -20,7 +20,12 @@ struct RandomNetwork {
 }
 
 fn network_strategy() -> impl Strategy<Value = RandomNetwork> {
-    (2usize..12).prop_flat_map(|n| {
+    sized_network_strategy(2..12)
+}
+
+/// Random ladders of `len` nodes.
+fn sized_network_strategy(len: std::ops::Range<usize>) -> impl Strategy<Value = RandomNetwork> {
+    len.prop_flat_map(|n| {
         (
             proptest::collection::vec(10.0..100_000.0f64, n),
             proptest::collection::vec(10.0..100_000.0f64, n),
@@ -58,23 +63,32 @@ fn build(rn: &RandomNetwork) -> Built {
     Built { net, nodes, source }
 }
 
+/// Checks a fresh [`PreparedSystem`] solve against the cold `solve_dc`
+/// reference on every node voltage, and returns the backend that ran.
+fn prepared_agrees_with_cold(
+    b: &Built,
+    tolerance: f64,
+) -> Result<&'static str, proptest::test_runner::TestCaseError> {
+    let cold = b.net.solve_dc().unwrap();
+    let (prepared, report) = PreparedSystem::new(&b.net).unwrap().solve_report().unwrap();
+    for &node in &b.nodes {
+        let (a, c) = (cold.voltage(node).0, prepared.voltage(node).0);
+        let scale = a.abs().max(1e-6);
+        prop_assert!(
+            (a - c).abs() / scale < tolerance,
+            "cold {a} vs prepared {c}"
+        );
+    }
+    Ok(report.stats.method)
+}
+
 proptest! {
-    /// All three solve methods agree on every node voltage.
+    /// The prepared solve agrees with the cold reference on every node
+    /// voltage below the dense limit, where both factor by dense Cholesky.
     #[test]
     fn solve_methods_agree(rn in network_strategy()) {
-        let b = build(&rn);
-        let lu = b.net.solve_dc_with(SolveMethod::DenseLu).unwrap();
-        let ch = b.net.solve_dc_with(SolveMethod::DenseCholesky).unwrap();
-        let cg = b
-            .net
-            .solve_dc_with(SolveMethod::SparseCg(ConjugateGradient::new(1e-13)))
-            .unwrap();
-        for &node in &b.nodes {
-            let (a, c, d) = (lu.voltage(node).0, ch.voltage(node).0, cg.voltage(node).0);
-            let scale = a.abs().max(1e-6);
-            prop_assert!((a - c).abs() / scale < 1e-7, "LU {a} vs Cholesky {c}");
-            prop_assert!((a - d).abs() / scale < 1e-6, "LU {a} vs CG {d}");
-        }
+        let method = prepared_agrees_with_cold(&build(&rn), 1e-7)?;
+        prop_assert_eq!(method, "dense_cholesky");
     }
 
     /// Tellegen's theorem: power supplied by sources equals power dissipated
@@ -154,5 +168,19 @@ proptest! {
             let v = sol.voltage(node).0;
             prop_assert!(v >= -1e-12 && v <= supply + 1e-12, "node at {v} outside [0, {supply}]");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The prepared solve agrees with the cold dense reference above the
+    /// dense limit, where it takes IC(0)-preconditioned CG.
+    #[test]
+    fn solve_methods_agree_above_dense_limit(
+        rn in sized_network_strategy(AUTO_DENSE_LIMIT + 1..AUTO_DENSE_LIMIT + 40)
+    ) {
+        let method = prepared_agrees_with_cold(&build(&rn), 1e-6)?;
+        prop_assert_eq!(method, "sparse_cg");
     }
 }

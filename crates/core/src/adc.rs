@@ -20,7 +20,7 @@ use crate::CoreError;
 use rand::Rng;
 use spinamm_circuit::units::{Amps, Joules, Seconds, Volts};
 use spinamm_cmos::{DacInstance, DtcsDac, Tech45};
-use spinamm_spin::{DomainWallNeuron, DynamicLatch, Mtj, NeuronConfig, Polarity};
+use spinamm_spin::{DomainWallNeuron, DynamicLatch, NeuronConfig, Polarity};
 use spinamm_telemetry::{NoopRecorder, Recorder};
 
 /// One column's converter.
@@ -30,16 +30,10 @@ pub struct SpinSarAdc {
     pub dac: DacInstance,
     /// The DWN comparator's behavioural configuration.
     pub neuron: NeuronConfig,
-    /// The read MTJ stack.
-    pub mtj: Mtj,
     /// The sense latch.
     pub latch: DynamicLatch,
     /// One SAR cycle (write pulse + latch evaluation).
     pub clock_period: Seconds,
-    /// Include Néel–Brown thermal switching of the DWN.
-    pub thermal: bool,
-    /// Include latch offset sampling.
-    pub latch_noise: bool,
 }
 
 /// The result of one conversion, with per-cycle detail for the parallel
@@ -96,11 +90,8 @@ impl SpinSarAdc {
         Ok(Self {
             dac,
             neuron,
-            mtj: Mtj::PAPER,
             latch: DynamicLatch::PAPER,
             clock_period,
-            thermal: false,
-            latch_noise: false,
         })
     }
 
@@ -133,6 +124,10 @@ impl SpinSarAdc {
     /// *bounded* net current instead of overshooting the write-energy
     /// integral (see [`SpinSarAdc::saturation_ceiling`]).
     ///
+    /// The conversion is deterministic: the comparator switches at its
+    /// effective threshold and the latch reads the wall state exactly, so
+    /// `rng` draws nothing.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for a non-finite input
@@ -157,7 +152,7 @@ impl SpinSarAdc {
     pub fn convert_with<R: Rng + ?Sized, T: Recorder>(
         &self,
         input: Amps,
-        rng: &mut R,
+        _rng: &mut R,
         recorder: &T,
     ) -> Result<AdcConversion, CoreError> {
         if !input.0.is_finite() {
@@ -190,20 +185,11 @@ impl SpinSarAdc {
 
             // Reset and write the comparator.
             neuron.set_state(Polarity::Down);
-            let state = if self.thermal {
-                neuron.apply_thermal_with(net, pulse, rng, recorder)
-            } else {
-                neuron.apply_with(net, pulse, recorder)
-            };
+            let state = neuron.apply_with(net, pulse, recorder);
             dwn_energy += self.neuron.write_energy(net, pulse);
 
             // Latch read.
-            let sensed = if self.latch_noise {
-                self.latch.sense_with(&self.mtj, state, rng, recorder)
-            } else {
-                recorder.counter("spin.latch_fires", 1);
-                state
-            };
+            recorder.counter("spin.latch_fires", 1);
             latch_energy += self.latch.sense_energy();
 
             // DAC static dissipation: trial current across 2ΔV for one
@@ -211,7 +197,7 @@ impl SpinSarAdc {
             // the DTCS in the ADC's flows across a DC level of 2ΔV").
             dac_energy += Joules(i_dac.0 * 2.0 * self.dac.supply().0 * self.clock_period.0);
 
-            sar.step(sensed == Polarity::Up);
+            sar.step(state == Polarity::Up);
             trajectory.push(sar.code());
         }
 
@@ -434,21 +420,6 @@ mod tests {
             let code = a.convert(input, &mut rng).unwrap().code;
             assert!(code + 1 >= last, "non-monotonic: code {code} after {last}");
             last = code;
-        }
-    }
-
-    #[test]
-    fn thermal_mode_still_converts_large_margins() {
-        let mut a = adc(5, 1);
-        a.thermal = true;
-        a.latch_noise = true;
-        let l = lsb(&a);
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        // Mid-scale input with wide margins: thermal agitation must not
-        // disturb the code by more than one LSB.
-        for _ in 0..20 {
-            let out = a.convert(Amps(16.5 * l), &mut rng).unwrap();
-            assert!((15..=17).contains(&out.code), "code {}", out.code);
         }
     }
 

@@ -151,7 +151,9 @@ impl SpinWta {
         self.adcs[0].conversion_time()
     }
 
-    /// Evaluates the WTA on a set of column currents.
+    /// Evaluates the WTA on a set of column currents. Every column
+    /// converts deterministically ([`SpinSarAdc::convert`]), so `rng` draws
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -168,8 +170,8 @@ impl SpinWta {
     /// Like [`SpinWta::evaluate`], recording telemetry on `recorder`: the
     /// [`Layer::CONVERT`] and [`Layer::SELECT`] spans, the per-device
     /// counters from the column ADCs, and `wta.dl_transitions` — one count
-    /// per cycle in which the detection line actually discharged. The outcome and RNG stream are
-    /// those of [`SpinWta::evaluate`].
+    /// per cycle in which the detection line actually discharged. The outcome is
+    /// that of [`SpinWta::evaluate`].
     ///
     /// # Errors
     ///

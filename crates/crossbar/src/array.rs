@@ -392,11 +392,12 @@ impl CrossbarArray {
     /// to cells that refuse to verify, reporting how many needed retries
     /// and how many are unrecoverable (stuck-at defects).
     ///
-    /// Each cell's retry loop runs silently; the column then reports each
-    /// of [`spinamm_memristor::Memristor::program_with_retry`]'s counters
-    /// to `recorder` at most once, with the totals per-cell reporting
-    /// would give. When a cell fails, the cells written before it are
-    /// still reported.
+    /// Each cell's retry loop records nothing; the column sums the cells'
+    /// [`spinamm_memristor::RetryReport`]s and reports
+    /// `memristor.write_pulses`, `memristor.verify_checks`,
+    /// `memristor.write_retries` (attempts beyond a cell's first) and
+    /// `memristor.unrecoverable_cells` to `recorder`, each at most once.
+    /// When a cell fails, the cells written before it are still reported.
     ///
     /// # Errors
     ///
@@ -432,7 +433,7 @@ impl CrossbarArray {
         let written = levels.iter().enumerate().try_for_each(|(row, &level)| {
             let target = map.conductance(level)?;
             let cell = cells.update(top + row * cols, |cell| {
-                cell.program_with_retry(target, scheme, policy, rng, &NoopRecorder)
+                cell.program_with_retry(target, scheme, policy, rng)
             })?;
             report.pulses += cell.pulses;
             report.energy += cell.energy;
@@ -451,9 +452,8 @@ impl CrossbarArray {
                 u64::from(report.unrecoverable),
             ),
         ] {
-            // A cell reports a counter only when it is non-zero (every
-            // attempt applies a pulse and a verify read), so zero totals
-            // send nothing.
+            // A zero total sends nothing: a recorder sees a counter only
+            // when some cell added to it.
             if total > 0 {
                 recorder.counter(name, total);
             }
@@ -967,8 +967,22 @@ mod tests {
                         let idx = a.check(row, col).unwrap();
                         let error = a.writer().update(idx, |cell| {
                             if retry {
-                                cell.program_with_retry(target, &scheme, &policy, &mut rng, &rec)
-                                    .map(|r| r.relative_error)
+                                // The retry writer records nothing itself:
+                                // sum each cell's report.
+                                cell.program_with_retry(target, &scheme, &policy, &mut rng)
+                                    .map(|r| {
+                                        rec.counter("memristor.write_pulses", u64::from(r.pulses));
+                                        rec.counter("memristor.verify_checks", r.verify_checks);
+                                        rec.counter(
+                                            "memristor.write_retries",
+                                            u64::from(r.attempts.saturating_sub(1)),
+                                        );
+                                        rec.counter(
+                                            "memristor.unrecoverable_cells",
+                                            u64::from(!r.recovered),
+                                        );
+                                        r.relative_error
+                                    })
                             } else {
                                 cell.program_with(target, &scheme, &mut rng, &rec)
                                     .map(|r| r.relative_error)

@@ -60,32 +60,18 @@ struct Session {
 #[derive(Debug, Clone)]
 pub struct CachedParasiticCrossbar {
     geometry: CrossbarGeometry,
-    method: SolveMethod,
     session: Option<Session>,
 }
 
 impl CachedParasiticCrossbar {
-    /// Creates an evaluator with automatic solver selection.
+    /// Creates an evaluator for arrays wired with `geometry`. Its solver
+    /// backend follows [`PreparedSystem`]'s size rule.
     #[must_use]
     pub fn new(geometry: CrossbarGeometry) -> Self {
-        Self::with_method(geometry, SolveMethod::Auto)
-    }
-
-    /// Creates an evaluator with an explicit reduced solve method
-    /// (`DenseLu` is rejected at first evaluation).
-    #[must_use]
-    pub fn with_method(geometry: CrossbarGeometry, method: SolveMethod) -> Self {
         Self {
             geometry,
-            method,
             session: None,
         }
-    }
-
-    /// The wiring geometry this evaluator was built for.
-    #[must_use]
-    pub fn geometry(&self) -> CrossbarGeometry {
-        self.geometry
     }
 
     /// Whether a netlist is currently cached.
@@ -126,8 +112,7 @@ impl CachedParasiticCrossbar {
     ///
     /// * [`CrossbarError::InputLengthMismatch`] if `drives.len()` differs
     ///   from the row count.
-    /// * [`CrossbarError::Circuit`] if the netlist solve fails (or the
-    ///   method is `DenseLu`).
+    /// * [`CrossbarError::Circuit`] if the netlist solve fails.
     pub fn evaluate(
         &mut self,
         array: &CrossbarArray,
@@ -231,7 +216,7 @@ impl CachedParasiticCrossbar {
             rows: array.rows(),
             cols: array.cols(),
             drive_kinds: drives.iter().map(DriveKind::from).collect(),
-            prepared: PreparedSystem::with_method(&network.net, self.method)?,
+            prepared: PreparedSystem::new(&network.net)?,
             handles: network.handles,
         })
     }
@@ -243,7 +228,6 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use spinamm_circuit::units::Siemens;
-    use spinamm_circuit::ConjugateGradient;
     use spinamm_memristor::{DeviceLimits, LevelMap, WriteScheme};
     use spinamm_telemetry::MemoryRecorder;
 
@@ -261,16 +245,16 @@ mod tests {
     }
 
     /// The cold reference: the same builder's netlist, solved from scratch
-    /// by `Netlist::solve_dc_stats` — a solver path independent of the
-    /// prepared system's restamps, cached factorizations and warm starts.
+    /// by `Netlist::solve_dc` (dense Cholesky at every size) — a solver path
+    /// independent of the prepared system's restamps, cached factorizations,
+    /// warm starts and CG.
     fn cold(
         geometry: CrossbarGeometry,
-        method: SolveMethod,
         array: &CrossbarArray,
         drives: &[RowDrive],
     ) -> ColumnReadout {
         let network = build_network(array, drives, geometry, Farads(0.0)).unwrap();
-        let (sol, _) = network.net.solve_dc_stats(method).unwrap();
+        let sol = network.net.solve_dc().unwrap();
         let power = sol.dissipated_power(&network.net);
         let nodes = network.net.node_count();
         network.handles.readout(array, &sol, power, nodes)
@@ -307,7 +291,7 @@ mod tests {
         let mut cached = CachedParasiticCrossbar::new(geom);
         for q in 0..6 {
             let drives = dtcs_drives(8, 1e-5 * (q + 1) as f64);
-            let want = cold(geom, SolveMethod::Auto, &a, &drives);
+            let want = cold(geom, &a, &drives);
             let got = cached.evaluate(&a, &drives).unwrap();
             assert_agrees(&got, &want, 1e-9);
         }
@@ -324,14 +308,14 @@ mod tests {
             .collect();
         assert_agrees(
             &cached.evaluate(&a, &v_drives).unwrap(),
-            &cold(geom, SolveMethod::Auto, &a, &v_drives),
+            &cold(geom, &a, &v_drives),
             1e-9,
         );
         // Kind change → rebuild, still correct.
         let i_drives = vec![RowDrive::Current(Amps(2e-6)); 6];
         assert_agrees(
             &cached.evaluate(&a, &i_drives).unwrap(),
-            &cold(geom, SolveMethod::Auto, &a, &i_drives),
+            &cold(geom, &a, &i_drives),
             1e-9,
         );
     }
@@ -389,11 +373,10 @@ mod tests {
         // Big enough that node_count − 1 > AUTO_DENSE_LIMIT → sparse CG.
         let a = programmed_array(16, 14, 4);
         let geom = CrossbarGeometry::PAPER;
-        let tight = ConjugateGradient::new(1e-12);
-        let mut cached = CachedParasiticCrossbar::with_method(geom, SolveMethod::SparseCg(tight));
+        let mut cached = CachedParasiticCrossbar::new(geom);
         for q in 0..3 {
             let drives = dtcs_drives(16, 2e-5 * (q + 1) as f64);
-            let want = cold(geom, SolveMethod::SparseCg(tight), &a, &drives);
+            let want = cold(geom, &a, &drives);
             let got = cached.evaluate(&a, &drives).unwrap();
             assert_agrees(&got, &want, 1e-7);
         }
@@ -409,7 +392,7 @@ mod tests {
         let drives = dtcs_drives(5, 5e-5);
         assert_agrees(
             &cached.evaluate(&a, &drives).unwrap(),
-            &cold(geom, SolveMethod::Auto, &a, &drives),
+            &cold(geom, &a, &drives),
             1e-9,
         );
     }
@@ -424,7 +407,7 @@ mod tests {
         let drives = dtcs_drives(8, 1e-5);
         assert_agrees(
             &cached.evaluate(&a2, &drives).unwrap(),
-            &cold(geom, SolveMethod::Auto, &a2, &drives),
+            &cold(geom, &a2, &drives),
             1e-9,
         );
         cached.invalidate();
@@ -460,7 +443,7 @@ mod tests {
         let mut cached = CachedParasiticCrossbar::new(geom);
         for q in 0..3 {
             let drives = dtcs_drives(8, 1e-5 * (q + 1) as f64);
-            let want = cold(geom, SolveMethod::Auto, &a, &drives);
+            let want = cold(geom, &a, &drives);
             let got = cached.evaluate(&a, &drives).unwrap();
             assert_agrees(&got, &want, 1e-9);
             for &j in &disconnected {

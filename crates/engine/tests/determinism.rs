@@ -135,9 +135,10 @@ fn hierarchical_driven_engine_is_bit_identical() {
 
 #[test]
 fn partitioned_parasitic_engine_is_bit_identical() {
-    // Parasitic mode exercises the cached-netlist solver sessions: worker
-    // clones warm-started at build must reproduce the master's solves, with
-    // one worker as with several.
+    // Parasitic mode exercises the cached-netlist solver sessions: each
+    // worker's clone of the deployment, warm-started at build, must
+    // reproduce the sequential clone's solves, with one worker as with
+    // several.
     let p = patterns(3, 10);
     let part = PartitionedAmm::build(&p, 2, &config(Fidelity::Parasitic)).unwrap();
     for workers in [1, 2, 4] {
@@ -180,11 +181,11 @@ fn fault_injected_engine_is_bit_identical() {
 
 #[test]
 fn plan_enabled_engine_is_bit_identical() {
-    // Workers evaluate through the modules' compiled kernels, shared with
-    // the master; responses must not change — across every deployment
-    // kind and both analytic and parasitic fidelities. The hierarchical
-    // case also evaluates its member modules on the master's solver
-    // sessions.
+    // Workers evaluate through the modules' compiled kernels, which every
+    // worker's clone shares; responses must not change — across every
+    // deployment kind and both analytic and parasitic fidelities. The
+    // hierarchical case also evaluates its member modules on each worker
+    // clone's own solver sessions.
     let p = patterns(4, 12);
     for fidelity in [Fidelity::Ideal, Fidelity::Driven, Fidelity::Parasitic] {
         let module = AssociativeMemoryModule::build(&p, &config(fidelity)).unwrap();

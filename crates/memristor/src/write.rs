@@ -287,22 +287,21 @@ impl Memristor {
     /// miss retries the whole program-and-verify loop at a stronger pulse
     /// amplitude per `policy`, within a hard total pulse budget.
     ///
-    /// Telemetry: in addition to the per-attempt pulse/verify counters,
-    /// `memristor.write_retries` counts attempts beyond the first and
-    /// `memristor.unrecoverable_cells` increments once if the cell never
-    /// verifies in band — the signature of a stuck-at defect.
+    /// The call records nothing. The [`RetryReport`] holds every total a
+    /// writer reports: pulses, verify reads, attempts (those beyond the
+    /// first are retries) and whether the cell ever verified in band — a
+    /// cell that never does is the signature of a stuck-at defect.
     ///
     /// # Errors
     ///
     /// Returns [`MemristorError::ConductanceOutOfRange`] if `target` is
     /// outside the programmable window.
-    pub fn program_with_retry<R: Rng + ?Sized, T: Recorder>(
+    pub fn program_with_retry<R: Rng + ?Sized>(
         &mut self,
         target: Siemens,
         scheme: &WriteScheme,
         policy: &RetryPolicy,
         rng: &mut R,
-        recorder: &T,
     ) -> Result<RetryReport, MemristorError> {
         self.check_target(target)?;
         let mut attempts = 0u32;
@@ -315,24 +314,17 @@ impl Memristor {
             if recovered || pulses >= policy.pulse_budget {
                 break;
             }
-            if k > 0 {
-                recorder.counter("memristor.write_retries", 1);
-            }
             attempts += 1;
             let amplitude = 1.0 + f64::from(k) * policy.amplitude_step;
             // Each attempt gets at most the remaining budget, so the total
             // can never exceed `policy.pulse_budget`.
             let cap = nominal_cap(scheme).min(policy.pulse_budget - pulses);
             let report = self.program_impl(target, scheme, amplitude, cap, rng);
-            report.record(recorder);
             pulses += report.pulses;
             verify_checks += report.verify_checks;
             energy = Joules(energy.0 + report.energy.0);
             relative_error = report.relative_error;
             recovered = relative_error.abs() <= scheme.tolerance;
-        }
-        if !recovered {
-            recorder.counter("memristor.unrecoverable_cells", 1);
         }
         Ok(RetryReport {
             attempts,
@@ -431,7 +423,6 @@ mod tests {
     use crate::device::DeviceLimits;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use spinamm_telemetry::NoopRecorder;
 
     #[test]
     fn paper_scheme_is_five_bits() {
@@ -562,13 +553,15 @@ mod tests {
                 &WriteScheme::paper(),
                 &RetryPolicy::default(),
                 &mut rng,
-                &NoopRecorder,
             )
             .unwrap();
         assert!(report.recovered);
         assert_eq!(report.attempts, 1);
         assert!(report.relative_error.abs() <= WriteScheme::paper().tolerance);
         assert!(report.pulses <= RetryPolicy::default().pulse_budget);
+        // The attempt's loop ends on an in-band verify read after its last
+        // pulse.
+        assert!(report.verify_checks > u64::from(report.pulses));
     }
 
     #[test]
@@ -577,23 +570,17 @@ mod tests {
         let g = Siemens(5e-4);
         let mut cell = Memristor::with_conductance(DeviceLimits::PAPER, g).unwrap();
         let report = cell
-            .program_with_retry(
-                g,
-                &WriteScheme::paper(),
-                &RetryPolicy::default(),
-                &mut rng,
-                &NoopRecorder,
-            )
+            .program_with_retry(g, &WriteScheme::paper(), &RetryPolicy::default(), &mut rng)
             .unwrap();
         assert!(report.recovered);
         assert_eq!(report.attempts, 0);
         assert_eq!(report.pulses, 0);
+        assert_eq!(report.verify_checks, 0);
         assert_eq!(report.energy, Joules::ZERO);
     }
 
     #[test]
     fn stuck_cell_is_unrecoverable_within_budget() {
-        let recorder = spinamm_telemetry::MemoryRecorder::default();
         let mut rng = ChaCha8Rng::seed_from_u64(15);
         let mut cell = Memristor::new(DeviceLimits::PAPER);
         cell.pin(DeviceLimits::PAPER.g_min());
@@ -604,22 +591,18 @@ mod tests {
                 &WriteScheme::paper(),
                 &policy,
                 &mut rng,
-                &recorder,
             )
             .unwrap();
         assert!(!report.recovered);
         assert!(report.pulses <= policy.pulse_budget, "{}", report.pulses);
         assert!(report.attempts >= 2, "escalation should retry");
         assert!(report.relative_error.abs() > WriteScheme::paper().tolerance);
-        let snap = recorder.snapshot();
+        // The pinned cell never verifies, so it spends the whole budget, and
+        // each attempt reads once per pulse plus once before its trim.
+        assert_eq!(report.pulses, policy.pulse_budget);
         assert_eq!(
-            snap.counter("memristor.write_retries"),
-            u64::from(report.attempts - 1)
-        );
-        assert_eq!(snap.counter("memristor.unrecoverable_cells"), 1);
-        assert_eq!(
-            snap.counter("memristor.write_pulses"),
-            u64::from(report.pulses)
+            report.verify_checks,
+            u64::from(report.pulses) + u64::from(report.attempts)
         );
     }
 
@@ -633,13 +616,7 @@ mod tests {
         let scheme = WriteScheme::paper();
         let policy = RetryPolicy::new(3, 1.0, 300).unwrap();
         let report = cell
-            .program_with_retry(
-                DeviceLimits::PAPER.g_max(),
-                &scheme,
-                &policy,
-                &mut rng,
-                &NoopRecorder,
-            )
+            .program_with_retry(DeviceLimits::PAPER.g_max(), &scheme, &policy, &mut rng)
             .unwrap();
         assert!(report.energy.0 > scheme.pulse_energy.0 * f64::from(report.pulses));
     }
@@ -654,7 +631,6 @@ mod tests {
                 &WriteScheme::paper(),
                 &RetryPolicy::default(),
                 &mut rng,
-                &NoopRecorder,
             )
             .is_err());
     }

@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spinamm_memristor::{DeviceLimits, LevelMap, Memristor, RetryPolicy, WriteScheme};
-use spinamm_telemetry::NoopRecorder;
 
 proptest! {
     /// The retry loop terminates within the configured pulse budget, no
@@ -35,7 +34,7 @@ proptest! {
             _ => {}
         }
         let report = cell
-            .program_with_retry(target, &scheme, &policy, &mut rng, &NoopRecorder)
+            .program_with_retry(target, &scheme, &policy, &mut rng)
             .unwrap();
         prop_assert!(
             report.pulses <= policy.pulse_budget,
@@ -70,7 +69,6 @@ proptest! {
                 &WriteScheme::paper(),
                 &RetryPolicy::default(),
                 &mut rng,
-                &NoopRecorder,
             )
             .unwrap();
         prop_assert!(report.recovered);
