@@ -175,16 +175,16 @@ def check_lifetime(studies, failures):
         final_acc = arm.get("final_accuracy", 0.0)
         floor = fresh_acc - LIFETIME_ACCURACY_DROP
         if maintained:
-            if final_acc < floor:
+            if not final_acc >= floor:
                 failures.append((f"{label}.final_accuracy", f">= {floor:.3f}", final_acc))
             overhead = arm.get("refresh_overhead", 0.0)
-            if overhead > LIFETIME_OVERHEAD_LIMIT:
+            if not overhead <= LIFETIME_OVERHEAD_LIMIT:
                 failures.append(
                     (f"{label}.refresh_overhead", f"<= {LIFETIME_OVERHEAD_LIMIT}", overhead)
                 )
             if corner == "aggressive" and not arm.get("refreshes", 0) > 0:
                 failures.append((f"{label}.refreshes", "> 0", arm.get("refreshes")))
-        elif corner == "aggressive" and final_acc >= floor:
+        elif corner == "aggressive" and not final_acc < floor:
             failures.append(
                 (f"{label}.final_accuracy", f"< {floor:.3f} (control must degrade)", final_acc)
             )
@@ -193,8 +193,13 @@ def check_lifetime(studies, failures):
 def value(cell):
     """A report cell as a number in base units: ``"0.975"`` and ``"115"``
     read as written, ``"318.120 µW"`` as 3.1812e-4. Every unit in the
-    report is one letter, so what precedes it is the prefix."""
+    report is one letter, so what precedes it is the prefix. A non-finite
+    number prints as ``"n/a <unit>"`` or ``"NaN"`` and reads as NaN, which
+    every check below fails: each compares with the passing side of the
+    condition, so a NaN never slips through."""
     number, _, unit = cell.partition(" ")
+    if number == "n/a":
+        return float("nan")
     return float(number) * SI_PREFIXES[unit[:-1]] if unit else float(number)
 
 
@@ -204,9 +209,10 @@ def table_rows(report):
 
 
 def rises(rows, x, y):
-    """Whether column ``y`` strictly rises with column ``x``."""
+    """Whether column ``y`` strictly rises with column ``x``, whose values
+    are distinct."""
     points = sorted((value(row[x]), value(row[y])) for row in rows)
-    return all(a[1] < b[1] for a, b in zip(points, points[1:]))
+    return all(a[0] < b[0] and a[1] < b[1] for a, b in zip(points, points[1:]))
 
 
 def check_shapes(studies, failures):
@@ -245,7 +251,7 @@ def check_shapes(studies, failures):
                 wanted = f"all above spin-CMOS's {row['spin-CMOS']}"
                 failures.append((f"{label} spin_lowest_power", wanted, others))
             ratio = value(row["E ratio digital"])
-            if ratio < DIGITAL_ENERGY_RATIO_FLOOR:
+            if not ratio >= DIGITAL_ENERGY_RATIO_FLOOR:
                 failures.append(
                     (f"{label} digital_energy_ratio", f">= {DIGITAL_ENERGY_RATIO_FLOOR}", ratio)
                 )
@@ -269,7 +275,7 @@ def check_shapes(studies, failures):
         rows = {row["size"]: row for row in table_rows(studies["fig3a"])}
         for size, row in rows.items():
             ideal = value(row["ideal"])
-            if value(row["pixels"]) >= FIG3A_PIXELS_FLOOR and ideal < FIG3A_IDEAL_FLOOR:
+            if value(row["pixels"]) >= FIG3A_PIXELS_FLOOR and not ideal >= FIG3A_IDEAL_FLOOR:
                 failures.append(
                     (f"fig3a[{size}] ideal_holds_to_128_pixels", f">= {FIG3A_IDEAL_FLOOR}", ideal)
                 )
@@ -297,7 +303,7 @@ def check_shapes(studies, failures):
             )
         margins = {row["ΔV"]: value(row["margin (LSB)"]) for row in rows}
         floor = FIG9B_30MV_SHARE * margins["60.000 mV"]
-        if margins["30.000 mV"] < floor:
+        if not margins["30.000 mV"] >= floor:
             failures.append(
                 ("fig9b[30 mV] margin_holds_to_30mv", f">= {floor:.3f}", margins["30.000 mV"])
             )
@@ -306,8 +312,7 @@ def check_shapes(studies, failures):
         for row in table_rows(studies["settling"]):
             # A run that never settles prints its time as "n/a s".
             time = row["time"]
-            settled = not time.startswith("n/a") and value(time) < SAR_CYCLE_S
-            if not (settled and row["within cycle"] == "yes"):
+            if not (value(time) < SAR_CYCLE_S and row["within cycle"] == "yes"):
                 failures.append(
                     (
                         f"settling[{row['analysis']}] settles_within_cycle",

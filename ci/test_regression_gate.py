@@ -7,7 +7,8 @@ Each committed baseline must pass against itself. A planted copy that
 changes one value in its last digit, drops one study or reorders the
 studies must fail the exact comparison and name the path. A planted copy that breaks one contract or
 one of the paper's shapes must fail that check by name even when it is
-compared with itself, so the check, not the comparison, catches it.
+compared with itself, so the check, not the comparison, catches it. So
+must a copy with a non-finite number in a checked cell.
 """
 
 import contextlib
@@ -195,6 +196,30 @@ BROKEN_CHECKS = [
 ]
 
 
+# (what the planted copy holds, how, the check the gate must name). A
+# non-finite number prints as "n/a <unit>" through the report's
+# engineering formatter and as "NaN" through a fixed-precision one. Such a
+# plant may also break a neighbouring check (a NaN margin is not monotone
+# either), so only the exit code and the named check are required.
+NON_FINITE_CELLS = [
+    (
+        "n/a in Table 1's spin-CMOS power",
+        lambda d: set_cell(d, "table1", "5-bit", "spin-CMOS", "n/a W"),
+        "table1[5-bit] spin_lowest_power",
+    ),
+    (
+        "NaN in Table 1's digital energy ratio",
+        lambda d: set_cell(d, "table1", "5-bit", "E ratio digital", "NaN"),
+        "table1[5-bit] digital_energy_ratio",
+    ),
+    (
+        "NaN in Fig 9b's 30 mV margin",
+        lambda d: set_cell(d, "fig9b", "30.000 mV", "margin (LSB)", "NaN"),
+        "fig9b[30 mV] margin_holds_to_30mv",
+    ),
+]
+
+
 class RegressionGateTest(unittest.TestCase):
     def setUp(self):
         self.scratch = tempfile.TemporaryDirectory()
@@ -289,6 +314,14 @@ class RegressionGateTest(unittest.TestCase):
                     planted = copy.deepcopy(doc)
                     plant(planted)
                     self.assert_fails_naming(planted, planted, path, "0 differing paths, 1 broken")
+
+    def test_a_non_finite_cell_fails_its_check_by_name(self):
+        for doc in self.baselines():
+            for what, plant, path in NON_FINITE_CELLS:
+                with self.subTest(planted=what):
+                    planted = copy.deepcopy(doc)
+                    plant(planted)
+                    self.assert_fails_naming(planted, planted, path, "0 differing paths")
 
 
 if __name__ == "__main__":

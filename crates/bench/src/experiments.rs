@@ -1389,7 +1389,10 @@ pub fn capacity_study(scale: &Scale) -> Result<CapacityStudy, CoreError> {
             drop(reference);
             let engine = RecallEngine::new(
                 Deployment::Tiled(pool.clone()),
-                &EngineConfig::builder().workers(2).queue_capacity(4).build(),
+                &EngineConfig {
+                    workers: 2,
+                    queue_capacity: 4,
+                },
             );
             let mut responses = Vec::with_capacity(inputs.len());
             for window in inputs.chunks(4) {
@@ -1486,12 +1489,8 @@ pub struct LifetimeArm {
     pub refresh_overhead: f64,
     /// Maintenance checks run.
     pub checks: u64,
-    /// Total template refreshes (margin- plus schedule-triggered).
+    /// Template refreshes, each fired by the margin predictor.
     pub refreshes: u64,
-    /// Margin-triggered refreshes.
-    pub margin_refreshes: u64,
-    /// Wall-clock-scheduled refreshes.
-    pub scheduled_refreshes: u64,
     /// Wear-leveled migrations.
     pub migrations: u64,
     /// Log-spaced checkpoints.
@@ -1629,7 +1628,6 @@ pub fn lifetime_study(scale: &Scale) -> Result<LifetimeStudy, CoreError> {
             // predicted erosion never reaches the budget and the arms
             // coast on retention alone.
             let mconfig = MaintenanceConfig {
-                query_period: Seconds(QUERY_PERIOD),
                 check_period: Seconds(200.0),
                 margin_budget_lsb: 25.0,
                 ..base
@@ -1641,7 +1639,7 @@ pub fn lifetime_study(scale: &Scale) -> Result<LifetimeStudy, CoreError> {
                 sched
                     .advance_to(Seconds(q * QUERY_PERIOD))
                     .map_err(lifetime_err)?;
-                let accuracy = accuracy_of(sched.module_mut().map_err(lifetime_err)?)?;
+                let accuracy = accuracy_of(sched.module_mut())?;
                 let s = sched.stats();
                 points.push(LifetimePoint {
                     queries: q,
@@ -1663,8 +1661,6 @@ pub fn lifetime_study(scale: &Scale) -> Result<LifetimeStudy, CoreError> {
                 refresh_overhead: s.refresh_energy.0 / (recall_energy * horizon_queries),
                 checks: s.checks,
                 refreshes: s.refreshes,
-                margin_refreshes: s.margin_refreshes,
-                scheduled_refreshes: s.scheduled_refreshes,
                 migrations: s.migrations,
                 points,
             });

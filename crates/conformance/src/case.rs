@@ -376,10 +376,10 @@ pub fn run_case<T: Recorder>(
             install_faults(&mut engine_module, spec, None)?;
             let engine = RecallEngine::new(
                 Deployment::Flat(engine_module),
-                &EngineConfig::builder()
-                    .workers(workers)
-                    .queue_capacity(2)
-                    .build(),
+                &EngineConfig {
+                    workers,
+                    queue_capacity: 2,
+                },
             );
             let responses = engine.recall_many(&inputs)?;
             engine.shutdown();
@@ -443,7 +443,10 @@ pub fn run_case<T: Recorder>(
     let mut part = PartitionedAmm::build(&w.patterns, 2, &cfg)?;
     let part_engine = RecallEngine::new(
         Deployment::Partitioned(part.clone()),
-        &EngineConfig::builder().workers(2).queue_capacity(2).build(),
+        &EngineConfig {
+            workers: 2,
+            queue_capacity: 2,
+        },
     );
     let part_responses = part_engine.recall_many(&inputs)?;
     part_engine.shutdown();
@@ -466,7 +469,10 @@ pub fn run_case<T: Recorder>(
     let mut hier = HierarchicalAmm::build(&w.patterns, 2, &cfg)?;
     let hier_engine = RecallEngine::new(
         Deployment::Hierarchical(hier.clone()),
-        &EngineConfig::builder().workers(2).queue_capacity(2).build(),
+        &EngineConfig {
+            workers: 2,
+            queue_capacity: 2,
+        },
     );
     let hier_responses = hier_engine.recall_many(&inputs)?;
     hier_engine.shutdown();
@@ -495,7 +501,10 @@ pub fn run_case<T: Recorder>(
     let mut tiled = TiledAmm::build(&w.patterns, tile_capacity, &cfg)?.with_top_k(3)?;
     let tiled_engine = RecallEngine::new(
         Deployment::Tiled(tiled.clone()),
-        &EngineConfig::builder().workers(2).queue_capacity(2).build(),
+        &EngineConfig {
+            workers: 2,
+            queue_capacity: 2,
+        },
     );
     let tiled_responses = tiled_engine.recall_many(&inputs)?;
     tiled_engine.shutdown();

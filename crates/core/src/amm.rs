@@ -948,18 +948,15 @@ impl AssociativeMemoryModule {
         // unrecoverable cells.
         let p = &self.config.params;
         let level_map = LevelMap::new(p.memristor_limits, p.template_bits)?;
-        let write = WriteScheme::new(p.write_tolerance)?;
-        let retry = RetryPolicy::default();
         let mut retried = 0u64;
         let mut unrecoverable = 0u64;
         for t in 0..self.templates.len() {
-            let rep = self.array.program_pattern_retry_with(
+            let rep = Self::write_column(
+                &mut self.array,
+                &self.config.params,
+                &mut self.rng,
                 self.template_column[t],
                 &self.templates[t],
-                &level_map,
-                &write,
-                &retry,
-                &mut self.rng,
                 recorder,
             )?;
             retried += u64::from(rep.retried);
@@ -990,13 +987,12 @@ impl AssociativeMemoryModule {
             };
             *error = match best {
                 Some((_, s)) => {
-                    self.array.program_pattern_retry_with(
+                    Self::write_column(
+                        &mut self.array,
+                        &self.config.params,
+                        &mut self.rng,
                         s,
                         &self.templates[t],
-                        &level_map,
-                        &write,
-                        &retry,
-                        &mut self.rng,
                         recorder,
                     )?;
                     // The vacated column is faulty: release it but never
@@ -1026,17 +1022,11 @@ impl AssociativeMemoryModule {
         }
         recorder.counter("faults.masked", masked);
 
-        // Gain spread and open columns change the row loads; refresh the
-        // dummies so every DAC still sees G_TS.
-        if self.config.equalize_rows {
-            self.array.retrim_dummies();
-        }
-
-        // The installed map changes drive kinds (line defects) and stamped
-        // conductances; rebuild the cached session and re-pin the canonical
-        // warm-start reference against the faulted module.
-        self.parasitic.invalidate();
-        self.warm_session(recorder)?;
+        // Gain spread and open columns change the row loads, and the
+        // installed map changes drive kinds (line defects) and stamped
+        // conductances: retrim the dummies, then rebuild and re-warm the
+        // cached session against the faulted module.
+        self.reconcile(recorder)?;
 
         Ok(FaultReport {
             injected,
@@ -1232,18 +1222,13 @@ impl AssociativeMemoryModule {
                 what: "no free column for template install (bank full)",
             })?;
 
-        let p = &self.config.params;
-        let level_map = LevelMap::new(p.memristor_limits, p.template_bits)?;
-        let write = WriteScheme::new(p.write_tolerance)?;
-        let retry = RetryPolicy::default();
         self.kernel.take();
-        self.array.program_pattern_retry_with(
+        Self::write_column(
+            &mut self.array,
+            &self.config.params,
+            &mut self.rng,
             col,
             pattern,
-            &level_map,
-            &write,
-            &retry,
-            &mut self.rng,
             recorder,
         )?;
 
@@ -1252,14 +1237,8 @@ impl AssociativeMemoryModule {
         self.template_column.push(col);
         self.column_owner[col] = Some(slot);
 
-        // The programmed column changes its rows' loads; refresh the
-        // dummies so every DAC still sees G_TS, then rebuild the cached
-        // parasitic session against the new conductances.
-        if self.config.equalize_rows {
-            self.array.retrim_dummies();
-        }
-        self.parasitic.invalidate();
-        self.warm_session(recorder)?;
+        // The programmed column changes its rows' loads.
+        self.reconcile(recorder)?;
         recorder.counter("bank.installs", 1);
         Ok((slot, col))
     }
@@ -1374,12 +1353,8 @@ impl AssociativeMemoryModule {
     /// # Errors
     ///
     /// See [`AssociativeMemoryModule::refresh_template_request`].
-    pub fn refresh_template(
-        &mut self,
-        slot: usize,
-        retry: &RetryPolicy,
-    ) -> Result<PatternRetryReport, CoreError> {
-        self.refresh_template_request(slot, retry, &RecallRequest::DEFAULT)
+    pub fn refresh_template(&mut self, slot: usize) -> Result<PatternRetryReport, CoreError> {
+        self.refresh_template_request(slot, &RecallRequest::DEFAULT)
     }
 
     /// Re-programs template `slot` in place through the program-and-verify
@@ -1397,24 +1372,18 @@ impl AssociativeMemoryModule {
     pub fn refresh_template_request<R: Recorder>(
         &mut self,
         slot: usize,
-        retry: &RetryPolicy,
         req: &RecallRequest<'_, R>,
     ) -> Result<PatternRetryReport, CoreError> {
         let col = self.live_column(slot)?;
-        let p = &self.config.params;
-        let level_map = LevelMap::new(p.memristor_limits, p.template_bits)?;
-        let write = WriteScheme::new(p.write_tolerance)?;
         self.kernel.take();
-        let report = self.array.program_pattern_retry_with(
+        Self::write_column(
+            &mut self.array,
+            &self.config.params,
+            &mut self.rng,
             col,
             &self.templates[slot],
-            &level_map,
-            &write,
-            retry,
-            &mut self.rng,
             req.recorder(),
-        )?;
-        Ok(report)
+        )
     }
 
     /// [`AssociativeMemoryModule::migrate_template_request`] without
@@ -1427,9 +1396,8 @@ impl AssociativeMemoryModule {
         &mut self,
         slot: usize,
         col: usize,
-        retry: &RetryPolicy,
     ) -> Result<PatternRetryReport, CoreError> {
-        self.migrate_template_request(slot, col, retry, &RecallRequest::DEFAULT)
+        self.migrate_template_request(slot, col, &RecallRequest::DEFAULT)
     }
 
     /// Re-programs template `slot` into free column `col` (chosen by a
@@ -1449,7 +1417,6 @@ impl AssociativeMemoryModule {
         &mut self,
         slot: usize,
         col: usize,
-        retry: &RetryPolicy,
         req: &RecallRequest<'_, R>,
     ) -> Result<PatternRetryReport, CoreError> {
         let old = self.live_column(slot)?;
@@ -1458,17 +1425,13 @@ impl AssociativeMemoryModule {
                 what: "migration target column is not free",
             });
         }
-        let p = &self.config.params;
-        let level_map = LevelMap::new(p.memristor_limits, p.template_bits)?;
-        let write = WriteScheme::new(p.write_tolerance)?;
         self.kernel.take();
-        let report = self.array.program_pattern_retry_with(
+        let report = Self::write_column(
+            &mut self.array,
+            &self.config.params,
+            &mut self.rng,
             col,
             &self.templates[slot],
-            &level_map,
-            &write,
-            retry,
-            &mut self.rng,
             req.recorder(),
         )?;
         self.column_owner[old] = None;
@@ -1492,8 +1455,8 @@ impl AssociativeMemoryModule {
     /// against the current loads (when the module equalizes at all) and
     /// rebuilds + canonically re-warms the cached parasitic session, so
     /// recalls stay scheduling-order independent — the same tail every
-    /// built-in mutation pass (faults, installs) runs inline. Call once
-    /// per maintenance batch.
+    /// built-in mutation pass (faults, installs) runs. Call once per
+    /// maintenance batch.
     ///
     /// # Errors
     ///
@@ -1503,12 +1466,47 @@ impl AssociativeMemoryModule {
         req: &RecallRequest<'_, R>,
     ) -> Result<(), CoreError> {
         self.kernel.take();
+        self.reconcile(req.recorder())
+    }
+
+    /// The module's one column writer after the build: programs `levels`
+    /// into column `col` through program-and-verify under the default
+    /// [`RetryPolicy`], drawing programming noise from the module's RNG.
+    /// Fault re-verify and remap, install, refresh and migration all write
+    /// through it. It takes the fields it touches rather than `self`, so
+    /// a caller can pass a stored template by reference.
+    fn write_column<R: Recorder>(
+        array: &mut CrossbarArray,
+        params: &DesignParams,
+        rng: &mut ChaCha8Rng,
+        col: usize,
+        levels: &[u32],
+        recorder: &R,
+    ) -> Result<PatternRetryReport, CoreError> {
+        let level_map = LevelMap::new(params.memristor_limits, params.template_bits)?;
+        let write = WriteScheme::new(params.write_tolerance)?;
+        let report = array.program_pattern_retry_with(
+            col,
+            levels,
+            &level_map,
+            &write,
+            &RetryPolicy::default(),
+            rng,
+            recorder,
+        )?;
+        Ok(report)
+    }
+
+    /// The tail every array mutation ends with: retrims the row dummies
+    /// so every DAC still sees G_TS (when the module equalizes at all),
+    /// then rebuilds the cached parasitic session and re-pins its
+    /// canonical warm-start reference against the new conductances.
+    fn reconcile<R: Recorder>(&mut self, recorder: &R) -> Result<(), CoreError> {
         if self.config.equalize_rows {
             self.array.retrim_dummies();
         }
         self.parasitic.invalidate();
-        self.warm_session(req.recorder())?;
-        Ok(())
+        self.warm_session(recorder)
     }
 
     /// The physical column a live template slot currently occupies.

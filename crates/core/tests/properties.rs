@@ -324,7 +324,7 @@ proptest! {
         use spinamm_core::degrade::DegradationPolicy;
         use spinamm_core::request::RecallRequest;
         use spinamm_faults::{FaultMap, FaultModel};
-        use spinamm_memristor::{DriftModel, RetryPolicy};
+        use spinamm_memristor::DriftModel;
         use spinamm_telemetry::MemoryRecorder;
 
         let patterns = vec![
@@ -359,7 +359,6 @@ proptest! {
         let (kernel_rec, oracle_rec) = (MemoryRecorder::default(), MemoryRecorder::default());
         let kernel_req = RecallRequest::recorded(&kernel_rec);
         let oracle_req = RecallRequest::recorded(&oracle_rec);
-        let retry = RetryPolicy::default();
 
         // Every mutation is followed by a probe recall, so a kernel a
         // mutator failed to drop shows up at once; the final probe pins the
@@ -416,16 +415,16 @@ proptest! {
                     Some(n % 6)
                 }
                 Some(Step::Refresh(slot)) => {
-                    let a = module.refresh_template(slot, &retry).ok();
-                    prop_assert_eq!(a, twin.refresh_template(slot, &retry).ok());
+                    let a = module.refresh_template(slot).ok();
+                    prop_assert_eq!(a, twin.refresh_template(slot).ok());
                     module.commit_maintenance().unwrap();
                     twin.commit_maintenance().unwrap();
                     Some(n % 6)
                 }
                 Some(Step::Migrate(slot, c)) => {
                     let col = module.free_columns().get(c).copied().unwrap_or(0);
-                    let a = module.migrate_template(slot, col, &retry).ok();
-                    prop_assert_eq!(a, twin.migrate_template(slot, col, &retry).ok());
+                    let a = module.migrate_template(slot, col).ok();
+                    prop_assert_eq!(a, twin.migrate_template(slot, col).ok());
                     module.commit_maintenance().unwrap();
                     twin.commit_maintenance().unwrap();
                     Some(n % 6)

@@ -30,11 +30,12 @@
 //! (`spinamm_core::plan`), which clones share, so the engine has no
 //! execution path of its own to choose.
 //!
-//! Stopping the engine — [`RecallEngine::shutdown`],
-//! [`RecallEngine::into_deployment`] or a drop — drains the queue first:
-//! every accepted query is answered. A worker that panics drops the one
-//! job it holds, whose ticket reads [`EngineError::ShutDown`]; the other
-//! workers keep serving.
+//! The engine hands nothing back: a caller that needs the deployment after
+//! serving keeps it and gives the engine a clone. Stopping the engine —
+//! [`RecallEngine::shutdown`] or a drop — drains the queue first: every
+//! accepted query is answered. A worker that panics drops the one job it
+//! holds, whose ticket reads [`EngineError::ShutDown`]; the other workers
+//! keep serving.
 //!
 //! ```
 //! use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule};
@@ -47,7 +48,10 @@
 //!
 //! let engine = RecallEngine::new(
 //!     Deployment::Flat(module),
-//!     &EngineConfig::builder().workers(2).queue_capacity(8).build(),
+//!     &EngineConfig {
+//!         workers: 2,
+//!         queue_capacity: 8,
+//!     },
 //! );
 //! let responses = engine.recall_many(&patterns)?;
 //! for (input, response) in patterns.iter().zip(&responses) {
@@ -86,7 +90,10 @@ pub type SharedRecorder = Arc<dyn Recorder + Send + Sync>;
 /// let module = AssociativeMemoryModule::build(&patterns, &AmmConfig::default())?;
 /// let engine = RecallEngine::new(
 ///     Deployment::Flat(module),
-///     &EngineConfig::builder().workers(2).build(),
+///     &EngineConfig {
+///         workers: 2,
+///         ..EngineConfig::default()
+///     },
 /// );
 /// assert_eq!(engine.recall_many(&patterns)?.len(), 2);
 /// engine.shutdown();
@@ -95,8 +102,7 @@ pub type SharedRecorder = Arc<dyn Recorder + Send + Sync>;
 /// ```
 pub mod prelude {
     pub use crate::{
-        Deployment, EngineConfig, EngineConfigBuilder, EngineError, EngineResponse, RecallEngine,
-        SharedRecorder, Ticket,
+        Deployment, EngineConfig, EngineError, EngineResponse, RecallEngine, SharedRecorder, Ticket,
     };
     pub use spinamm_core::amm::{AmmConfig, AssociativeMemoryModule, Fidelity};
     pub use spinamm_core::capacity::TiledAmm;
@@ -242,58 +248,6 @@ impl Default for EngineConfig {
     }
 }
 
-impl EngineConfig {
-    /// Starts a builder seeded with [`EngineConfig::default`] — the one
-    /// construction surface shared by the server, bench harness and
-    /// examples:
-    ///
-    /// ```
-    /// use spinamm_engine::EngineConfig;
-    ///
-    /// let config = EngineConfig::builder()
-    ///     .workers(2)
-    ///     .queue_capacity(8)
-    ///     .build();
-    /// assert_eq!((config.workers, config.queue_capacity), (2, 8));
-    /// ```
-    #[must_use]
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder {
-            config: Self::default(),
-        }
-    }
-}
-
-/// Builder for [`EngineConfig`]; every knob defaults to
-/// [`EngineConfig::default`].
-#[derive(Debug, Clone)]
-pub struct EngineConfigBuilder {
-    config: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// Worker threads, each running whole queries (minimum one, clamped at
-    /// engine start).
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Bound of the external submission queue.
-    #[must_use]
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Finishes the builder.
-    #[must_use]
-    pub fn build(self) -> EngineConfig {
-        self.config
-    }
-}
-
 /// A pending response handle returned by [`RecallEngine::submit`].
 #[derive(Debug)]
 pub struct Ticket {
@@ -412,9 +366,6 @@ impl Deployment {
 pub struct RecallEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// The deployment the engine was given, which no query touches;
-    /// `None` once [`RecallEngine::into_deployment`] has handed it back.
-    deployment: Option<Deployment>,
 }
 
 impl RecallEngine {
@@ -457,7 +408,10 @@ impl RecallEngine {
         });
         // Each worker owns a full clone of the deployment; clones share the
         // canonically warmed solver sessions and the kernel tables, so their
-        // recalls are bit-identical to the original's.
+        // recalls are bit-identical to the original's. The original is
+        // dropped here rather than moved into a worker: a clone builds any
+        // missing kernel silently, where a moved module would build it on
+        // the engine's recorder at its first query.
         let workers = (0..worker_count)
             .map(|idx| {
                 let shared = Arc::clone(&shared);
@@ -465,11 +419,7 @@ impl RecallEngine {
                 std::thread::spawn(move || worker_loop(idx, &shared, clone))
             })
             .collect();
-        Self {
-            shared,
-            workers,
-            deployment: Some(deployment),
-        }
+        Self { shared, workers }
     }
 
     /// Submits one query, blocking while the queue is at capacity.
@@ -540,22 +490,6 @@ impl RecallEngine {
     /// join. Dropping the engine does the same.
     pub fn shutdown(mut self) {
         self.stop();
-    }
-
-    /// Stops the engine like [`RecallEngine::shutdown`] — every accepted
-    /// query answered — and hands back the deployment the engine was
-    /// given, untouched: queries run on the workers' clones, and a recall
-    /// changes nothing a later recall reads, so its next recall equals the
-    /// next recall of a sequential twin that recalled the same queries.
-    /// This is how a lifetime maintenance window works: drain the engine,
-    /// run background refresh on the recovered module, then start a new
-    /// engine over it.
-    #[must_use]
-    pub fn into_deployment(mut self) -> Deployment {
-        self.stop();
-        self.deployment
-            .take()
-            .expect("only into_deployment takes the deployment")
     }
 
     /// The one stop path: close the queue and join the workers once they
@@ -657,7 +591,10 @@ mod tests {
         let mut sequential = flat_deployment();
         let engine = RecallEngine::new(
             flat_deployment(),
-            &EngineConfig::builder().workers(3).queue_capacity(2).build(),
+            &EngineConfig {
+                workers: 3,
+                queue_capacity: 2,
+            },
         );
         let queries: Vec<Vec<u32>> = patterns().into_iter().cycle().take(9).collect();
         let got = engine.recall_many(&queries).unwrap();
@@ -672,10 +609,10 @@ mod tests {
         let mut sequential = flat_deployment();
         let engine = RecallEngine::new(
             flat_deployment(),
-            &EngineConfig::builder()
-                .workers(2)
-                .queue_capacity(16)
-                .build(),
+            &EngineConfig {
+                workers: 2,
+                queue_capacity: 16,
+            },
         );
         let mut marked = patterns()[0].clone();
         marked[0] = PANIC_MARK;
@@ -709,15 +646,19 @@ mod tests {
         let req = RecallRequest::DEFAULT;
         let queries: Vec<Vec<u32>> = patterns().into_iter().cycle().take(6).collect();
         let template: Vec<u32> = (0..12).map(|i| (i * 13 + 5) % 32).collect();
-        // Direct recalls, then an engine window.
+        // Direct recalls, then an engine window on a clone.
         let serve = |mut busy: Deployment| {
             for q in &queries {
                 busy.recall(q).unwrap();
             }
-            let config = EngineConfig::builder().workers(2).queue_capacity(4).build();
-            let engine = RecallEngine::new(busy, &config);
+            let config = EngineConfig {
+                workers: 2,
+                queue_capacity: 4,
+            };
+            let engine = RecallEngine::new(busy.clone(), &config);
             engine.recall_many(&queries).unwrap();
-            engine.into_deployment()
+            engine.shutdown();
+            busy
         };
         let faults = FaultMap::pristine(12, 6, 9)
             .and_then(|m| m.with_stuck_cell(2, 1, StuckKind::Lrs))
@@ -740,7 +681,7 @@ mod tests {
             let eval = busy.clone().evaluate_query_request(&queries[0], &req);
             busy.select_winner_request(eval.unwrap(), &req).unwrap();
             let Deployment::Flat(mut busy) = serve(Deployment::Flat(busy)) else {
-                unreachable!("the engine hands back the deployment it was given")
+                unreachable!("serve returns the deployment it was given")
             };
             let installed = busy.install_template(&template).unwrap();
             assert_eq!(installed, idle.install_template(&template).unwrap());
@@ -754,7 +695,7 @@ mod tests {
             let evals = busy.clone().evaluate_query_request(&queries[0], &req);
             busy.select_winner_request(evals.unwrap(), &req).unwrap();
             let Deployment::Tiled(mut busy) = serve(Deployment::Tiled(busy)) else {
-                unreachable!("the engine hands back the deployment it was given")
+                unreachable!("serve returns the deployment it was given")
             };
             let inserted = busy.insert_template(&template).unwrap();
             assert_eq!(inserted, idle.insert_template(&template).unwrap());
@@ -773,7 +714,10 @@ mod tests {
         // submission pressure must eventually reject.
         let engine = RecallEngine::new(
             flat_deployment(),
-            &EngineConfig::builder().workers(1).queue_capacity(1).build(),
+            &EngineConfig {
+                workers: 1,
+                queue_capacity: 1,
+            },
         );
         let input = patterns()[0].clone();
         let mut rejected = false;
@@ -827,7 +771,10 @@ mod tests {
         let recorder = Arc::new(MemoryRecorder::default());
         let engine = RecallEngine::with_recorder(
             flat_deployment(),
-            &EngineConfig::builder().workers(2).queue_capacity(4).build(),
+            &EngineConfig {
+                workers: 2,
+                queue_capacity: 4,
+            },
             recorder.clone(),
         );
         let queries: Vec<Vec<u32>> = patterns().into_iter().cycle().take(6).collect();
@@ -863,7 +810,10 @@ mod tests {
         let mut sequential = build();
         let engine = RecallEngine::new(
             build(),
-            &EngineConfig::builder().workers(3).queue_capacity(2).build(),
+            &EngineConfig {
+                workers: 3,
+                queue_capacity: 2,
+            },
         );
         let queries: Vec<Vec<u32>> = patterns().into_iter().cycle().take(9).collect();
         let got = engine.recall_many(&queries).unwrap();
@@ -903,7 +853,10 @@ mod tests {
         let mut sequential = build();
         let engine = RecallEngine::new(
             build(),
-            &EngineConfig::builder().workers(2).queue_capacity(4).build(),
+            &EngineConfig {
+                workers: 2,
+                queue_capacity: 4,
+            },
         );
         let queries: Vec<Vec<u32>> = hier_patterns.iter().cloned().cycle().take(12).collect();
         for (q, response) in queries.iter().zip(engine.recall_many(&queries).unwrap()) {

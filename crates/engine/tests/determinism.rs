@@ -68,7 +68,10 @@ fn flat_driven_engine_is_bit_identical() {
     let module = AssociativeMemoryModule::build(&p, &config(Fidelity::Driven)).unwrap();
     assert_engine_matches_sequential(
         Deployment::Flat(module),
-        &EngineConfig::builder().workers(4).queue_capacity(3).build(),
+        &EngineConfig {
+            workers: 4,
+            queue_capacity: 3,
+        },
         &queries(&p, 12),
     );
 }
@@ -93,7 +96,10 @@ fn duplicated_template_ties_break_to_lowest_index_through_engine() {
         let mut sequential = Deployment::Flat(module.clone());
         let engine = RecallEngine::new(
             Deployment::Flat(module),
-            &EngineConfig::builder().workers(3).queue_capacity(2).build(),
+            &EngineConfig {
+                workers: 3,
+                queue_capacity: 2,
+            },
         );
         let got = engine.recall_many(&inputs).unwrap();
         engine.shutdown();
@@ -117,7 +123,10 @@ fn partitioned_driven_engine_is_bit_identical() {
     let part = PartitionedAmm::build(&p, 3, &config(Fidelity::Driven)).unwrap();
     assert_engine_matches_sequential(
         Deployment::Partitioned(part),
-        &EngineConfig::builder().workers(3).queue_capacity(2).build(),
+        &EngineConfig {
+            workers: 3,
+            queue_capacity: 2,
+        },
         &queries(&p, 10),
     );
 }
@@ -128,7 +137,10 @@ fn hierarchical_driven_engine_is_bit_identical() {
     let hier = HierarchicalAmm::build(&p, 2, &config(Fidelity::Driven)).unwrap();
     assert_engine_matches_sequential(
         Deployment::Hierarchical(hier),
-        &EngineConfig::builder().workers(4).queue_capacity(2).build(),
+        &EngineConfig {
+            workers: 4,
+            queue_capacity: 2,
+        },
         &queries(&p, 12),
     );
 }
@@ -144,10 +156,10 @@ fn partitioned_parasitic_engine_is_bit_identical() {
     for workers in [1, 2, 4] {
         assert_engine_matches_sequential(
             Deployment::Partitioned(part.clone()),
-            &EngineConfig::builder()
-                .workers(workers)
-                .queue_capacity(4)
-                .build(),
+            &EngineConfig {
+                workers,
+                queue_capacity: 4,
+            },
             &queries(&p, 6),
         );
     }
@@ -174,7 +186,10 @@ fn fault_injected_engine_is_bit_identical() {
         .unwrap();
     assert_engine_matches_sequential(
         Deployment::Flat(module),
-        &EngineConfig::builder().workers(3).queue_capacity(2).build(),
+        &EngineConfig {
+            workers: 3,
+            queue_capacity: 2,
+        },
         &queries(&p, 8),
     );
 }
@@ -191,19 +206,28 @@ fn plan_enabled_engine_is_bit_identical() {
         let module = AssociativeMemoryModule::build(&p, &config(fidelity)).unwrap();
         assert_engine_matches_sequential(
             Deployment::Flat(module),
-            &EngineConfig::builder().workers(3).queue_capacity(2).build(),
+            &EngineConfig {
+                workers: 3,
+                queue_capacity: 2,
+            },
             &queries(&p, 9),
         );
         let part = PartitionedAmm::build(&p, 3, &config(fidelity)).unwrap();
         assert_engine_matches_sequential(
             Deployment::Partitioned(part),
-            &EngineConfig::builder().workers(2).queue_capacity(3).build(),
+            &EngineConfig {
+                workers: 2,
+                queue_capacity: 3,
+            },
             &queries(&p, 6),
         );
         let hier = HierarchicalAmm::build(&p, 2, &config(fidelity)).unwrap();
         assert_engine_matches_sequential(
             Deployment::Hierarchical(hier),
-            &EngineConfig::builder().workers(2).queue_capacity(3).build(),
+            &EngineConfig {
+                workers: 2,
+                queue_capacity: 3,
+            },
             &queries(&p, 6),
         );
         let tiled = TiledAmm::build(&p, 2, &config(fidelity))
@@ -212,7 +236,10 @@ fn plan_enabled_engine_is_bit_identical() {
             .unwrap();
         assert_engine_matches_sequential(
             Deployment::Tiled(tiled),
-            &EngineConfig::builder().workers(2).queue_capacity(3).build(),
+            &EngineConfig {
+                workers: 2,
+                queue_capacity: 3,
+            },
             &queries(&p, 6),
         );
     }
@@ -221,8 +248,8 @@ fn plan_enabled_engine_is_bit_identical() {
 #[test]
 fn draining_answers_every_accepted_query() {
     // Stopping the engine drains its one queue: queries submitted without
-    // waiting are all answered, for every deployment kind, and the
-    // recovered deployment's RNG state matches the answered traffic.
+    // waiting are all answered by the time `shutdown` returns, for every
+    // deployment kind.
     let p = patterns(6, 12);
     let cfg = config(Fidelity::Driven);
     let kinds = [
@@ -249,24 +276,19 @@ fn draining_answers_every_accepted_query() {
             let mut sequential = deployment.clone();
             let engine = RecallEngine::new(
                 deployment.clone(),
-                &EngineConfig::builder()
-                    .workers(2)
-                    .queue_capacity(32)
-                    .build(),
+                &EngineConfig {
+                    workers: 2,
+                    queue_capacity: 32,
+                },
             );
             let tickets: Vec<_> = inputs.iter().map(|q| engine.submit(q).unwrap()).collect();
-            let mut recovered = engine.into_deployment();
+            engine.shutdown();
             for (q, ticket) in inputs.iter().zip(tickets) {
                 let got = ticket
                     .wait()
                     .unwrap_or_else(|e| panic!("{kind} round {round}: {e}"));
                 assert_eq!(got, sequential.recall(q).unwrap(), "{kind} round {round}");
             }
-            assert_eq!(
-                recovered.recall(&inputs[0]).unwrap(),
-                sequential.recall(&inputs[0]).unwrap(),
-                "{kind} round {round}: recovered RNG state"
-            );
         }
     }
 }
@@ -279,10 +301,10 @@ fn single_worker_engine_matches_many_workers() {
     let run = |workers: usize| {
         let engine = RecallEngine::new(
             Deployment::Partitioned(part.clone()),
-            &EngineConfig::builder()
-                .workers(workers)
-                .queue_capacity(4)
-                .build(),
+            &EngineConfig {
+                workers,
+                queue_capacity: 4,
+            },
         );
         let out = engine.recall_many(&inputs).unwrap();
         engine.shutdown();
@@ -333,7 +355,7 @@ proptest! {
         let mut sequential = deployment.clone();
         let engine = RecallEngine::new(
             deployment,
-            &EngineConfig::builder().workers(workers).queue_capacity(capacity).build(),
+            &EngineConfig { workers, queue_capacity: capacity },
         );
         let got = engine.recall_many(&inputs).unwrap();
         engine.shutdown();

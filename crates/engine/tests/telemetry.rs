@@ -60,7 +60,10 @@ fn queue_gauges_recover_after_drain_and_wait_histogram_fills() {
     let recorder = Arc::new(MemoryRecorder::default());
     let engine = RecallEngine::with_recorder(
         Deployment::Flat(module),
-        &EngineConfig::builder().workers(2).queue_capacity(3).build(),
+        &EngineConfig {
+            workers: 2,
+            queue_capacity: 3,
+        },
         recorder.clone(),
     );
     let inputs = queries(&p, 9);
@@ -189,7 +192,10 @@ fn recorder_series_are_pinned() {
     let module = AssociativeMemoryModule::build(&p, &cfg).unwrap();
     let engine = RecallEngine::with_recorder(
         Deployment::Flat(module),
-        &EngineConfig::builder().workers(2).queue_capacity(4).build(),
+        &EngineConfig {
+            workers: 2,
+            queue_capacity: 4,
+        },
         recorder.clone(),
     );
     engine.recall_many(&inputs).unwrap();

@@ -12,13 +12,12 @@
 //!   ([`AssociativeMemoryModule::template_margin_erosion`]) and re-programs
 //!   columns whose predicted loss exceeds a configurable LSB budget,
 //!   through the program-and-verify retry path under per-cell pulse
-//!   accounting. An optional wall-clock schedule refreshes templates that
-//!   have gone unprogrammed for longer than a fixed period regardless of
-//!   margin.
+//!   accounting.
 //! - **Wear-leveled migration** — refreshes rotate across the spare pool:
-//!   when a strictly less-worn free column exists, the template migrates
-//!   there instead of re-stressing its current column, bounding the
-//!   per-column program count at ⌈total/columns⌉ plus a small constant.
+//!   when a strictly less-worn free column that is no worse a placement
+//!   exists, the template migrates there instead of re-stressing its
+//!   current column, bounding the per-column program count at
+//!   ⌈total/columns⌉ plus a small constant.
 //! - **Endurance budget** — every write pulse increments the device wear
 //!   counter ([`spinamm_memristor::Memristor::writes`]); cells crossing a
 //!   configurable max-cycles limit convert into stuck-LRS faults injected
@@ -27,13 +26,14 @@
 //!
 //! ## Virtual time
 //!
-//! The scheduler owns a virtual clock. Recall traffic advances it at
-//! [`MaintenanceConfig::query_period`] seconds per query
-//! ([`MaintenanceScheduler::advance_queries`]); aging is applied
-//! analytically from each cell's *programmed reference* (the
-//! drift-composability contract: `age(t1); age(t2) ≡ age(t1+t2)`), so a
-//! 10⁹-query horizon costs the same as one aging sweep per maintenance
-//! check, not 10⁹ device updates. Per-cell drift exponents are sampled
+//! The scheduler owns a virtual clock, which
+//! [`MaintenanceScheduler::advance_to`] moves to an absolute time (a
+//! caller serving traffic converts its query count to seconds at its own
+//! duty cycle). Aging is applied analytically from each cell's
+//! *programmed reference* (the drift-composability contract:
+//! `age(t1); age(t2) ≡ age(t1+t2)`), so a 10⁹-query horizon costs the
+//! same as one aging sweep per maintenance check, not 10⁹ device
+//! updates. Per-cell drift exponents are sampled
 //! once per program event from the scheduler's own seeded RNG and held
 //! fixed until the next write — re-running a schedule with the same seed
 //! reproduces every refresh decision, pulse count and conductance bit for
@@ -41,14 +41,13 @@
 //!
 //! ## Maintenance windows
 //!
-//! The module can be checked out ([`MaintenanceScheduler::take_module`])
-//! to serve live traffic — e.g. wrapped in a
-//! `spinamm_engine::RecallEngine` — and restored
-//! ([`MaintenanceScheduler::restore_module`]) for the next background
-//! window; `RecallEngine::into_deployment` hands back the module it was
-//! given, untouched: a recall draws no randomness and programs nothing, so
-//! the module's RNG stream and programmed state are where the last window
-//! left them.
+//! The scheduler owns its module for good. A recall draws no randomness
+//! and programs nothing, so live traffic between maintenance windows is
+//! served on a clone — e.g.
+//! `RecallEngine::new(Deployment::Flat(sched.module().clone()), …)` —
+//! and the scheduler's module, RNG stream and programmed state stay where
+//! the last window left them: a schedule reads the same with traffic
+//! windows or without.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +60,7 @@ use spinamm_circuit::units::{Joules, Seconds};
 use spinamm_core::{AssociativeMemoryModule, CoreError, DegradationPolicy, RecallRequest};
 use spinamm_crossbar::CrossbarError;
 use spinamm_faults::{FaultMap, FaultsError, StuckKind};
-use spinamm_memristor::{DriftModel, MemristorError, RetryPolicy};
+use spinamm_memristor::{DriftModel, MemristorError};
 use spinamm_telemetry::Recorder;
 
 /// Errors from the lifetime layer.
@@ -72,9 +71,6 @@ pub enum LifetimeError {
         /// Description of the violated constraint.
         what: &'static str,
     },
-    /// The module is checked out for a traffic window
-    /// ([`MaintenanceScheduler::take_module`]) and has not been restored.
-    ModuleCheckedOut,
     /// Module-level failure.
     Core(CoreError),
     /// Device-level failure.
@@ -90,9 +86,6 @@ impl fmt::Display for LifetimeError {
         match self {
             LifetimeError::InvalidParameter { what } => {
                 write!(f, "invalid parameter: {what}")
-            }
-            LifetimeError::ModuleCheckedOut => {
-                write!(f, "module is checked out for a traffic window")
             }
             LifetimeError::Core(e) => write!(f, "core error: {e}"),
             LifetimeError::Device(e) => write!(f, "device error: {e}"),
@@ -138,11 +131,8 @@ impl From<FaultsError> for LifetimeError {
 pub struct MaintenanceConfig {
     /// Drift corner every cell ages under.
     pub drift: DriftModel,
-    /// Virtual seconds of wall time one recall query represents; sets the
-    /// exchange rate between query count and drift horizon.
-    pub query_period: Seconds,
     /// Virtual seconds between maintenance checks. Checks age the array
-    /// and evaluate refresh triggers; they do not rebuild the recall
+    /// and evaluate the refresh trigger; they do not rebuild the recall
     /// session (that happens once per [`MaintenanceScheduler::advance_to`]
     /// call), so a short period is cheap.
     pub check_period: Seconds,
@@ -152,22 +142,9 @@ pub struct MaintenanceConfig {
     /// so it overestimates the margin a real query loses — budget
     /// accordingly (≈2× the acceptable DOM loss).
     pub margin_budget_lsb: f64,
-    /// Optional scheduled refresh: re-program a template once its last
-    /// program event is older than this, even inside the margin budget.
-    pub scheduled_period: Option<Seconds>,
-    /// Program-and-verify escalation policy for refresh writes.
-    pub retry: RetryPolicy,
     /// Endurance limit in write pulses per cell; cells at or past it
     /// convert into stuck-LRS faults. `None` models ideal endurance.
     pub max_cycles: Option<u64>,
-    /// Rotate refreshes onto strictly less-worn free columns.
-    pub wear_level: bool,
-    /// Placement-quality thresholds a migration target must clear
-    /// ([`AssociativeMemoryModule::placement_forecast`]). Free columns
-    /// whose stuck cells or gain spread would exceed these bounds for the
-    /// template being moved are skipped, exactly as the build-time fault
-    /// pass would have remapped or masked them.
-    pub placement: DegradationPolicy,
     /// Age the array but never refresh, migrate or convert worn cells —
     /// the unmaintained control arm of the lifetime study.
     pub monitor_only: bool,
@@ -176,21 +153,15 @@ pub struct MaintenanceConfig {
 }
 
 impl MaintenanceConfig {
-    /// Active-maintenance defaults at the given drift corner: 100 queries
-    /// per virtual second, a 25 s check cadence, a 3-LSB predicted-margin
-    /// budget, wear leveling on, no scheduled refresh, ideal endurance.
+    /// Active-maintenance defaults at the given drift corner: a 25 s check
+    /// cadence, a 3-LSB predicted-margin budget, ideal endurance.
     #[must_use]
     pub fn new(drift: DriftModel) -> Self {
         Self {
             drift,
-            query_period: Seconds(0.01),
             check_period: Seconds(25.0),
             margin_budget_lsb: 3.0,
-            scheduled_period: None,
-            retry: RetryPolicy::default(),
             max_cycles: None,
-            wear_level: true,
-            placement: DegradationPolicy::default(),
             monitor_only: false,
             seed: 0x11f3,
         }
@@ -211,11 +182,6 @@ impl MaintenanceConfig {
     ///
     /// Returns [`LifetimeError::InvalidParameter`] otherwise.
     pub fn validate(&self) -> Result<(), LifetimeError> {
-        if !(self.query_period.0.is_finite() && self.query_period.0 > 0.0) {
-            return Err(LifetimeError::InvalidParameter {
-                what: "query period must be finite and positive",
-            });
-        }
         if !(self.check_period.0.is_finite() && self.check_period.0 > 0.0) {
             return Err(LifetimeError::InvalidParameter {
                 what: "check period must be finite and positive",
@@ -226,33 +192,17 @@ impl MaintenanceConfig {
                 what: "margin budget must be finite and non-negative",
             });
         }
-        if let Some(p) = self.scheduled_period {
-            if !(p.0.is_finite() && p.0 > 0.0) {
-                return Err(LifetimeError::InvalidParameter {
-                    what: "scheduled refresh period must be finite and positive",
-                });
-            }
-        }
         if self.max_cycles == Some(0) {
             return Err(LifetimeError::InvalidParameter {
                 what: "endurance limit must allow at least one write",
             });
         }
-        self.placement.validate()?;
         Ok(())
     }
 }
 
-/// Why a refresh fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefreshTrigger {
-    /// Predicted DOM-margin erosion crossed the budget.
-    Margin,
-    /// The template's scheduled refresh period elapsed.
-    Scheduled,
-}
-
-/// One template refresh (in place or migrated).
+/// One template refresh (in place or migrated), fired when the template's
+/// predicted DOM-margin erosion crossed the budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefreshEvent {
     /// Virtual time of the maintenance check.
@@ -263,8 +213,6 @@ pub struct RefreshEvent {
     pub from_col: usize,
     /// Column it occupies after (differs from `from_col` on migration).
     pub to_col: usize,
-    /// Why the refresh fired.
-    pub trigger: RefreshTrigger,
     /// Write pulses spent across the column.
     pub pulses: u32,
     /// Write energy spent.
@@ -300,10 +248,6 @@ pub struct LifetimeStats {
     pub checks: u64,
     /// Template refreshes (in place or migrated).
     pub refreshes: u64,
-    /// Refreshes fired by the margin predictor.
-    pub margin_refreshes: u64,
-    /// Refreshes fired by the wall-clock schedule.
-    pub scheduled_refreshes: u64,
     /// Refreshes that moved the template to a less-worn column.
     pub migrations: u64,
     /// Write pulses spent by refreshes.
@@ -319,13 +263,12 @@ pub struct LifetimeStats {
 ///
 /// See the crate docs for the model. The scheduler owns the module;
 /// recalls between maintenance windows go through
-/// [`MaintenanceScheduler::module_mut`] or a
-/// [`MaintenanceScheduler::take_module`]/
-/// [`MaintenanceScheduler::restore_module`] checkout.
+/// [`MaintenanceScheduler::module_mut`] or a clone of
+/// [`MaintenanceScheduler::module`].
 #[derive(Debug, Clone)]
 pub struct MaintenanceScheduler {
     config: MaintenanceConfig,
-    module: Option<AssociativeMemoryModule>,
+    module: AssociativeMemoryModule,
     rows: usize,
     cols: usize,
     /// Per-cell drift exponent, row-major; resampled on every program
@@ -336,8 +279,6 @@ pub struct MaintenanceScheduler {
     wear: Vec<u64>,
     /// Cells already converted by the endurance limit.
     worn: Vec<bool>,
-    /// Virtual time of each slot's last program event.
-    programmed_at: Vec<Seconds>,
     rng: ChaCha8Rng,
     now: Seconds,
     next_check: Seconds,
@@ -369,17 +310,15 @@ impl MaintenanceScheduler {
         for slot in module.live_templates() {
             wear[module.template_columns()[slot]] += 1;
         }
-        let programmed_at = vec![Seconds(0.0); module.template_columns().len()];
         let next_check = config.check_period;
         Ok(Self {
             config,
-            module: Some(module),
+            module,
             rows,
             cols,
             nu,
             wear,
             worn: vec![false; rows * cols],
-            programmed_at,
             rng,
             now: Seconds(0.0),
             next_check,
@@ -420,81 +359,16 @@ impl MaintenanceScheduler {
         &self.wear
     }
 
-    /// The module, for recalls between maintenance windows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LifetimeError::ModuleCheckedOut`] during a checkout.
-    pub fn module(&self) -> Result<&AssociativeMemoryModule, LifetimeError> {
-        self.module.as_ref().ok_or(LifetimeError::ModuleCheckedOut)
+    /// The module, for recalls between maintenance windows (serve a
+    /// clone of it to run an engine window).
+    #[must_use]
+    pub fn module(&self) -> &AssociativeMemoryModule {
+        &self.module
     }
 
     /// Mutable module access, for recalls between maintenance windows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LifetimeError::ModuleCheckedOut`] during a checkout.
-    pub fn module_mut(&mut self) -> Result<&mut AssociativeMemoryModule, LifetimeError> {
-        self.module.as_mut().ok_or(LifetimeError::ModuleCheckedOut)
-    }
-
-    /// Checks the module out for a traffic window (e.g. to wrap in a
-    /// `RecallEngine`). Maintenance cannot run until
-    /// [`MaintenanceScheduler::restore_module`] hands it back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LifetimeError::ModuleCheckedOut`] if already checked out.
-    pub fn take_module(&mut self) -> Result<AssociativeMemoryModule, LifetimeError> {
-        self.module.take().ok_or(LifetimeError::ModuleCheckedOut)
-    }
-
-    /// Restores a checked-out module after a traffic window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LifetimeError::InvalidParameter`] if a module is already
-    /// present or the returned module's geometry does not match.
-    pub fn restore_module(&mut self, module: AssociativeMemoryModule) -> Result<(), LifetimeError> {
-        if self.module.is_some() {
-            return Err(LifetimeError::InvalidParameter {
-                what: "scheduler already holds a module",
-            });
-        }
-        if module.vector_len() != self.rows || module.array().cols() != self.cols {
-            return Err(LifetimeError::InvalidParameter {
-                what: "restored module geometry does not match",
-            });
-        }
-        self.module = Some(module);
-        Ok(())
-    }
-
-    /// [`MaintenanceScheduler::advance_queries_request`] without
-    /// telemetry.
-    ///
-    /// # Errors
-    ///
-    /// See [`MaintenanceScheduler::advance_queries_request`].
-    pub fn advance_queries(&mut self, queries: u64) -> Result<(), LifetimeError> {
-        self.advance_queries_request(queries, &RecallRequest::DEFAULT)
-    }
-
-    /// Accounts `queries` recalls of virtual traffic: advances the clock
-    /// by `queries × query_period` and runs every maintenance check that
-    /// falls inside the window.
-    ///
-    /// # Errors
-    ///
-    /// See [`MaintenanceScheduler::advance_to_request`].
-    pub fn advance_queries_request<R: Recorder>(
-        &mut self,
-        queries: u64,
-        req: &RecallRequest<'_, R>,
-    ) -> Result<(), LifetimeError> {
-        #[allow(clippy::cast_precision_loss)] // query counts ≪ 2^52
-        let dt = queries as f64 * self.config.query_period.0;
-        self.advance_to_request(Seconds(self.now.0 + dt), req)
+    pub fn module_mut(&mut self) -> &mut AssociativeMemoryModule {
+        &mut self.module
     }
 
     /// [`MaintenanceScheduler::advance_to_request`] without telemetry.
@@ -508,8 +382,8 @@ impl MaintenanceScheduler {
 
     /// Advances virtual time to `t`: ages every cell from its programmed
     /// reference, runs each maintenance check falling in `(now, t]`
-    /// (margin-triggered and scheduled refreshes, wear-leveled migration,
-    /// endurance conversion — unless `monitor_only`), then reconciles the
+    /// (margin-triggered refreshes, wear-leveled migration, endurance
+    /// conversion — unless `monitor_only`), then reconciles the
     /// module once ([`AssociativeMemoryModule::commit_maintenance`]) so it
     /// is recall-ready on return. Call granularity does not matter:
     /// `advance_to(t1); advance_to(t2)` leaves the same state as
@@ -517,9 +391,8 @@ impl MaintenanceScheduler {
     ///
     /// # Errors
     ///
-    /// Returns [`LifetimeError::ModuleCheckedOut`] during a checkout,
-    /// [`LifetimeError::InvalidParameter`] if `t` is not finite or moves
-    /// backwards, and propagates device/programming/fault errors.
+    /// Returns [`LifetimeError::InvalidParameter`] if `t` is not finite or
+    /// moves backwards, and propagates device/programming/fault errors.
     pub fn advance_to_request<R: Recorder>(
         &mut self,
         t: Seconds,
@@ -529,9 +402,6 @@ impl MaintenanceScheduler {
             return Err(LifetimeError::InvalidParameter {
                 what: "virtual time must be finite and monotonic",
             });
-        }
-        if self.module.is_none() {
-            return Err(LifetimeError::ModuleCheckedOut);
         }
         while self.next_check.0 <= t.0 {
             let at = self.next_check;
@@ -543,8 +413,7 @@ impl MaintenanceScheduler {
             self.age_all(t)?;
         }
         if self.dirty {
-            let module = self.module.as_mut().expect("checked above");
-            module.commit_maintenance_request(req)?;
+            self.module.commit_maintenance_request(req)?;
             self.dirty = false;
         }
         req.recorder().gauge("lifetime.virtual_now_s", self.now.0);
@@ -559,11 +428,7 @@ impl MaintenanceScheduler {
         let dt = t.0 - self.now.0;
         if dt > 0.0 {
             let drift = self.config.drift;
-            let module = self
-                .module
-                .as_mut()
-                .ok_or(LifetimeError::ModuleCheckedOut)?;
-            let array = module.array_maintenance();
+            let array = self.module.array_maintenance();
             for row in 0..self.rows {
                 for col in 0..self.cols {
                     let cell = array.cell(row, col)?;
@@ -592,30 +457,9 @@ impl MaintenanceScheduler {
         if self.config.monitor_only {
             return Ok(());
         }
-        let live = self
-            .module
-            .as_ref()
-            .ok_or(LifetimeError::ModuleCheckedOut)?
-            .live_templates();
-        for slot in live {
-            let erosion = self
-                .module
-                .as_ref()
-                .expect("held")
-                .template_margin_erosion(slot)?;
-            let trigger = if erosion > self.config.margin_budget_lsb {
-                Some(RefreshTrigger::Margin)
-            } else if self
-                .config
-                .scheduled_period
-                .is_some_and(|p| at.0 - self.programmed_at[slot].0 >= p.0)
-            {
-                Some(RefreshTrigger::Scheduled)
-            } else {
-                None
-            };
-            if let Some(trigger) = trigger {
-                self.refresh_slot(at, slot, trigger, req)?;
+        for slot in self.module.live_templates() {
+            if self.module.template_margin_erosion(slot)? > self.config.margin_budget_lsb {
+                self.refresh_slot(at, slot, req)?;
             }
         }
         if self.config.max_cycles.is_some() {
@@ -632,66 +476,43 @@ impl MaintenanceScheduler {
         &mut self,
         at: Seconds,
         slot: usize,
-        trigger: RefreshTrigger,
         req: &RecallRequest<'_, R>,
     ) -> Result<(), LifetimeError> {
-        let module = self
-            .module
-            .as_mut()
-            .ok_or(LifetimeError::ModuleCheckedOut)?;
+        let module = &mut self.module;
         let from_col = module.template_columns()[slot];
-        let target = if self.config.wear_level {
-            // Least-worn free column that is also a placement upgrade (or
-            // at worst a tie) for this template. Defective columns are
-            // individually below the build-time mask threshold, yet a
-            // stuck-LRS cell where the template wants a low level inflates
-            // the column's correlation current on every query — enough to
-            // flip near-tie recalls. Requiring the forecast to be no worse
-            // than the current column quarantines the array's worst
-            // columns (their occupants escape to healthier spares and
-            // nothing rotates back) while fungible healthy columns keep
-            // wear-leveling freely.
-            let here = module.placement_forecast(slot, from_col)?;
-            let mut best: Option<usize> = None;
-            for c in module.free_columns() {
-                let f = module.placement_forecast(slot, c)?;
-                if !f.acceptable(&self.config.placement)
-                    || f.error > here.error
-                    || f.excess > here.excess
-                {
-                    continue;
-                }
-                if best.map_or(true, |b| (self.wear[c], c) < (self.wear[b], b)) {
-                    best = Some(c);
-                }
+        // Least-worn free column that is also a placement upgrade (or at
+        // worst a tie) for this template, and inside the build-time fault
+        // pass's default thresholds. Defective columns are individually
+        // below the mask threshold, yet a stuck-LRS cell where the
+        // template wants a low level inflates the column's correlation
+        // current on every query — enough to flip near-tie recalls.
+        // Requiring the forecast to be no worse than the current column
+        // quarantines the array's worst columns (their occupants escape to
+        // healthier spares and nothing rotates back) while fungible
+        // healthy columns keep wear-leveling freely.
+        let placement = DegradationPolicy::default();
+        let here = module.placement_forecast(slot, from_col)?;
+        let mut best: Option<usize> = None;
+        for c in module.free_columns() {
+            let f = module.placement_forecast(slot, c)?;
+            if !f.acceptable(&placement) || f.error > here.error || f.excess > here.excess {
+                continue;
             }
-            best.filter(|&c| self.wear[c] < self.wear[from_col])
-        } else {
-            None
-        };
-        let retry = self.config.retry;
-        let (to_col, report) = match target {
-            Some(col) => (
-                col,
-                module.migrate_template_request(slot, col, &retry, req)?,
-            ),
-            None => (
-                from_col,
-                module.refresh_template_request(slot, &retry, req)?,
-            ),
+            if best.map_or(true, |b| (self.wear[c], c) < (self.wear[b], b)) {
+                best = Some(c);
+            }
+        }
+        let (to_col, report) = match best.filter(|&c| self.wear[c] < self.wear[from_col]) {
+            Some(col) => (col, module.migrate_template_request(slot, col, req)?),
+            None => (from_col, module.refresh_template_request(slot, req)?),
         };
         self.wear[to_col] += 1;
-        self.programmed_at[slot] = at;
         for row in 0..self.rows {
             self.nu[row * self.cols + to_col] = self.config.drift.sample_nu(&mut self.rng);
         }
         self.dirty = true;
 
         self.stats.refreshes += 1;
-        match trigger {
-            RefreshTrigger::Margin => self.stats.margin_refreshes += 1,
-            RefreshTrigger::Scheduled => self.stats.scheduled_refreshes += 1,
-        }
         if to_col != from_col {
             self.stats.migrations += 1;
             req.recorder().counter("lifetime.migrations", 1);
@@ -700,13 +521,6 @@ impl MaintenanceScheduler {
         self.stats.refresh_energy = Joules(self.stats.refresh_energy.0 + report.energy.0);
         let recorder = req.recorder();
         recorder.counter("lifetime.refreshes", 1);
-        recorder.counter(
-            match trigger {
-                RefreshTrigger::Margin => "lifetime.margin_refreshes",
-                RefreshTrigger::Scheduled => "lifetime.scheduled_refreshes",
-            },
-            1,
-        );
         recorder.counter("lifetime.refresh_pulses", u64::from(report.pulses));
         recorder.gauge("lifetime.refresh_energy_j", self.stats.refresh_energy.0);
 
@@ -715,7 +529,6 @@ impl MaintenanceScheduler {
             slot,
             from_col,
             to_col,
-            trigger,
             pulses: report.pulses,
             energy: report.energy,
             retried: report.retried,
@@ -734,10 +547,7 @@ impl MaintenanceScheduler {
         req: &RecallRequest<'_, R>,
     ) -> Result<(), LifetimeError> {
         let limit = self.config.max_cycles.expect("caller checked");
-        let module = self
-            .module
-            .as_mut()
-            .ok_or(LifetimeError::ModuleCheckedOut)?;
+        let module = &mut self.module;
         let mut fresh = Vec::new();
         for row in 0..self.rows {
             for col in 0..self.cols {
@@ -815,9 +625,6 @@ mod tests {
     #[test]
     fn config_validation_rejects_bad_fields() {
         let mut c = MaintenanceConfig::new(DriftModel::TYPICAL);
-        c.query_period = Seconds(0.0);
-        assert!(c.validate().is_err());
-        let mut c = MaintenanceConfig::new(DriftModel::TYPICAL);
         c.check_period = Seconds(-1.0);
         assert!(c.validate().is_err());
         let mut c = MaintenanceConfig::new(DriftModel::TYPICAL);
@@ -842,7 +649,7 @@ mod tests {
         assert!(sched.stats().checks > 0);
         assert_eq!(sched.stats().refreshes, 0);
         assert!(sched.log().is_empty());
-        let cell = sched.module().unwrap().array().cell(0, 0).unwrap();
+        let cell = sched.module().array().cell(0, 0).unwrap();
         assert!(
             cell.programmed().0 < reference.0,
             "cell should have drifted"
@@ -860,12 +667,11 @@ mod tests {
             stats.refreshes > 0,
             "aggressive drift must trigger refreshes"
         );
-        assert_eq!(stats.margin_refreshes, stats.refreshes);
         assert!(stats.refresh_pulses > 0);
         assert!(stats.refresh_energy.0 > 0.0);
         // Every live template sits inside the margin budget at the end of
         // the window (the final partial step is shorter than a check).
-        let module = sched.module().unwrap();
+        let module = sched.module();
         for slot in module.live_templates() {
             let erosion = module.template_margin_erosion(slot).unwrap();
             assert!(
@@ -873,24 +679,6 @@ mod tests {
                 "slot {slot} erosion {erosion} way past budget after maintenance"
             );
         }
-    }
-
-    #[test]
-    fn scheduled_refresh_fires_without_margin_pressure() {
-        let module = small_module(3, 12, 0);
-        let config = MaintenanceConfig {
-            margin_budget_lsb: 1.0e9,
-            scheduled_period: Some(Seconds(100.0)),
-            check_period: Seconds(50.0),
-            // Typical drift stays inside any margin budget over this
-            // horizon, isolating the wall-clock trigger.
-            ..MaintenanceConfig::new(DriftModel::TYPICAL)
-        };
-        let mut sched = MaintenanceScheduler::new(module, config).unwrap();
-        sched.advance_to(Seconds(1.0e3)).unwrap();
-        let stats = sched.stats();
-        assert!(stats.scheduled_refreshes > 0);
-        assert_eq!(stats.margin_refreshes, 0);
     }
 
     #[test]
@@ -904,8 +692,8 @@ mod tests {
         }
         assert_eq!(one.stats(), many.stats());
         assert_eq!(one.log(), many.log());
-        let a = one.module().unwrap().array().conductance_matrix();
-        let b = many.module().unwrap().array().conductance_matrix();
+        let a = one.module().array().conductance_matrix();
+        let b = many.module().array().conductance_matrix();
         assert_eq!(a, b, "split advances must leave bit-identical conductances");
     }
 
@@ -936,29 +724,12 @@ mod tests {
     }
 
     #[test]
-    fn without_wear_leveling_refreshes_stay_in_place() {
-        let module = small_module(3, 12, 3);
-        let config = MaintenanceConfig {
-            margin_budget_lsb: 0.0,
-            check_period: Seconds(50.0),
-            wear_level: false,
-            ..MaintenanceConfig::new(DriftModel::AGGRESSIVE)
-        };
-        let mut sched = MaintenanceScheduler::new(module, config).unwrap();
-        sched.advance_to(Seconds(1.0e3)).unwrap();
-        assert!(sched.stats().refreshes > 0);
-        assert_eq!(sched.stats().migrations, 0);
-        let spare_wear: u64 = sched.column_wear()[3..].iter().sum();
-        assert_eq!(spare_wear, 0, "spares must stay untouched without leveling");
-    }
-
-    #[test]
     fn endurance_limit_converts_cells_to_stuck_faults() {
+        // No spare columns, so every refresh stays in place.
         let module = small_module(3, 12, 0);
         let config = MaintenanceConfig {
             margin_budget_lsb: 0.0,
             check_period: Seconds(50.0),
-            wear_level: false,
             // Build programming alone spends several pulses per cell, so a
             // small ceiling wears cells out after a handful of refreshes.
             max_cycles: Some(40),
@@ -971,7 +742,7 @@ mod tests {
             stats.worn_cells > 0,
             "tiny endurance budget must wear cells out"
         );
-        let module = sched.module().unwrap();
+        let module = sched.module();
         let map = module
             .array()
             .fault_map()
@@ -992,29 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn checkout_blocks_maintenance_until_restore() {
-        let module = small_module(3, 12, 2);
-        let mut sched = MaintenanceScheduler::new(module, aggressive_maintenance()).unwrap();
-        let module = sched.take_module().unwrap();
-        assert!(matches!(
-            sched.advance_to(Seconds(100.0)),
-            Err(LifetimeError::ModuleCheckedOut)
-        ));
-        assert!(matches!(
-            sched.take_module(),
-            Err(LifetimeError::ModuleCheckedOut)
-        ));
-        sched.restore_module(module).unwrap();
-        sched.advance_to(Seconds(100.0)).unwrap();
-        assert_eq!(sched.stats().checks, 2);
-        // Restoring a mismatched module is rejected.
-        let stranger = small_module(2, 8, 0);
-        let taken = sched.take_module().unwrap();
-        assert!(sched.restore_module(stranger).is_err());
-        sched.restore_module(taken).unwrap();
-    }
-
-    #[test]
     fn maintained_recall_outlives_unmaintained_at_aggressive_corner() {
         let horizon = Seconds(2.0e5);
         let probe: Vec<u32> = patterns(3, 12)[1].clone();
@@ -1029,7 +777,7 @@ mod tests {
             .unwrap();
             let mut sched = MaintenanceScheduler::new(module, config).unwrap();
             sched.advance_to(horizon).unwrap();
-            sched.module_mut().unwrap().recall(&probe).unwrap()
+            sched.module_mut().recall(&probe).unwrap()
         };
         let kept = run(aggressive_maintenance());
         let lost = run(MaintenanceConfig::monitor(DriftModel::AGGRESSIVE));

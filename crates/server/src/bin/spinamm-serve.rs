@@ -14,7 +14,10 @@ fn main() {
     let bind = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "127.0.0.1:7171".to_owned());
-    let config = ServerConfig::builder().bind(bind).build();
+    let config = ServerConfig {
+        bind,
+        ..ServerConfig::default()
+    };
     let service = Arc::new(RecallService::new(Arc::new(ModuleRegistry::new()), &config));
     let server = match SpinServer::start(service, &config) {
         Ok(server) => server,

@@ -498,13 +498,10 @@ fn parse_tenant_registration(
             "`workers` is {workers}; at most {MAX_WORKERS} are allowed"
         ));
     }
-    let engine = EngineConfig::builder()
-        .workers(workers)
-        .queue_capacity(usize_field(
-            "queue_capacity",
-            defaults.engine.queue_capacity,
-        )?)
-        .build();
+    let engine = EngineConfig {
+        workers,
+        queue_capacity: usize_field("queue_capacity", defaults.engine.queue_capacity)?,
+    };
     Ok((name, spec, TenantOptions { quota, engine }))
 }
 
@@ -676,7 +673,10 @@ mod tests {
 
     #[test]
     fn pipelined_requests_in_one_write_get_two_responses() {
-        let config = ServerConfig::builder().bind("127.0.0.1:0").build();
+        let config = ServerConfig {
+            bind: "127.0.0.1:0".to_owned(),
+            ..ServerConfig::default()
+        };
         let service = Arc::new(RecallService::new(Arc::new(ModuleRegistry::new()), &config));
         let server = SpinServer::start(service, &config).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();

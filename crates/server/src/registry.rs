@@ -131,10 +131,10 @@ impl Default for TenantOptions {
     fn default() -> Self {
         Self {
             quota: None,
-            engine: EngineConfig::builder()
-                .workers(2)
-                .queue_capacity(16)
-                .build(),
+            engine: EngineConfig {
+                workers: 2,
+                queue_capacity: 16,
+            },
         }
     }
 }

@@ -16,8 +16,8 @@ use spinamm_telemetry::{MemoryRecorder, Recorder};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Server-level sizing and limits. Construct with
-/// [`ServerConfig::builder`].
+/// Server-level sizing and limits; every field has a
+/// [`ServerConfig::default`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Address the TCP listener binds (`"127.0.0.1:0"` picks a free
@@ -38,62 +38,6 @@ impl Default for ServerConfig {
             global_concurrency: 256,
             max_connections: 128,
         }
-    }
-}
-
-impl ServerConfig {
-    /// Starts a builder seeded with [`ServerConfig::default`]:
-    ///
-    /// ```
-    /// use spinamm_server::ServerConfig;
-    ///
-    /// let config = ServerConfig::builder()
-    ///     .bind("127.0.0.1:0")
-    ///     .global_concurrency(64)
-    ///     .max_connections(32)
-    ///     .build();
-    /// assert_eq!(config.global_concurrency, 64);
-    /// ```
-    #[must_use]
-    pub fn builder() -> ServerConfigBuilder {
-        ServerConfigBuilder {
-            config: Self::default(),
-        }
-    }
-}
-
-/// Builder for [`ServerConfig`].
-#[derive(Debug, Clone)]
-pub struct ServerConfigBuilder {
-    config: ServerConfig,
-}
-
-impl ServerConfigBuilder {
-    /// Listener bind address.
-    #[must_use]
-    pub fn bind(mut self, addr: impl Into<String>) -> Self {
-        self.config.bind = addr.into();
-        self
-    }
-
-    /// Global concurrent-recall cap.
-    #[must_use]
-    pub fn global_concurrency(mut self, limit: usize) -> Self {
-        self.config.global_concurrency = limit;
-        self
-    }
-
-    /// Open-connection cap.
-    #[must_use]
-    pub fn max_connections(mut self, limit: usize) -> Self {
-        self.config.max_connections = limit;
-        self
-    }
-
-    /// Finishes the builder.
-    #[must_use]
-    pub fn build(self) -> ServerConfig {
-        self.config
     }
 }
 

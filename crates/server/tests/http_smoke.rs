@@ -68,7 +68,10 @@ fn start_server() -> (SpinServer, Arc<RecallService>) {
             },
         )
         .expect("register throttled");
-    let config = ServerConfig::builder().bind("127.0.0.1:0").build();
+    let config = ServerConfig {
+        bind: "127.0.0.1:0".to_owned(),
+        ..ServerConfig::default()
+    };
     let service = Arc::new(RecallService::new(registry, &config));
     let server = SpinServer::start(Arc::clone(&service), &config).expect("bind");
     (server, service)

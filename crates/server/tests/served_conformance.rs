@@ -89,10 +89,10 @@ fn served_responses_match_direct_engine_submission_for_every_kind() {
         let deployment = spec.build(&reference_recorder).expect("reference build");
         let engine = RecallEngine::new(
             deployment,
-            &EngineConfig::builder()
-                .workers(2)
-                .queue_capacity(16)
-                .build(),
+            &EngineConfig {
+                workers: 2,
+                queue_capacity: 16,
+            },
         );
         let expected: Vec<ApiRecallResponse> = queries()
             .iter()
