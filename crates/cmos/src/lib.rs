@@ -1,4 +1,4 @@
-//! 45 nm CMOS substrate models: devices, DACs, analog WTA baselines and the
+//! 45 nm CMOS substrate models: DACs, the analog WTA baselines and the
 //! digital ASIC comparison point.
 //!
 //! The paper compares its spin-CMOS associative memory against three CMOS
@@ -8,22 +8,18 @@
 //! 2. the Długosz current-mode Min/Max circuit \[18\], and
 //! 3. a digital 45 nm ASIC doing multiply–accumulate correlation.
 //!
-//! This crate provides those baselines plus the CMOS pieces of the proposed
-//! design itself:
+//! This crate provides those baselines, as the power figures the paper
+//! publishes for them, plus the CMOS pieces of the proposed design itself:
 //!
-//! * [`tech`] — 45 nm process constants (Vdd, gate capacitance, Pelgrom
-//!   mismatch coefficient, per-gate switching energy).
-//! * [`mosfet`] — square-law long-channel device with channel-length
-//!   modulation and Pelgrom V_T mismatch; deep-triode conductance for the
-//!   DTCS DAC.
+//! * [`tech`] — 45 nm process constants (Vdd, V_T, Pelgrom mismatch
+//!   coefficient, per-gate switching and leakage, per-flop clocking).
 //! * [`dtcs`] — the binary-weighted deep-triode current-source DAC the
 //!   proposed design uses both for input conversion and inside the SAR loop;
 //!   includes per-branch mismatch and the Fig. 8b non-linearity analysis.
-//! * [`mirror`] — current mirrors with mismatch-limited gain error, the
-//!   building block of the analog WTA baselines.
-//! * [`wta`] — a functional binary-tree WTA simulator (mismatch-injected
-//!   winner selection) and the calibrated power/delay models of \[17\] and
-//!   \[18\] used for Table 1 and Fig. 13b.
+//! * [`wta`] — the calibrated power/delay models of \[17\] and \[18\]
+//!   used for Table 1 and Fig. 13b.
+//! * [`adc`] — a conventional CMOS SAR ADC channel, the MS-CMOS
+//!   counterfactual of the paper's spin SAR conversion.
 //! * [`digital`] — the 45 nm digital MAC ASIC energy model.
 //!
 //! The power-model constants are calibrated to the paper's Table 1 at
@@ -36,18 +32,14 @@
 pub mod adc;
 pub mod digital;
 pub mod dtcs;
-pub mod mirror;
-pub mod mosfet;
 pub mod tech;
 pub mod wta;
 
 pub use adc::CmosSarAdc;
 pub use digital::DigitalMacAsic;
 pub use dtcs::{DacInstance, DtcsDac};
-pub use mirror::CurrentMirror;
-pub use mosfet::{MosPolarity, MosTransistor};
 pub use tech::Tech45;
-pub use wta::{AnalogWtaModel, BtWtaSim, CcWtaSim, WtaStyle};
+pub use wta::{AnalogWtaModel, WtaStyle};
 
 use std::error::Error;
 use std::fmt;
@@ -67,8 +59,6 @@ pub enum CmosError {
         /// Number of representable codes.
         count: u32,
     },
-    /// An input collection was empty where at least one element is needed.
-    EmptyInput,
 }
 
 impl fmt::Display for CmosError {
@@ -81,7 +71,6 @@ impl fmt::Display for CmosError {
                     "DAC code {code} out of range (converter has {count} codes)"
                 )
             }
-            CmosError::EmptyInput => write!(f, "input collection must not be empty"),
         }
     }
 }
@@ -103,7 +92,6 @@ mod tests {
         }
         .to_string()
         .contains("32"));
-        assert!(!CmosError::EmptyInput.to_string().is_empty());
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! 45 nm process constants.
 
-use crate::CmosError;
-use spinamm_circuit::units::{Farads, Joules, Micrometers, Volts, Watts};
+use spinamm_circuit::units::{Joules, Micrometers, Volts, Watts};
 
 /// Technology constants of a 45 nm-class CMOS process.
 ///
 /// Values are representative of published 45 nm data and are the single
-/// place where process assumptions live; all device and energy models read
-/// from here.
+/// place where process assumptions live; the DAC, ADC, WTA and ASIC models
+/// read from here.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tech45 {
     /// Nominal supply voltage.
@@ -16,18 +15,10 @@ pub struct Tech45 {
     pub min_length: Micrometers,
     /// Minimum drawn width.
     pub min_width: Micrometers,
-    /// Gate capacitance per micrometre of width at minimum length.
-    pub gate_cap_per_um: Farads,
     /// Pelgrom V_T-mismatch coefficient `A_VT` (V·µm): `σ_VT = A_VT/√(W·L)`.
     pub avt: f64,
-    /// NMOS transconductance factor `k_n = µ_n·C_ox` (A/V²).
-    pub kn: f64,
-    /// PMOS transconductance factor `k_p = µ_p·C_ox` (A/V²).
-    pub kp: f64,
     /// Threshold voltage magnitude of both device flavours.
     pub vt0: Volts,
-    /// Channel-length-modulation coefficient λ at minimum length (1/V).
-    pub lambda: f64,
     /// Energy of switching one minimum-sized 2-input gate (output + internal
     /// nodes) at nominal Vdd.
     pub gate_energy: Joules,
@@ -40,60 +31,21 @@ pub struct Tech45 {
 impl Tech45 {
     /// Default 45 nm constants.
     ///
-    /// * Vdd = 1.0 V, L_min = 45 nm, W_min = 90 nm
-    /// * C_gate ≈ 1 fF/µm, A_VT ≈ 2.5 mV·µm (so a minimum-sized device has
-    ///   σ_VT ≈ 5 mV — exactly the paper's "σVT = 5 mV for minimum sized
-    ///   transistors")
-    /// * k_n = 300 µA/V², k_p = 120 µA/V², |V_T| = 0.4 V, λ = 0.3 V⁻¹
+    /// * Vdd = 1.0 V, L_min = 45 nm, W_min = 90 nm, |V_T| = 0.4 V
+    /// * A_VT = 0.32 mV·µm, so a minimum-sized device has σ_VT ≈ 5 mV —
+    ///   exactly the paper's "σVT = 5 mV for minimum sized transistors"
     /// * gate switch ≈ 0.3 fJ, flop clock ≈ 1 fJ, gate leakage ≈ 2 nW
     pub const DEFAULT: Tech45 = Tech45 {
         vdd: Volts(1.0),
         min_length: Micrometers(0.045),
         min_width: Micrometers(0.090),
-        gate_cap_per_um: Farads(1.0e-15),
         // A_VT chosen so σ_VT(min) = A_VT/√(0.090·0.045) µm ≈ 5 mV.
         avt: 3.2e-4,
-        kn: 300e-6,
-        kp: 120e-6,
         vt0: Volts(0.4),
-        lambda: 0.3,
         gate_energy: Joules(0.3e-15),
         flop_energy: Joules(1.0e-15),
         gate_leakage: Watts(2.0e-9),
     };
-
-    /// Creates custom constants.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CmosError::InvalidParameter`] if any value is non-finite or
-    /// non-positive.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        vdd: Volts,
-        avt: f64,
-        kn: f64,
-        kp: f64,
-        vt0: Volts,
-        lambda: f64,
-    ) -> Result<Self, CmosError> {
-        for v in [vdd.0, avt, kn, kp, vt0.0, lambda] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(CmosError::InvalidParameter {
-                    what: "all technology constants must be finite and positive",
-                });
-            }
-        }
-        Ok(Self {
-            vdd,
-            avt,
-            kn,
-            kp,
-            vt0,
-            lambda,
-            ..Self::DEFAULT
-        })
-    }
 
     /// σ_VT of a device with drawn dimensions `w × l` (µm):
     /// `A_VT / √(W·L)`.
@@ -106,32 +58,6 @@ impl Tech45 {
     #[must_use]
     pub fn sigma_vt_min(&self) -> Volts {
         self.sigma_vt(self.min_width, self.min_length)
-    }
-
-    /// A copy rescaled so the minimum-device σ_VT equals `target` — the
-    /// Fig. 13b variation sweep ("increasing transistor variations").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CmosError::InvalidParameter`] if `target` is not finite and
-    /// positive.
-    pub fn with_sigma_vt_min(&self, target: Volts) -> Result<Self, CmosError> {
-        if !(target.0.is_finite() && target.0 > 0.0) {
-            return Err(CmosError::InvalidParameter {
-                what: "target sigma_vt must be finite and positive",
-            });
-        }
-        let scale = target.0 / self.sigma_vt_min().0;
-        Ok(Self {
-            avt: self.avt * scale,
-            ..*self
-        })
-    }
-
-    /// Gate capacitance of a device of width `w` (µm).
-    #[must_use]
-    pub fn gate_capacitance(&self, w: Micrometers) -> Farads {
-        Farads(self.gate_cap_per_um.0 * w.0)
     }
 }
 
@@ -163,24 +89,7 @@ mod tests {
     }
 
     #[test]
-    fn with_sigma_vt_min_retunes_avt() {
-        let t = Tech45::DEFAULT;
-        let worse = t.with_sigma_vt_min(Volts(25e-3)).unwrap();
-        assert!((worse.sigma_vt_min().0 - 25e-3).abs() < 1e-12);
-        assert!(t.with_sigma_vt_min(Volts(0.0)).is_err());
-    }
-
-    #[test]
-    fn gate_capacitance_scales_with_width() {
-        let t = Tech45::DEFAULT;
-        assert!((t.gate_capacitance(Micrometers(2.0)).0 - 2e-15).abs() < 1e-27);
-    }
-
-    #[test]
     fn validation() {
-        assert!(Tech45::new(Volts(1.0), 2e-3, 300e-6, 120e-6, Volts(0.4), 0.3).is_ok());
-        assert!(Tech45::new(Volts(0.0), 2e-3, 300e-6, 120e-6, Volts(0.4), 0.3).is_err());
-        assert!(Tech45::new(Volts(1.0), -1.0, 300e-6, 120e-6, Volts(0.4), 0.3).is_err());
         assert_eq!(Tech45::default(), Tech45::DEFAULT);
     }
 }

@@ -1,24 +1,16 @@
 //! Analog winner-take-all baselines.
 //!
-//! Two layers of model, matching how the paper uses its baselines:
-//!
-//! * [`BtWtaSim`] — a *functional* binary-tree WTA: a tournament of 2-input
-//!   current comparisons, each copying the larger current onward through
-//!   mirrors that multiply it by `1 + ε`. This is what determines the
-//!   *accuracy* of an analog WTA under mismatch (used for Fig. 3b-style
-//!   studies and the variation arguments of Fig. 13b).
-//! * [`AnalogWtaModel`] — the calibrated *power/delay* model of the two
-//!   published designs the paper simulates: the standard BT-WTA of Andreou
-//!   et al. \[17\] and the Długosz Min/Max circuit \[18\]. Base powers are
-//!   calibrated to Table 1 at σ_VT = 5 mV, and the mismatch scaling follows
-//!   Kinget \[16\]: holding resolution under worse mismatch costs
-//!   quadratically more area → capacitance → delay.
+//! [`AnalogWtaModel`] is the calibrated *power/delay* model of the two
+//! published designs the paper simulates: the standard BT-WTA of Andreou et
+//! al. \[17\] and the Długosz Min/Max circuit \[18\]. Like the paper,
+//! which compares against their published Table-1 powers, it models what
+//! they cost, not how they select: base powers are calibrated to Table 1 at
+//! σ_VT = 5 mV, and the mismatch scaling follows Kinget \[16\] — holding
+//! resolution under worse mismatch costs quadratically more area →
+//! capacitance → delay. Table 1 (E11) and the Fig. 13b sweep (E10) read it.
 
-use crate::mirror::CurrentMirror;
-use crate::tech::Tech45;
 use crate::CmosError;
-use rand::Rng;
-use spinamm_circuit::units::{Amps, Hertz, Joules, Seconds, Volts, Watts};
+use spinamm_circuit::units::{Hertz, Joules, Seconds, Volts, Watts};
 
 /// Which published analog WTA design is being modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,226 +19,6 @@ pub enum WtaStyle {
     Andreou17,
     /// The Długosz asynchronous current-mode Min/Max tree \[18\].
     Dlugosz18,
-}
-
-/// Functional simulation of a binary-tree WTA under device mismatch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BtWtaSim {
-    /// The mirror used by each comparison stage to copy the winning current.
-    pub mirror: CurrentMirror,
-}
-
-impl BtWtaSim {
-    /// Builds the simulator from a mirror design.
-    #[must_use]
-    pub fn new(mirror: CurrentMirror) -> Self {
-        Self { mirror }
-    }
-
-    /// A tree whose mirrors are sized for roughly `bits`-bit end-to-end
-    /// resolution over `n_inputs` (per-stage error budget divided by the
-    /// √(tree depth) accumulation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CmosError::InvalidParameter`] for a zero-input tree or
-    /// zero-bit budget.
-    pub fn sized_for(tech: &Tech45, bits: u32, n_inputs: usize) -> Result<Self, CmosError> {
-        if n_inputs < 2 {
-            return Err(CmosError::InvalidParameter {
-                what: "a WTA needs at least two inputs",
-            });
-        }
-        if bits == 0 {
-            return Err(CmosError::InvalidParameter {
-                what: "resolution must be at least one bit",
-            });
-        }
-        let depth = (n_inputs as f64).log2().ceil().max(1.0);
-        let target_total = 0.5 / f64::from(1u32 << bits); // half an LSB
-        let per_stage = target_total / depth.sqrt();
-        let overdrive = Volts(0.15);
-        let probe = CurrentMirror::with_area(tech, overdrive, 1.0)?;
-        let area = probe.area_for_gain_sigma(tech, per_stage).max(1.0);
-        Ok(Self {
-            mirror: CurrentMirror::regulated(tech, overdrive, area)?,
-        })
-    }
-
-    /// Runs the tournament: returns the index of the winning input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CmosError::EmptyInput`] for an empty slice.
-    pub fn winner<R: Rng + ?Sized>(
-        &self,
-        currents: &[Amps],
-        rng: &mut R,
-    ) -> Result<usize, CmosError> {
-        if currents.is_empty() {
-            return Err(CmosError::EmptyInput);
-        }
-        let mut contenders: Vec<(usize, Amps)> = currents.iter().copied().enumerate().collect();
-        while contenders.len() > 1 {
-            let mut next = Vec::with_capacity(contenders.len().div_ceil(2));
-            for pair in contenders.chunks(2) {
-                if pair.len() == 1 {
-                    next.push(pair[0]);
-                    continue;
-                }
-                let (ia, a) = pair[0];
-                let (ib, b) = pair[1];
-                // Each side is observed through its own mirror copy; the
-                // larger observed current propagates (as a fresh copy).
-                let obs_a = self.mirror.copy(a, rng);
-                let obs_b = self.mirror.copy(b, rng);
-                if obs_a.0 >= obs_b.0 {
-                    next.push((ia, obs_a));
-                } else {
-                    next.push((ib, obs_b));
-                }
-            }
-            contenders = next;
-        }
-        Ok(contenders[0].0)
-    }
-
-    /// Empirical probability that the tree picks the true maximum when the
-    /// runner-up trails by `margin` (relative to the winner), estimated over
-    /// `trials` random tournaments of `n` inputs.
-    pub fn selection_accuracy<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        margin: f64,
-        trials: usize,
-        rng: &mut R,
-    ) -> Result<f64, CmosError> {
-        if n < 2 {
-            return Err(CmosError::InvalidParameter {
-                what: "a WTA needs at least two inputs",
-            });
-        }
-        let mut wins = 0usize;
-        let full_scale = 32e-6;
-        for t in 0..trials {
-            let winner_idx = t % n;
-            let currents: Vec<Amps> = (0..n)
-                .map(|k| {
-                    if k == winner_idx {
-                        Amps(full_scale)
-                    } else {
-                        Amps(full_scale * (1.0 - margin) * (1.0 - 0.3 * (k as f64 / n as f64)))
-                    }
-                })
-                .collect();
-            if self.winner(&currents, rng)? == winner_idx {
-                wins += 1;
-            }
-        }
-        Ok(wins as f64 / trials as f64)
-    }
-}
-
-/// Functional simulation of a current-conveyor WTA (the paper's other
-/// category, \[18\]'s classification): every cell competes on one shared
-/// node, so winner selection is a *single* mismatch-limited comparison per
-/// cell rather than a log-depth tree of copies.
-///
-/// The flip side — and the reason the paper calls the binary tree "more
-/// suitable for large number of inputs" — is the shared node itself: its
-/// capacitance (and thus the settle time) grows linearly with the cell
-/// count, where the tree's depth grows logarithmically.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CcWtaSim {
-    /// Per-cell relative current offset σ (from V_T mismatch).
-    pub cell_sigma: f64,
-    /// Settling time of the shared node *per cell* attached to it.
-    pub per_cell_delay: Seconds,
-}
-
-impl CcWtaSim {
-    /// Builds the simulator from a cell mirror design (same sizing rules as
-    /// the tree's mirrors).
-    #[must_use]
-    pub fn new(mirror: &CurrentMirror) -> Self {
-        Self {
-            cell_sigma: mirror.random_gain_sigma(),
-            per_cell_delay: Seconds(0.4e-9),
-        }
-    }
-
-    /// Runs the competition: each cell observes its input through its own
-    /// mismatched device; the largest observed current wins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CmosError::EmptyInput`] for an empty slice.
-    pub fn winner<R: Rng + ?Sized>(
-        &self,
-        currents: &[Amps],
-        rng: &mut R,
-    ) -> Result<usize, CmosError> {
-        use rand_distr::{Distribution, Normal};
-        if currents.is_empty() {
-            return Err(CmosError::EmptyInput);
-        }
-        let normal =
-            Normal::new(0.0, self.cell_sigma.max(f64::MIN_POSITIVE)).expect("sigma non-negative");
-        let mut best = 0usize;
-        let mut best_i = f64::NEG_INFINITY;
-        for (k, i) in currents.iter().enumerate() {
-            let observed = i.0 * (1.0 + normal.sample(rng));
-            if observed > best_i {
-                best_i = observed;
-                best = k;
-            }
-        }
-        Ok(best)
-    }
-
-    /// Shared-node settle time for `n` attached cells (linear in `n`).
-    #[must_use]
-    pub fn delay(&self, n: usize) -> Seconds {
-        Seconds(self.per_cell_delay.0 * n as f64)
-    }
-
-    /// Empirical win probability of the true maximum at a given relative
-    /// margin (same protocol as [`BtWtaSim::selection_accuracy`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CmosError::InvalidParameter`] for fewer than two inputs.
-    pub fn selection_accuracy<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        margin: f64,
-        trials: usize,
-        rng: &mut R,
-    ) -> Result<f64, CmosError> {
-        if n < 2 {
-            return Err(CmosError::InvalidParameter {
-                what: "a WTA needs at least two inputs",
-            });
-        }
-        let mut wins = 0usize;
-        let full_scale = 32e-6;
-        for t in 0..trials {
-            let winner_idx = t % n;
-            let currents: Vec<Amps> = (0..n)
-                .map(|k| {
-                    if k == winner_idx {
-                        Amps(full_scale)
-                    } else {
-                        Amps(full_scale * (1.0 - margin) * (1.0 - 0.3 * (k as f64 / n as f64)))
-                    }
-                })
-                .collect();
-            if self.winner(&currents, rng)? == winner_idx {
-                wins += 1;
-            }
-        }
-        Ok(wins as f64 / trials as f64)
-    }
 }
 
 /// Calibrated power/performance model of a published analog WTA design.
@@ -365,8 +137,6 @@ impl AnalogWtaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn table1_power_calibration() {
@@ -428,114 +198,9 @@ mod tests {
     }
 
     #[test]
-    fn functional_tree_picks_clear_winner() {
-        let sim = BtWtaSim::sized_for(&Tech45::DEFAULT, 5, 40).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let mut currents: Vec<Amps> = (0..40).map(|k| Amps(1e-6 * (k as f64 + 1.0))).collect();
-        currents[17] = Amps(60e-6);
-        for _ in 0..50 {
-            assert_eq!(sim.winner(&currents, &mut rng).unwrap(), 17);
-        }
-    }
-
-    #[test]
-    fn accuracy_degrades_with_smaller_margin() {
-        let sim = BtWtaSim::sized_for(&Tech45::DEFAULT, 5, 16).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let wide = sim.selection_accuracy(16, 0.20, 400, &mut rng).unwrap();
-        let narrow = sim.selection_accuracy(16, 0.005, 400, &mut rng).unwrap();
-        assert!(wide > 0.95, "wide-margin accuracy {wide}");
-        assert!(narrow < wide, "narrow {narrow} must be below wide {wide}");
-    }
-
-    #[test]
-    fn accuracy_degrades_with_cheap_mirrors() {
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let good = BtWtaSim::sized_for(&Tech45::DEFAULT, 6, 16).unwrap();
-        let bad =
-            BtWtaSim::new(CurrentMirror::with_area(&Tech45::DEFAULT, Volts(0.15), 1.0).unwrap());
-        let margin = 0.03; // one 5-bit LSB
-        let acc_good = good.selection_accuracy(16, margin, 400, &mut rng).unwrap();
-        let acc_bad = bad.selection_accuracy(16, margin, 400, &mut rng).unwrap();
-        assert!(
-            acc_good > acc_bad + 0.05,
-            "sized {acc_good} vs minimum-area {acc_bad}"
-        );
-    }
-
-    #[test]
-    fn single_and_empty_inputs() {
-        let sim = BtWtaSim::sized_for(&Tech45::DEFAULT, 5, 4).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        assert_eq!(sim.winner(&[Amps(1e-6)], &mut rng).unwrap(), 0);
-        assert!(matches!(
-            sim.winner(&[], &mut rng),
-            Err(CmosError::EmptyInput)
-        ));
-    }
-
-    #[test]
-    fn odd_input_counts_handled() {
-        let sim = BtWtaSim::sized_for(&Tech45::DEFAULT, 5, 7).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
-        let mut currents = vec![Amps(1e-6); 7];
-        currents[6] = Amps(50e-6); // the bye slot must still be able to win
-        assert_eq!(sim.winner(&currents, &mut rng).unwrap(), 6);
-    }
-
-    #[test]
-    fn cc_wta_picks_clear_winner() {
-        let mirror = CurrentMirror::regulated(&Tech45::DEFAULT, Volts(0.15), 16.0).unwrap();
-        let cc = CcWtaSim::new(&mirror);
-        let mut rng = ChaCha8Rng::seed_from_u64(40);
-        let mut currents = vec![Amps(2e-6); 12];
-        currents[7] = Amps(30e-6);
-        for _ in 0..50 {
-            assert_eq!(cc.winner(&currents, &mut rng).unwrap(), 7);
-        }
-        assert!(matches!(
-            cc.winner(&[], &mut rng),
-            Err(CmosError::EmptyInput)
-        ));
-    }
-
-    #[test]
-    fn cc_accuracy_beats_tree_at_equal_mirrors() {
-        // One mismatch event per cell vs log₂N accumulated copies: at the
-        // same device sizing the current conveyor resolves tighter margins.
-        let mirror = CurrentMirror::regulated(&Tech45::DEFAULT, Volts(0.15), 4.0).unwrap();
-        let cc = CcWtaSim::new(&mirror);
-        let bt = BtWtaSim::new(mirror);
-        let mut rng = ChaCha8Rng::seed_from_u64(41);
-        let margin = 0.05;
-        let acc_cc = cc.selection_accuracy(32, margin, 600, &mut rng).unwrap();
-        let acc_bt = bt.selection_accuracy(32, margin, 600, &mut rng).unwrap();
-        assert!(
-            acc_cc > acc_bt,
-            "CC {acc_cc} should beat BT {acc_bt} at equal sizing"
-        );
-    }
-
-    #[test]
-    fn cc_delay_grows_linearly_with_inputs() {
-        // ...but its shared node makes it slow at scale — the paper's
-        // reason to prefer the binary tree for large input counts.
-        let mirror = CurrentMirror::regulated(&Tech45::DEFAULT, Volts(0.15), 4.0).unwrap();
-        let cc = CcWtaSim::new(&mirror);
-        assert!((cc.delay(80).0 / cc.delay(40).0 - 2.0).abs() < 1e-12);
-        // At 40+ inputs the shared node is slower than the tree's 20 ns.
-        assert!(cc.delay(64).0 > 20e-9);
-    }
-
-    #[test]
     fn validation() {
         assert!(AnalogWtaModel::new(WtaStyle::Andreou17, 1).is_err());
-        assert!(BtWtaSim::sized_for(&Tech45::DEFAULT, 0, 8).is_err());
-        assert!(BtWtaSim::sized_for(&Tech45::DEFAULT, 5, 1).is_err());
         let m = AnalogWtaModel::new(WtaStyle::Andreou17, 40).unwrap();
         assert!(m.with_sigma_vt(Volts(0.0)).is_err());
-        let sim = BtWtaSim::sized_for(&Tech45::DEFAULT, 5, 8).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        assert!(sim.selection_accuracy(1, 0.1, 10, &mut rng).is_err());
     }
 }

@@ -1,11 +1,11 @@
-//! Property-based tests for the CMOS models: DAC monotonicity, mirror
-//! statistics and device-law invariants.
+//! Property-based tests for the CMOS models: DAC monotonicity and
+//! compression, and Pelgrom mismatch scaling.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spinamm_circuit::units::{Amps, Micrometers, Siemens, Volts};
-use spinamm_cmos::{CurrentMirror, DtcsDac, MosPolarity, MosTransistor, Tech45};
+use spinamm_cmos::{DtcsDac, Tech45};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -66,50 +66,6 @@ proptest! {
             prop_assert!(g > last - 1e-15, "code {code}");
             last = g;
         }
-    }
-
-    /// Square-law device invariants: current is non-negative, zero below
-    /// threshold, and increasing in V_gs and V_ds.
-    #[test]
-    fn mosfet_square_law_invariants(
-        w in 0.09..5.0f64,
-        l in 0.045..1.0f64,
-        vgs in 0.0..1.2f64,
-        vds in 0.0..1.2f64,
-    ) {
-        let d = MosTransistor::new(
-            MosPolarity::Nmos,
-            Micrometers(w),
-            Micrometers(l),
-            Tech45::DEFAULT,
-        )
-        .unwrap();
-        let i = d.saturation_current(Volts(vgs), Volts(vds)).0;
-        prop_assert!(i >= 0.0);
-        if vgs <= d.vt().0 {
-            prop_assert_eq!(i, 0.0);
-        }
-        let i_up = d.saturation_current(Volts(vgs + 0.05), Volts(vds)).0;
-        prop_assert!(i_up >= i);
-        let i_vds = d.saturation_current(Volts(vgs), Volts(vds + 0.1)).0;
-        prop_assert!(i_vds >= i);
-    }
-
-    /// Mirror copies are unbiased: the mean over many copies approaches
-    /// input × (1 + systematic error).
-    #[test]
-    fn mirror_copies_unbiased(seed in 0u64..20, area in 1.0..32.0f64) {
-        let m = CurrentMirror::regulated(&Tech45::DEFAULT, Volts(0.15), area).unwrap();
-        let input = Amps(20e-6);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let n = 4000;
-        let mean: f64 = (0..n).map(|_| m.copy(input, &mut rng).0).sum::<f64>() / f64::from(n);
-        let expected = input.0 * (1.0 + m.systematic_gain_error());
-        let sigma_of_mean = input.0 * m.random_gain_sigma() / f64::from(n).sqrt();
-        prop_assert!(
-            (mean - expected).abs() < 5.0 * sigma_of_mean,
-            "mean {mean} vs {expected}"
-        );
     }
 
     /// Pelgrom scaling: σ_VT falls as 1/√area for any device shape.

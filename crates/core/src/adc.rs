@@ -126,7 +126,7 @@ impl SpinSarAdc {
     ///
     /// The conversion is deterministic: the comparator switches at its
     /// effective threshold and the latch reads the wall state exactly, so
-    /// `rng` draws nothing.
+    /// `_rng` draws nothing.
     ///
     /// # Errors
     ///
@@ -136,9 +136,9 @@ impl SpinSarAdc {
     pub fn convert<R: Rng + ?Sized>(
         &self,
         input: Amps,
-        rng: &mut R,
+        _rng: &mut R,
     ) -> Result<AdcConversion, CoreError> {
-        self.convert_with(input, rng, &NoopRecorder)
+        self.convert_with(input, &NoopRecorder)
     }
 
     /// Like [`SpinSarAdc::convert`], recording device-event telemetry on
@@ -149,10 +149,9 @@ impl SpinSarAdc {
     /// # Errors
     ///
     /// Same conditions as [`SpinSarAdc::convert`].
-    pub fn convert_with<R: Rng + ?Sized, T: Recorder>(
+    pub fn convert_with<T: Recorder>(
         &self,
         input: Amps,
-        _rng: &mut R,
         recorder: &T,
     ) -> Result<AdcConversion, CoreError> {
         if !input.0.is_finite() {

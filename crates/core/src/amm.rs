@@ -714,8 +714,7 @@ impl AssociativeMemoryModule {
     /// [`SpinWta`]-driven select, with no compiled tables. It reports
     /// `recall.count` and the device counters as `recall` does, so core
     /// tests and the conformance harness compare the kernel against it bit
-    /// for bit. The module's converters are noise-free, so the WTA draws
-    /// nothing from the module RNG it is handed. Not a serving path.
+    /// for bit. Not a serving path.
     ///
     /// # Errors
     ///
@@ -739,7 +738,7 @@ impl AssociativeMemoryModule {
         };
         recorder.counter("recall.count", 1);
         self.condition_currents(&mut currents);
-        let outcome = self.wta.evaluate_with(&currents, &mut self.rng, recorder)?;
+        let outcome = self.wta.evaluate_with(&currents, recorder)?;
         Ok(self.assemble_result(outcome, currents, rcm_power))
     }
 

@@ -152,8 +152,8 @@ impl SpinWta {
     }
 
     /// Evaluates the WTA on a set of column currents. Every column
-    /// converts deterministically ([`SpinSarAdc::convert`]), so `rng` draws
-    /// nothing.
+    /// converts deterministically ([`SpinSarAdc::convert`]), so `_rng`
+    /// draws nothing.
     ///
     /// # Errors
     ///
@@ -162,9 +162,9 @@ impl SpinWta {
     pub fn evaluate<R: Rng + ?Sized>(
         &self,
         currents: &[Amps],
-        rng: &mut R,
+        _rng: &mut R,
     ) -> Result<WtaOutcome, CoreError> {
-        self.evaluate_with(currents, rng, &NoopRecorder)
+        self.evaluate_with(currents, &NoopRecorder)
     }
 
     /// Like [`SpinWta::evaluate`], recording telemetry on `recorder`: the
@@ -176,10 +176,9 @@ impl SpinWta {
     /// # Errors
     ///
     /// Same conditions as [`SpinWta::evaluate`].
-    pub fn evaluate_with<R: Rng + ?Sized, T: Recorder>(
+    pub fn evaluate_with<T: Recorder>(
         &self,
         currents: &[Amps],
-        rng: &mut R,
         recorder: &T,
     ) -> Result<WtaOutcome, CoreError> {
         if currents.len() != self.adcs.len() {
@@ -193,7 +192,7 @@ impl SpinWta {
             .adcs
             .iter()
             .zip(currents)
-            .map(|(adc, &i)| adc.convert_with(i, rng, recorder))
+            .map(|(adc, &i)| adc.convert_with(i, recorder))
             .collect::<Result<_, _>>()?;
         drop(convert);
         let _select = recorder.span(Layer::SELECT);

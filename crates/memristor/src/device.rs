@@ -1,8 +1,6 @@
-//! The memristor device: bounded conductance state with read noise.
+//! The memristor device: a bounded conductance state.
 
 use crate::MemristorError;
-use rand::Rng;
-use rand_distr::{Distribution, Normal};
 use spinamm_circuit::units::{Ohms, Seconds, Siemens};
 
 /// The programmable conductance window of a memristor device family.
@@ -117,47 +115,6 @@ impl DeviceLimits {
                 max: self.g_max().0,
             })
         }
-    }
-}
-
-/// Multiplicative Gaussian read noise: an observation of conductance `g`
-/// returns `g · (1 + ε)` with `ε ~ N(0, sigma²)`.
-///
-/// The paper's system simulations "incorporate variations in input source as
-/// well as memristor values ... to obtain realistic values for the
-/// current-outputs"; this type is the memristor half of that.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReadNoise {
-    /// Relative standard deviation of one observation.
-    pub sigma: f64,
-}
-
-impl ReadNoise {
-    /// Noise-free observation.
-    pub const NONE: ReadNoise = ReadNoise { sigma: 0.0 };
-
-    /// Creates a read-noise model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemristorError::InvalidParameter`] if `sigma` is negative or
-    /// not finite.
-    pub fn new(sigma: f64) -> Result<Self, MemristorError> {
-        if !sigma.is_finite() || sigma < 0.0 {
-            return Err(MemristorError::InvalidParameter {
-                what: "read-noise sigma must be finite and non-negative",
-            });
-        }
-        Ok(Self { sigma })
-    }
-
-    /// Applies the noise to a conductance value.
-    pub fn perturb<R: Rng + ?Sized>(&self, g: Siemens, rng: &mut R) -> Siemens {
-        if self.sigma == 0.0 {
-            return g;
-        }
-        let normal = Normal::new(0.0, self.sigma).expect("sigma validated at construction");
-        Siemens(g.0 * (1.0 + normal.sample(rng)))
     }
 }
 
@@ -293,11 +250,6 @@ impl Memristor {
         self.conductance().to_ohms()
     }
 
-    /// One noisy read of the conductance (respects a stuck-at pin).
-    pub fn read<R: Rng + ?Sized>(&self, noise: ReadNoise, rng: &mut R) -> Siemens {
-        noise.perturb(self.conductance(), rng)
-    }
-
     /// Overwrites the state exactly (an idealized write, used by tests and
     /// by callers that model write error themselves). Like any write it
     /// re-forms the filament: the programmed reference moves to `g`, the
@@ -378,8 +330,6 @@ impl Memristor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn paper_limits() {
@@ -494,34 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn read_noise_statistics() {
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let noise = ReadNoise::new(0.03).unwrap();
-        let g = Siemens(1e-4);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| noise.perturb(g, &mut rng).0).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n as f64;
-        let rel_sigma = var.sqrt() / g.0;
-        assert!((mean / g.0 - 1.0).abs() < 2e-3, "mean ratio {}", mean / g.0);
-        assert!((rel_sigma - 0.03).abs() < 3e-3, "sigma {rel_sigma}");
-    }
-
-    #[test]
-    fn zero_noise_is_exact() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let cell = Memristor::new(DeviceLimits::PAPER);
-        assert_eq!(cell.read(ReadNoise::NONE, &mut rng), cell.conductance());
-    }
-
-    #[test]
-    fn read_noise_validation() {
-        assert!(ReadNoise::new(-0.1).is_err());
-        assert!(ReadNoise::new(f64::NAN).is_err());
-        assert!(ReadNoise::new(0.0).is_ok());
-    }
-
-    #[test]
     fn writes_anchor_reference_and_count_wear() {
         let mut cell = Memristor::new(DeviceLimits::PAPER);
         assert_eq!(cell.writes(), 0);
@@ -557,14 +479,5 @@ mod tests {
         assert!(cell.apply_retention(Seconds(1.0), 1.5).is_err());
         assert!(cell.apply_retention(Seconds(1.0), f64::NAN).is_err());
         assert!(cell.apply_retention(Seconds(f64::NAN), 0.5).is_err());
-    }
-
-    #[test]
-    fn read_noise_is_deterministic_per_seed() {
-        let noise = ReadNoise::new(0.05).unwrap();
-        let g = Siemens(1e-4);
-        let a = noise.perturb(g, &mut ChaCha8Rng::seed_from_u64(9));
-        let b = noise.perturb(g, &mut ChaCha8Rng::seed_from_u64(9));
-        assert_eq!(a, b);
     }
 }

@@ -11,13 +11,10 @@
 //! * a **multi-level write operation** with finite precision — the paper uses
 //!   3 % write accuracy (≈5 bits) and notes that energy cost grows for
 //!   tighter precision ([`write::WriteScheme`]),
-//! * **read noise** (thermal/quantization disturbance of the observed
-//!   conductance),
+//! * **pulse-level writes** whose half-select pulses disturb neighbouring
+//!   cells ([`pulse::PulseWriteModel`]),
 //! * **level quantization** for storing k-bit digital values
-//!   ([`quantize::LevelMap`]),
-//! * **parallel multi-device banks** that store one analog value in several
-//!   memristors to gain precision beyond the single-device write accuracy
-//!   (Likharev \[4\]; [`bank::MemristorBank`]), and
+//!   ([`quantize::LevelMap`]), and
 //! * **retention drift** of programmed filaments
 //!   ([`drift::DriftModel`]) — quantifying how long "non-volatile" lasts
 //!   against the 3 % write band.
@@ -44,15 +41,13 @@
 //! # }
 //! ```
 
-pub mod bank;
 pub mod device;
 pub mod drift;
 pub mod pulse;
 pub mod quantize;
 pub mod write;
 
-pub use bank::MemristorBank;
-pub use device::{DeviceLimits, DeviceState, Memristor, ReadNoise};
+pub use device::{DeviceLimits, DeviceState, Memristor};
 pub use drift::DriftModel;
 pub use pulse::PulseWriteModel;
 pub use quantize::LevelMap;

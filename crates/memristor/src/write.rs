@@ -88,9 +88,7 @@ impl WriteScheme {
     ///
     /// The default pulse-step noise (25 % relative) makes individual pulses
     /// overshoot as often as they undershoot, so the residual error of a
-    /// completed write is spread across *both* sides of the tolerance band —
-    /// which is what lets parallel banks ([`crate::MemristorBank`]) average
-    /// it down.
+    /// completed write is spread across *both* sides of the tolerance band.
     ///
     /// # Errors
     ///

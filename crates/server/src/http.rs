@@ -35,9 +35,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-/// Largest accepted HTTP header block or binary frame body, bytes.
+/// Largest accepted HTTP header block, bytes.
 const MAX_HEADER_BYTES: usize = 64 * 1024;
-/// Largest accepted request body, bytes.
+/// Largest accepted HTTP request body or binary frame body, bytes.
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 /// Most engine workers a tenant registration may ask for. Each worker is
 /// an OS thread holding its own clone of the deployment, so an unbounded

@@ -6,39 +6,12 @@
 //! currents". Because the read current is transient, it does not disturb
 //! the free domain.
 //!
-//! The model captures the two quantities the system study needs:
-//!
-//! * the **sense energy** — switched-capacitance energy of precharging and
-//!   firing the latch, part of the proposed design's dynamic power, and
-//! * the **sensing error probability** — the latch resolves the difference
-//!   of the branch discharge rates against its own input-referred offset
-//!   (transistor mismatch), giving a Gaussian error model.
+//! The system study needs one quantity from it: the **sense energy**, the
+//! switched-capacitance energy of precharging and firing the latch, part
+//! of the proposed design's dynamic power. The read itself is exact: the
+//! converter takes the wall state as the latch's decision.
 
-use crate::mtj::{Mtj, Polarity};
-use crate::SpinError;
-use rand::Rng;
-use rand_distr::{Distribution, Normal};
-use spinamm_circuit::units::{switched_capacitor_energy, Farads, Joules, Ohms, Volts};
-use spinamm_telemetry::{NoopRecorder, Recorder};
-
-/// Abramowitz–Stegun 7.1.26 approximation of `erf` (|error| < 1.5e-7),
-/// sufficient for sensing-yield estimates.
-fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
-            + 0.254_829_592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
-/// Standard normal CDF.
-fn phi(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
+use spinamm_circuit::units::{switched_capacitor_energy, Farads, Joules, Volts};
 
 /// Dynamic sense latch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,110 +21,19 @@ pub struct DynamicLatch {
     /// Total switched capacitance per sense operation (both branches plus
     /// the cross-coupled pair).
     pub capacitance: Farads,
-    /// Input-referred offset of the latch expressed as an equivalent
-    /// *conductance* standard deviation (S): the mismatch of the discharge
-    /// branches.
-    pub offset_sigma_siemens: f64,
 }
 
 impl DynamicLatch {
-    /// A 45 nm-class latch: 1 V supply, 2 fF switched per sense, and an
-    /// offset equivalent to ~2 % of the MTJ conductance signal.
+    /// A 45 nm-class latch: 1 V supply and 2 fF switched per sense.
     pub const PAPER: DynamicLatch = DynamicLatch {
         vdd: Volts(1.0),
         capacitance: Farads(2e-15),
-        offset_sigma_siemens: 1.0e-6,
     };
-
-    /// Creates a latch model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpinError::InvalidParameter`] unless vdd and capacitance
-    /// are finite and positive and the offset is finite and non-negative.
-    pub fn new(
-        vdd: Volts,
-        capacitance: Farads,
-        offset_sigma_siemens: f64,
-    ) -> Result<Self, SpinError> {
-        if !(vdd.0.is_finite() && vdd.0 > 0.0) {
-            return Err(SpinError::InvalidParameter {
-                what: "latch supply must be finite and positive",
-            });
-        }
-        if !(capacitance.0.is_finite() && capacitance.0 > 0.0) {
-            return Err(SpinError::InvalidParameter {
-                what: "latch capacitance must be finite and positive",
-            });
-        }
-        if !(offset_sigma_siemens.is_finite() && offset_sigma_siemens >= 0.0) {
-            return Err(SpinError::InvalidParameter {
-                what: "latch offset must be finite and non-negative",
-            });
-        }
-        Ok(Self {
-            vdd,
-            capacitance,
-            offset_sigma_siemens,
-        })
-    }
 
     /// Energy of one sense operation (precharge + evaluate): `C·Vdd²`.
     #[must_use]
     pub fn sense_energy(&self) -> Joules {
         switched_capacitor_energy(self.capacitance, self.vdd)
-    }
-
-    /// The discharge-rate signal the latch resolves: difference of branch
-    /// conductances, `1/r_cell − 1/r_ref` (positive when the cell is in the
-    /// low-resistance / parallel state).
-    #[must_use]
-    pub fn signal(&self, r_cell: Ohms, r_ref: Ohms) -> f64 {
-        1.0 / r_cell.0 - 1.0 / r_ref.0
-    }
-
-    /// One stochastic sense: returns the detected polarity given the MTJ
-    /// state resistance, sampling the latch offset.
-    pub fn sense<R: Rng + ?Sized>(&self, mtj: &Mtj, state: Polarity, rng: &mut R) -> Polarity {
-        self.sense_with(mtj, state, rng, &NoopRecorder)
-    }
-
-    /// Like [`DynamicLatch::sense`], incrementing the `spin.latch_fires`
-    /// counter on `recorder` for every sense operation performed.
-    pub fn sense_with<R: Rng + ?Sized, T: Recorder>(
-        &self,
-        mtj: &Mtj,
-        state: Polarity,
-        rng: &mut R,
-        recorder: &T,
-    ) -> Polarity {
-        recorder.counter("spin.latch_fires", 1);
-        let signal = self.signal(mtj.resistance(state), mtj.reference_resistance());
-        let offset = if self.offset_sigma_siemens > 0.0 {
-            Normal::new(0.0, self.offset_sigma_siemens)
-                .expect("sigma validated at construction")
-                .sample(rng)
-        } else {
-            0.0
-        };
-        if signal + offset > 0.0 {
-            Polarity::Up
-        } else {
-            Polarity::Down
-        }
-    }
-
-    /// Analytic probability of misreading a given state:
-    /// `P(offset > |signal|) = Φ(−|signal|/σ)`.
-    #[must_use]
-    pub fn error_probability(&self, mtj: &Mtj, state: Polarity) -> f64 {
-        let signal = self
-            .signal(mtj.resistance(state), mtj.reference_resistance())
-            .abs();
-        if self.offset_sigma_siemens == 0.0 {
-            return 0.0;
-        }
-        phi(-signal / self.offset_sigma_siemens)
     }
 }
 
@@ -164,18 +46,6 @@ impl Default for DynamicLatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn erf_reference_values() {
-        assert!((erf(0.0)).abs() < 1e-9);
-        assert!((erf(1.0) - 0.842_700_79).abs() < 1e-6);
-        assert!((erf(-1.0) + 0.842_700_79).abs() < 1e-6);
-        assert!((erf(3.0) - 0.999_977_9).abs() < 1e-6);
-        assert!((phi(0.0) - 0.5).abs() < 1e-9);
-        assert!((phi(1.96) - 0.975).abs() < 1e-3);
-    }
 
     #[test]
     fn sense_energy_cv2() {
@@ -184,71 +54,7 @@ mod tests {
     }
 
     #[test]
-    fn signal_signs() {
-        let l = DynamicLatch::PAPER;
-        let m = Mtj::PAPER;
-        // Parallel (5 kΩ) discharges faster than reference (10 kΩ).
-        assert!(l.signal(m.resistance(Polarity::Up), m.reference_resistance()) > 0.0);
-        assert!(l.signal(m.resistance(Polarity::Down), m.reference_resistance()) < 0.0);
-    }
-
-    #[test]
-    fn noiseless_latch_is_exact() {
-        let l = DynamicLatch::new(Volts(1.0), Farads(2e-15), 0.0).unwrap();
-        let m = Mtj::PAPER;
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        assert_eq!(l.sense(&m, Polarity::Up, &mut rng), Polarity::Up);
-        assert_eq!(l.sense(&m, Polarity::Down, &mut rng), Polarity::Down);
-        assert_eq!(l.error_probability(&m, Polarity::Up), 0.0);
-    }
-
-    #[test]
-    fn paper_latch_error_rate_is_negligible() {
-        let l = DynamicLatch::PAPER;
-        let m = Mtj::PAPER;
-        // Signal: |1/5k − 1/10k| = 1e-4 S; σ = 1e-6 S → 100σ margin.
-        assert!(l.error_probability(&m, Polarity::Up) < 1e-12);
-        assert!(l.error_probability(&m, Polarity::Down) < 1e-12);
-    }
-
-    #[test]
-    fn degraded_tmr_raises_error_rate() {
-        let l = DynamicLatch::new(Volts(1.0), Farads(2e-15), 2e-5).unwrap();
-        let strong = Mtj::PAPER;
-        let weak = Mtj::new(Ohms(9_500.0), Ohms(10_500.0)).unwrap();
-        let p_strong = l.error_probability(&strong, Polarity::Up);
-        let p_weak = l.error_probability(&weak, Polarity::Up);
-        assert!(
-            p_weak > 100.0 * p_strong.max(1e-300),
-            "weak {p_weak} vs strong {p_strong}"
-        );
-    }
-
-    #[test]
-    fn stochastic_sense_matches_analytic_rate() {
-        // Deliberately noisy latch against a weak MTJ.
-        let l = DynamicLatch::new(Volts(1.0), Farads(2e-15), 3e-5).unwrap();
-        let m = Mtj::new(Ohms(8_000.0), Ohms(12_000.0)).unwrap();
-        let p = l.error_probability(&m, Polarity::Down);
-        assert!(
-            p > 0.01 && p < 0.5,
-            "test needs a measurable error rate, p = {p}"
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let n = 30_000;
-        let errors = (0..n)
-            .filter(|_| l.sense(&m, Polarity::Down, &mut rng) != Polarity::Down)
-            .count();
-        let freq = errors as f64 / f64::from(n);
-        assert!((freq - p).abs() < 0.01, "sampled {freq} vs analytic {p}");
-    }
-
-    #[test]
     fn validation() {
-        assert!(DynamicLatch::new(Volts(0.0), Farads(1e-15), 1e-6).is_err());
-        assert!(DynamicLatch::new(Volts(1.0), Farads(0.0), 1e-6).is_err());
-        assert!(DynamicLatch::new(Volts(1.0), Farads(1e-15), -1.0).is_err());
-        assert!(DynamicLatch::new(Volts(f64::NAN), Farads(1e-15), 1e-6).is_err());
         assert_eq!(DynamicLatch::default(), DynamicLatch::PAPER);
     }
 }

@@ -21,13 +21,14 @@
 //!   paper's I_c = 1 µA. Supplies Fig. 5b/5c (threshold and switching-time
 //!   scaling).
 //! * [`thermal`] — Néel–Brown thermal activation over the Eb = 20 kT
-//!   barrier: sub-threshold switching probability and the resulting transfer
-//!   curve smearing (Fig. 7a).
-//! * [`neuron`] — the behavioral DWN used by system simulations: hysteretic
-//!   current comparator with threshold, switching delay and energy.
+//!   barrier: retention time and the analytic sub-threshold switching
+//!   probability that smears the transfer curve (Fig. 7a).
+//! * [`neuron`] — the behavioral DWN used by system simulations: a
+//!   deterministic hysteretic current comparator with threshold, switching
+//!   delay and energy.
 //! * [`mtj`] — MTJ read stack and reference cell.
 //! * [`latch`] — the dynamic CMOS latch that digitizes the MTJ state
-//!   (Fig. 7b), with offset-limited sensing failure probability.
+//!   (Fig. 7b), modelled by its C·V² sense energy.
 //!
 //! # Modelling note (substitution for micromagnetics)
 //!

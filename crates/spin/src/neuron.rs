@@ -11,9 +11,7 @@
 
 use crate::dynamics::DwDynamics;
 use crate::mtj::Polarity;
-use crate::thermal::ThermalModel;
 use crate::SpinError;
-use rand::Rng;
 use spinamm_circuit::units::{Amps, Joules, Ohms, Seconds, Volts};
 use spinamm_telemetry::{NoopRecorder, Recorder};
 
@@ -32,8 +30,6 @@ pub struct NeuronConfig {
     /// device is "magneto-metallic" and operates "at ultra low terminal
     /// voltages" — a few hundred ohms of metallic strip.
     pub device_resistance: Ohms,
-    /// Thermal activation model (barrier smearing + retention).
-    pub thermal: ThermalModel,
 }
 
 impl NeuronConfig {
@@ -48,10 +44,6 @@ impl NeuronConfig {
             mobility: dynamics.material.viscous_mobility(),
             drift_velocity_per_amp: u_per_j / area,
             device_resistance: Ohms(200.0),
-            thermal: ThermalModel {
-                barrier_kt: dynamics.material.barrier_kt,
-                ..ThermalModel::PAPER
-            },
         }
     }
 
@@ -117,8 +109,7 @@ pub struct DomainWallNeuron {
 pub struct TransferPoint {
     /// Input current at this sweep step.
     pub current: Amps,
-    /// Device output after the step: `+1` (Up) or `−1` (Down); fractional
-    /// values arise when averaging stochastic trials.
+    /// Device output after the step: `+1` (Up) or `−1` (Down).
     pub output: f64,
 }
 
@@ -186,54 +177,6 @@ impl DomainWallNeuron {
         self.state
     }
 
-    /// Applies a current pulse with thermal activation: sub-threshold drives
-    /// can still switch with the Néel–Brown probability of
-    /// [`ThermalModel::switching_probability`].
-    ///
-    /// Returns the post-pulse state.
-    pub fn apply_thermal<R: Rng + ?Sized>(
-        &mut self,
-        current: Amps,
-        pulse: Seconds,
-        rng: &mut R,
-    ) -> Polarity {
-        self.apply_thermal_with(current, pulse, rng, &NoopRecorder)
-    }
-
-    /// Like [`DomainWallNeuron::apply_thermal`], incrementing the
-    /// `spin.dwn_switch_events` counter on `recorder` whenever the state
-    /// flips (deterministically or by thermal activation).
-    pub fn apply_thermal_with<R: Rng + ?Sized, T: Recorder>(
-        &mut self,
-        current: Amps,
-        pulse: Seconds,
-        rng: &mut R,
-        recorder: &T,
-    ) -> Polarity {
-        let toward = if current.0 > 0.0 {
-            Polarity::Up
-        } else {
-            Polarity::Down
-        };
-        if toward != self.state {
-            let magnitude = Amps(current.0.abs());
-            let deterministic = self
-                .config
-                .transit_time(magnitude)
-                .is_some_and(|t| t.0 <= pulse.0);
-            if deterministic
-                || self
-                    .config
-                    .thermal
-                    .sample_switch(magnitude, self.config.threshold, pulse, rng)
-            {
-                self.state = toward;
-                recorder.counter("spin.dwn_switch_events", 1);
-            }
-        }
-        self.state
-    }
-
     /// Sweeps the input current up then down (deterministically) and records
     /// the state after each step — the hysteretic transfer characteristic of
     /// Fig. 7a. `peak` sets the sweep amplitude and `points` the number of
@@ -270,49 +213,9 @@ impl DomainWallNeuron {
     }
 }
 
-impl DomainWallNeuron {
-    /// Monte-Carlo–averaged transfer characteristic: like
-    /// [`DomainWallNeuron::transfer_curve`] but with thermal activation, so
-    /// outputs are fractional near the thresholds — the rounded loop of
-    /// Fig. 7a at finite temperature. Each sweep point averages `trials`
-    /// independent devices at the same sweep position.
-    pub fn thermal_transfer_curve<R: Rng + ?Sized>(
-        config: NeuronConfig,
-        peak: Amps,
-        points: usize,
-        pulse: Seconds,
-        trials: usize,
-        rng: &mut R,
-    ) -> Vec<TransferPoint> {
-        let n = points.max(2) as f64;
-        let sweep: Vec<f64> = (0..points)
-            .map(|k| -1.0 + 2.0 * k as f64 / (n - 1.0))
-            .chain((0..points).map(|k| 1.0 - 2.0 * k as f64 / (n - 1.0)))
-            .collect();
-        let mut sums = vec![0.0; sweep.len()];
-        for _ in 0..trials.max(1) {
-            let mut neuron = DomainWallNeuron::new(config);
-            for (k, frac) in sweep.iter().enumerate() {
-                let state = neuron.apply_thermal(Amps(peak.0 * frac), pulse, rng);
-                sums[k] += state.sign();
-            }
-        }
-        sweep
-            .iter()
-            .zip(&sums)
-            .map(|(&frac, &sum)| TransferPoint {
-                current: Amps(peak.0 * frac),
-                output: sum / trials.max(1) as f64,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     const PULSE: Seconds = Seconds(10e-9);
 
@@ -402,48 +305,6 @@ mod tests {
         // End points saturate.
         assert_eq!(curve[100].output, 1.0);
         assert_eq!(curve[201].output, -1.0);
-    }
-
-    #[test]
-    fn thermal_application_can_switch_subthreshold() {
-        let c = NeuronConfig::paper();
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let mut switched = 0;
-        let trials = 2000;
-        for _ in 0..trials {
-            let mut n = DomainWallNeuron::new(c);
-            // 0.5 I_c for a long pulse: the suppressed barrier is ~5 kT,
-            // giving an O(1) switching probability over 100 ns.
-            n.apply_thermal(Amps(0.5e-6), Seconds(100e-9), &mut rng);
-            if n.state() == Polarity::Up {
-                switched += 1;
-            }
-        }
-        assert!(
-            switched > 0 && switched < trials,
-            "thermal switching should be probabilistic, got {switched}/{trials}"
-        );
-    }
-
-    #[test]
-    fn thermal_transfer_curve_is_rounded() {
-        let mut rng = ChaCha8Rng::seed_from_u64(33);
-        let curve = DomainWallNeuron::thermal_transfer_curve(
-            NeuronConfig::paper(),
-            Amps(3e-6),
-            41,
-            Seconds(10e-9),
-            60,
-            &mut rng,
-        );
-        assert_eq!(curve.len(), 82);
-        // Saturated at the extremes...
-        assert!((curve[40].output - 1.0).abs() < 0.05);
-        assert!((curve[81].output + 1.0).abs() < 0.05);
-        // ...and fractional somewhere near the rising threshold: at least
-        // one sweep point averages strictly between the rails.
-        let fractional = curve.iter().filter(|p| p.output.abs() < 0.95).count();
-        assert!(fractional >= 1, "no thermal rounding observed");
     }
 
     #[test]

@@ -2,8 +2,6 @@
 //! dynamics, the behavioural neuron and the thermal statistics.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use spinamm_circuit::units::{Amps, Hertz, Kelvin, Seconds};
 use spinamm_spin::dynamics::DwDynamics;
 use spinamm_spin::geometry::DwGeometry;
@@ -125,22 +123,4 @@ proptest! {
 fn spinamm_core_effective(config: &NeuronConfig, pulse: Seconds) -> f64 {
     config.threshold.0
         + config.travel_length / (pulse.0 * config.mobility * config.drift_velocity_per_amp)
-}
-
-/// Deterministic regression: thermal sampling converges to the analytic
-/// probability (kept outside proptest to control the trial budget).
-#[test]
-fn thermal_sampling_converges() {
-    let t = ThermalModel::PAPER;
-    let ic = Amps(1e-6);
-    let pulse = Seconds(20e-9);
-    let i = Amps(0.8e-6);
-    let p = t.switching_probability(i, ic, pulse);
-    let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let n = 40_000;
-    let hits = (0..n)
-        .filter(|_| t.sample_switch(i, ic, pulse, &mut rng))
-        .count();
-    let freq = hits as f64 / f64::from(n);
-    assert!((freq - p).abs() < 0.01, "{freq} vs {p}");
 }
